@@ -91,7 +91,7 @@ def cmd_gamma_e(args) -> int:
     doc = cert.to_json()
     doc["config"] = _run_config(args)
     _emit(dump_json(doc), args.out)
-    return EXIT_OK if cert.lambda_star > 0.0 else EXIT_NEGATIVE
+    return EXIT_OK if cert.status == "positive" else EXIT_NEGATIVE
 
 
 def cmd_flsi(args) -> int:

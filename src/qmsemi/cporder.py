@@ -8,7 +8,7 @@ operator basis {e_a} as the Hermitian kernel
 so that sum_{ij} z_i* Gamma(x_i, x_j) z_j >= 0 for all finite families
 (x_i in span{e_a}, z_i in C^m) is exactly Q >= 0.  The gradient condition
 "lambda * Gamma_{I-E} <= Gamma_A in cp order" becomes an eigenvalue pencil,
-decided by bisection on the smallest eigenvalue of Q_A - lambda Q_{I-E}.
+solved directly from one eigendecomposition of Q_A (see ``best_lambda``).
 Matrix-amplified agreement is delegated to a sampling oracle in the tests.
 
 The module also computes the module-basis Choi matrix whose operator norm is
@@ -18,10 +18,11 @@ the L1 -> Linf cb-norm of an N-bimodule map, and the derived return time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, ClassVar
 
 import numpy as np
+import scipy.linalg
 
 from .algebra import ModuleBasis, SubAlgebra, module_basis
 from .generator import LindbladGenerator
@@ -150,67 +151,76 @@ def cp_order_holds(q_small: FormKernel, q_big: FormKernel, lam: float) -> bool:
     return bool(w.min() >= -_psd_floor(w))
 
 
+def _top_eigpair(h: np.ndarray) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue of a Hermitian matrix and a unit eigenvector."""
+    n = h.shape[0]
+    w, v = scipy.linalg.eigh(h, subset_by_index=[n - 1, n - 1], driver="evr")
+    return float(w[0]), v[:, 0]
+
+
 @dataclass(frozen=True)
 class GammaECertificate:
-    """Two-sided bracket for max{lambda : lambda Q_small <= Q_big}."""
+    """lambda* = max{lambda : lambda Q_small <= Q_big} and how it was decided.
+
+    ``leak`` = ||P_ker Q_small P_ker|| over ker Q_big (None if Q_big is not
+    PSD); ``margin`` is how far the number that chose ``status`` ("positive"
+    or "zero") clears its floor; ``tolerance`` is the floor of Q_big below
+    which directions count as kernel.  ``witness`` is a unit vector where the
+    order fails (zero) or is tight (positive); None for trivial dynamics.
+    """
+
+    method: ClassVar[str] = "pencil-direct"
 
     lambda_star: float
-    method: str
+    status: str
+    leak: float | None
+    margin: float
     tolerance: float
     witness: np.ndarray | None = None
-    checks: tuple = field(default_factory=tuple)
 
     def to_json(self) -> dict:
         return {
             "lambda_star": float(self.lambda_star),
+            "status": self.status,
+            "leak": None if self.leak is None else float(self.leak),
+            "margin": float(self.margin),
             "method": self.method,
             "tolerance": float(self.tolerance),
-            "checks": [
-                {"lambda": float(l), "min_eig": float(e)} for l, e in self.checks
-            ],
         }
 
 
-def best_lambda(
-    q_small: FormKernel, q_big: FormKernel, tol: float = 1e-8
-) -> GammaECertificate:
-    """Largest lambda with lambda * Q_small <= Q_big, by eigen-pencil bisection.
+def best_lambda(q_small: FormKernel, q_big: FormKernel) -> GammaECertificate:
+    """Largest lambda with lambda * Q_small <= Q_big, by a direct pencil solve.
 
-    Robust to rank deficiency of Q_small: the search interval is capped at
-    ||Q_big|| / sigma_min^+(Q_small).  Returns 0 with a witness eigenvector
-    when Q_big itself fails to be PSD on the required range.
+    Q_small is PSD.  Q_big, split at the PSD floor into range R (eigenvalues
+    S) and kernel K, gives lambda* = 0 if it has a direction below -floor or
+    if the leak ||K* Q_small K|| exceeds the floor of Q_small (ker Q_big is
+    not inside ker Q_small), and otherwise
+    lambda* = 1 / lambda_max(S^-1/2 R* Q_small R S^-1/2).
+    Raises ValueError when Q_small vanishes.
     """
-    ws = np.linalg.eigvalsh(q_small.q)
-    pos = ws[ws > PSD_RTOL * max(np.abs(ws).max(), 1.0)]
-    if pos.size == 0:
+    norm_small = np.linalg.norm(q_small.q)  # Frobenius: bounds ||Q_small||, no eigensolve
+    if norm_small <= PSD_RTOL:
         raise ValueError("Q_small vanishes; no pencil to solve")
-    wb = np.linalg.eigvalsh(q_big.q)
-    upper = max(np.abs(wb).max() / pos.min(), tol)
-
-    def min_eig(lam: float) -> tuple[float, np.ndarray]:
-        w, v = np.linalg.eigh(q_big.q - lam * q_small.q)
-        return w[0] + _psd_floor(w), v[:, 0]
-
-    checks = []
-    e0, v0 = min_eig(0.0)
-    checks.append((0.0, e0))
-    if e0 < 0.0:
-        return GammaECertificate(0.0, "pencil-bisection", tol, v0, tuple(checks))
-    e_up, v_up = min_eig(upper)
-    checks.append((upper, e_up))
-    if e_up >= 0.0:
-        return GammaECertificate(upper, "pencil-bisection", tol, None, tuple(checks))
-    lo, hi, wit = 0.0, upper, v_up
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        e_mid, v_mid = min_eig(mid)
-        if e_mid >= 0.0:
-            lo = mid
-        else:
-            hi, wit = mid, v_mid
-    checks.append((lo, min_eig(lo)[0]))
-    checks.append((hi, min_eig(hi)[0]))
-    return GammaECertificate(lo, "pencil-bisection", tol, wit, tuple(checks))
+    floor_small = PSD_RTOL * max(norm_small, 1.0)
+    wb, vb = np.linalg.eigh(q_big.q)
+    floor = _psd_floor(wb)
+    if wb[0] < -floor:
+        return GammaECertificate(0.0, "zero", None, -wb[0] - floor, floor, vb[:, 0])
+    in_range = wb > floor
+    ker = vb[:, ~in_range]
+    leak = 0.0
+    if ker.shape[1]:
+        leak, v = _top_eigpair(ker.conj().T @ q_small.q @ ker)
+        if leak > floor_small:
+            return GammaECertificate(0.0, "zero", leak, leak - floor_small, floor, ker @ v)
+    r = vb[:, in_range] / np.sqrt(wb[in_range])  # R S^-1/2
+    top, u = _top_eigpair(r.conj().T @ q_small.q @ r)
+    if top <= 0.0:
+        raise ValueError("Q_small vanishes on the range of Q_big; no pencil to solve")
+    wit = r @ u
+    wit /= np.linalg.norm(wit)
+    return GammaECertificate(1.0 / top, "positive", leak, floor_small - leak, floor, wit)
 
 
 def gamma_e_constant(gen: LindbladGenerator) -> GammaECertificate:
@@ -218,14 +228,13 @@ def gamma_e_constant(gen: LindbladGenerator) -> GammaECertificate:
 
     Compares the kernel of Gamma_{I-E_fix} against the kernel of the jump
     gradient form.  A generator with trivial dynamics (fixed algebra all of
-    M_m) gets lambda_star = 0.
+    M_m, so Gamma_{I-E} vanishes) gets a zero certificate without a solve.
     """
     q_small = kernel_ie(gen.fixed_algebra)
-    ws = np.linalg.eigvalsh(q_small.q)
-    if ws.max() <= PSD_RTOL:
-        return GammaECertificate(0.0, "pencil-bisection", 1e-8, None, ())
-    q_big = kernel_from_jumps(gen.jumps.jumps)
-    return best_lambda(q_small, q_big)
+    norm_small = np.linalg.norm(q_small.q)
+    if norm_small <= PSD_RTOL:
+        return GammaECertificate(0.0, "zero", 0.0, PSD_RTOL - norm_small, PSD_RTOL)
+    return best_lambda(q_small, kernel_from_jumps(gen.jumps.jumps))
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,22 @@ from test_cporder import amplified_min_eig
 ZOO = make_zoo()
 
 
+def _subordinated_rates():
+    """(A^theta, N, certified rate) for the random zoo entries."""
+    out = {}
+    for name in ("random_2jump_m3", "random_2jump_m4"):
+        gen = ZOO[name]
+        q_small = kernel_ie(gen.fixed_algebra)
+        for th in (0.25, 0.5):
+            a_th = fractional_power(gen.superop, th)
+            lam = best_lambda(q_small, kernel_from_superop(a_th)).lambda_star
+            out[name, th] = (a_th, gen.fixed_algebra, lam)
+    return out
+
+
+SUBORDINATED = _subordinated_rates()
+
+
 def _report(num: int, desc: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
     suffix = f"  ({detail})" if detail else ""
@@ -199,6 +215,11 @@ def test_c08_entropy_decay_bounds():
         rep = check_decay_bound(gen, lam, n_states=50, seed=108)
         ok &= rep["passed"]
         detail.append(f"{name}: slack {rep['slack']:.1e}")
+    # the random zoo certifies 0; its fractional powers certify positive rates
+    for (name, th), (a_th, n, lam) in SUBORDINATED.items():
+        rep = check_decay_bound((a_th, n), lam, n_states=20, seed=108)
+        ok &= lam > 0.1 and rep["passed"]
+        detail.append(f"{name} A^{th}: rate {lam:.3f} slack {rep['slack']:.1e}")
     _report(8, "relative entropy and Fisher information decay at the certified rate",
             ok, "; ".join(detail))
 
@@ -210,6 +231,10 @@ def test_c09_lp_decay():
         lam = gamma_e_constant(gen).lambda_star
         rep = check_lp_decay(gen, lam, n_x=50, seed=109)
         ok &= rep["passed"]
+        worst = max(worst, rep["slack"])
+    for a_th, n, lam in SUBORDINATED.values():
+        rep = check_lp_decay((a_th, n), lam, n_x=20, seed=109)
+        ok &= lam > 0.1 and rep["passed"]
         worst = max(worst, rep["slack"])
     # exact equality for the depolarizing semigroup
     gen = ZOO["depolarizing_m2"]

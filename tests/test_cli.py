@@ -6,7 +6,7 @@ import pytest
 from qmsemi.cli import main
 from qmsemi.generator import JumpSet
 from qmsemi.io import dump_json, jumps_to_obj, operator_to_obj
-from qmsemi.models import pauli
+from qmsemi.models import depolarizing_generator, pauli, random_lindblad
 
 
 @pytest.fixture
@@ -38,6 +38,29 @@ def test_gamma_e_empty_jumps_is_negative_result(empty_jumps_file, tmp_path):
     code = main(["gamma-e", empty_jumps_file, "--out", str(out)])
     assert code == 2
     assert json.loads(out.read_text())["lambda_star"] == 0.0
+
+
+def test_gamma_e_certificate_status_decides_exit_code(tmp_path):
+    # a generic random generator gets an exact zero (exit 2); the
+    # depolarizing generator gets its closed-form constant 1 (exit 0)
+    rng = np.random.default_rng(2024)
+    cases = {
+        "random": (random_lindblad(3, 2, rng, scale=0.6), 2),
+        "depolarizing": (depolarizing_generator(3), 0),
+    }
+    for name, (gen, code) in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(dump_json(jumps_to_obj(gen.jumps)))
+        out = tmp_path / f"{name}-cert.json"
+        assert main(["gamma-e", str(path), "--out", str(out)]) == code
+        doc = json.loads(out.read_text())
+        assert doc["method"] == "pencil-direct"
+        if code == 2:
+            assert doc["status"] == "zero" and doc["lambda_star"] == 0.0
+            assert doc["leak"] > 0.5 and doc["margin"] > 0
+        else:
+            assert doc["status"] == "positive"
+            assert abs(doc["lambda_star"] - 1.0) <= 1e-12
 
 
 def test_gamma_e_malformed_file(tmp_path, capsys):

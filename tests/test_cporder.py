@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import make_zoo
+from pencil_oracle import bisect_lambda
 from qmsemi.algebra import diagonal_algebra, module_basis, scalar_algebra
 from qmsemi.cporder import (
     best_lambda,
@@ -26,6 +28,7 @@ from qmsemi.matops import (
     semigroup_apply,
 )
 from qmsemi.models import dephasing_generator, depolarizing_generator, random_lindblad
+from qmsemi.subordinate import density_approximation, fractional_power
 
 
 def test_form_kernel_zero_form():
@@ -122,12 +125,20 @@ def test_gamma_e_dephasing_value_and_gap_consistency():
 
 def test_gamma_e_trivial_dynamics_is_zero():
     gen = lindblad(jump_set([], m=2))
-    assert gamma_e_constant(gen).lambda_star == 0.0
+    cert = gamma_e_constant(gen)
+    assert cert.lambda_star == 0.0 and cert.status == "zero"
+
+
+def _above(lam):
+    """The smallest step above lambda* at which the order must fail."""
+    return lam + max(1e-6, 1e-6 * lam)
 
 
 def test_best_lambda_two_sided_bracket():
-    # certified side PSD at lambda* and a witnessed failure just above
+    # cp order at lambda* and a failure just above it, on both branches; a
+    # zero certificate's witness lies in ker Q_big and carries the leak
     rng = np.random.default_rng(7)
+    statuses = []
     for _ in range(10):
         m = int(rng.integers(2, 4))
         gen = random_lindblad(m, 3, rng)
@@ -137,12 +148,80 @@ def test_best_lambda_two_sided_bracket():
         q_big = kernel_from_jumps(gen.jumps.jumps)
         cert = best_lambda(q_small, q_big)
         lam = cert.lambda_star
-        if lam <= 0:
-            continue
-        assert cp_order_holds(q_small, q_big, max(lam - cert.tolerance, 0.0))
-        if cert.witness is not None:  # interior optimum: the other side fails
-            w = np.linalg.eigvalsh(q_big.q - (lam + 10 * cert.tolerance) * q_small.q)
-            assert w.min() < cert.tolerance / 2
+        statuses.append(cert.status)
+        assert (cert.status == "positive") == (lam > 0)
+        assert cp_order_holds(q_small, q_big, lam)
+        assert not cp_order_holds(q_small, q_big, _above(lam))
+        v = cert.witness
+        assert np.linalg.norm(v) == pytest.approx(1.0)
+        big = (v.conj() @ q_big.q @ v).real
+        small = (v.conj() @ q_small.q @ v).real
+        if cert.status == "zero":
+            assert abs(big) <= cert.tolerance
+            assert small == pytest.approx(cert.leak, rel=1e-9)
+            assert cert.margin > 0
+        else:  # the witness is where the order becomes tight
+            assert big - lam * small == pytest.approx(0.0, abs=1e-9 * big)
+    assert "zero" in statuses and "positive" in statuses
+
+
+def _pencil(gen, kind):
+    q_small = kernel_ie(gen.fixed_algebra)
+    if kind == "jumps":
+        return q_small, kernel_from_jumps(gen.jumps.jumps)
+    if kind == "B_eps":
+        b, _ = density_approximation(gen, 0.1)
+        return q_small, kernel_from_superop(b)
+    return q_small, kernel_from_superop(fractional_power(gen.superop, kind))
+
+
+@pytest.mark.parametrize("kind", ["jumps", 0.25, 0.5, "B_eps"])
+@pytest.mark.parametrize("name", sorted(make_zoo()))
+def test_best_lambda_agrees_with_bisection_oracle(zoo, name, kind):
+    q_small, q_big = _pencil(zoo[name], kind)
+    lam = best_lambda(q_small, q_big).lambda_star
+    assert cp_order_holds(q_small, q_big, lam)
+    assert not cp_order_holds(q_small, q_big, _above(lam))
+    assert bisect_lambda(q_small, q_big) <= lam + 1e-6 * max(1.0, lam)
+
+
+def test_random_zoo_jump_certificates_are_exactly_zero(zoo):
+    # ker Q_big leaks out of ker Q_small: the generic generator fails the
+    # gradient condition and the witness shows where
+    for name in ("random_2jump_m3", "random_2jump_m4"):
+        gen = zoo[name]
+        q_small = kernel_ie(gen.fixed_algebra)
+        q_big = kernel_from_jumps(gen.jumps.jumps)
+        cert = gamma_e_constant(gen)
+        assert cert.lambda_star == 0.0
+        assert cert.status == "zero" and cert.method == "pencil-direct"
+        assert cert.leak > 0.5
+        v = cert.witness
+        assert (v.conj() @ q_small.q @ v).real > 0.5
+        assert abs(v.conj() @ q_big.q @ v) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "name, kind, expected, floor",
+    [
+        ("random_2jump_m3", 0.25, 0.8070, None),
+        ("random_2jump_m3", 0.5, 0.5797, None),
+        ("random_2jump_m3", "B_eps", 2.751e-3, 1.9e-4),
+        ("random_2jump_m4", 0.25, 0.4375, None),
+        ("random_2jump_m4", 0.5, 0.1769, None),
+        ("random_2jump_m4", "B_eps", 5.113e-3, 7.1e-5),
+    ],
+)
+def test_subordinated_generators_have_positive_rates(zoo, name, kind, expected, floor):
+    # the subordinated approximants of a generic generator satisfy the
+    # gradient condition with a genuinely positive constant
+    cert = best_lambda(*_pencil(zoo[name], kind))
+    assert cert.status == "positive"
+    assert cert.lambda_star == pytest.approx(expected, rel=2e-4)
+    if floor is not None:
+        _, rep = density_approximation(zoo[name], 0.1)
+        assert rep["predicted_floor"] == pytest.approx(floor, rel=0.05)
+        assert cert.lambda_star > rep["predicted_floor"]
 
 
 def test_gamma_e_monotone_in_jumps():
