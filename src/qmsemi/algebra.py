@@ -17,6 +17,7 @@ from .matops import (
     Superop,
     hs_inner,
     hs_norm,
+    identity_superop,
     make_superop,
     matrix_function,
     matrix_units,
@@ -57,6 +58,11 @@ class SubAlgebra:
     @cached_property
     def expectation(self) -> Superop:
         return conditional_expectation(self)
+
+    @cached_property
+    def complement(self) -> Superop:
+        """I - E_N, the generator whose Fisher information is I_N."""
+        return identity_superop(self.dim) - self.expectation
 
 
 def _coords_to_ops(coords: np.ndarray, m: int) -> np.ndarray:

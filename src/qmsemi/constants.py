@@ -15,15 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import SubAlgebra
-from .entropy import d_sub, default_grid, fisher, fisher_n, relative_entropy
+from .entropy import d_sub, default_grid, fisher_n, spectral_terms
 from .generator import LindbladGenerator, gradient_form
 from .matops import (
     Superop,
-    divided_difference_multiplier,
-    matrix_function,
     norm_trace,
     random_hermitian,
     random_state,
+    schur_multiplier,
     semigroup_apply,
 )
 
@@ -51,35 +50,19 @@ def rho_multiplier(rho: np.ndarray, y: np.ndarray) -> np.ndarray:
     (r_k - r_l)/(ln r_k - ln r_l), the inverse of the logarithmic divided
     difference; requires rho > 0.
     """
-    w = np.linalg.eigvalsh(rho)
-    if w.min() <= 0:
-        raise ValueError("rho must be positive definite")
-    return _mult_entropy(rho, y, inverse=False)
+    return _log_multiplier(rho, y, inverse=True)
 
 
 def rho_multiplier_inv(rho: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Inverse multiplier [rho]^{-1}(y) = int_0^inf (rho+t)^{-1} y (rho+t)^{-1} dt."""
-    w = np.linalg.eigvalsh(rho)
+    return _log_multiplier(rho, y, inverse=False)
+
+
+def _log_multiplier(rho: np.ndarray, y: np.ndarray, inverse: bool) -> np.ndarray:
+    w, u = np.linalg.eigh(rho)
     if w.min() <= 0:
         raise ValueError("rho must be positive definite")
-    return _mult_entropy(rho, y, inverse=True)
-
-
-def _mult_entropy(rho: np.ndarray, y: np.ndarray, inverse: bool) -> np.ndarray:
-    w, u = np.linalg.eigh(rho)
-    n = w.size
-    d = np.empty((n, n))
-    for k in range(n):
-        for l in range(n):
-            gap = abs(w[k] - w[l])
-            if gap <= 1e-9 * max(abs(w[k]), abs(w[l]), 1.0):
-                d[k, l] = 0.5 * (w[k] + w[l])
-            else:
-                d[k, l] = (w[k] - w[l]) / (math.log(w[k]) - math.log(w[l]))
-    if inverse:
-        d = 1.0 / d
-    yt = u.conj().T @ y @ u
-    return u @ (d * yt) @ u.conj().T
+    return schur_multiplier(w, u, np.log(w), np.reciprocal, y, inverse=inverse)
 
 
 def schatten_norm(x: np.ndarray, p: float) -> float:
@@ -104,6 +87,7 @@ class FlsiEstimate:
     n_starts: int
     seed: int
     grad_check: float
+    n_validated: int
 
     def to_json(self) -> dict:
         return {
@@ -112,6 +96,7 @@ class FlsiEstimate:
             "n_starts": int(self.n_starts),
             "seed": int(self.seed),
             "grad_check": float(self.grad_check),
+            "n_validated": int(self.n_validated),
         }
 
 
@@ -122,41 +107,79 @@ def _dynamics(gen) -> tuple[Superop, SubAlgebra, Superop]:
     return a, n, n.expectation
 
 
+def _chart(h: np.ndarray):
+    """Eigenpairs (w, u) of H, e^w, and rho = m e^H / tr(e^H) with its spectrum r."""
+    w, u = np.linalg.eigh(h)
+    expw = np.exp(w)
+    r = h.shape[-1] * expw / expw.sum(axis=-1, keepdims=True)
+    return w, u, expw, r, (u * r[..., None, :]) @ np.swapaxes(u, -1, -2).conj()
+
+
 def _ratio_and_grad(a: Superop, e: Superop, h: np.ndarray, want_grad: bool):
     """I_A/D_N at rho = m e^H / tr(e^H), plus the H-space gradient.
 
     d(I_A) = tau(beta (A(ln rho) + J_log(A rho))) and
     d(D_N) = tau(beta (ln rho - ln E rho)); the chain through the chart uses
-    the exponential divided-difference multiplier.
+    the exponential divided-difference multiplier.  Everything but ln E(rho)
+    lives in the eigenbasis of H: two eigensolves per call.
     """
     m = h.shape[0]
-    w, u = np.linalg.eigh(h)
-    expw = np.exp(w)
+    w, u, expw, r, rho = _chart(h)
+    uh = u.conj().T
     tr = expw.sum()
-    rho = (u * (m * expw / tr)) @ u.conj().T
-    log_rho = (u * (w + math.log(m) - math.log(tr))) @ u.conj().T
+    log_r = w + math.log(m) - math.log(tr)
+    log_rho = (u * log_r) @ uh
     e_rho = e.apply(rho)
     e_rho = (e_rho + e_rho.conj().T) / 2.0
-    d_val = relative_entropy(rho, e_rho)
+    w_e, u_e = np.linalg.eigh(e_rho)
+    d_val = float(spectral_terms(rho[None], (r[None], u[None]), (w_e[None], u_e[None]))[0][0])
     a_rho = a.apply(rho)
     a_rho = (a_rho + a_rho.conj().T) / 2.0
     i_val = norm_trace(a_rho @ log_rho).real
     if not want_grad:
         return i_val, d_val, rho, None
-    log_e_rho = matrix_function(e_rho, np.log)
-    grad_i = a.apply(log_rho) + divided_difference_multiplier(
-        rho, math.log, a_rho, fprime=lambda s: 1.0 / s
-    )
+    if w_e.min() <= 0:
+        raise ValueError("E(rho) is singular: its logarithm is undefined")
+    log_e_rho = (u_e * np.log(w_e)) @ u_e.conj().T
+    grad_i = a.apply(log_rho) + schur_multiplier(r, u, log_r, np.reciprocal, a_rho)
     grad_i = (grad_i + grad_i.conj().T) / 2.0
     grad_d = log_rho - log_e_rho
     g_rho = (d_val * grad_i - i_val * grad_d) / d_val**2
     # chain rule through H -> rho = m e^H / tr(e^H)
-    j_g = divided_difference_multiplier(h, math.exp, g_rho, fprime=math.exp)
-    exph = (u * expw) @ u.conj().T
+    j_g = schur_multiplier(w, u, expw, math.exp, g_rho)
+    exph = (u * expw) @ uh
     coef = (m / tr) ** 2 * norm_trace(g_rho @ exph).real
     grad_h = (m / tr) * j_g - coef * exph
     grad_h = (grad_h + grad_h.conj().T) / 2.0
     return i_val, d_val, rho, grad_h
+
+
+# States per stacked eigensolve in the validation sweep; bounds its memory.
+SWEEP_CHUNK = 1000
+
+
+def _validation_sweep(a: Superop, e: Superop, rng: np.random.Generator, n_validate: int):
+    """Smallest I_A/D_N over ``n_validate`` random states, and how many were kept.
+
+    States are drawn as ``random_state(m, rng, 0.4 + 1.2 * rng.random())`` draws
+    them; states with D_N below 1e-10 are dropped before the Fisher leak check.
+    """
+    m = a.dim
+    lowest, kept = math.inf, 0
+    for lo in range(0, n_validate, SWEEP_CHUNK):
+        k = min(SWEEP_CHUNK, n_validate - lo)
+        h = np.array([random_hermitian(m, rng, 0.4 + 1.2 * rng.random()) for _ in range(k)])
+        _, u, _, r, rho = _chart(h)
+        flat = rho.reshape(k, m * m)
+        e_rho = (flat @ e.matrix.T).reshape(k, m, m)
+        a_rho = (flat @ a.matrix.T).reshape(k, m, m)
+        d, i, _ = spectral_terms(rho, (r, u), np.linalg.eigh(e_rho), a_rho)
+        keep = d >= 1e-10
+        if np.isnan(i[keep]).any():
+            raise ValueError("ill-defined Fisher information, supply eps_shift")
+        lowest = min(lowest, float(np.min(i[keep] / d[keep], initial=math.inf)))
+        kept += int(keep.sum())
+    return lowest, kept
 
 
 def flsi_estimate(
@@ -172,11 +195,15 @@ def flsi_estimate(
     rho = m e^H / tr(e^H); gradients use the divided-difference chain rule
     and are cross-checked against a finite difference at the first start.
     States with D_N below 1e-10 are discarded.  The returned lower value is
-    the best ratio re-validated against ``n_validate`` random states.
+    the best ratio re-validated against ``n_validate`` random states, taken
+    ``SWEEP_CHUNK`` at a time by stacked eigensolves; ``n_validated`` counts
+    the states kept.
     """
     if n_starts < 1:
         raise ValueError("need at least one start")
-    a, n, e = _dynamics(gen)
+    if n_validate < 0:
+        raise ValueError("n_validate must be nonnegative")
+    a, _, e = _dynamics(gen)
     if a.norm <= 1e-12:
         raise ValueError("FLSI undefined: generator has trivial dynamics")
     m = a.dim
@@ -229,22 +256,15 @@ def flsi_estimate(
         raise ValueError("FLSI undefined: no state with positive D_N found")
     # validation sweep: the certified lower value never exceeds a sampled ratio
     rng = np.random.default_rng([seed, 999_983])
-    lower = best
-    for _ in range(n_validate):
-        rho = random_state(m, rng, spread=0.4 + 1.2 * rng.random())
-        d_val = d_sub(rho, n)
-        if d_val < 1e-10:
-            continue
-        ratio = fisher(a, rho) / d_val
-        if ratio < lower:
-            lower = ratio
+    sampled, n_validated = _validation_sweep(a, e, rng, n_validate)
     return FlsiEstimate(
-        lambda_lower=lower,
+        lambda_lower=min(best, sampled),
         lambda_upper=best,
         argmin_state=best_state,
         n_starts=n_starts,
         seed=seed,
         grad_check=grad_check,
+        n_validated=n_validated,
     )
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import SubAlgebra
-from .matops import Superop, identity_superop, semigroup_apply
+from .matops import Superop, semigroup_apply
 
 __all__ = [
     "relative_entropy",
@@ -29,12 +29,52 @@ __all__ = [
 EIG_CLAMP = 1e-12
 
 
-def _checked_spectrum(x: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
-    w, u = np.linalg.eigh(x)
-    scale = max(np.abs(w).max(), 1.0)
-    if w.min() < -1e-9 * scale:
-        raise ValueError(f"{name} has negative eigenvalue {w.min():.3e}")
-    return np.clip(w, 0.0, None), u
+def _support(w: np.ndarray, name: str):
+    """Checked and clipped spectra, their support masks and logs (0 off support)."""
+    low = w.min(axis=-1)
+    if (low < -1e-9 * np.maximum(np.abs(w).max(axis=-1), 1.0)).any():
+        raise ValueError(f"{name} has negative eigenvalue {low.min():.3e}")
+    w = np.clip(w, 0.0, None)
+    on = w > EIG_CLAMP * np.maximum(w.max(axis=-1), 1.0)[:, None]
+    return w, on, np.log(np.where(on, w, 1.0))
+
+
+def _diag_in_basis(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Real diagonal of u* x u, batched."""
+    return (u.conj() * (x @ u)).sum(axis=-2).real
+
+
+def spectral_terms(rho, rho_eig, sigma_eig=None, a_rho=None, eps_shift: float = 0.0):
+    """D(rho||sigma) and I = tau(A(rho) ln(rho + eps 1)) for a batch of states.
+
+    rho, its eigenpairs ``rho_eig``, the eigenpairs of sigma and A(rho) all
+    carry a leading batch axis.  This is the one home of the entropy rules:
+    eigenvalues below -1e-9 (relative) raise and the rest are clipped at 0;
+    those at or below EIG_CLAMP * max(top, 1) are off the support (0 log 0 = 0);
+    D is +inf when rho weighs more than 1e-12 * max(top, 1) off the support of
+    sigma; for eps = 0, I is NaN (ill-defined) when A(rho) leaks more than
+    1e-10 * max(|diag|, 1) onto the kernel of rho.  Returns (d, i, full), with
+    None for a term whose inputs are missing and ``full`` for full support.
+    """
+    w, on, log_w = _support(rho_eig[0], "rho")
+    m = w.shape[-1]
+    d = i = None
+    if sigma_eig is not None:
+        _, on_s, log_s = _support(sigma_eig[0], "sigma")
+        # weights of rho in the eigenbasis of sigma
+        weights = _diag_in_basis(rho, sigma_eig[1])
+        off_support = np.where(on_s, 0.0, weights).sum(axis=-1)
+        d = ((w * log_w).sum(axis=-1) - (weights * log_s).sum(axis=-1)) / m
+        d = np.where(off_support > 1e-12 * np.maximum(w.max(axis=-1), 1.0), np.inf, d)
+    if a_rho is not None:
+        ydiag = _diag_in_basis(a_rho, rho_eig[1])
+        if eps_shift > 0.0:
+            i = (ydiag * np.log(w + eps_shift)).sum(axis=-1) / m
+        else:
+            leak = np.abs(np.where(on, 0.0, ydiag)).sum(axis=-1)
+            ill = leak > 1e-10 * np.maximum(np.abs(ydiag).max(axis=-1), 1.0)
+            i = np.where(ill, np.nan, (ydiag * log_w).sum(axis=-1) / m)
+    return d, i, on.all(axis=-1)
 
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -42,22 +82,8 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
 
     Uses 0 log 0 = 0.  Nonnegative whenever tau(rho) = tau(sigma).
     """
-    m = rho.shape[0]
-    w_r, u_r = _checked_spectrum(rho, "rho")
-    w_s, u_s = _checked_spectrum(sigma, "sigma")
-    clamp_r = EIG_CLAMP * max(w_r.max(), 1.0)
-    clamp_s = EIG_CLAMP * max(w_s.max(), 1.0)
-    ent = sum(v * math.log(v) for v in w_r if v > clamp_r) / m
-    # weights of rho in the eigenbasis of sigma
-    overlap = u_s.conj().T @ rho @ u_s
-    weights = np.diag(overlap).real
-    off_support = weights[w_s <= clamp_s].sum()
-    if off_support > 1e-12 * max(w_r.max(), 1.0):
-        return math.inf
-    cross = sum(
-        wt * math.log(v) for wt, v in zip(weights, w_s) if v > clamp_s
-    ) / m
-    return ent - cross
+    d, _, _ = spectral_terms(rho[None], np.linalg.eigh(rho[None]), np.linalg.eigh(sigma[None]))
+    return float(d[0])
 
 
 def d_sub(rho: np.ndarray, n: SubAlgebra) -> float:
@@ -76,20 +102,12 @@ def fisher(
     to supply an eps_shift.  With return_branch the evaluation path is
     reported alongside the value ("shifted", "full" or "support").
     """
-    m = rho.shape[0]
-    w, u = _checked_spectrum(rho, "rho")
-    y = a.apply(rho)
-    ydiag = np.diag(u.conj().T @ y @ u).real
-    if eps_shift > 0.0:
-        val = float(ydiag @ np.log(w + eps_shift)) / m
-        return (val, "shifted") if return_branch else val
-    clamp = EIG_CLAMP * max(w.max(), 1.0)
-    on = w > clamp
-    branch = "full" if on.all() else "support"
-    leak = np.abs(ydiag[~on]).sum()
-    if leak > 1e-10 * max(np.abs(ydiag).max(), 1.0):
+    y = a.apply(rho)[None]
+    _, i, full = spectral_terms(rho[None], np.linalg.eigh(rho[None]), a_rho=y, eps_shift=eps_shift)
+    if np.isnan(i[0]):
         raise ValueError("ill-defined Fisher information, supply eps_shift")
-    val = float(ydiag[on] @ np.log(w[on])) / m
+    val = float(i[0])
+    branch = "shifted" if eps_shift > 0.0 else ("full" if full[0] else "support")
     return (val, branch) if return_branch else val
 
 
@@ -98,8 +116,7 @@ def fisher_n(n: SubAlgebra, rho: np.ndarray, eps_shift: float = 0.0) -> float:
 
     Equals D(rho||E(rho)) + D(E(rho)||rho), the symmetrized divergence.
     """
-    a = identity_superop(n.dim) - n.expectation
-    return fisher(a, rho, eps_shift)
+    return fisher(n.complement, rho, eps_shift)
 
 
 @dataclass(frozen=True)

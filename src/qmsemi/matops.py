@@ -32,6 +32,7 @@ __all__ = [
     "is_hermitian",
     "matrix_function",
     "divided_difference_multiplier",
+    "schur_multiplier",
     "vec",
     "unvec",
     "matrix_units",
@@ -116,9 +117,7 @@ def divided_difference_multiplier(
 
         J_f(y) = sum_{k,l} Df(r_k, r_l) e_k y e_l,
 
-    with Df(s, t) = (f(s) - f(t)) / (s - t) away from the diagonal and
-    f'((s+t)/2) when |s - t| <= 1e-9 * max(|s|, |t|, 1); the midpoint rule
-    removes the 0/0 singularity with O(gap) error.
+    with Df as in ``schur_multiplier``; f is called on scalars.
     """
     if not is_hermitian(rho):
         raise ValueError("divided_difference_multiplier requires Hermitian rho")
@@ -127,18 +126,28 @@ def divided_difference_multiplier(
     w, u = np.linalg.eigh(rho)
     if fprime is None:
         fprime = lambda s: _numeric_derivative(f, s)
-    n = w.size
     fw = np.array([f(t) for t in w], dtype=float)
-    d = np.empty((n, n))
-    for k in range(n):
-        for l in range(n):
-            gap = abs(w[k] - w[l])
-            if gap <= 1e-9 * max(abs(w[k]), abs(w[l]), 1.0):
-                d[k, l] = fprime(0.5 * (w[k] + w[l]))
-            else:
-                d[k, l] = (fw[k] - fw[l]) / (w[k] - w[l])
-    ytil = u.conj().T @ y @ u
-    return u @ (d * ytil) @ u.conj().T
+    return schur_multiplier(w, u, fw, fprime, y)
+
+
+def schur_multiplier(w: np.ndarray, u: np.ndarray, fw: np.ndarray, fprime: Callable,
+                     y: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """Divided-difference Schur multiplier of f in the eigenbasis (w, u), fw = f(w).
+
+    Df(s, t) = (f(s) - f(t)) / (s - t) away from the diagonal and f'((s+t)/2),
+    with fprime called on scalars, when |s - t| <= 1e-9 * max(|s|, |t|, 1); the
+    midpoint rule removes the 0/0 singularity with O(gap) error.  ``inverse``
+    takes the reciprocal of every entry.
+    """
+    gap = w[:, None] - w[None, :]
+    tie = np.abs(gap) <= 1e-9 * np.maximum(np.maximum.outer(np.abs(w), np.abs(w)), 1.0)
+    d = np.empty(gap.shape)
+    d[~tie] = (fw[:, None] - fw[None, :])[~tie] / gap[~tie]
+    d[tie] = [fprime(s) for s in (0.5 * (w[:, None] + w[None, :]))[tie]]
+    if inverse:
+        d = 1.0 / d
+    uh = u.conj().T
+    return u @ (d * (uh @ y @ u)) @ uh
 
 
 # ---------------------------------------------------------------------------

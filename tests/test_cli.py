@@ -88,6 +88,10 @@ def test_flsi_rejects_zero_starts(jumps_file):
     assert main(["flsi", jumps_file, "--starts", "0", "--validate", "10"]) == 1
 
 
+def test_flsi_rejects_negative_validation_count(jumps_file):
+    assert main(["flsi", jumps_file, "--starts", "1", "--validate", "-1"]) == 1
+
+
 def test_subordinate_theta_one_echoes_generator(jumps_file, tmp_path):
     out = tmp_path / "sub.json"
     assert main(["subordinate", jumps_file, "--theta", "1.0", "--out", str(out)]) == 0

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from flsi_oracle import sweep_one_by_one
 from qmsemi.constants import (
+    SWEEP_CHUNK,
+    _validation_sweep,
     check_decay_bound,
     check_lp_decay,
     flsi_estimate,
@@ -51,6 +54,42 @@ def test_flsi_rejects_trivial_dynamics():
     gen = lindblad(jump_set([], m=2))
     with pytest.raises(ValueError):
         flsi_estimate(gen, n_starts=1, seed=0, n_validate=10)
+
+
+def test_flsi_rejects_negative_validation_count():
+    with pytest.raises(ValueError):
+        flsi_estimate(dephasing_generator(2), n_starts=1, seed=0, n_validate=-1)
+
+
+@pytest.mark.parametrize("n_validate", [500, SWEEP_CHUNK + 1])
+def test_stacked_sweep_matches_per_state_oracle(zoo, n_validate):
+    for name, gen in zoo.items():
+        got, kept = _validation_sweep(
+            gen.superop, gen.e_fix, np.random.default_rng([7, 999_983]), n_validate
+        )
+        want, want_kept = sweep_one_by_one(
+            gen.superop, gen.fixed_algebra, np.random.default_rng([7, 999_983]), n_validate
+        )
+        assert kept == want_kept, name
+        assert got == pytest.approx(want, rel=1e-12), name
+
+
+@pytest.mark.parametrize(
+    "name, lower, upper",
+    [
+        ("random_2jump_m3", 2.831312450511, 8.372967534679),
+        ("random_2jump_m4", 1.625678977933, 8.299382811266),
+        ("dephasing_m2", 8.000074932, 8.436149978436),
+    ],
+)
+def test_validation_sweep_lowers_short_descent_bracket(zoo, name, lower, upper):
+    # with no descent steps the sweep, not the optimizer, sets the lower end
+    est = flsi_estimate(zoo[name], n_starts=1, seed=4, max_iter=0, n_validate=2000)
+    assert est.lambda_lower < est.lambda_upper
+    assert est.lambda_lower == pytest.approx(lower, rel=1e-9)
+    assert est.lambda_upper == pytest.approx(upper, rel=1e-9)
+    assert est.n_validated == 2000
+    assert est.to_json()["n_validated"] == 2000
 
 
 def test_check_decay_bound_zero_rate_passes():

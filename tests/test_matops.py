@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmsemi.constants import rho_multiplier
+from qmsemi.constants import rho_multiplier, rho_multiplier_inv
 from qmsemi.matops import (
     Superop,
     divided_difference_multiplier,
@@ -99,6 +99,36 @@ def test_divided_difference_trace_derivative_law():
 
     assert err(1e-5) < 100 * 1e-10
     assert err(1e-6) < err(1e-5) / 20  # quadratic falloff
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-11])
+def test_divided_difference_midpoint_rule_on_near_ties(gap):
+    w = np.array([1.0, 1.0 + gap, 2.5])
+    rho = np.diag(w).astype(complex)
+    y = random_hermitian(3, np.random.default_rng(10))
+    # the true derivative, then a marker that tells the midpoint from either end
+    for fprime in (lambda s: 1.0 / s, lambda s: 1e12 * (s - 1.0)):
+        out = divided_difference_multiplier(rho, np.log, y, fprime=fprime)
+        d = np.empty((3, 3))
+        for k in range(3):
+            for l in range(3):
+                if abs(w[k] - w[l]) <= 1e-9 * max(abs(w[k]), abs(w[l]), 1.0):
+                    d[k, l] = fprime(0.5 * (w[k] + w[l]))
+                else:
+                    d[k, l] = (np.log(w[k]) - np.log(w[l])) / (w[k] - w[l])
+        assert np.allclose(out, d * y, rtol=1e-12, atol=1e-12)
+    assert abs(out[0, 1] / y[0, 1] - 1e12 * gap / 2) < 1e-3
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-11])
+def test_rho_multiplier_round_trip_on_near_ties(gap):
+    rng = np.random.default_rng(11)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    diag = np.diag([1.0, 1.0 + gap, 2.5]).astype(complex)
+    y = random_hermitian(3, rng)
+    for rho in (diag, q @ diag @ q.conj().T):
+        back = rho_multiplier_inv(rho, rho_multiplier(rho, y))
+        assert np.abs(back - y).max() < 1e-10
 
 
 def test_superop_identity_action():
