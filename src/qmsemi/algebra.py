@@ -22,7 +22,6 @@ from .matops import (
     matrix_function,
     matrix_units,
     nullspace_basis,
-    unvec,
     vec,
 )
 
@@ -67,11 +66,7 @@ class SubAlgebra:
 
 def _coords_to_ops(coords: np.ndarray, m: int) -> np.ndarray:
     """Unit coordinate vectors (columns) -> tau-orthonormal operators."""
-    k = coords.shape[1]
-    out = np.empty((k, m, m), dtype=complex)
-    for i in range(k):
-        out[i] = unvec(np.sqrt(m) * coords[:, i], m)
-    return out
+    return (np.sqrt(m) * coords).T.reshape(-1, m, m)
 
 
 def commutant(gens: list[np.ndarray], m: int | None = None) -> SubAlgebra:
@@ -157,8 +152,7 @@ class ModuleBasis:
         return self.xis.shape[0]
 
     def coefficients(self, x: np.ndarray) -> np.ndarray:
-        e = self.algebra.expectation
-        return np.array([e.apply(xi.conj().T @ x) for xi in self.xis])
+        return self.algebra.expectation.apply(self.xis.conj().swapaxes(-1, -2) @ x)
 
     def reconstruct(self, x: np.ndarray) -> np.ndarray:
         coeff = self.coefficients(x)

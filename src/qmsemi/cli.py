@@ -64,23 +64,6 @@ def _load_generator(path: str):
     return lindblad(jumps)
 
 
-def _parse_tols(pairs: list[str]) -> dict:
-    out = {}
-    for p in pairs or []:
-        key, _, val = p.partition("=")
-        if not val:
-            raise ValueError(f"--tol expects KEY=VALUE, got {p!r}")
-        out[key] = float(val)
-    return out
-
-
-def _run_config(args) -> dict:
-    return {
-        "seed": int(getattr(args, "seed", 0)),
-        "tolerances": _parse_tols(getattr(args, "tol", None)),
-    }
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -89,7 +72,7 @@ def cmd_gamma_e(args) -> int:
     gen = _load_generator(args.jumps)
     cert = gamma_e_constant(gen)
     doc = cert.to_json()
-    doc["config"] = _run_config(args)
+    doc["config"] = {"seed": args.seed}
     _emit(dump_json(doc), args.out)
     return EXIT_OK if cert.status == "positive" else EXIT_NEGATIVE
 
@@ -101,7 +84,7 @@ def cmd_flsi(args) -> int:
     est = flsi_estimate(gen, n_starts=args.starts, seed=args.seed,
                         n_validate=args.validate)
     doc = est.to_json()
-    doc["config"] = _run_config(args)
+    doc["config"] = {"seed": args.seed}
     _emit(dump_json(doc), args.out)
     return EXIT_OK
 
@@ -111,7 +94,7 @@ def cmd_subordinate(args) -> int:
     n_modes = sum(x is not None for x in (args.theta, args.eps, args.profile))
     if n_modes != 1:
         raise ValueError("choose exactly one of --theta, --eps, --profile")
-    report: dict = {"config": _run_config(args)}
+    report: dict = {"config": {"seed": args.seed}}
     if args.theta is not None:
         sub = fractional_power(gen.superop, args.theta)
         report["mode"] = {"theta": args.theta}
@@ -197,7 +180,7 @@ def cmd_validate(args) -> int:
     gen = _load_generator(args.jumps)
     report = validate_generator(gen.superop)
     doc = {"report": report, "generator": generator_to_obj(gen),
-           "config": _run_config(args)}
+           "config": {"seed": args.seed}}
     _emit(dump_json(doc), args.out)
     return EXIT_OK if report["all_passed"] else EXIT_NEGATIVE
 
@@ -209,10 +192,6 @@ def cmd_validate(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="seed recorded in outputs")
     p.add_argument("--out", default=None, help="write primary output to this path")
-    p.add_argument("--format", choices=["json", "csv", "tsv"], default=None,
-                   help="output format (informational; commands pick the natural one)")
-    p.add_argument("--tol", action="append", default=None, metavar="KEY=VAL",
-                   help="tolerance override, recorded in the run config")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -28,7 +28,6 @@ from .algebra import ModuleBasis, SubAlgebra, module_basis
 from .generator import LindbladGenerator
 from .matops import (
     Superop,
-    identity_superop,
     semigroup_apply,
     tau_orthonormal_basis,
 )
@@ -120,14 +119,12 @@ def kernel_from_superop(a: Superop, basis: np.ndarray | None = None) -> FormKern
     if basis is None:
         basis = tau_orthonormal_basis(m)
     k = basis.shape[0]
-    ab = np.array([a.apply(b) for b in basis])
+    ab = a.apply(basis)
     prod = np.einsum("aji,bjl->abil", basis.conj(), basis)  # e_a* e_b
-    aprod = np.einsum("pq,abq->abp", a.matrix, prod.reshape(k, k, m * m))
-    aprod = aprod.reshape(k, k, m, m)
     q = 0.5 * (
         np.einsum("aji,bjl->abil", ab.conj(), basis)
         + np.einsum("aji,bjl->abil", basis.conj(), ab)
-        - aprod
+        - a.apply(prod)
     )
     q = q.transpose(0, 2, 1, 3).reshape(k * m, k * m)
     return FormKernel(dim=m, basis_size=k, q=_symmetrize(q))
@@ -135,8 +132,7 @@ def kernel_from_superop(a: Superop, basis: np.ndarray | None = None) -> FormKern
 
 def kernel_ie(n: SubAlgebra, basis: np.ndarray | None = None) -> FormKernel:
     """Kernel of Gamma_{I-E_N}."""
-    a = identity_superop(n.dim) - n.expectation
-    return kernel_from_superop(a, basis=basis)
+    return kernel_from_superop(n.complement, basis=basis)
 
 
 def _psd_floor(w: np.ndarray) -> float:
@@ -248,19 +244,19 @@ def _check_bimodular(
     samples: int = 6,
 ) -> None:
     rng = np.random.default_rng(rng_seed)
-    m = n.dim
-    k = n.size
-    for _ in range(samples):
-        c1 = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        c2 = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        n1 = np.tensordot(c1, n.basis, axes=(0, 0))
-        n2 = np.tensordot(c2, n.basis, axes=(0, 0))
-        x = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        lhs = apply_t(n1 @ x @ n2)
-        rhs = n1 @ apply_t(x) @ n2
-        scale = max(np.abs(rhs).max(), 1.0)
-        if np.abs(lhs - rhs).max() > 1e-8 * scale:
-            raise ValueError("map is not an N-bimodule map")
+    m, k = n.dim, n.size
+    draws = [(rng.standard_normal(k) + 1j * rng.standard_normal(k),
+              rng.standard_normal(k) + 1j * rng.standard_normal(k),
+              rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+             for _ in range(samples)]
+    c1, c2, x = (np.array(z) for z in zip(*draws))
+    n1 = np.tensordot(c1, n.basis, axes=(1, 0))
+    n2 = np.tensordot(c2, n.basis, axes=(1, 0))
+    lhs = apply_t(n1 @ x @ n2)
+    rhs = n1 @ apply_t(x) @ n2
+    scale = np.maximum(np.abs(rhs).max(axis=(1, 2)), 1.0)
+    if (np.abs(lhs - rhs).max(axis=(1, 2)) > 1e-8 * scale).any():
+        raise ValueError("map is not an N-bimodule map")
 
 
 def choi_matrix(
@@ -270,19 +266,17 @@ def choi_matrix(
 ) -> np.ndarray:
     """Block matrix sum_{ij} |i><j| (x) T(xi_i* xi_j) over a module basis.
 
-    Its operator norm is the L1 -> Linf cb-norm of the N-bimodule map T.
+    Its operator norm is the L1 -> Linf cb-norm of the N-bimodule map T.  A
+    callable T must map a stack of shape (..., m, m) matrix by matrix: it
+    gets all k^2 products xi_i* xi_j in one (k, k, m, m) call.
     """
     apply_t = t.apply if isinstance(t, Superop) else t
     if check:
         _check_bimodular(apply_t, basis.algebra)
     xis = basis.xis
-    k = xis.shape[0]
-    m = basis.algebra.dim
-    chi = np.empty((k, m, k, m), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            chi[i, :, j, :] = apply_t(xis[i].conj().T @ xis[j])
-    return chi.reshape(k * m, k * m)
+    k, m = xis.shape[0], basis.algebra.dim
+    chi = apply_t(xis.conj().swapaxes(-1, -2)[:, None] @ xis[None])
+    return chi.transpose(0, 2, 1, 3).reshape(k * m, k * m)
 
 
 def cb_norm_1_to_inf(
@@ -352,9 +346,6 @@ def l2_to_linf_cb_sq(s: Superop) -> float:
     to the squared L2 -> Linf norm at time t.
     """
     m = s.dim
-    basis = tau_orthonormal_basis(m)
-    acc = np.zeros((m * m, m * m), dtype=complex)
-    for e in basis:
-        se = s.apply(e)
-        acc += np.kron(se, se.conj())
+    se = s.apply(tau_orthonormal_basis(m))
+    acc = np.einsum("eij,ekl->ikjl", se, se.conj()).reshape(m * m, m * m)
     return float(np.linalg.norm(acc, 2))

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import SubAlgebra, commutant, conditional_expectation
-from .matops import Superop, is_hermitian, standard_choi, superop_from_action
+from .matops import Superop, is_hermitian, make_superop, standard_choi
 
 __all__ = [
     "JumpSet",
@@ -80,16 +80,19 @@ class LindbladGenerator:
 
 
 def lindblad(jumps: JumpSet) -> LindbladGenerator:
-    """Build the generator, its fixed algebra, and mark the semigroup CP."""
+    """Build the generator, its fixed algebra, and mark the semigroup CP.
+
+    Over row-major vec, x -> b x c has matrix b (x) c^T, so the generator is
+    sq (x) 1 + 1 (x) sq^T - 2 sum_k a_k (x) a_k^T with sq = sum_k a_k^2.
+    """
     m = jumps.dim
-    sq = np.einsum("kij,kjl->il", jumps.jumps, jumps.jumps)
-
-    def action(x):
-        return sq @ x + x @ sq - 2.0 * np.einsum("kij,jl,klp->ip", jumps.jumps, x, jumps.jumps)
-
-    sup = superop_from_action(action, m).with_cp_flag("verified")
-    fixed = commutant(list(jumps.jumps), m)
-    return LindbladGenerator(jumps=jumps, superop=sup, fixed_algebra=fixed)
+    a = jumps.jumps
+    sq = np.einsum("kij,kjl->il", a, a)
+    eye = np.eye(m)
+    sandwich = np.einsum("kij,kqp->ipjq", a, a).reshape(m * m, m * m)
+    sup = make_superop(np.kron(sq, eye) + np.kron(eye, sq.T) - 2.0 * sandwich, m)
+    fixed = commutant(list(a), m)
+    return LindbladGenerator(jumps, sup.with_cp_flag("verified"), fixed)
 
 
 def derivation(jumps: JumpSet, x: np.ndarray) -> np.ndarray:

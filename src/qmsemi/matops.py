@@ -223,7 +223,10 @@ class Superop:
     cp_semigroup: str = "unchecked"
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return unvec(self.matrix @ vec(x), self.dim)
+        """The map on x of shape (..., m, m), matrix by matrix over a stack."""
+        # column vectors: each matrix gets the arithmetic of a lone matrix-vector product
+        x = np.asarray(x, dtype=complex)
+        return (self.matrix @ x.reshape(*x.shape[:-2], -1, 1)).reshape(x.shape)
 
     @cached_property
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
@@ -286,13 +289,22 @@ def zero_superop(m: int) -> Superop:
     return make_superop(np.zeros((m * m, m * m), dtype=complex), m)
 
 
-def semigroup_apply(a: Superop, t: float, x: np.ndarray) -> np.ndarray:
-    """Evaluate e^{-tA}(x) by spectral calculus of the superoperator."""
-    if t < 0:
+def semigroup_apply(a: Superop, t, x: np.ndarray) -> np.ndarray:
+    """Evaluate e^{-tA}(x) by spectral calculus of the superoperator.
+
+    x is one matrix or a stack of shape (..., m, m) and t one time or a time
+    grid; the result has shape t.shape + x.shape, all from one contraction
+    over the cached eigendecomposition, with the same arithmetic per (t, x)
+    as a lone evaluation.  Any negative time raises.
+    """
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise ValueError("semigroup time must be nonnegative")
     w, v = a.eig
-    coeff = v.conj().T @ vec(x)
-    return unvec(v @ (np.exp(-t * w) * coeff), a.dim)
+    x = np.asarray(x, dtype=complex)
+    coeff = v.conj().T @ x.reshape(*x.shape[:-2], -1, 1)
+    decay = np.exp(-np.multiply.outer(t, w)).reshape(t.shape + (1,) * (x.ndim - 2) + (-1, 1))
+    return (v @ (decay * coeff)).reshape(t.shape + x.shape)
 
 
 def standard_choi(a: Superop) -> np.ndarray:
@@ -301,36 +313,23 @@ def standard_choi(a: Superop) -> np.ndarray:
     return a.matrix.reshape(m, m, m, m).transpose(2, 0, 3, 1).reshape(m * m, m * m)
 
 
-def _apply_on_factor(s_matrix: np.ndarray, x: np.ndarray, m1: int, m2: int, first: bool) -> np.ndarray:
-    xr = x.reshape(m1, m2, m1, m2)
-    if first:
-        xr = xr.transpose(0, 2, 1, 3).reshape(m1 * m1, m2 * m2)
-        yr = (s_matrix @ xr).reshape(m1, m1, m2, m2).transpose(0, 2, 1, 3)
-    else:
-        xr = xr.transpose(1, 3, 0, 2).reshape(m2 * m2, m1 * m1)
-        yr = (s_matrix @ xr).reshape(m2, m2, m1, m1).transpose(2, 0, 3, 1)
-    return yr.reshape(m1 * m2, m1 * m2)
+def _interleave(kron_matrix: np.ndarray, m1: int, m2: int) -> Superop:
+    """kron(S1, S2), which acts on vec(x1) (x) vec(x2), as a map on M_{m1 m2}."""
+    n = m1 * m2
+    k = kron_matrix.reshape((m1, m1, m2, m2) * 2).transpose(0, 2, 1, 3, 4, 6, 5, 7)
+    return make_superop(k.reshape(n * n, n * n), n)
 
 
 def tensor_sum_generator(a1: Superop, a2: Superop) -> Superop:
     """Generator A1 (x) id + id (x) A2 on M_{m1 m2}."""
     m1, m2 = a1.dim, a2.dim
-    return superop_from_action(
-        lambda x: _apply_on_factor(a1.matrix, x, m1, m2, True)
-        + _apply_on_factor(a2.matrix, x, m1, m2, False),
-        m1 * m2,
-    )
+    kron_sum = np.kron(a1.matrix, np.eye(m2 * m2)) + np.kron(np.eye(m1 * m1), a2.matrix)
+    return _interleave(kron_sum, m1, m2)
 
 
 def tensor_superop(s1: Superop, s2: Superop) -> Superop:
     """The map S1 (x) S2 on M_{m1 m2} (used for tensored expectations)."""
-    m1, m2 = s1.dim, s2.dim
-    return superop_from_action(
-        lambda x: _apply_on_factor(
-            s2.matrix, _apply_on_factor(s1.matrix, x, m1, m2, True), m1, m2, False
-        ),
-        m1 * m2,
-    )
+    return _interleave(np.kron(s1.matrix, s2.matrix), s1.dim, s2.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +338,12 @@ def tensor_superop(s1: Superop, s2: Superop) -> Superop:
 
 def nullspace_basis(k: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
     """Orthonormal basis (columns) of the nullspace, scale-aware cutoff."""
-    _, s, vh = np.linalg.svd(k)
+    # a tall k needs no U; a wide one needs the full V for its extra null directions
+    _, s, vh = np.linalg.svd(k, full_matrices=k.shape[0] < k.shape[1])
     smax = s[0] if s.size else 0.0
     if smax == 0.0:
         return np.eye(k.shape[1], dtype=complex)
-    keep = s <= rtol * smax
-    ns = vh[len(s) - keep.sum():].conj().T if keep.any() else np.zeros((k.shape[1], 0), dtype=complex)
-    return ns
+    return vh[int((s > rtol * smax).sum()):].conj().T
 
 
 def subspace_gap(b1: np.ndarray, b2: np.ndarray) -> float:

@@ -33,6 +33,16 @@ def test_gamma_e_positive_constant(jumps_file, tmp_path, capsys):
     assert doc["config"]["seed"] == 0
 
 
+@pytest.mark.parametrize("flag", [["--tol", "psd=1e-6"], ["--format", "json"]])
+def test_removed_flags_are_rejected_and_config_holds_only_the_seed(jumps_file, tmp_path, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["gamma-e", jumps_file] + flag)
+    assert exc.value.code == 2
+    out = tmp_path / "cert.json"
+    assert main(["gamma-e", jumps_file, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"] == {"seed": 0}
+
+
 def test_gamma_e_empty_jumps_is_negative_result(empty_jumps_file, tmp_path):
     out = tmp_path / "cert.json"
     code = main(["gamma-e", empty_jumps_file, "--out", str(out)])

@@ -98,6 +98,15 @@ def test_check_decay_bound_zero_rate_passes():
     assert rep["passed"]
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_decay_checks_refuse_an_empty_sample(count):
+    gen = dephasing_generator(2)
+    with pytest.raises(ValueError, match="at least 1"):
+        check_decay_bound(gen, 0.0, n_states=count)
+    with pytest.raises(ValueError, match="at least 1"):
+        check_lp_decay(gen, 0.0, n_x=count)
+
+
 def test_check_decay_bound_certified_rate_passes():
     gen = dephasing_generator(2)
     lam = gamma_e_constant(gen).lambda_star

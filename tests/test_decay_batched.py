@@ -1,0 +1,71 @@
+"""The batched decay checks and decay trace against the per-point oracle."""
+
+import numpy as np
+import pytest
+
+from conftest import make_zoo
+from decay_oracle import WITNESS_KEYS, decay_slacks, lp_slacks, report, simulate_decay_per_time
+from qmsemi.constants import _report, check_decay_bound, check_lp_decay, flsi_estimate
+from qmsemi.cporder import gamma_e_constant
+from qmsemi.entropy import default_grid, simulate_decay
+from qmsemi.matops import random_state
+
+ZOO = make_zoo()
+
+
+@pytest.fixture(scope="module")
+def rates():
+    """Per entry: 0, the certified (else FLSI) rate and 10x the FLSI upper value."""
+    out = {}
+    for name, gen in ZOO.items():
+        est = flsi_estimate(gen, n_starts=2, seed=0, n_validate=300)
+        cert = gamma_e_constant(gen).lambda_star
+        out[name] = (0.0, cert if cert > 0 else est.lambda_lower, 10.0 * est.lambda_upper)
+    return out
+
+
+def assert_same_report(rep, quantity, lam, seed, slacks):
+    slacks = list(slacks)
+    ref = report(quantity, lam, seed, slacks)
+    assert rep["passed"] == ref["passed"]
+    # a slack is already relative, so noise near 0 is compared on the scale 1
+    assert abs(rep["slack"] - ref["slack"]) <= 1e-10 * max(abs(ref["slack"]), 1.0)
+    if rep["witness"] != ref["witness"]:
+        # only a tie may move the witness: its oracle slack is the oracle's maximum
+        key = tuple(rep["witness"][k] for k in WITNESS_KEYS[quantity])
+        assert abs(dict(slacks)[key] - ref["slack"]) <= 1e-12 * max(abs(ref["slack"]), 1.0)
+
+
+@pytest.mark.parametrize("name", sorted(ZOO))
+def test_decay_checks_match_per_point_oracle(rates, name):
+    gen = ZOO[name]
+    for k, lam in enumerate(rates[name]):
+        rep = check_decay_bound(gen, lam, n_states=8, seed=3)
+        assert_same_report(rep, "entropy_decay", lam, 3, decay_slacks(gen, lam, 8, 3))
+        lp = check_lp_decay(gen, lam, n_x=8, seed=3)
+        assert_same_report(lp, "lp_decay", lam, 3, lp_slacks(gen, lam, n_x=8, seed=3))
+        if k == 2:  # ten times the FLSI value is beyond every true rate
+            assert not rep["passed"] and not lp["passed"]
+
+
+def test_report_names_the_first_of_tied_maxima():
+    def locate(w):
+        return tuple(int(i) for i in w)
+
+    rep = _report("lp_decay", 1.0, 0, np.array([[0.5, 2.0], [2.0, -np.inf]]), locate)
+    assert (rep["slack"], rep["witness"], rep["passed"]) == (2.0, (0, 1), False)
+    rep = _report("lp_decay", 1.0, 0, np.full((2, 2), 5e-9), locate)
+    assert (rep["slack"], rep["witness"], rep["passed"]) == (5e-9, None, True)
+    rep = _report("entropy_decay", 1.0, 0, np.zeros((0, 4, 2)), locate)
+    assert (rep["slack"], rep["witness"], rep["passed"]) == (0.0, None, True)
+
+
+@pytest.mark.parametrize("name", sorted(ZOO))
+def test_simulate_decay_matches_per_time_oracle(name):
+    gen = ZOO[name]
+    rho0 = random_state(gen.dim, np.random.default_rng(5))
+    grid = default_grid(0.7)
+    new = simulate_decay(gen.superop, gen.fixed_algebra, rho0, grid, 0.7)
+    old = simulate_decay_per_time(gen.superop, gen.fixed_algebra, rho0, grid, 0.7)
+    for got, want in ((new.d_n, old.d_n), (new.i_a, old.i_a), (new.bound, old.bound)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

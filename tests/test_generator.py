@@ -21,6 +21,7 @@ from qmsemi.matops import (
     random_hermitian,
     semigroup_apply,
     subspace_gap,
+    superop_from_action,
 )
 from qmsemi.models import dephasing_generator, depolarizing_generator, pauli, random_lindblad
 
@@ -181,3 +182,18 @@ def test_lindblad_superop_is_psd():
         gen = random_lindblad(3, 2, rng)
         w, _ = gen.superop.eig
         assert w.min() >= -1e-10 * max(1.0, np.abs(w).max())
+
+
+def test_lindblad_closed_form_matches_defining_action():
+    rng = np.random.default_rng(10)
+    gens = [random_lindblad(m, 2, rng) for m in (2, 3, 4, 6)]
+    gens += [depolarizing_generator(4), dephasing_generator(3), lindblad(jump_set([], 3))]
+    for gen in gens:
+        a = gen.jumps.jumps
+        sq = np.einsum("kij,kjl->il", a, a)
+
+        def action(x):
+            return sq @ x + x @ sq - 2.0 * np.einsum("kij,jl,klp->ip", a, x, a)
+
+        ref = superop_from_action(action, gen.dim).matrix
+        assert np.abs(gen.superop.matrix - ref).max() <= 1e-13 * max(np.abs(ref).max(), 1.0)

@@ -11,10 +11,13 @@ from qmsemi.matops import (
     make_superop,
     matrix_function,
     norm_trace,
+    nullspace_basis,
     random_hermitian,
     random_state,
     semigroup_apply,
+    subspace_gap,
     superop_from_action,
+    unvec,
     vec,
 )
 from qmsemi.models import pauli
@@ -178,6 +181,43 @@ def test_semigroup_preserves_trace_and_negative_time_rejected():
     assert abs(norm_trace(y) - norm_trace(x)) < 1e-10
     with pytest.raises(ValueError):
         semigroup_apply(gen.superop, -0.1, x)
+
+
+def test_apply_and_semigroup_take_stacks_and_time_grids():
+    rng = np.random.default_rng(12)
+    from qmsemi.models import random_lindblad
+
+    a = random_lindblad(3, 2, rng, scale=0.6).superop
+    x = np.array([[random_hermitian(3, rng) + 1j * random_hermitian(3, rng) for _ in range(2)]
+                  for _ in range(3)])
+    grid = np.array([0.0, 0.05, 0.4, 1.3, 7.0])
+    ax = a.apply(x)
+    tx = semigroup_apply(a, grid, x)
+    assert ax.shape == x.shape and tx.shape == (5, 3, 2, 3, 3)
+    w, v = a.eig
+    for i in range(3):
+        for j in range(2):
+            one = x[i, j]
+            assert np.abs(ax[i, j] - unvec(a.matrix @ vec(one), 3)).max() < 1e-13
+            assert np.abs(ax[i, j] - a.apply(one)).max() < 1e-13
+            for k, t in enumerate(grid):
+                expm = (v * np.exp(-t * w)) @ v.conj().T
+                assert np.abs(tx[k, i, j] - unvec(expm @ vec(one), 3)).max() < 1e-13
+                assert np.abs(tx[k, i, j] - semigroup_apply(a, t, one)).max() < 1e-13
+    with pytest.raises(ValueError):
+        semigroup_apply(a, np.array([0.5, -1e-3, 2.0]), x)
+
+
+def test_nullspace_basis_of_tall_and_wide_matrices():
+    rng = np.random.default_rng(13)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    # the tall 40 x 6 matrix needs only the reduced SVD, the wide 3 x 6 one the full V
+    for rows, rank in ((40, 4), (3, 3)):
+        c = rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
+        ns = nullspace_basis(c @ q[:, :rank].conj().T)
+        assert ns.shape == (6, 6 - rank)
+        assert np.abs(ns.conj().T @ ns - np.eye(6 - rank)).max() < 1e-12
+        assert subspace_gap(ns, q[:, rank:]) < 1e-10
 
 
 def test_superop_flags_and_adjointness_symmetry():
