@@ -24,6 +24,7 @@ from .matops import (
     nullspace_basis,
     vec,
 )
+from .tolerances import INDEPENDENT, MODULE_KERNEL, MODULE_RESIDUAL, rel_floor
 
 __all__ = [
     "SubAlgebra",
@@ -76,7 +77,7 @@ def commutant(gens: list[np.ndarray], m: int | None = None) -> SubAlgebra:
     the result is always a von Neumann algebra containing the identity (a
     no-op for Hermitian generators).  Computed as the joint nullspace of the
     stacked commutator superoperators with a scale-aware singular value
-    cutoff at 1e-9 * sigma_max.
+    cutoff at NULLSPACE * sigma_max.
     """
     gens = [np.asarray(g, dtype=complex) for g in gens]
     if m is None:
@@ -91,7 +92,7 @@ def commutant(gens: list[np.ndarray], m: int | None = None) -> SubAlgebra:
         for h in (g, g.conj().T):
             blocks.append(np.kron(h, eye) - np.kron(eye, h.T))
     stacked = np.vstack(blocks)
-    ns = nullspace_basis(stacked, rtol=1e-9)
+    ns = nullspace_basis(stacked)
     # rotate the basis so the identity direction comes first
     c0 = vec(eye) / np.sqrt(m)
     cols = [c0]
@@ -100,7 +101,7 @@ def commutant(gens: list[np.ndarray], m: int | None = None) -> SubAlgebra:
         for c in cols:
             v = v - c * (c.conj() @ v)
         nrm = np.linalg.norm(v)
-        if nrm > 1e-8:
+        if nrm > INDEPENDENT:
             cols.append(v / nrm)
     coords = np.column_stack(cols[: ns.shape[1]])
     return SubAlgebra(dim=m, basis=_coords_to_ops(coords, m), contains_identity=True)
@@ -165,8 +166,8 @@ def module_basis(n: SubAlgebra, candidates: np.ndarray | None = None) -> ModuleB
     Candidates default to the matrix units in lexicographic order, which
     makes the basis deterministic across runs.  Each accepted residual r is
     normalized to r h^{-1/2} with h = E(r* r) restricted to its support
-    (eigenvalues below 1e-10 are treated as kernel), so E(xi* xi) is an
-    exact projection.
+    (eigenvalues below MODULE_KERNEL, relative, are its kernel), so E(xi* xi)
+    is an exact projection.
     """
     m = n.dim
     e = n.expectation
@@ -178,12 +179,12 @@ def module_basis(n: SubAlgebra, candidates: np.ndarray | None = None) -> ModuleB
         r = cand.astype(complex)
         for xi in xis:
             r = r - xi @ e.apply(xi.conj().T @ r)
-        if hs_norm(r) <= 1e-9:
+        if hs_norm(r) <= MODULE_RESIDUAL:
             continue
         h = e.apply(r.conj().T @ r)
         h = (h + h.conj().T) / 2.0
         w, u = np.linalg.eigh(h)
-        cut = 1e-10 * max(w.max(), 1.0)
+        cut = rel_floor(w, MODULE_KERNEL)
         inv_sqrt = np.where(w > cut, 1.0 / np.sqrt(np.clip(w, cut, None)), 0.0)
         supp = np.where(w > cut, 1.0, 0.0)
         xis.append(r @ ((u * inv_sqrt) @ u.conj().T))

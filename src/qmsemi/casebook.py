@@ -8,6 +8,7 @@ deterministic given their inputs and seed and serialize to stable JSON.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -154,8 +155,13 @@ def _connected(weights: np.ndarray) -> bool:
     return len(seen) == v
 
 
-def case_graph_criterion(weights, require_connected: bool = False) -> CaseResult:
-    """Pencil constant of an ergodic graph Laplacian vs 2|V| min_{x!=y} w_xy."""
+def case_graph_criterion(weights=None, require_connected: bool = False) -> CaseResult:
+    """Pencil constant of an ergodic graph Laplacian vs 2|V| min_{x!=y} w_xy.
+
+    ``weights`` defaults to the complete graph K_3 with unit weights.
+    """
+    if weights is None:
+        weights = np.ones((3, 3)) - np.eye(3)
     weights = np.asarray(weights, dtype=float)
     v = weights.shape[0]
     if weights.shape != (v, v) or np.abs(weights - weights.T).max() > 0:
@@ -481,29 +487,31 @@ def case_tensorization(
 # ---------------------------------------------------------------------------
 
 CASES = {
-    "graph": lambda **kw: case_graph_criterion(
-        kw.get("weights", np.ones((3, 3)) - np.eye(3))
-    ),
-    "poisson": lambda **kw: case_poisson_Z(int(kw.get("n", 8))),
-    "nonadditivity": lambda **kw: case_nonadditivity(float(kw.get("delta", 1e-4))),
-    "rothaus": lambda **kw: case_rothaus_failure(
-        int(kw.get("n", 3)), float(kw.get("alpha", 10.0))
-    ),
-    "depolarizing": lambda **kw: case_depolarizing(
-        int(kw.get("m", 2)), int(kw.get("seed", 0))
-    ),
-    "tensorization": lambda **kw: case_tensorization(seed=int(kw.get("seed", 0))),
+    "graph": case_graph_criterion,
+    "poisson": case_poisson_Z,
+    "nonadditivity": case_nonadditivity,
+    "rothaus": case_rothaus_failure,
+    "depolarizing": case_depolarizing,
+    "tensorization": case_tensorization,
 }
 
 
-def run_case(name: str, **kwargs) -> CaseResult:
+def run_case(name: str, seed: int | None = None, **params) -> CaseResult:
+    """Run one case; ``seed`` goes to a case that takes one, and a parameter
+    the case does not take raises ValueError."""
     if name not in CASES:
         raise KeyError(f"unknown case {name!r}; available: {sorted(CASES)}")
-    return CASES[name](**kwargs)
+    taken = inspect.signature(CASES[name]).parameters
+    unknown = sorted(set(params) - set(taken))
+    if unknown:
+        raise ValueError(f"case {name!r} takes {', '.join(taken)}, not {', '.join(unknown)}")
+    if seed is not None and "seed" in taken:
+        params["seed"] = seed
+    return CASES[name](**params)
 
 
-def run_all(**kwargs) -> list[CaseResult]:
-    return [run_case(name, **kwargs) for name in sorted(CASES)]
+def run_all(seed: int | None = None) -> list[CaseResult]:
+    return [run_case(name, seed) for name in sorted(CASES)]
 
 
 def summary_tsv(results: list[CaseResult]) -> str:

@@ -39,6 +39,7 @@ from .subordinate import (
     fractional_power,
     subordinated_generator,
 )
+from .tolerances import BOUND_SLACK
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -111,7 +112,7 @@ def cmd_subordinate(args) -> int:
         bound = (2.0 / sigma + norm_l**2) / (2.0 * abs(math.log(args.eps)))
         report["distance"] = (gen.superop - sub).norm
         report["distance_bound"] = bound
-        report["bound_satisfied"] = bool(report["distance"] <= bound * (1 + 1e-10))
+        report["bound_satisfied"] = bool(report["distance"] <= bound * (1 + BOUND_SLACK))
     else:
         prof = profile_from_obj(_load_json(args.profile))
         sub = subordinated_generator(gen.superop, prof)
@@ -143,21 +144,16 @@ def cmd_decay(args) -> int:
 
 
 def cmd_casebook(args) -> int:
-    kwargs = {"seed": args.seed}
-    if args.n is not None:
-        kwargs["n"] = args.n
-    if args.alpha is not None:
-        kwargs["alpha"] = args.alpha
-    if args.delta is not None:
-        kwargs["delta"] = args.delta
-    if args.m is not None:
-        kwargs["m"] = args.m
+    kwargs = {k: getattr(args, k) for k in ("n", "alpha", "delta", "m")
+              if getattr(args, k) is not None}
     if args.all:
-        results = casebook.run_all(**{"seed": args.seed})
+        if kwargs:
+            raise ValueError(f"--all takes no case flag, got --{', --'.join(kwargs)}")
+        results = casebook.run_all(seed=args.seed)
     else:
         if args.name is None:
             raise ValueError("give a case name or --all")
-        results = [casebook.run_case(args.name, **kwargs)]
+        results = [casebook.run_case(args.name, seed=args.seed, **kwargs)]
     chunks = [dump_json(r.to_json()) for r in results]
     chunks.append(casebook.summary_tsv(results))
     _emit("".join(chunks), args.out)

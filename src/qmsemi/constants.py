@@ -25,6 +25,8 @@ from .matops import (
     schur_multiplier,
     semigroup_apply,
 )
+from .tolerances import (D_N_ZERO, DECAY_SKIP, DUAL_STEP, GRAD_STOP, IMPROVE, LP_BASE, TINY,
+                         TRACE_ZERO, TRIVIAL, VIOLATION)
 
 __all__ = [
     "FlsiEstimate",
@@ -105,9 +107,7 @@ class FlsiEstimate:
 
 
 def _dynamics(gen) -> tuple[Superop, SubAlgebra, Superop]:
-    if isinstance(gen, LindbladGenerator):
-        return gen.superop, gen.fixed_algebra, gen.e_fix
-    a, n = gen
+    a, n = (gen.superop, gen.fixed_algebra) if isinstance(gen, LindbladGenerator) else gen
     return a, n, n.expectation
 
 
@@ -166,7 +166,7 @@ def _validation_sweep(a: Superop, e: Superop, rng: np.random.Generator, n_valida
     """Smallest I_A/D_N over ``n_validate`` random states, and how many were kept.
 
     States are drawn as ``random_state(m, rng, 0.4 + 1.2 * rng.random())`` draws
-    them; states with D_N below 1e-10 are dropped before the Fisher leak check.
+    them; states with D_N below D_N_ZERO are dropped before the Fisher leak check.
     """
     m = a.dim
     lowest, kept = math.inf, 0
@@ -175,7 +175,7 @@ def _validation_sweep(a: Superop, e: Superop, rng: np.random.Generator, n_valida
         h = np.array([random_hermitian(m, rng, 0.4 + 1.2 * rng.random()) for _ in range(k)])
         _, u, _, r, rho = _chart(h)
         d, i, _ = spectral_terms(rho, (r, u), np.linalg.eigh(e.apply(rho)), a.apply(rho))
-        keep = d >= 1e-10
+        keep = d >= D_N_ZERO
         if np.isnan(i[keep]).any():
             raise ValueError("ill-defined Fisher information, supply eps_shift")
         lowest = min(lowest, float(np.min(i[keep] / d[keep], initial=math.inf)))
@@ -195,7 +195,7 @@ def flsi_estimate(
     Multi-start gradient descent with backtracking line search on the chart
     rho = m e^H / tr(e^H); gradients use the divided-difference chain rule
     and are cross-checked against a finite difference at the first start.
-    States with D_N below 1e-10 are discarded.  The returned lower value is
+    States with D_N below D_N_ZERO are discarded.  The returned lower value is
     the best ratio re-validated against ``n_validate`` random states, taken
     ``SWEEP_CHUNK`` at a time by stacked eigensolves; ``n_validated`` counts
     the states kept.
@@ -205,7 +205,7 @@ def flsi_estimate(
     if n_validate < 0:
         raise ValueError("n_validate must be nonnegative")
     a, _, e = _dynamics(gen)
-    if a.norm <= 1e-12:
+    if a.norm <= TRIVIAL:
         raise ValueError("FLSI undefined: generator has trivial dynamics")
     m = a.dim
     best = math.inf
@@ -216,7 +216,7 @@ def flsi_estimate(
         h = random_hermitian(m, rng, scale=0.7 + 0.2 * (start % 3))
         h -= np.trace(h).real / m * np.eye(m)
         i_val, d_val, rho, g = _ratio_and_grad(a, e, h, True)
-        if d_val < 1e-10:
+        if d_val < D_N_ZERO:
             continue
         r_val = i_val / d_val
         if start == 0:
@@ -230,7 +230,7 @@ def flsi_estimate(
             grad_check = abs(fd - an) / max(abs(fd), 1.0)
         for _ in range(max_iter):
             gnorm = math.sqrt(max(norm_trace(g @ g).real, 0.0))
-            if gnorm < 1e-10 * max(r_val, 1.0):
+            if gnorm < GRAD_STOP * max(r_val, 1.0):
                 break
             step = 0.5 / max(gnorm, 1.0)
             improved = False
@@ -241,10 +241,10 @@ def flsi_estimate(
                     step *= 0.5
                     continue
                 i2, d2, rho2, g2 = _ratio_and_grad(a, e, h_new, True)
-                if d2 < 1e-10:
+                if d2 < D_N_ZERO:
                     step *= 0.5
                     continue
-                if i2 / d2 < r_val - 1e-14:
+                if i2 / d2 < r_val - IMPROVE:
                     h, r_val, rho, g = h_new, i2 / d2, rho2, g2
                     improved = True
                     break
@@ -274,10 +274,10 @@ def flsi_estimate(
 # ---------------------------------------------------------------------------
 
 def _report(quantity: str, lam: float, seed: int, slack: np.ndarray, locate) -> dict:
-    """Check report: the largest slack, or 0 if none is positive, and above 1e-8
-    the witness ``locate`` names for its first index in row-major order."""
+    """Check report: the largest slack, or 0 if none is positive, and above
+    VIOLATION the witness ``locate`` names for its first index in row-major order."""
     top = float(np.max(slack, initial=0.0))
-    witness = locate(np.unravel_index(np.argmax(slack), slack.shape)) if top > 1e-8 else None
+    witness = locate(np.unravel_index(np.argmax(slack), slack.shape)) if top > VIOLATION else None
     return {"quantity": quantity, "bound": lam, "passed": witness is None,
             "slack": top, "witness": witness, "seed": seed}
 
@@ -288,8 +288,8 @@ def check_decay_bound(gen, lam: float, n_states: int = 50, seed: int = 0) -> dic
     Both inequalities follow from a certified gradient-condition constant;
     the report carries the worst multiplicative slack and a witness when a
     violation is found.  All states and times go through one semigroup
-    evaluation and two stacked eigensolves; states with D_N below 1e-12 are
-    skipped.
+    evaluation and two stacked eigensolves; states with D_N below DECAY_SKIP
+    are skipped, and a violation is a slack above VIOLATION.
     """
     if n_states < 1:
         raise ValueError("n_states must be at least 1")
@@ -298,14 +298,14 @@ def check_decay_bound(gen, lam: float, n_states: int = 50, seed: int = 0) -> dic
     rng = np.random.default_rng([seed, 17])
     rho0 = np.array([random_state(a.dim, rng, spread=0.5 + rng.random()) for _ in range(n_states)])
     d0, i0 = decay_terms(rho0, np.linalg.eigh(rho0), e, n.complement)
-    kept = np.flatnonzero(d0 >= 1e-12)
+    kept = np.flatnonzero(d0 >= DECAY_SKIP)
     rho_t = semigroup_apply(a, grid, rho0[kept]).swapaxes(0, 1)  # (state, t, m, m)
     rho_t = (rho_t + rho_t.conj().swapaxes(-1, -2)) / 2.0
     d_t, i_t = decay_terms(rho_t, np.linalg.eigh(rho_t), e, n.complement)
     val = np.stack([d_t, i_t], axis=-1)  # (state, t, D_N then I_N)
     ref = np.exp(-lam * grid)[:, None] * np.stack([d0, i0], axis=-1)[kept, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        slack = np.where(ref > 1e-300, val / ref - 1.0, 0.0)
+        slack = np.where(ref > TINY, val / ref - 1.0, 0.0)
     return _report("entropy_decay", lam, seed, slack, lambda w: {
         "state_index": int(kept[w[0]]), "t": float(grid[w[1]]), "which": ("D_N", "I_N")[w[2]]})
 
@@ -316,7 +316,7 @@ def check_lp_decay(
     """Verify ||T_t(x) - E(x)||_p <= e^{-lam t} ||x - E(x)||_p on random x.
 
     All probes and times go through one semigroup evaluation and each p
-    through one stacked SVD; (x, p) pairs with base norm below 1e-14 are
+    through one stacked SVD; (x, p) pairs with base norm below LP_BASE are
     skipped.
     """
     if n_x < 1:
@@ -334,7 +334,7 @@ def check_lp_decay(
     for ip, p in enumerate(p_list):
         norms = schatten_norm(x_t, p)  # (1 + t, x): the base norm, then each time
         base = norms[0]
-        ok = base >= 1e-14
+        ok = base >= LP_BASE
         slack[ok, ip] = (norms[1:, ok] / (np.exp(-lam * grid)[:, None] * base[ok]) - 1.0).T
     return _report("lp_decay", lam, seed, slack, lambda w: {
         "x_index": int(w[0]), "p": p_list[w[1]], "t": float(grid[w[2]])})
@@ -363,7 +363,7 @@ def gamma_dual_norm(
     Lipschitz constraint is active.  The supremum is only ever approached
     from below, so the returned value is a certified lower bound.
     """
-    if abs(norm_trace(rho).real) > 1e-10:
+    if abs(norm_trace(rho).real) > TRACE_ZERO:
         raise ValueError("dual norm expects a trace-zero perturbation")
     e = gen.e_fix
     m = gen.dim
@@ -389,11 +389,11 @@ def gamma_dual_norm(
             sign = 1.0 if norm_trace(rho @ f).real >= 0 else -1.0
             f_new = project(f + step * sign * direction)
             val_new = abs(norm_trace(rho @ f_new).real)
-            if val_new > val + 1e-14:
+            if val_new > val + IMPROVE:
                 f = f_new
             else:
                 step *= 0.5
-                if step < 1e-8:
+                if step < DUAL_STEP:
                     break
         best = max(best, abs(norm_trace(rho @ f).real))
     return best
@@ -423,5 +423,5 @@ def geometric_talagrand_check(
         "h": h,
         "lhs": lhs,
         "rhs": rhs,
-        "passed": bool(lhs <= rhs * (1.0 + 1e-8)),
+        "passed": bool(lhs <= rhs * (1.0 + VIOLATION)),
     }

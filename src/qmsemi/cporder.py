@@ -31,6 +31,7 @@ from .matops import (
     semigroup_apply,
     tau_orthonormal_basis,
 )
+from .tolerances import PROBE, PSD, RETURN_TIME, rel_floor
 
 __all__ = [
     "FormKernel",
@@ -47,9 +48,6 @@ __all__ = [
     "return_time",
     "l2_to_linf_cb_sq",
 ]
-
-PSD_RTOL = 1e-9
-
 
 @dataclass(frozen=True)
 class FormKernel:
@@ -88,8 +86,7 @@ def form_kernel(
         c1, c2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         lhs = form(c1 * basis[0] + c2 * basis[1], basis[1])
         rhs = np.conj(c1) * form(basis[0], basis[1]) + np.conj(c2) * form(basis[1], basis[1])
-        scale = max(np.abs(rhs).max(), 1.0)
-        if np.abs(lhs - rhs).max() > 1e-8 * scale:
+        if np.abs(lhs - rhs).max() > rel_floor(rhs, PROBE):
             raise ValueError("form is not sesquilinear")
     q = np.empty((k, m, k, m), dtype=complex)
     for a in range(k):
@@ -135,16 +132,12 @@ def kernel_ie(n: SubAlgebra, basis: np.ndarray | None = None) -> FormKernel:
     return kernel_from_superop(n.complement, basis=basis)
 
 
-def _psd_floor(w: np.ndarray) -> float:
-    return PSD_RTOL * max(np.abs(w).max() if w.size else 0.0, 1.0)
-
-
 def cp_order_holds(q_small: FormKernel, q_big: FormKernel, lam: float) -> bool:
     """True iff Q_big - lam * Q_small is PSD up to a scale-relative floor."""
     if q_small.size != q_big.size or q_small.dim != q_big.dim:
         raise ValueError("kernel dimension mismatch")
     w = np.linalg.eigvalsh(q_big.q - lam * q_small.q)
-    return bool(w.min() >= -_psd_floor(w))
+    return bool(w.min() >= -rel_floor(w, PSD))
 
 
 def _top_eigpair(h: np.ndarray) -> tuple[float, np.ndarray]:
@@ -196,11 +189,11 @@ def best_lambda(q_small: FormKernel, q_big: FormKernel) -> GammaECertificate:
     Raises ValueError when Q_small vanishes.
     """
     norm_small = np.linalg.norm(q_small.q)  # Frobenius: bounds ||Q_small||, no eigensolve
-    if norm_small <= PSD_RTOL:
+    if norm_small <= PSD:
         raise ValueError("Q_small vanishes; no pencil to solve")
-    floor_small = PSD_RTOL * max(norm_small, 1.0)
+    floor_small = rel_floor(norm_small, PSD)
     wb, vb = np.linalg.eigh(q_big.q)
-    floor = _psd_floor(wb)
+    floor = rel_floor(wb, PSD)
     if wb[0] < -floor:
         return GammaECertificate(0.0, "zero", None, -wb[0] - floor, floor, vb[:, 0])
     in_range = wb > floor
@@ -228,8 +221,8 @@ def gamma_e_constant(gen: LindbladGenerator) -> GammaECertificate:
     """
     q_small = kernel_ie(gen.fixed_algebra)
     norm_small = np.linalg.norm(q_small.q)
-    if norm_small <= PSD_RTOL:
-        return GammaECertificate(0.0, "zero", 0.0, PSD_RTOL - norm_small, PSD_RTOL)
+    if norm_small <= PSD:
+        return GammaECertificate(0.0, "zero", 0.0, PSD - norm_small, PSD)
     return best_lambda(q_small, kernel_from_jumps(gen.jumps.jumps))
 
 
@@ -237,25 +230,20 @@ def gamma_e_constant(gen: LindbladGenerator) -> GammaECertificate:
 # module-basis Choi matrix, cb-norms, return time
 # ---------------------------------------------------------------------------
 
-def _check_bimodular(
-    apply_t: Callable[[np.ndarray], np.ndarray],
-    n: SubAlgebra,
-    rng_seed: int = 11,
-    samples: int = 6,
-) -> None:
-    rng = np.random.default_rng(rng_seed)
+def _check_bimodular(apply_t: Callable[[np.ndarray], np.ndarray], n: SubAlgebra) -> None:
+    """Probe T(n1 x n2) = n1 T(x) n2 at six random draws."""
+    rng = np.random.default_rng(11)
     m, k = n.dim, n.size
     draws = [(rng.standard_normal(k) + 1j * rng.standard_normal(k),
               rng.standard_normal(k) + 1j * rng.standard_normal(k),
               rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
-             for _ in range(samples)]
+             for _ in range(6)]
     c1, c2, x = (np.array(z) for z in zip(*draws))
     n1 = np.tensordot(c1, n.basis, axes=(1, 0))
     n2 = np.tensordot(c2, n.basis, axes=(1, 0))
     lhs = apply_t(n1 @ x @ n2)
     rhs = n1 @ apply_t(x) @ n2
-    scale = np.maximum(np.abs(rhs).max(axis=(1, 2)), 1.0)
-    if (np.abs(lhs - rhs).max(axis=(1, 2)) > 1e-8 * scale).any():
+    if (np.abs(lhs - rhs).max(axis=(1, 2)) > rel_floor(rhs, PROBE, axis=(1, 2))).any():
         raise ValueError("map is not an N-bimodule map")
 
 
@@ -279,43 +267,32 @@ def choi_matrix(
     return chi.transpose(0, 2, 1, 3).reshape(k * m, k * m)
 
 
-def cb_norm_1_to_inf(
-    t: Superop | Callable[[np.ndarray], np.ndarray],
-    basis: ModuleBasis,
-    check: bool = False,
-) -> float:
-    chi = choi_matrix(t, basis, check=check)
-    return float(np.linalg.norm(chi, 2))
+def cb_norm_1_to_inf(t: Superop | Callable[[np.ndarray], np.ndarray], basis: ModuleBasis) -> float:
+    """||chi_T||, the L1 -> Linf cb-norm of the N-bimodule map T (unchecked)."""
+    return float(np.linalg.norm(choi_matrix(t, basis, check=False), 2))
 
 
-def return_time(
-    a: Superop,
-    n: SubAlgebra,
-    threshold: float = 0.5,
-    tol: float = 1e-6,
-    basis: ModuleBasis | None = None,
-) -> float:
-    """Smallest t with ||chi_{T_t - E}|| <= threshold, by bisection in t.
+def return_time(a: Superop, n: SubAlgebra) -> float:
+    """The return time t0: the smallest t with ||chi_{T_t - E}|| <= 1/2.
 
     The Choi norm of T_t - E is the L1 -> Linf cb distance to equilibrium;
-    it decreases in t, so bisection is justified.  Returns math.inf when the
-    threshold is not reached by t = 1e4 / gap, and raises if the generator
-    has no spectral gap (no convergence to E).
+    it decreases in t, so bisection to a resolution of RETURN_TIME in t is
+    justified.  Returns math.inf when 1/2 is not reached by t = 1e4 / gap,
+    and raises if the generator has no spectral gap (no convergence to E).
     """
     from .generator import spectral_gap
 
     gap = spectral_gap(a)
     if gap <= 0.0:
         raise ValueError("generator has no spectral gap; no convergence to E")
-    if basis is None:
-        basis = module_basis(n)
+    basis = module_basis(n)
     e = n.expectation
 
     def g(t: float) -> float:
         def diff(x):
             return semigroup_apply(a, t, x) - e.apply(x)
 
-        return cb_norm_1_to_inf(diff, basis) - threshold
+        return cb_norm_1_to_inf(diff, basis) - 0.5
 
     if g(0.0) <= 0.0:
         return 0.0
@@ -326,7 +303,7 @@ def return_time(
         if hi > t_cap:
             return math.inf
     lo = 0.0 if hi <= 2.0 / gap else hi / 2.0
-    while hi - lo > tol:
+    while hi - lo > RETURN_TIME:
         mid = 0.5 * (lo + hi)
         if g(mid) > 0.0:
             lo = mid

@@ -46,13 +46,19 @@ def operator_to_obj(x: np.ndarray) -> dict:
     }
 
 
-def obj_to_operator(obj: dict) -> np.ndarray:
-    m = int(obj["dim"])
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj.get("im", np.zeros((m, m))), dtype=float)
+def _parse_matrix(entry: dict, m: int) -> np.ndarray:
+    """One m x m matrix from its "re" and optional "im" parts; rejects NaN and inf."""
+    re = np.asarray(entry["re"], dtype=float)
+    im = np.asarray(entry.get("im", np.zeros((m, m))), dtype=float)
     if re.shape != (m, m) or im.shape != (m, m):
         raise ValueError("operator entries do not match the declared dimension")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValueError("operator entries must be finite (no NaN or inf)")
     return re + 1j * im
+
+
+def obj_to_operator(obj: dict) -> np.ndarray:
+    return _parse_matrix(obj, int(obj["dim"]))
 
 
 def operators_to_obj(mats: list[np.ndarray] | np.ndarray) -> dict:
@@ -69,14 +75,7 @@ def operators_to_obj(mats: list[np.ndarray] | np.ndarray) -> dict:
 
 def obj_to_operators(obj: dict) -> list[np.ndarray]:
     m = int(obj["dim"])
-    out = []
-    for entry in obj["matrices"]:
-        re = np.asarray(entry["re"], dtype=float)
-        im = np.asarray(entry.get("im", np.zeros((m, m))), dtype=float)
-        if re.shape != (m, m) or im.shape != (m, m):
-            raise ValueError("operator entries do not match the declared dimension")
-        out.append(re + 1j * im)
-    return out
+    return [_parse_matrix(entry, m) for entry in obj["matrices"]]
 
 
 def jumps_to_obj(jumps: JumpSet) -> dict:

@@ -24,11 +24,12 @@ from typing import Callable
 
 import numpy as np
 
+from .tolerances import HERMITIAN, NULLSPACE, STATE_PSD, SUPEROP_FLAG, TIE, rel_floor
+
 __all__ = [
     "norm_trace",
     "hs_inner",
     "hs_norm",
-    "dagger",
     "is_hermitian",
     "matrix_function",
     "divided_difference_multiplier",
@@ -42,9 +43,7 @@ __all__ = [
     "make_superop",
     "superop_from_action",
     "identity_superop",
-    "zero_superop",
     "semigroup_apply",
-    "standard_choi",
     "tensor_sum_generator",
     "tensor_superop",
     "nullspace_basis",
@@ -53,9 +52,6 @@ __all__ = [
     "random_hermitian",
     "random_state",
 ]
-
-HERMITIAN_TOL = 1e-12
-FLAG_TOL = 1e-10
 
 
 def norm_trace(x: np.ndarray) -> complex:
@@ -75,13 +71,8 @@ def hs_norm(x: np.ndarray) -> float:
     return np.sqrt(max(hs_inner(x, x).real, 0.0))
 
 
-def dagger(x: np.ndarray) -> np.ndarray:
-    return x.conj().T
-
-
-def is_hermitian(x: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    scale = max(np.abs(x).max(), 1.0) if x.size else 1.0
-    return np.abs(x - x.conj().T).max() <= tol * scale
+def is_hermitian(x: np.ndarray) -> bool:
+    return np.abs(x - x.conj().T).max() <= rel_floor(x, HERMITIAN)
 
 
 def matrix_function(x: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -135,12 +126,12 @@ def schur_multiplier(w: np.ndarray, u: np.ndarray, fw: np.ndarray, fprime: Calla
     """Divided-difference Schur multiplier of f in the eigenbasis (w, u), fw = f(w).
 
     Df(s, t) = (f(s) - f(t)) / (s - t) away from the diagonal and f'((s+t)/2),
-    with fprime called on scalars, when |s - t| <= 1e-9 * max(|s|, |t|, 1); the
+    with fprime called on scalars, when |s - t| <= TIE * max(|s|, |t|, 1); the
     midpoint rule removes the 0/0 singularity with O(gap) error.  ``inverse``
     takes the reciprocal of every entry.
     """
     gap = w[:, None] - w[None, :]
-    tie = np.abs(gap) <= 1e-9 * np.maximum(np.maximum.outer(np.abs(w), np.abs(w)), 1.0)
+    tie = np.abs(gap) <= TIE * np.maximum(np.maximum.outer(np.abs(w), np.abs(w)), 1.0)
     d = np.empty(gap.shape)
     d[~tie] = (fw[:, None] - fw[None, :])[~tie] / gap[~tie]
     d[tie] = [fprime(s) for s in (0.5 * (w[:, None] + w[None, :]))[tie]]
@@ -265,10 +256,9 @@ def make_superop(matrix: np.ndarray, dim: int | None = None) -> Superop:
         dim = int(round(np.sqrt(matrix.shape[0])))
     if matrix.shape != (dim * dim, dim * dim):
         raise ValueError("superoperator matrix must be m^2 x m^2")
-    scale = max(np.abs(matrix).max(), 1.0)
-    sa = np.abs(matrix - matrix.conj().T).max() <= FLAG_TOL * scale
-    one = vec(np.eye(dim))
-    kills = np.linalg.norm(matrix @ one) / np.sqrt(dim) <= FLAG_TOL * scale
+    floor = rel_floor(matrix, SUPEROP_FLAG)
+    sa = np.abs(matrix - matrix.conj().T).max() <= floor
+    kills = np.linalg.norm(matrix @ vec(np.eye(dim))) / np.sqrt(dim) <= floor
     return Superop(dim=dim, matrix=matrix, hs_selfadjoint=sa, kills_identity=kills)
 
 
@@ -283,10 +273,6 @@ def superop_from_action(action: Callable[[np.ndarray], np.ndarray], m: int) -> S
 
 def identity_superop(m: int) -> Superop:
     return make_superop(np.eye(m * m, dtype=complex), m)
-
-
-def zero_superop(m: int) -> Superop:
-    return make_superop(np.zeros((m * m, m * m), dtype=complex), m)
 
 
 def semigroup_apply(a: Superop, t, x: np.ndarray) -> np.ndarray:
@@ -305,12 +291,6 @@ def semigroup_apply(a: Superop, t, x: np.ndarray) -> np.ndarray:
     coeff = v.conj().T @ x.reshape(*x.shape[:-2], -1, 1)
     decay = np.exp(-np.multiply.outer(t, w)).reshape(t.shape + (1,) * (x.ndim - 2) + (-1, 1))
     return (v @ (decay * coeff)).reshape(t.shape + x.shape)
-
-
-def standard_choi(a: Superop) -> np.ndarray:
-    """Matrix-unit Choi block matrix sum_ij |i><j| (x) A(|i><j|)."""
-    m = a.dim
-    return a.matrix.reshape(m, m, m, m).transpose(2, 0, 3, 1).reshape(m * m, m * m)
 
 
 def _interleave(kron_matrix: np.ndarray, m1: int, m2: int) -> Superop:
@@ -336,7 +316,7 @@ def tensor_superop(s1: Superop, s2: Superop) -> Superop:
 # subspace utilities
 # ---------------------------------------------------------------------------
 
-def nullspace_basis(k: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
+def nullspace_basis(k: np.ndarray, rtol: float = NULLSPACE) -> np.ndarray:
     """Orthonormal basis (columns) of the nullspace, scale-aware cutoff."""
     # a tall k needs no U; a wide one needs the full V for its extra null directions
     _, s, vh = np.linalg.svd(k, full_matrices=k.shape[0] < k.shape[1])
@@ -360,13 +340,12 @@ def subspace_gap(b1: np.ndarray, b2: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def make_state(mat: np.ndarray) -> np.ndarray:
-    """Validate and normalize a state: Hermitian, PSD up to -1e-12, tau = 1."""
+    """Validate and normalize a state: Hermitian, PSD up to STATE_PSD, tau = 1."""
     mat = np.asarray(mat, dtype=complex)
     if not is_hermitian(mat):
         raise ValueError("a state must be Hermitian")
     w, u = np.linalg.eigh(mat)
-    scale = max(np.abs(w).max(), 1.0)
-    if w.min() < -1e-12 * scale:
+    if w.min() < -rel_floor(w, STATE_PSD):
         raise ValueError(f"state has negative eigenvalue {w.min():.3e}")
     w = np.clip(w, 0.0, None)
     tot = w.sum()

@@ -23,6 +23,7 @@ from scipy.integrate import quad
 from .cporder import best_lambda, kernel_from_superop, kernel_ie, return_time
 from .generator import LindbladGenerator
 from .matops import Superop, make_superop
+from .tolerances import QUAD_ABS, QUAD_ERR, QUAD_REL, SPECTRAL_ZERO, TINY, rel_floor
 
 __all__ = [
     "WeightProfile",
@@ -36,17 +37,12 @@ __all__ = [
     "theta_family_report",
 ]
 
-QUAD_TOL = 1e-12
-
-
-def _quad_dt_over_t(
-    f, u_min: float = -np.inf, u_max: float = np.inf, with_error: bool = False
-):
-    """Integral of f(t) dt/t over (e^u_min, e^u_max) via the substitution t = e^u.
+def _quad_dt_over_t(f, with_error: bool = False):
+    """Integral of f(t) dt/t over (0, inf) via the substitution t = e^u.
 
     The log substitution turns endpoint power-law singularities into
     exponential tails on both sides, which QUADPACK's infinite-range
-    transformation handles at 1e-12 absolute tolerance.
+    transformation handles at QUAD_ABS absolute tolerance.
     """
     def g(u: float) -> float:
         if u > 700.0:  # t beyond 1e304: integrand negligible for any (I)-profile
@@ -54,13 +50,9 @@ def _quad_dt_over_t(
         t = math.exp(u)
         return f(t) if t > 0.0 else 0.0  # exp underflow: integrand vanishes under (I)
 
-    if u_min < 0.0 < u_max:
-        lo, e1 = quad(g, u_min, 0.0, epsabs=QUAD_TOL, epsrel=1e-11, limit=300)
-        hi, e2 = quad(g, 0.0, u_max, epsabs=QUAD_TOL, epsrel=1e-11, limit=300)
-        val, err = lo + hi, e1 + e2
-    else:
-        val, err = quad(g, u_min, u_max, epsabs=QUAD_TOL, epsrel=1e-11, limit=300)
-    return (val, err) if with_error else val
+    lo, e1 = quad(g, -np.inf, 0.0, epsabs=QUAD_ABS, epsrel=QUAD_REL, limit=300)
+    hi, e2 = quad(g, 0.0, np.inf, epsabs=QUAD_ABS, epsrel=QUAD_REL, limit=300)
+    return (lo + hi, e1 + e2) if with_error else lo + hi
 
 
 @dataclass(frozen=True)
@@ -129,15 +121,16 @@ class WeightProfile:
         if t < pts[0, 0] or t > pts[-1, 0]:
             return 0.0
         logt = np.log(pts[:, 0])
-        vals = np.where(pts[:, 1] > 0, pts[:, 1], 1e-300)
+        vals = np.where(pts[:, 1] > 0, pts[:, 1], TINY)
         return float(np.exp(np.interp(math.log(t), logt, np.log(vals))))
 
     # -- conditions --------------------------------------------------------
-    def with_checked_conditions(self, mu: float = 0.5) -> "WeightProfile":
-        """Verify (integrability, quasi-monotonicity, doubling) on a log grid."""
+    def with_checked_conditions(self) -> "WeightProfile":
+        """Verify (integrability, quasi-monotonicity at mu = 1/2, doubling) on a log grid."""
         cond: dict = {}
         c_f, err = _quad_dt_over_t(lambda t: min(1.0, t) * self.f(t), with_error=True)
-        cond["I"] = {"C_F": c_f, "ok": bool(np.isfinite(c_f) and err <= 1e-10)}
+        cond["I"] = {"C_F": c_f, "ok": bool(np.isfinite(c_f) and err <= QUAD_ERR)}
+        mu = 0.5
         grid = np.geomspace(1e-6, 1e6, 241)
         fg = np.array([self.f(t) for t in grid])
         fmu = np.array([self.f(mu * t) for t in grid])
@@ -186,8 +179,7 @@ def phi_of_lambda(profile: WeightProfile, lam: float) -> float:
 
 def _spectral_map(a: Superop, fn) -> Superop:
     w, v = a.eig
-    scale = max(np.abs(w).max(), 1.0)
-    w = np.where(w < 1e-12 * scale, 0.0, w)
+    w = np.where(w < rel_floor(w, SPECTRAL_ZERO), 0.0, w)
     fw = np.array([fn(x) for x in w])
     mat = (v * fw) @ v.conj().T
     return make_superop(mat, a.dim)
@@ -236,16 +228,16 @@ def eps_sigma_scalar(
     u_c = min(0.0, -math.log(lam) - 37.0)
     if log_eps < u_c:
         psi = lam * (u_c - log_eps)
-        psi += quad(f_psi, u_c, 0.0, epsabs=QUAD_TOL, epsrel=1e-11, limit=500)[0]
+        psi += quad(f_psi, u_c, 0.0, epsabs=QUAD_ABS, epsrel=QUAD_REL, limit=500)[0]
     else:
-        psi, _ = quad(f_psi, log_eps, 0.0, epsabs=QUAD_TOL, epsrel=1e-11, limit=500)
+        psi, _ = quad(f_psi, log_eps, 0.0, epsabs=QUAD_ABS, epsrel=QUAD_REL, limit=500)
 
     def f_psit(u: float) -> float:
         if u > 690.0:
             return math.exp(-sigma * u)
         return -math.expm1(-lam * math.exp(u)) * math.exp(-sigma * u)
 
-    psit, _ = quad(f_psit, 0.0, np.inf, epsabs=QUAD_TOL, epsrel=1e-11, limit=500)
+    psit, _ = quad(f_psit, 0.0, np.inf, epsabs=QUAD_ABS, epsrel=QUAD_REL, limit=500)
     return (psi + psit) / abs(log_eps), psi, psit
 
 
@@ -310,7 +302,7 @@ def density_approximation(
     }
     if refined_beta:
         # optional alternative floor with better ||L|| dependence
-        denom = 8.0 * norm_l + 2.0 * math.log(max(norm_l, 1e-300)) + ln_eps0 + 2.0 * lt
+        denom = 8.0 * norm_l + 2.0 * math.log(max(norm_l, TINY)) + ln_eps0 + 2.0 * lt
         report["refined_floor"] = eps / (2.0 * math.e * lt * denom) if denom > 0 else None
     return b, report
 

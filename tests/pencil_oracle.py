@@ -7,7 +7,8 @@ lambda the floor accepts, up to ``tol``.
 
 import numpy as np
 
-from qmsemi.cporder import PSD_RTOL, FormKernel, _psd_floor
+from qmsemi.cporder import FormKernel
+from qmsemi.tolerances import PSD as PSD_RTOL, rel_floor
 
 
 def bisect_lambda(q_small: FormKernel, q_big: FormKernel, tol: float = 1e-8) -> float:
@@ -25,7 +26,7 @@ def bisect_lambda(q_small: FormKernel, q_big: FormKernel, tol: float = 1e-8) -> 
 
     def slack(lam: float) -> float:
         w = np.linalg.eigvalsh(q_big.q - lam * q_small.q)
-        return w[0] + _psd_floor(w)
+        return w[0] + rel_floor(w, PSD_RTOL)
 
     if slack(0.0) < 0.0:
         return 0.0

@@ -1,0 +1,78 @@
+"""Bad CLI input exits 1 with a message: non-finite matrices and casebook flags."""
+
+import json
+
+import numpy as np
+import pytest
+
+from qmsemi.casebook import case_graph_criterion, run_case
+from qmsemi.cli import main
+from qmsemi.generator import JumpSet
+from qmsemi.io import dump_json, jumps_to_obj, obj_to_operator, obj_to_operators, operator_to_obj
+from qmsemi.models import pauli
+
+
+@pytest.fixture
+def jumps_file(tmp_path):
+    path = tmp_path / "pauli_z.json"
+    path.write_text(dump_json(jumps_to_obj(JumpSet(dim=2, jumps=pauli("z")[None]))))
+    return str(path)
+
+
+def test_gamma_e_rejects_nan_jump_entries(tmp_path, capsys):
+    obj = jumps_to_obj(JumpSet(dim=2, jumps=pauli("x")[None]))
+    obj["matrices"][0]["re"][0][1] = obj["matrices"][0]["re"][1][0] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(obj))
+    assert main(["gamma-e", str(path)]) == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_decay_rejects_an_inf_state_entry(jumps_file, tmp_path, capsys):
+    obj = operator_to_obj(np.eye(2))
+    obj["re"][1][1] = float("inf")
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(obj))
+    assert main(["decay", jumps_file, "--state", str(path), "--lambda", "0.5"]) == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_both_matrix_loaders_reject_non_finite_parts(part):
+    one = operator_to_obj(np.eye(2))
+    one[part][0][0] = float("-inf")
+    with pytest.raises(ValueError, match="finite"):
+        obj_to_operator(one)
+    many = {"dim": 2, "matrices": [operator_to_obj(np.eye(2)), one]}
+    with pytest.raises(ValueError, match="finite"):
+        obj_to_operators(many)
+
+
+@pytest.mark.parametrize("argv", [
+    ["poisson", "--alpha", "3"],
+    ["graph", "--m", "4"],
+    ["--all", "--n", "5"],
+])
+def test_casebook_rejects_a_flag_the_case_does_not_take(argv, tmp_path, capsys):
+    out = tmp_path / "case.json"
+    assert main(["casebook", "run", *argv, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_casebook_flags_reach_the_case(tmp_path):
+    out = tmp_path / "case.json"
+    assert main(["casebook", "run", "poisson", "--n", "5", "--out", str(out)]) == 0
+    assert '"N": 5' in out.read_text()
+
+
+def test_run_case_passes_the_seed_only_where_taken():
+    assert run_case("graph", seed=3).to_json() == case_graph_criterion().to_json()
+    assert run_case("depolarizing", seed=2).details["seed"] == 2
+    with pytest.raises(ValueError, match="alpha"):
+        run_case("poisson", alpha=3.0)
+
+
+def test_graph_case_defaults_to_the_complete_triangle():
+    k3 = np.ones((3, 3)) - np.eye(3)
+    assert case_graph_criterion().to_json() == case_graph_criterion(k3).to_json()
