@@ -15,11 +15,9 @@ import numpy as np
 
 from .matops import (
     Superop,
-    hs_inner,
     hs_norm,
     identity_superop,
     make_superop,
-    matrix_function,
     matrix_units,
     nullspace_basis,
     vec,

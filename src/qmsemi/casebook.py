@@ -21,7 +21,6 @@ from .entropy import decay_terms, fisher, relative_entropy, spectral_terms
 from .generator import LindbladGenerator
 from .matops import (
     make_state,
-    matrix_function,
     norm_trace,
     random_state,
     tensor_sum_generator,
@@ -115,8 +114,6 @@ def _evaluate(name: str, computed: dict, expected: dict, details: dict | None = 
 # ---------------------------------------------------------------------------
 
 def _graph_form(weights: np.ndarray):
-    v = weights.shape[0]
-
     def form(f: np.ndarray, g: np.ndarray) -> np.ndarray:
         fd, gd = np.diag(f), np.diag(g)
         df = fd[:, None] - fd[None, :]

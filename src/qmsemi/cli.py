@@ -203,11 +203,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_gamma_e)
 
-    p = sub.add_parser("flsi", help="bracket the entropy-decay constant")
+    p = sub.add_parser("flsi", help="bound the entropy-decay constant from above")
     p.add_argument("jumps")
     p.add_argument("--starts", type=int, default=8)
     p.add_argument("--validate", type=int, default=10_000,
-                   help="random states for the lower-bracket validation sweep")
+                   help="random states for the sweep that can lower lambda_lower")
     _add_common(p)
     p.set_defaults(func=cmd_flsi)
 

@@ -6,6 +6,7 @@ never serialized as strings):
     {"dim": m, "re": [[...]], "im": [[...]]}
 
 and lists of operators as {"dim": m, "matrices": [{"re": ..., "im": ...}]}.
+Every loader accepts a "dim" that is an integer from 1 to MAX_DIM.
 All documents are dumped with sorted keys so reruns are byte-identical.
 """
 
@@ -36,6 +37,8 @@ __all__ = [
     "dump_json",
 ]
 
+MAX_DIM = 16  # the desk-scale envelope
+
 
 def operator_to_obj(x: np.ndarray) -> dict:
     x = np.asarray(x, dtype=complex)
@@ -44,6 +47,13 @@ def operator_to_obj(x: np.ndarray) -> dict:
         "re": x.real.tolist(),
         "im": x.imag.tolist(),
     }
+
+
+def _dim(obj: dict) -> int:
+    m = obj["dim"]
+    if isinstance(m, bool) or not isinstance(m, int) or not 1 <= m <= MAX_DIM:
+        raise ValueError(f'"dim" must be an integer from 1 to {MAX_DIM}, got {m!r}')
+    return m
 
 
 def _parse_matrix(entry: dict, m: int) -> np.ndarray:
@@ -58,7 +68,7 @@ def _parse_matrix(entry: dict, m: int) -> np.ndarray:
 
 
 def obj_to_operator(obj: dict) -> np.ndarray:
-    return _parse_matrix(obj, int(obj["dim"]))
+    return _parse_matrix(obj, _dim(obj))
 
 
 def operators_to_obj(mats: list[np.ndarray] | np.ndarray) -> dict:
@@ -74,7 +84,7 @@ def operators_to_obj(mats: list[np.ndarray] | np.ndarray) -> dict:
 
 
 def obj_to_operators(obj: dict) -> list[np.ndarray]:
-    m = int(obj["dim"])
+    m = _dim(obj)
     return [_parse_matrix(entry, m) for entry in obj["matrices"]]
 
 
@@ -83,7 +93,7 @@ def jumps_to_obj(jumps: JumpSet) -> dict:
 
 
 def obj_to_jumps(obj: dict) -> JumpSet:
-    m = int(obj["dim"])
+    m = _dim(obj)
     mats = obj_to_operators(obj)
     arr = np.array(mats) if mats else np.zeros((0, m, m), dtype=complex)
     return JumpSet(dim=m, jumps=arr)

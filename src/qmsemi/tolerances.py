@@ -28,9 +28,8 @@ FISHER_LEAK = 1e-10      # A(rho) on ker(rho) above this (relative) makes I ill-
 CP_VIOLATION = 1e-8      # an evolved state's eigenvalue below minus this breaks CP
 PROBE = 1e-8             # a randomized linearity or bimodularity probe fails above this
 TRIVIAL = 1e-12          # a generator norm at or below this means trivial dynamics
-D_N_ZERO = 1e-10         # D_N below this makes a ratio I_A / D_N meaningless
+D_N_ZERO = 1e-6          # D_N below this leaves I_A / D_N fewer than ~10 correct digits
 DECAY_SKIP = 1e-12       # a start state with D_N below this is skipped by the decay check
-GRAD_STOP = 1e-10        # a descent stops at a gradient norm below this (relative)
 IMPROVE = 1e-14          # a search step counts as progress only by more than this
 DUAL_STEP = 1e-8         # the dual-norm ascent stops at a step below this
 TRACE_ZERO = 1e-10       # |tau(x)| above this means x is not trace-zero

@@ -2,7 +2,7 @@
 
 It draws and evaluates one state at a time through ``random_state``,
 ``d_sub`` and ``fisher``, four eigensolves per state, and discards states
-with D_N below 1e-10 before the Fisher information is taken.
+with D_N below 1e-6 before the Fisher information is taken.
 """
 
 import math
@@ -17,7 +17,7 @@ def sweep_one_by_one(a, n, rng, n_validate: int) -> tuple[float, int]:
     for _ in range(n_validate):
         rho = random_state(a.dim, rng, spread=0.4 + 1.2 * rng.random())
         d_val = d_sub(rho, n)
-        if d_val < 1e-10:
+        if d_val < 1e-6:
             continue
         kept += 1
         lowest = min(lowest, fisher(a, rho) / d_val)

@@ -35,7 +35,7 @@ from qmsemi.cporder import (
     kernel_ie,
     return_time,
 )
-from qmsemi.entropy import d_sub, fisher_n, relative_entropy
+from qmsemi.entropy import d_sub, fisher, fisher_n, relative_entropy
 from qmsemi.generator import gradient_form
 from qmsemi.io import dump_json
 from qmsemi.matops import (
@@ -56,6 +56,7 @@ from qmsemi.subordinate import (
     psi_r_map,
     subordinated_generator,
 )
+from qmsemi.tolerances import D_N_ZERO
 from test_cporder import amplified_min_eig
 
 ZOO = make_zoo()
@@ -269,6 +270,23 @@ def test_c10_chain_consistency():
             ok &= est.lambda_upper >= 1.0 - 1e-6
     _report(10, "decay-constant bracket dominates the pencil certificate",
             ok, "; ".join(detail))
+
+
+# (A, N) for the zoo and the A^0.5 pairs of criterion 10
+FLSI_PAIRS = {name: (gen.superop, gen.fixed_algebra) for name, gen in ZOO.items()}
+FLSI_PAIRS.update({f"{name} A^0.5": (a_th, n) for (name, th), (a_th, n, _) in SUBORDINATED.items()
+                   if th == 0.5})
+
+
+@pytest.mark.parametrize("name", FLSI_PAIRS)
+def test_c10_upper_end_is_the_ratio_at_its_state(name):
+    # lambda_upper must be a ratio evaluated at argmin_state, a state that clears
+    # the D_N floor, never an iterate the optimizer merely stopped at
+    a, n = FLSI_PAIRS[name]
+    est = flsi_estimate((a, n), n_starts=6, seed=110, n_validate=0)
+    d_val = d_sub(est.argmin_state, n)
+    assert d_val >= D_N_ZERO
+    assert fisher(a, est.argmin_state) / d_val == pytest.approx(est.lambda_upper, rel=1e-9)
 
 
 def test_c11_order_oracle_never_contradicted():

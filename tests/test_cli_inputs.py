@@ -1,4 +1,4 @@
-"""Bad CLI input exits 1 with a message: non-finite matrices and casebook flags."""
+"""Bad CLI input exits 1 with a message: non-finite matrices, bad dims and casebook flags."""
 
 import json
 
@@ -76,3 +76,27 @@ def test_run_case_passes_the_seed_only_where_taken():
 def test_graph_case_defaults_to_the_complete_triangle():
     k3 = np.ones((3, 3)) - np.eye(3)
     assert case_graph_criterion().to_json() == case_graph_criterion(k3).to_json()
+
+
+@pytest.mark.parametrize("dim", [2.7, 0, -2, 17, True])
+def test_jump_file_dim_must_be_an_integer_within_the_cap(dim, tmp_path, capsys):
+    obj = jumps_to_obj(JumpSet(dim=2, jumps=pauli("z")[None]))
+    obj["dim"] = dim
+    if dim == 17:
+        obj["matrices"] = []  # rejected before anything is computed
+    path = tmp_path / "jumps.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "cert.json"
+    assert main(["gamma-e", str(path), "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "from 1 to 16" in err
+
+
+def test_state_file_dim_goes_through_the_same_check(jumps_file, tmp_path, capsys):
+    obj = operator_to_obj(np.eye(2))
+    obj["dim"] = 2.0
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(obj))
+    assert main(["decay", jumps_file, "--state", str(path), "--lambda", "0.5"]) == 1
+    assert "from 1 to 16" in capsys.readouterr().err
