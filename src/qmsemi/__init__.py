@@ -76,7 +76,6 @@ from .matops import (
     random_hermitian,
     random_state,
     semigroup_apply,
-    superop_from_action,
     tensor_sum_generator,
 )
 from .models import (

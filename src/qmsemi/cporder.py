@@ -13,6 +13,9 @@ Matrix-amplified agreement is delegated to a sampling oracle in the tests.
 
 The module also computes the module-basis Choi matrix whose operator norm is
 the L1 -> Linf cb-norm of an N-bimodule map, and the derived return time.
+When N = C 1 an orthonormal module basis is unitarily equivalent to the
+scaled matrix units, so ||chi_T|| = m ||Choi(T)|| with the m^2 x m^2
+Choi(T) = sum_{bd} |b><d| (x) T(e_bd), an index reshuffle of T's matrix.
 """
 
 from __future__ import annotations
@@ -25,13 +28,9 @@ import numpy as np
 import scipy.linalg
 
 from .algebra import ModuleBasis, SubAlgebra, module_basis
-from .generator import LindbladGenerator
-from .matops import (
-    Superop,
-    semigroup_apply,
-    tau_orthonormal_basis,
-)
-from .tolerances import PROBE, PSD, RETURN_TIME, rel_floor
+from .generator import LindbladGenerator, spectral_gap
+from .matops import Superop, make_superop, tau_orthonormal_basis
+from .tolerances import PROBE, PSD, RETURN_TIME, SUPEROP_FLAG, rel_floor
 
 __all__ = [
     "FormKernel",
@@ -272,27 +271,39 @@ def cb_norm_1_to_inf(t: Superop | Callable[[np.ndarray], np.ndarray], basis: Mod
     return float(np.linalg.norm(choi_matrix(t, basis, check=False), 2))
 
 
+def _reshuffle(s: np.ndarray, m: int) -> np.ndarray:
+    """Choi(T) = sum_{bd} |b><d| (x) T(e_bd) of the map matrix s over row-major vec."""
+    return s.reshape(m, m, m, m).transpose(2, 0, 3, 1).reshape(m * m, m * m)
+
+
 def return_time(a: Superop, n: SubAlgebra) -> float:
     """The return time t0: the smallest t with ||chi_{T_t - E}|| <= 1/2.
 
     The Choi norm of T_t - E is the L1 -> Linf cb distance to equilibrium;
     it decreases in t, so bisection to a resolution of RETURN_TIME in t is
-    justified.  Returns math.inf when 1/2 is not reached by t = 1e4 / gap,
-    and raises if the generator has no spectral gap (no convergence to E).
+    justified.  T_t - E comes from the cached ``a.eig``; chi is m Choi(T_t - E)
+    when N = C 1 and is built over ``module_basis(n)`` otherwise, Hermitian as
+    A preserves Hermiticity (checked), so ``eigvalsh`` gives ||chi||.  Returns
+    math.inf when 1/2 is not reached by t = 1e4 / gap, and raises if A breaks
+    Hermiticity or has no spectral gap (no convergence to E).
     """
-    from .generator import spectral_gap
-
+    m = a.dim
+    choi_a = _reshuffle(a.matrix, m)
+    if np.abs(choi_a - choi_a.conj().T).max() > rel_floor(choi_a, SUPEROP_FLAG):
+        raise ValueError("generator does not preserve Hermiticity")
     gap = spectral_gap(a)
     if gap <= 0.0:
         raise ValueError("generator has no spectral gap; no convergence to E")
-    basis = module_basis(n)
-    e = n.expectation
+    w, v = a.eig
+    if n.size == 1:
+        scale, chi = m, lambda s: _reshuffle(s, m)
+    else:
+        basis = module_basis(n)
+        scale, chi = 1, lambda s: choi_matrix(make_superop(s, m), basis, check=False)
 
     def g(t: float) -> float:
-        def diff(x):
-            return semigroup_apply(a, t, x) - e.apply(x)
-
-        return cb_norm_1_to_inf(diff, basis) - 0.5
+        s = (v * np.exp(-t * w)) @ v.conj().T - n.expectation.matrix
+        return scale * np.abs(np.linalg.eigvalsh(chi(s))).max() - 0.5
 
     if g(0.0) <= 0.0:
         return 0.0

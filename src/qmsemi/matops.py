@@ -41,7 +41,6 @@ __all__ = [
     "hermitian_basis",
     "Superop",
     "make_superop",
-    "superop_from_action",
     "identity_superop",
     "semigroup_apply",
     "tensor_sum_generator",
@@ -260,15 +259,6 @@ def make_superop(matrix: np.ndarray, dim: int | None = None) -> Superop:
     sa = np.abs(matrix - matrix.conj().T).max() <= floor
     kills = np.linalg.norm(matrix @ vec(np.eye(dim))) / np.sqrt(dim) <= floor
     return Superop(dim=dim, matrix=matrix, hs_selfadjoint=sa, kills_identity=kills)
-
-
-def superop_from_action(action: Callable[[np.ndarray], np.ndarray], m: int) -> Superop:
-    """Matrix of a linear map from its action on the matrix units."""
-    cols = np.empty((m * m, m * m), dtype=complex)
-    units = matrix_units(m)
-    for a in range(m * m):
-        cols[:, a] = vec(action(units[a]))
-    return make_superop(cols, m)
 
 
 def identity_superop(m: int) -> Superop:

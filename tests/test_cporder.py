@@ -5,6 +5,8 @@ import pytest
 
 from conftest import make_zoo
 from pencil_oracle import bisect_lambda
+from return_time_oracle import return_time_by_module_basis
+from qmsemi import algebra, cporder
 from qmsemi.algebra import diagonal_algebra, module_basis, scalar_algebra
 from qmsemi.cporder import (
     best_lambda,
@@ -26,9 +28,11 @@ from qmsemi.matops import (
     matrix_units,
     random_hermitian,
     semigroup_apply,
+    vec,
 )
 from qmsemi.models import dephasing_generator, depolarizing_generator, random_lindblad
 from qmsemi.subordinate import density_approximation, fractional_power
+from qmsemi.tolerances import RETURN_TIME
 
 
 def test_form_kernel_zero_form():
@@ -305,6 +309,93 @@ def test_return_time_requires_gap():
     gen = lindblad(jump_set([], m=2))
     with pytest.raises(ValueError):
         return_time(gen.superop, gen.fixed_algebra)
+
+
+def _return_time_cases():
+    """The zoo, non-ergodic dephasing m = 3 and random ergodic m = 2, 3, 4, 6."""
+    cases = make_zoo()
+    cases["dephasing_m3"] = dephasing_generator(3)
+    for m in (2, 3, 4, 6):
+        cases[f"random_m{m}"] = random_lindblad(m, 2, np.random.default_rng(700 + m), scale=0.6)
+    return cases
+
+
+RETURN_TIME_CASES = _return_time_cases()
+
+
+@pytest.mark.parametrize("name", sorted(RETURN_TIME_CASES))
+def test_return_time_matches_module_basis_oracle(name):
+    gen = RETURN_TIME_CASES[name]
+    t0 = return_time(gen.superop, gen.fixed_algebra)
+    assert abs(t0 - return_time_by_module_basis(gen.superop, gen.fixed_algebra)) <= RETURN_TIME
+
+
+@pytest.mark.parametrize("name", sorted(make_zoo()))
+def test_density_reports_agree_with_oracle_return_time(zoo, monkeypatch, name):
+    _, rep = density_approximation(zoo[name], 0.1)
+    monkeypatch.setattr("qmsemi.subordinate.return_time", return_time_by_module_basis)
+    _, ref = density_approximation(zoo[name], 0.1)
+    assert rep.keys() == ref.keys()
+    for key, val in ref.items():
+        assert rep[key] == pytest.approx(val, rel=1e-9, abs=1e-9), key
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6])
+def test_choi_reshuffle_gives_the_scalar_module_basis_norm(m):
+    # over N = C 1: ||chi_T|| = m ||Choi(T)|| with the m^2 x m^2 reshuffle
+    gen = random_lindblad(m, 2, np.random.default_rng(30 + m), scale=0.6)
+    n = scalar_algebra(m)
+    mb = module_basis(n)
+    w, v = gen.superop.eig
+    for t in (0.0, 0.3, 1.0, 2.0):
+        s = (v * np.exp(-t * w)) @ v.conj().T - n.expectation.matrix
+        chi_norm = cb_norm_1_to_inf(make_superop(s, m), mb)
+        reshuffled = m * np.linalg.norm(cporder._reshuffle(s, m), 2)
+        assert abs(reshuffled - chi_norm) <= 1e-12
+
+
+def test_return_time_rejects_a_map_that_breaks_hermiticity():
+    # 1 - |vec e12><vec e12| is HS-self-adjoint but sends e12 to 0 and e21 to e21
+    e12 = vec(matrix_units(2)[1])
+    a = make_superop(np.eye(4) - np.outer(e12, e12.conj()), 2)
+    n = scalar_algebra(2)
+    assert a.hs_selfadjoint
+    assert return_time_by_module_basis(a, n) == math.inf  # chi is not Hermitian here
+    with pytest.raises(ValueError, match="Hermiticity"):
+        return_time(a, n)
+
+
+def test_ergodic_return_time_builds_no_module_basis_and_takes_no_svd(monkeypatch):
+    # both generators and their fixed algebras are built before counting
+    gen = random_lindblad(4, 2, np.random.default_rng(5), scale=0.6)
+    deph = dephasing_generator(2)
+    assert gen.fixed_algebra.size == 1 and deph.fixed_algebra.size == 2
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    norm = np.linalg.norm
+
+    def counted_norm(x, ord=None, *args, **kwargs):
+        if ord in (2, -2):
+            calls.append("norm")
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(algebra, "module_basis", counted("module_basis", algebra.module_basis))
+    monkeypatch.setattr(cporder, "module_basis", counted("module_basis", cporder.module_basis))
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    assert return_time(gen.superop, gen.fixed_algebra) > 0.0
+    assert calls == []
+    # the counters do see the module-basis path and the oracle's SVD norm
+    return_time(deph.superop, deph.fixed_algebra)
+    assert calls == ["module_basis"]
+    return_time_by_module_basis(deph.superop, deph.fixed_algebra)
+    assert "norm" in calls
 
 
 def test_kernel_splitting_identity_ergodic():

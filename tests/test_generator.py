@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from superop_oracle import superop_from_action
 from qmsemi.algebra import scalar_algebra
 from qmsemi.generator import (
     JumpSet,
@@ -21,7 +22,6 @@ from qmsemi.matops import (
     random_hermitian,
     semigroup_apply,
     subspace_gap,
-    superop_from_action,
 )
 from qmsemi.models import dephasing_generator, depolarizing_generator, pauli, random_lindblad
 

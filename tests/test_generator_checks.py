@@ -2,9 +2,10 @@
 
 import numpy as np
 
+from superop_oracle import superop_from_action
 from qmsemi.constants import _dynamics
 from qmsemi.generator import validate_generator
-from qmsemi.matops import identity_superop, superop_from_action
+from qmsemi.matops import identity_superop
 
 
 def test_e_fix_is_the_fixed_algebras_expectation(zoo):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from superop_oracle import superop_from_action
 from qmsemi.constants import rho_multiplier, rho_multiplier_inv
 from qmsemi.matops import (
     Superop,
@@ -16,7 +17,6 @@ from qmsemi.matops import (
     random_state,
     semigroup_apply,
     subspace_gap,
-    superop_from_action,
     unvec,
     vec,
 )
