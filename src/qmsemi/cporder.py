@@ -8,8 +8,12 @@ operator basis {e_a} as the Hermitian kernel
 so that sum_{ij} z_i* Gamma(x_i, x_j) z_j >= 0 for all finite families
 (x_i in span{e_a}, z_i in C^m) is exactly Q >= 0.  The gradient condition
 "lambda * Gamma_{I-E} <= Gamma_A in cp order" becomes an eigenvalue pencil,
-solved directly from one eigendecomposition of Q_A (see ``best_lambda``).
-Matrix-amplified agreement is delegated to a sampling oracle in the tests.
+solved directly from one split of Q_A into range and kernel (see
+``best_lambda``).  For a Lindblad generator with K jumps Q_A = C* C with the
+(K m) x m^3 commutator factor C[(k,i),(b,u)] = ([a_k, e_b])_{iu}, so
+rank Q_A <= K m; when K < m^2 the split comes from an SVD of C instead of an
+eigendecomposition of the m^3 x m^3 Q_A.  Matrix-amplified agreement is
+delegated to a sampling oracle in the tests.
 
 The module also computes the module-basis Choi matrix whose operator norm is
 the L1 -> Linf cb-norm of an N-bimodule map, and the derived return time.
@@ -50,11 +54,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FormKernel:
-    """Hermitian kernel of an operator-valued sesquilinear form."""
+    """Hermitian kernel of an operator-valued sesquilinear form.
+
+    ``factor``, when set, is a matrix C with fewer rows than columns and
+    q = C* C, so its row count bounds the rank of q.
+    """
 
     dim: int                 # matrix size m (the "vector" slots)
     basis_size: int          # number of operator basis elements
     q: np.ndarray            # (basis_size*dim, basis_size*dim)
+    factor: np.ndarray | None = None  # (rows, basis_size*dim) with q = factor* factor
+
+    def __post_init__(self) -> None:
+        if self.factor is not None and (self.factor.ndim != 2 or self.factor.shape[1] != self.size):
+            raise ValueError("kernel factor must have one column per kernel row")
 
     @property
     def size(self) -> int:
@@ -95,15 +108,21 @@ def form_kernel(
 
 
 def kernel_from_jumps(jumps_arr: np.ndarray) -> FormKernel:
-    """Kernel of Gamma(x,y) = sum_k [a_k,x]*[a_k,y] (vectorized)."""
+    """Kernel of Gamma(x,y) = sum_k [a_k,x]*[a_k,y] as C* C.
+
+    C[(k,i),(b,u)] = ([a_k, e_b])_{iu} is kept as the kernel's ``factor`` when
+    it has fewer rows than columns (K < m^2 jumps).
+    """
     a = np.asarray(jumps_arr, dtype=complex)
     m = a.shape[-1]
     basis = tau_orthonormal_basis(m)
+    k = basis.shape[0]
     # commutators [a_k, e_b] for all jumps and basis elements
     c = np.einsum("kij,bjl->kbil", a, basis) - np.einsum("bij,kjl->kbil", basis, a)
-    q = np.einsum("kaiu,kbiv->aubv", c.conj(), c)
-    k = basis.shape[0]
-    return FormKernel(dim=m, basis_size=k, q=_symmetrize(q.reshape(k * m, k * m)))
+    factor = c.transpose(0, 2, 1, 3).reshape(-1, k * m)
+    q = _symmetrize(factor.conj().T @ factor)
+    wide = factor.shape[0] < factor.shape[1]
+    return FormKernel(dim=m, basis_size=k, q=q, factor=factor if wide else None)
 
 
 def kernel_from_superop(a: Superop, basis: np.ndarray | None = None) -> FormKernel:
@@ -115,14 +134,15 @@ def kernel_from_superop(a: Superop, basis: np.ndarray | None = None) -> FormKern
     if basis is None:
         basis = tau_orthonormal_basis(m)
     k = basis.shape[0]
-    ab = a.apply(basis)
-    prod = np.einsum("aji,bjl->abil", basis.conj(), basis)  # e_a* e_b
-    q = 0.5 * (
-        np.einsum("aji,bjl->abil", ab.conj(), basis)
-        + np.einsum("aji,bjl->abil", basis.conj(), ab)
-        - a.apply(prod)
-    )
-    q = q.transpose(0, 2, 1, 3).reshape(k * m, k * m)
+
+    def rows(x):  # x_a* stacked: rows (a, i), columns j
+        return x.conj().transpose(0, 2, 1).reshape(k * m, m)
+
+    cols = basis.transpose(1, 0, 2).reshape(m, k * m)  # e_b side by side: columns (b, l)
+    ax_y = rows(a.apply(basis)) @ cols  # A(e_a)* e_b; x* A(y) is its adjoint
+    prod = (rows(basis) @ cols).reshape(k, m, k, m).transpose(0, 2, 1, 3)  # e_a* e_b at [a, b]
+    a_prod = (prod.reshape(-1, m * m) @ a.matrix.T).reshape(k, k, m, m)
+    q = 0.5 * (ax_y + ax_y.conj().T - a_prod.transpose(0, 2, 1, 3).reshape(k * m, k * m))
     return FormKernel(dim=m, basis_size=k, q=_symmetrize(q))
 
 
@@ -131,12 +151,30 @@ def kernel_ie(n: SubAlgebra, basis: np.ndarray | None = None) -> FormKernel:
     return kernel_from_superop(n.complement, basis=basis)
 
 
-def cp_order_holds(q_small: FormKernel, q_big: FormKernel, lam: float) -> bool:
-    """True iff Q_big - lam * Q_small is PSD up to a scale-relative floor."""
+def _check_same_shape(q_small: FormKernel, q_big: FormKernel) -> None:
     if q_small.size != q_big.size or q_small.dim != q_big.dim:
         raise ValueError("kernel dimension mismatch")
+
+
+def cp_order_holds(q_small: FormKernel, q_big: FormKernel, lam: float) -> bool:
+    """True iff Q_big - lam * Q_small is PSD up to a scale-relative floor."""
+    _check_same_shape(q_small, q_big)
     w = np.linalg.eigvalsh(q_big.q - lam * q_small.q)
     return bool(w.min() >= -rel_floor(w, PSD))
+
+
+def _kernel_eigh(q: FormKernel) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors of q, from its factor when set.
+
+    For q = C* C with C = U S V*, the eigenvalues are S^2 padded with exact
+    zeros and the eigenvectors are the columns of V, both in reverse order.
+    """
+    if q.factor is None:
+        return np.linalg.eigh(q.q)
+    _, s, vh = np.linalg.svd(q.factor, full_matrices=True)
+    w = np.zeros(q.size)
+    w[q.size - s.size:] = s[::-1] ** 2
+    return w, vh[::-1].conj().T
 
 
 def _top_eigpair(h: np.ndarray) -> tuple[float, np.ndarray]:
@@ -185,13 +223,18 @@ def best_lambda(q_small: FormKernel, q_big: FormKernel) -> GammaECertificate:
     if the leak ||K* Q_small K|| exceeds the floor of Q_small (ker Q_big is
     not inside ker Q_small), and otherwise
     lambda* = 1 / lambda_max(S^-1/2 R* Q_small R S^-1/2).
-    Raises ValueError when Q_small vanishes.
+    The split is an eigendecomposition of Q_big, or, when Q_big carries a
+    wide factor C (a jump kernel, rank Q_A <= K m), a full SVD of C: S holds
+    the squared singular values above the floor and R and K are the right
+    singular vectors; such a Q_big is PSD by construction.
+    Raises ValueError when the kernels differ in shape or Q_small vanishes.
     """
+    _check_same_shape(q_small, q_big)
     norm_small = np.linalg.norm(q_small.q)  # Frobenius: bounds ||Q_small||, no eigensolve
     if norm_small <= PSD:
         raise ValueError("Q_small vanishes; no pencil to solve")
     floor_small = rel_floor(norm_small, PSD)
-    wb, vb = np.linalg.eigh(q_big.q)
+    wb, vb = _kernel_eigh(q_big)
     floor = rel_floor(wb, PSD)
     if wb[0] < -floor:
         return GammaECertificate(0.0, "zero", None, -wb[0] - floor, floor, vb[:, 0])

@@ -1,0 +1,43 @@
+"""Einsum form kernels, kept to check the matrix-product kernels in ``cporder``.
+
+The jump kernel contracts the commutator tensor [a_k, e_b] with itself by one
+4-index einsum, and the superoperator kernel assembles Gamma_A(e_a, e_b)
+from three einsums and k^2 matrix-vector applications of A.
+"""
+
+import numpy as np
+
+from qmsemi.cporder import FormKernel, _symmetrize
+from qmsemi.matops import Superop, tau_orthonormal_basis
+
+
+def kernel_from_jumps_by_einsum(jumps_arr: np.ndarray) -> FormKernel:
+    """Kernel of Gamma(x,y) = sum_k [a_k,x]*[a_k,y] (vectorized)."""
+    a = np.asarray(jumps_arr, dtype=complex)
+    m = a.shape[-1]
+    basis = tau_orthonormal_basis(m)
+    # commutators [a_k, e_b] for all jumps and basis elements
+    c = np.einsum("kij,bjl->kbil", a, basis) - np.einsum("bij,kjl->kbil", basis, a)
+    q = np.einsum("kaiu,kbiv->aubv", c.conj(), c)
+    k = basis.shape[0]
+    return FormKernel(dim=m, basis_size=k, q=_symmetrize(q.reshape(k * m, k * m)))
+
+
+def kernel_from_superop_by_einsum(a: Superop, basis: np.ndarray | None = None) -> FormKernel:
+    """Kernel of the weak-form gradient of a self-adjoint generator A:
+
+        Gamma_A(x, y) = (A(x)* y + x* A(y) - A(x* y)) / 2.
+    """
+    m = a.dim
+    if basis is None:
+        basis = tau_orthonormal_basis(m)
+    k = basis.shape[0]
+    ab = a.apply(basis)
+    prod = np.einsum("aji,bjl->abil", basis.conj(), basis)  # e_a* e_b
+    q = 0.5 * (
+        np.einsum("aji,bjl->abil", ab.conj(), basis)
+        + np.einsum("aji,bjl->abil", basis.conj(), ab)
+        - a.apply(prod)
+    )
+    q = q.transpose(0, 2, 1, 3).reshape(k * m, k * m)
+    return FormKernel(dim=m, basis_size=k, q=_symmetrize(q))

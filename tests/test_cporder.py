@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from conftest import make_zoo
+from kernel_oracle import kernel_from_jumps_by_einsum, kernel_from_superop_by_einsum
 from pencil_oracle import bisect_lambda
 from return_time_oracle import return_time_by_module_basis
 from qmsemi import algebra, cporder
@@ -32,7 +34,7 @@ from qmsemi.matops import (
 )
 from qmsemi.models import dephasing_generator, depolarizing_generator, random_lindblad
 from qmsemi.subordinate import density_approximation, fractional_power
-from qmsemi.tolerances import RETURN_TIME
+from qmsemi.tolerances import PSD, RETURN_TIME, rel_floor
 
 
 def test_form_kernel_zero_form():
@@ -80,6 +82,106 @@ def test_kernel_positivity_matches_sampled_weights():
             for xj, zj in zip(xs, zs):
                 acc += (zi.conj() @ gradient_form(gen.jumps, xi, xj) @ zj).real
         assert acc >= -1e-8 * max(1.0, abs(acc))
+
+
+def _kernel_cases():
+    """The zoo, dephasing m = 3 and random m = 2..6 with 2 and 3 jumps."""
+    cases = make_zoo()
+    cases["dephasing_m3"] = dephasing_generator(3)
+    for m in (2, 3, 4, 5, 6):
+        for n_jumps in (2, 3):
+            rng = np.random.default_rng(100 * m + n_jumps)
+            cases[f"random_{n_jumps}jump_m{m}"] = random_lindblad(m, n_jumps, rng, scale=0.6)
+    return cases
+
+
+KERNEL_CASES = _kernel_cases()
+
+
+def _assert_kernel_close(q, ref):
+    assert q.shape == ref.shape
+    assert np.abs(q - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_kernels_match_the_einsum_oracle(name):
+    gen = KERNEL_CASES[name]
+    jumps = kernel_from_jumps(gen.jumps.jumps)
+    _assert_kernel_close(jumps.q, kernel_from_jumps_by_einsum(gen.jumps.jumps).q)
+    if jumps.factor is not None:
+        _assert_kernel_close(jumps.factor.conj().T @ jumps.factor, jumps.q)
+    n = gen.fixed_algebra
+    _assert_kernel_close(kernel_ie(n).q, kernel_from_superop_by_einsum(n.complement).q)
+    _assert_kernel_close(kernel_from_superop(gen.superop).q,
+                         kernel_from_superop_by_einsum(gen.superop).q)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_kernel_ie_matches_the_oracle_on_a_subalgebra_basis(m):
+    basis = diagonal_algebra(m).basis
+    for n in (scalar_algebra(m), diagonal_algebra(m)):
+        k = kernel_ie(n, basis=basis)
+        assert k.basis_size == m
+        _assert_kernel_close(k.q, kernel_from_superop_by_einsum(n.complement, basis=basis).q)
+
+
+def test_jump_kernel_keeps_its_factor_only_when_it_bounds_the_rank():
+    assert kernel_from_jumps(depolarizing_generator(3).jumps.jumps).factor is None
+    gen = random_lindblad(6, 3, np.random.default_rng(6), scale=0.6)
+    assert kernel_from_jumps(gen.jumps.jumps).factor.shape == (3 * 6, 6 ** 3)
+
+
+def test_form_kernel_rejects_a_factor_of_the_wrong_width():
+    k = kernel_from_jumps(dephasing_generator(2).jumps.jumps)
+    with pytest.raises(ValueError, match="factor"):
+        dataclasses.replace(k, factor=k.factor[:, :-1])
+    with pytest.raises(ValueError, match="factor"):
+        dataclasses.replace(k, factor=k.factor.ravel())
+
+
+def test_best_lambda_rejects_mismatched_kernels():
+    q2 = kernel_ie(scalar_algebra(2))
+    q3 = kernel_ie(scalar_algebra(3))
+    sub = kernel_ie(scalar_algebra(2), basis=diagonal_algebra(2).basis)
+    for small, big in ((q2, q3), (q3, q2), (q2, sub)):
+        with pytest.raises(ValueError, match="kernel dimension mismatch"):
+            best_lambda(small, big)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_factored_split_agrees_with_the_eigendecomposition(name):
+    gen = KERNEL_CASES[name]
+    q_small = kernel_ie(gen.fixed_algebra)
+    q_big = kernel_from_jumps(gen.jumps.jumps)
+    cert = best_lambda(q_small, q_big)
+    ref = best_lambda(q_small, dataclasses.replace(q_big, factor=None))
+    assert cert.status == ref.status
+    for field in ("lambda_star", "margin"):
+        got, want = getattr(cert, field), getattr(ref, field)
+        assert abs(got - want) <= 1e-12 + 1e-9 * abs(want), field
+    assert abs(cert.leak - ref.leak) <= rel_floor(np.linalg.norm(q_small.q), PSD)
+    lam = cert.lambda_star
+    assert abs(bisect_lambda(q_small, q_big) - lam) <= 1e-6 * max(1.0, lam)
+
+
+def test_gamma_e_takes_no_eigendecomposition_of_the_full_jump_kernel(monkeypatch):
+    gen = random_lindblad(6, 3, np.random.default_rng(6), scale=0.6)
+    assert gen.fixed_algebra.size == 1
+    full = (6 ** 3, 6 ** 3)
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    assert gamma_e_constant(gen).status == "zero"
+    assert full not in shapes
+    # the recorder does see the eigendecomposition of an unfactored Q_big
+    q_big = dataclasses.replace(kernel_from_jumps(gen.jumps.jumps), factor=None)
+    best_lambda(kernel_ie(gen.fixed_algebra), q_big)
+    assert full in shapes
 
 
 def test_cp_order_basics():
