@@ -23,7 +23,8 @@ from .matops import (
     hermitian_basis,
     norm_trace,
     random_hermitian,
-    random_state,
+    random_hermitian_stack,
+    random_state_stack,
     schur_multiplier,
     semigroup_apply,
 )
@@ -75,10 +76,14 @@ def schatten_norm(x: np.ndarray, p: float) -> float | np.ndarray:
     x is one matrix or a stack of shape (..., m, m); the result has shape
     x.shape[:-2], a float for one matrix.
     """
-    s = np.linalg.svd(x, compute_uv=False)
+    return _schatten(np.linalg.svd(x, compute_uv=False), p, x.shape[-1])
+
+
+def _schatten(s: np.ndarray, p: float, m: int) -> float | np.ndarray:
+    """The normalized p-norm on M_m from the singular values s, shape (..., m)."""
     if math.isinf(p):
         return np.max(s, axis=-1, initial=0.0)
-    return (np.sum(s**p, axis=-1) / x.shape[-1]) ** (1.0 / p)
+    return (np.sum(s**p, axis=-1) / m) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +173,16 @@ SWEEP_CHUNK = 1000
 def _validation_sweep(a: Superop, e: Superop, rng: np.random.Generator, n_validate: int):
     """Smallest I_A/D_N over ``n_validate`` random states, and how many were kept.
 
-    States are drawn as ``random_state(m, rng, 0.4 + 1.2 * rng.random())`` draws
-    them; states with D_N below D_N_ZERO are dropped before the Fisher leak check.
+    The exponents H are drawn ``SWEEP_CHUNK`` at a time by
+    ``random_hermitian_stack(m, rng, k, 0.4, 1.2)``, bit for bit the states
+    ``random_state(m, rng, 0.4 + 1.2 * rng.random())`` draws one by one; states
+    with D_N below D_N_ZERO are dropped before the Fisher leak check.
     """
     m = a.dim
     lowest, kept = math.inf, 0
     for lo in range(0, n_validate, SWEEP_CHUNK):
         k = min(SWEEP_CHUNK, n_validate - lo)
-        h = np.array([random_hermitian(m, rng, 0.4 + 1.2 * rng.random()) for _ in range(k)])
-        _, u, _, r, rho = _chart(h)
+        _, u, _, r, rho = _chart(random_hermitian_stack(m, rng, k, 0.4, 1.2))
         d, i, _ = spectral_terms(rho, (r, u), np.linalg.eigh(e.apply(rho)), a.apply(rho))
         keep = d >= D_N_ZERO
         if np.isnan(i[keep]).any():
@@ -281,16 +287,19 @@ def check_decay_bound(gen, lam: float, n_states: int = 50, seed: int = 0) -> dic
 
     Both inequalities follow from a certified gradient-condition constant;
     the report carries the worst multiplicative slack and a witness when a
-    violation is found.  All states and times go through one semigroup
-    evaluation and two stacked eigensolves; states with D_N below DECAY_SKIP
-    are skipped, and a violation is a slack above VIOLATION.
+    violation is found.  The states are drawn by one
+    ``random_state_stack(m, rng, n_states, 0.5, 1.0)``, bit for bit the
+    ``random_state(m, rng, 0.5 + rng.random())`` draws of a loop.  All states
+    and times go through one semigroup evaluation and two stacked eigensolves;
+    states with D_N below DECAY_SKIP are skipped, and a violation is a slack
+    above VIOLATION.
     """
     if n_states < 1:
         raise ValueError("n_states must be at least 1")
     a, n, e = _dynamics(gen)
     grid = default_grid(lam if lam > 0 else 1.0)
     rng = np.random.default_rng([seed, 17])
-    rho0 = np.array([random_state(a.dim, rng, spread=0.5 + rng.random()) for _ in range(n_states)])
+    rho0 = random_state_stack(a.dim, rng, n_states, 0.5, 1.0)
     d0, i0 = decay_terms(rho0, np.linalg.eigh(rho0), e, n.complement)
     kept = np.flatnonzero(d0 >= DECAY_SKIP)
     rho_t = semigroup_apply(a, grid, rho0[kept]).swapaxes(0, 1)  # (state, t, m, m)
@@ -309,9 +318,9 @@ def check_lp_decay(
 ) -> dict:
     """Verify ||T_t(x) - E(x)||_p <= e^{-lam t} ||x - E(x)||_p on random x.
 
-    All probes and times go through one semigroup evaluation and each p
-    through one stacked SVD; (x, p) pairs with base norm below LP_BASE are
-    skipped.
+    All probes and times go through one semigroup evaluation and one stacked
+    SVD, whose singular values give every p; (x, p) pairs with base norm below
+    LP_BASE are skipped.
     """
     if n_x < 1:
         raise ValueError("n_x must be at least 1")
@@ -324,9 +333,10 @@ def check_lp_decay(
                   for idx in range(n_x)])
     x0 = x - e.apply(x)
     x_t = np.concatenate([x0[None], semigroup_apply(a, grid, x0)])
+    s = np.linalg.svd(x_t, compute_uv=False)
     slack = np.full((n_x, len(p_list), grid.size), -np.inf)
     for ip, p in enumerate(p_list):
-        norms = schatten_norm(x_t, p)  # (1 + t, x): the base norm, then each time
+        norms = _schatten(s, p, m)  # (1 + t, x): the base norm, then each time
         base = norms[0]
         ok = base >= LP_BASE
         slack[ok, ip] = (norms[1:, ok] / (np.exp(-lam * grid)[:, None] * base[ok]) - 1.0).T

@@ -49,7 +49,9 @@ __all__ = [
     "subspace_gap",
     "make_state",
     "random_hermitian",
+    "random_hermitian_stack",
     "random_state",
+    "random_state_stack",
 ]
 
 
@@ -70,13 +72,21 @@ def hs_norm(x: np.ndarray) -> float:
     return np.sqrt(max(hs_inner(x, x).real, 0.0))
 
 
+def _adjoint(x: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack (..., m, m)."""
+    return x.conj().swapaxes(-1, -2)
+
+
 def is_hermitian(x: np.ndarray) -> bool:
-    return np.abs(x - x.conj().T).max() <= rel_floor(x, HERMITIAN)
+    """Whether x, or every matrix of a stack, is Hermitian up to HERMITIAN
+    relative to its largest entry."""
+    return np.max(np.abs(x - _adjoint(x)), initial=0.0) <= rel_floor(x, HERMITIAN)
 
 
 def matrix_function(x: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix through its spectrum.
 
+    x is one matrix or a stack (..., m, m), all taken by one stacked eigh.
     Raises if x is not Hermitian or if f is undefined (non-finite) at an
     eigenvalue.  The result is Hermitian whenever f is real on the spectrum.
     """
@@ -87,7 +97,7 @@ def matrix_function(x: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.
         fw = np.asarray(f(w), dtype=complex)
     if not np.all(np.isfinite(fw)):
         raise ValueError("function undefined on part of the spectrum")
-    return (u * fw) @ u.conj().T
+    return (u * fw[..., None, :]) @ _adjoint(u)
 
 
 def _numeric_derivative(f: Callable, s: float) -> float:
@@ -345,13 +355,48 @@ def make_state(mat: np.ndarray) -> np.ndarray:
     return (u * w) @ u.conj().T
 
 
+def _gue(pairs: np.ndarray, scale) -> np.ndarray:
+    """scale * Hermitian part of G = pairs[..., 0, :, :] + i pairs[..., 1, :, :]."""
+    g = pairs[..., 0, :, :] + 1j * pairs[..., 1, :, :]
+    return scale * (g + _adjoint(g)) / 2.0
+
+
 def random_hermitian(m: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    return scale * (g + g.conj().T) / 2.0
+    """scale * (G + G*)/2 with G = X + iY, X then Y drawn as standard normals."""
+    return _gue(rng.standard_normal((2, m, m)), scale)
+
+
+def random_hermitian_stack(m: int, rng: np.random.Generator, n: int, lo: float,
+                           width: float) -> np.ndarray:
+    """n draws, shape (n, m, m), the k-th bit for bit the k-th matrix of
+    ``[random_hermitian(m, rng, lo + width * rng.random()) for _ in range(n)]``.
+
+    Each draw takes its uniform and then its Gaussian pair from ``rng``, which
+    leaves the generator where the loop would; the Hermitian parts are formed
+    in one vectorized expression.
+    """
+    u = np.empty(n)
+    pairs = np.empty((n, 2, m, m))
+    for k in range(n):
+        u[k] = rng.random()
+        rng.standard_normal(out=pairs[k])
+    return _gue(pairs, (lo + width * u)[:, None, None])
+
+
+def _gibbs(h: np.ndarray) -> np.ndarray:
+    """m exp(H) / tr(exp(H)) for H or each matrix of a stack of H."""
+    e = matrix_function(h, np.exp)
+    return h.shape[-1] * e / np.trace(e, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def random_state(m: int, rng: np.random.Generator, spread: float = 1.0) -> np.ndarray:
     """Random invertible state m*exp(H)/tr(exp(H)) with H a scaled GUE draw."""
-    h = random_hermitian(m, rng, spread)
-    e = matrix_function(h, np.exp)
-    return m * e / np.trace(e).real
+    return _gibbs(random_hermitian(m, rng, spread))
+
+
+def random_state_stack(m: int, rng: np.random.Generator, n: int, lo: float,
+                       width: float) -> np.ndarray:
+    """n states, the k-th bit for bit the k-th state of
+    ``[random_state(m, rng, lo + width * rng.random()) for _ in range(n)]``,
+    exponentiated by one stacked eigh."""
+    return _gibbs(random_hermitian_stack(m, rng, n, lo, width))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from flsi_oracle import sweep_one_by_one
+from qmsemi import constants, matops
 from qmsemi.constants import (
     SWEEP_CHUNK,
     _validation_sweep,
@@ -72,6 +73,33 @@ def test_stacked_sweep_matches_per_state_oracle(zoo, n_validate):
         )
         assert kept == want_kept, name
         assert got == pytest.approx(want, rel=1e-12), name
+
+
+def test_sweep_and_decay_check_draw_no_single_states(zoo, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("per-item draw")
+
+    for module in (matops, constants):
+        for name in ("random_hermitian", "random_state"):
+            monkeypatch.setattr(module, name, refused, raising=False)
+    gen = zoo["random_2jump_m3"]
+    _validation_sweep(gen.superop, gen.e_fix, np.random.default_rng(3), 50)
+    check_decay_bound(gen, 0.1, n_states=5)
+    with pytest.raises(AssertionError, match="per-item draw"):  # the guard does bite
+        check_lp_decay(gen, 0.1, n_x=2)
+
+
+def test_lp_decay_takes_one_svd_for_every_p(zoo, monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    check_lp_decay(zoo["random_2jump_m3"], 0.1, n_x=4)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from superop_oracle import superop_from_action
-from qmsemi.constants import rho_multiplier, rho_multiplier_inv
+from qmsemi.constants import SWEEP_CHUNK, rho_multiplier, rho_multiplier_inv
 from qmsemi.matops import (
     Superop,
     divided_difference_multiplier,
@@ -14,7 +14,9 @@ from qmsemi.matops import (
     norm_trace,
     nullspace_basis,
     random_hermitian,
+    random_hermitian_stack,
     random_state,
+    random_state_stack,
     semigroup_apply,
     subspace_gap,
     unvec,
@@ -269,3 +271,26 @@ def test_make_state_clamps_and_normalizes():
 def test_make_superop_rejects_bad_shape():
     with pytest.raises(ValueError):
         make_superop(np.eye(5), 2)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [0, 1, SWEEP_CHUNK + 1])
+@pytest.mark.parametrize("lo, width", [(0.7, 0.0), (0.4, 1.2)])
+def test_stacked_draws_follow_the_per_item_stream(m, n, lo, width):
+    for stack, single in ((random_hermitian_stack, random_hermitian),
+                          (random_state_stack, random_state)):
+        r1, r2 = np.random.default_rng([m, n]), np.random.default_rng([m, n])
+        want = np.array([single(m, r1, lo + width * r1.random()) for _ in range(n)])
+        got = stack(m, r2, n, lo, width)
+        assert got.shape == (n, m, m)
+        assert np.array_equal(got, want.reshape(n, m, m))
+        assert r2.random() == r1.random()
+
+
+def test_matrix_function_maps_a_stack_matrix_by_matrix():
+    rng = np.random.default_rng(12)
+    h = np.array([random_hermitian(3, rng) for _ in range(4)])
+    got = matrix_function(h, np.exp)
+    assert all(np.array_equal(g, matrix_function(x, np.exp)) for g, x in zip(got, h))
+    with pytest.raises(ValueError, match="Hermitian"):
+        matrix_function(h + 1j * np.eye(3), np.exp)
