@@ -35,7 +35,6 @@ from .cporder import (
     cb_norm_1_to_inf,
     choi_matrix,
     cp_order_holds,
-    form_kernel,
     gamma_e_constant,
     kernel_from_jumps,
     kernel_from_superop,
@@ -56,7 +55,6 @@ from .generator import (
     LindbladGenerator,
     derivation,
     gradient_form,
-    gradient_form_from_map,
     gradient_form_ie,
     gradient_form_weak,
     jump_set,

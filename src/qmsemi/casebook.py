@@ -14,13 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import diagonal_algebra
+from .algebra import diagonal_algebra, scalar_algebra
 from .constants import flsi_estimate
-from .cporder import best_lambda, form_kernel, gamma_e_constant
+from .cporder import FormKernel, best_lambda, gamma_e_constant, kernel_from_superop, kernel_ie
 from .entropy import decay_terms, fisher, relative_entropy, spectral_terms
 from .generator import LindbladGenerator
+from .io import MAX_DIM
 from .matops import (
     make_state,
+    make_superop,
     norm_trace,
     random_state,
     random_state_stack,
@@ -42,6 +44,8 @@ __all__ = [
     "run_all",
     "summary_tsv",
 ]
+
+POISSON_MAX_N = 512  # largest truncation N of case_poisson_Z, which builds (2N)^2 arrays
 
 
 @dataclass(frozen=True)
@@ -114,30 +118,26 @@ def _evaluate(name: str, computed: dict, expected: dict, details: dict | None = 
 # weighted graphs
 # ---------------------------------------------------------------------------
 
-def _graph_form(weights: np.ndarray):
-    def form(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        fd, gd = np.diag(f), np.diag(g)
-        df = fd[:, None] - fd[None, :]
-        dg = gd[:, None] - gd[None, :]
-        return np.diag(np.sum(weights * df.conj() * dg, axis=1))
+def graph_kernels(weights: np.ndarray) -> tuple[FormKernel, FormKernel]:
+    """Kernels of Gamma_{I-E} and of the weighted-graph generator.
 
-    return form
+    The generator A f(x) = 2 sum_y w_xy (f(x) - f(y)) lives on the diagonal
+    algebra of M_|V| with the normalized counting measure; as a map on M_|V|
+    it acts on the diagonal vec positions only.  Both kernels are built over
+    the diagonal basis.
+    """
+    v = weights.shape[0]
+    diag = diagonal_algebra(v).basis
+    lap = np.zeros((v * v, v * v))
+    pos = np.arange(v) * (v + 1)  # vec index of |x><x|
+    lap[np.ix_(pos, pos)] = 2.0 * (np.diag(weights.sum(axis=1)) - weights)
+    a = make_superop(lap, v)
+    return kernel_ie(scalar_algebra(v), basis=diag), kernel_from_superop(a, basis=diag)
 
 
 def graph_lambda_star(weights: np.ndarray) -> float:
-    """Gradient-condition constant of the weighted-graph generator.
-
-    The generator A f(x) = 2 sum_y w_xy (f(x) - f(y)) lives on the diagonal
-    algebra of M_|V| with the normalized counting measure, so the form
-    kernels are built over the diagonal basis and compared by the pencil.
-    The reference form I - E has constant weights 1/(2|V|).
-    """
-    v = weights.shape[0]
-    diag_basis = diagonal_algebra(v).basis
-    k_a = form_kernel(_graph_form(weights), v, basis=diag_basis)
-    w_ie = (np.ones((v, v)) - np.eye(v)) / (2.0 * v)
-    k_ie_comm = form_kernel(_graph_form(w_ie), v, basis=diag_basis)
-    return best_lambda(k_ie_comm, k_a).lambda_star
+    """Gradient-condition constant of the weighted-graph generator, by the pencil."""
+    return best_lambda(*graph_kernels(weights)).lambda_star
 
 
 def _connected(weights: np.ndarray) -> bool:
@@ -193,8 +193,8 @@ def case_poisson_Z(n: int = 8) -> CaseResult:
     the assertions are 3K - K_{I-E} >= 0, 4B - I >= 0 and B - J >= 0.
     Replacing 3 by 2 is an exploratory probe, reported but not asserted.
     """
-    if n < 2:
-        raise ValueError("need N >= 2")
+    if not 2 <= n <= POISSON_MAX_N:
+        raise ValueError(f"need 2 <= N <= {POISSON_MAX_N}")
     ks = np.array([k for k in range(-n, n + 1) if k != 0])
     k_psi = 0.5 * (
         np.abs(ks)[:, None] + np.abs(ks)[None, :] - np.abs(ks[:, None] - ks[None, :])
@@ -309,8 +309,8 @@ def case_rothaus_failure(n: int = 3, alpha: float = 10.0) -> CaseResult:
     sums to; the differently assembled final display misses it by
     (1/2n) ln((n+1)/2) and is reported in the details for reference.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    if not 2 <= n <= MAX_DIM:  # 2n^2 x 2n^2 matrices
+        raise ValueError(f"need 2 <= n <= {MAX_DIM}")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     x, y, f = _rothaus_objects(n, alpha)
@@ -397,8 +397,8 @@ def case_rothaus_failure(n: int = 3, alpha: float = 10.0) -> CaseResult:
 
 def case_depolarizing(m: int = 2, seed: int = 0) -> CaseResult:
     """Symmetrized-divergence identity and the unit decay constant of I - E."""
-    if m < 2:
-        raise ValueError("need m >= 2")
+    if not 2 <= m <= MAX_DIM:  # m^3 x m^3 kernels
+        raise ValueError(f"need 2 <= m <= {MAX_DIM}")
     gen = depolarizing_generator(m)
     n_scal = gen.fixed_algebra
     rng = np.random.default_rng([seed, 5])

@@ -127,7 +127,12 @@ def cmd_decay(args) -> int:
     if args.lam == "auto":
         lam = gamma_e_constant(gen).lambda_star
     else:
-        lam = float(args.lam)
+        try:
+            lam = float(args.lam)
+        except ValueError:
+            lam = math.nan
+        if not 0.0 <= lam < math.inf:
+            raise ValueError(f"--lambda must be 'auto' or a finite number >= 0, got {args.lam!r}")
     if args.grid:
         a, b, npts = args.grid.split(":")
         a, b, npts = float(a), float(b), int(npts)

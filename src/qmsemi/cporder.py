@@ -6,7 +6,10 @@ operator basis {e_a} as the Hermitian kernel
     Q[(a,u),(b,v)] = <u, Gamma(e_a, e_b) v>,
 
 so that sum_{ij} z_i* Gamma(x_i, x_j) z_j >= 0 for all finite families
-(x_i in span{e_a}, z_i in C^m) is exactly Q >= 0.  The gradient condition
+(x_i in span{e_a}, z_i in C^m) is exactly Q >= 0.  Kernels are built from
+a self-adjoint superoperator A (the weak form of Gamma_A, ``kernel_from_superop``,
+over any basis such as that of a subalgebra) or from a jump set
+(``kernel_from_jumps``).  The gradient condition
 "lambda * Gamma_{I-E} <= Gamma_A in cp order" becomes an eigenvalue pencil,
 solved directly from one split of Q_A into range and kernel (see
 ``best_lambda``).  For a Lindblad generator with K jumps Q_A = C* C with the
@@ -19,7 +22,7 @@ The module also computes the module-basis Choi matrix whose operator norm is
 the L1 -> Linf cb-norm of an N-bimodule map, and the derived return time.
 When N = C 1 an orthonormal module basis is unitarily equivalent to the
 scaled matrix units, so ||chi_T|| = m ||Choi(T)|| with the m^2 x m^2
-Choi(T) = sum_{bd} |b><d| (x) T(e_bd), an index reshuffle of T's matrix.
+Choi(T) = sum_{bd} |b><d| (x) T(e_bd), the index reshuffle ``matops.reshuffle``.
 """
 
 from __future__ import annotations
@@ -33,13 +36,12 @@ import scipy.linalg
 
 from .algebra import ModuleBasis, SubAlgebra, module_basis
 from .generator import LindbladGenerator, spectral_gap
-from .matops import Superop, make_superop, tau_orthonormal_basis
+from .matops import Superop, make_superop, reshuffle, tau_orthonormal_basis
 from .tolerances import PROBE, PSD, RETURN_TIME, SUPEROP_FLAG, rel_floor
 
 __all__ = [
     "FormKernel",
     "GammaECertificate",
-    "form_kernel",
     "kernel_from_jumps",
     "kernel_from_superop",
     "kernel_ie",
@@ -76,35 +78,6 @@ class FormKernel:
 
 def _symmetrize(q: np.ndarray) -> np.ndarray:
     return (q + q.conj().T) / 2.0
-
-
-def form_kernel(
-    form: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    m: int,
-    basis: np.ndarray | None = None,
-    check: bool = True,
-) -> FormKernel:
-    """Kernel of a form by evaluating it on all operator basis pairs.
-
-    ``basis`` defaults to the full tau-orthonormal basis of M_m; a basis of a
-    subalgebra restricts the form (used for commutative generators).  A quick
-    randomized probe rejects forms that are not sesquilinear.
-    """
-    if basis is None:
-        basis = tau_orthonormal_basis(m)
-    k = basis.shape[0]
-    if check and k >= 2:
-        rng = np.random.default_rng(7)
-        c1, c2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        lhs = form(c1 * basis[0] + c2 * basis[1], basis[1])
-        rhs = np.conj(c1) * form(basis[0], basis[1]) + np.conj(c2) * form(basis[1], basis[1])
-        if np.abs(lhs - rhs).max() > rel_floor(rhs, PROBE):
-            raise ValueError("form is not sesquilinear")
-    q = np.empty((k, m, k, m), dtype=complex)
-    for a in range(k):
-        for b in range(k):
-            q[a, :, b, :] = form(basis[a], basis[b])
-    return FormKernel(dim=m, basis_size=k, q=_symmetrize(q.reshape(k * m, k * m)))
 
 
 def kernel_from_jumps(jumps_arr: np.ndarray) -> FormKernel:
@@ -314,11 +287,6 @@ def cb_norm_1_to_inf(t: Superop | Callable[[np.ndarray], np.ndarray], basis: Mod
     return float(np.linalg.norm(choi_matrix(t, basis, check=False), 2))
 
 
-def _reshuffle(s: np.ndarray, m: int) -> np.ndarray:
-    """Choi(T) = sum_{bd} |b><d| (x) T(e_bd) of the map matrix s over row-major vec."""
-    return s.reshape(m, m, m, m).transpose(2, 0, 3, 1).reshape(m * m, m * m)
-
-
 def return_time(a: Superop, n: SubAlgebra) -> float:
     """The return time t0: the smallest t with ||chi_{T_t - E}|| <= 1/2.
 
@@ -331,7 +299,7 @@ def return_time(a: Superop, n: SubAlgebra) -> float:
     Hermiticity or has no spectral gap (no convergence to E).
     """
     m = a.dim
-    choi_a = _reshuffle(a.matrix, m)
+    choi_a = reshuffle(a.matrix, m)
     if np.abs(choi_a - choi_a.conj().T).max() > rel_floor(choi_a, SUPEROP_FLAG):
         raise ValueError("generator does not preserve Hermiticity")
     gap = spectral_gap(a)
@@ -339,7 +307,7 @@ def return_time(a: Superop, n: SubAlgebra) -> float:
         raise ValueError("generator has no spectral gap; no convergence to E")
     w, v = a.eig
     if n.size == 1:
-        scale, chi = m, lambda s: _reshuffle(s, m)
+        scale, chi = m, lambda s: reshuffle(s, m)
     else:
         basis = module_basis(n)
         scale, chi = 1, lambda s: choi_matrix(make_superop(s, m), basis, check=False)

@@ -43,6 +43,7 @@ __all__ = [
     "make_superop",
     "identity_superop",
     "semigroup_apply",
+    "reshuffle",
     "tensor_sum_generator",
     "tensor_superop",
     "nullspace_basis",
@@ -100,16 +101,11 @@ def matrix_function(x: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.
     return (u * fw[..., None, :]) @ _adjoint(u)
 
 
-def _numeric_derivative(f: Callable, s: float) -> float:
-    h = 1e-6 * max(abs(s), 1.0)
-    return (f(s + h) - f(s - h)) / (2.0 * h)
-
-
 def divided_difference_multiplier(
     rho: np.ndarray,
     f: Callable,
     y: np.ndarray,
-    fprime: Callable | None = None,
+    fprime: Callable,
 ) -> np.ndarray:
     """First-order operator derivative of f at rho, applied to y.
 
@@ -117,15 +113,13 @@ def divided_difference_multiplier(
 
         J_f(y) = sum_{k,l} Df(r_k, r_l) e_k y e_l,
 
-    with Df as in ``schur_multiplier``; f is called on scalars.
+    with Df as in ``schur_multiplier``; f and fprime are called on scalars.
     """
     if not is_hermitian(rho):
         raise ValueError("divided_difference_multiplier requires Hermitian rho")
     if rho.shape != y.shape:
         raise ValueError("dimension mismatch")
     w, u = np.linalg.eigh(rho)
-    if fprime is None:
-        fprime = lambda s: _numeric_derivative(f, s)
     fw = np.array([f(t) for t in w], dtype=float)
     return schur_multiplier(w, u, fw, fprime, y)
 
@@ -291,6 +285,11 @@ def semigroup_apply(a: Superop, t, x: np.ndarray) -> np.ndarray:
     coeff = v.conj().T @ x.reshape(*x.shape[:-2], -1, 1)
     decay = np.exp(-np.multiply.outer(t, w)).reshape(t.shape + (1,) * (x.ndim - 2) + (-1, 1))
     return (v @ (decay * coeff)).reshape(t.shape + x.shape)
+
+
+def reshuffle(s: np.ndarray, m: int) -> np.ndarray:
+    """Choi(T) = sum_{bd} |b><d| (x) T(e_bd) of the map matrix s over row-major vec."""
+    return s.reshape(m, m, m, m).transpose(2, 0, 3, 1).reshape(m * m, m * m)
 
 
 def _interleave(kron_matrix: np.ndarray, m1: int, m2: int) -> Superop:

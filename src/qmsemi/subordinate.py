@@ -245,8 +245,8 @@ def eps_sigma_generator(
     l: Superop, eps: float | None, sigma: float, log_eps: float | None = None
 ) -> Superop:
     """Spectral application of phi_{eps,sigma}; a norm-controlled surrogate of L."""
-    if sigma <= 0.0:
-        raise ValueError("require sigma > 0")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be finite and > 0, got {sigma}")
     return _spectral_map(
         l, lambda lam: eps_sigma_scalar(eps, sigma, lam, log_eps=log_eps)[0]
     )
@@ -261,9 +261,7 @@ def auto_sigma(gen: LindbladGenerator) -> dict:
     return {"t0": t0, "sigma": 1.0 / lt}
 
 
-def density_approximation(
-    gen: LindbladGenerator, eps: float, refined_beta: bool = False
-) -> tuple[Superop, dict]:
+def density_approximation(gen: LindbladGenerator, eps: float) -> tuple[Superop, dict]:
     """Generator B_eps from functional calculus of L with a certified floor.
 
     Chooses sigma = 1/ln(t0) from the return time (clamped to 1 when
@@ -300,10 +298,9 @@ def density_approximation(
         "lambda_gamma_e": cert.lambda_star,
         "wide_eps0": bool(eps >= norm_l),
     }
-    if refined_beta:
-        # optional alternative floor with better ||L|| dependence
-        denom = 8.0 * norm_l + 2.0 * math.log(max(norm_l, TINY)) + ln_eps0 + 2.0 * lt
-        report["refined_floor"] = eps / (2.0 * math.e * lt * denom) if denom > 0 else None
+    # alternative floor with better ||L|| dependence
+    denom = 8.0 * norm_l + 2.0 * math.log(max(norm_l, TINY)) + ln_eps0 + 2.0 * lt
+    report["refined_floor"] = eps / (2.0 * math.e * lt * denom) if denom > 0 else None
     return b, report
 
 

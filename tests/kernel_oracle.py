@@ -1,8 +1,10 @@
-"""Einsum form kernels, kept to check the matrix-product kernels in ``cporder``.
+"""Einsum and pointwise form kernels, kept to check the kernels in ``cporder``.
 
 The jump kernel contracts the commutator tensor [a_k, e_b] with itself by one
 4-index einsum, and the superoperator kernel assembles Gamma_A(e_a, e_b)
-from three einsums and k^2 matrix-vector applications of A.
+from three einsums and k^2 matrix-vector applications of A.  A weighted
+graph's gradient form is evaluated pointwise on diagonal matrices and its
+kernel filled one basis pair at a time.
 """
 
 import numpy as np
@@ -41,3 +43,24 @@ def kernel_from_superop_by_einsum(a: Superop, basis: np.ndarray | None = None) -
     )
     q = q.transpose(0, 2, 1, 3).reshape(k * m, k * m)
     return FormKernel(dim=m, basis_size=k, q=_symmetrize(q))
+
+
+def graph_form(weights: np.ndarray):
+    """Gamma(f, g)(x) = sum_y w_xy conj(f(x) - f(y)) (g(x) - g(y)) on diagonal f, g."""
+    def form(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        fd, gd = np.diag(f), np.diag(g)
+        df = fd[:, None] - fd[None, :]
+        dg = gd[:, None] - gd[None, :]
+        return np.diag(np.sum(weights * df.conj() * dg, axis=1))
+
+    return form
+
+
+def kernel_from_form(form, m: int, basis: np.ndarray) -> FormKernel:
+    """Kernel of a sesquilinear form by evaluating it on all basis pairs."""
+    k = basis.shape[0]
+    q = np.empty((k, m, k, m), dtype=complex)
+    for a in range(k):
+        for b in range(k):
+            q[a, :, b, :] = form(basis[a], basis[b])
+    return FormKernel(dim=m, basis_size=k, q=_symmetrize(q.reshape(k * m, k * m)))

@@ -4,6 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_connected_weights
+from kernel_oracle import graph_form, kernel_from_form
+from qmsemi.algebra import diagonal_algebra
 from qmsemi.casebook import (
     case_depolarizing,
     case_graph_criterion,
@@ -11,11 +14,13 @@ from qmsemi.casebook import (
     case_poisson_Z,
     case_rothaus_failure,
     case_tensorization,
+    graph_kernels,
     graph_lambda_star,
     run_all,
     run_case,
     summary_tsv,
 )
+from qmsemi.cporder import best_lambda
 from qmsemi.io import dump_json
 
 
@@ -131,10 +136,24 @@ def test_summary_table_lists_every_case():
 
 def test_graph_lambda_star_oracle_small_sweep():
     rng = np.random.default_rng(0)
-    from conftest import random_connected_weights
-
     for _ in range(5):
         v = int(rng.integers(2, 6))
         w = random_connected_weights(v, rng, complete=True)
         off = w[~np.eye(v, dtype=bool)]
         assert graph_lambda_star(w) == pytest.approx(2.0 * v * off.min(), abs=1e-6)
+
+
+def test_graph_kernels_match_the_pointwise_form():
+    # 25 random weighted graphs on 2..6 vertices, complete and sparse
+    rng = np.random.default_rng(41)
+    for v in range(2, 7):
+        basis = diagonal_algebra(v).basis
+        w_ie = (np.ones((v, v)) - np.eye(v)) / (2.0 * v)  # Gamma_{I-E} as a graph form
+        for complete in (True, False, True, False, True):
+            w = random_connected_weights(v, rng, complete=complete)
+            kernels = graph_kernels(w)
+            refs = [kernel_from_form(graph_form(x), v, basis) for x in (w_ie, w)]
+            for got, ref in zip(kernels, refs):
+                assert np.abs(got.q - ref.q).max() <= 1e-12 * max(np.abs(ref.q).max(), 1.0)
+            lam = best_lambda(*refs).lambda_star
+            assert graph_lambda_star(w) == pytest.approx(lam, rel=1e-12)

@@ -1,4 +1,5 @@
-"""Bad CLI input exits 1 with a message: non-finite matrices, bad dims and casebook flags."""
+"""Bad CLI input exits 1 with a message: non-finite matrices, bad dims, rates and
+sigmas, and casebook flags and sizes."""
 
 import json
 
@@ -100,3 +101,36 @@ def test_state_file_dim_goes_through_the_same_check(jumps_file, tmp_path, capsys
     path.write_text(json.dumps(obj))
     assert main(["decay", jumps_file, "--state", str(path), "--lambda", "0.5"]) == 1
     assert "from 1 to 16" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rate", ["nan", "-1", "inf", "fast"])
+def test_decay_rejects_a_rate_that_is_not_finite_and_nonnegative(rate, jumps_file, tmp_path, capsys):
+    out = tmp_path / "trace.csv"
+    assert main(["decay", jumps_file, "--lambda", rate, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "--lambda" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-1"])
+def test_subordinate_rejects_a_sigma_that_is_not_finite_and_positive(sigma, jumps_file, tmp_path,
+                                                                     capsys):
+    out = tmp_path / "sub.json"
+    assert main(["subordinate", jumps_file, "--eps", "0.5", "--sigma", sigma,
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "sigma" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["depolarizing", "--m", "17"],
+    ["rothaus", "--n", "17"],
+    ["poisson", "--n", "513"],
+])
+def test_casebook_rejects_a_size_beyond_its_cap(argv, tmp_path, capsys):
+    # the caps are checked before anything is built
+    out = tmp_path / "case.json"
+    assert main(["casebook", "run", *argv, "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "<=" in err

@@ -11,11 +11,11 @@ from return_time_oracle import return_time_by_module_basis
 from qmsemi import algebra, cporder
 from qmsemi.algebra import diagonal_algebra, module_basis, scalar_algebra
 from qmsemi.cporder import (
+    FormKernel,
     best_lambda,
     cb_norm_1_to_inf,
     choi_matrix,
     cp_order_holds,
-    form_kernel,
     gamma_e_constant,
     kernel_from_jumps,
     kernel_from_superop,
@@ -29,6 +29,7 @@ from qmsemi.matops import (
     make_superop,
     matrix_units,
     random_hermitian,
+    reshuffle,
     semigroup_apply,
     vec,
 )
@@ -37,21 +38,13 @@ from qmsemi.subordinate import density_approximation, fractional_power
 from qmsemi.tolerances import PSD, RETURN_TIME, rel_floor
 
 
-def test_form_kernel_zero_form():
-    k = form_kernel(lambda x, y: np.zeros((2, 2), dtype=complex), 2, check=False)
-    assert np.abs(k.q).max() == 0.0
-
-
 def test_form_kernel_dephasing_shape_and_rank():
-    gen = dephasing_generator(2)
-    k = form_kernel(lambda x, y: gradient_form(gen.jumps, x, y), 2)
+    k = kernel_from_jumps(dephasing_generator(2).jumps.jumps)
     assert k.q.shape == (8, 8)
     w = np.sort(np.linalg.eigvalsh(k.q))
     assert w.min() >= -1e-9
     # direct diagonalization: the two off-diagonal commutator channels at 8
     assert np.allclose(w, [0, 0, 0, 0, 0, 0, 8, 8], atol=1e-10)
-    fast = kernel_from_jumps(gen.jumps.jumps)
-    assert np.abs(k.q - fast.q).max() < 1e-12
 
 
 def test_form_kernel_ie_eigenvalue_pattern():
@@ -59,11 +52,6 @@ def test_form_kernel_ie_eigenvalue_pattern():
     k = kernel_ie(scalar_algebra(2))
     w = np.sort(np.linalg.eigvalsh(k.q))
     assert np.allclose(w, [0, 0, 0.5, 0.5, 0.5, 0.5, 2.0, 2.0], atol=1e-10)
-
-
-def test_form_kernel_rejects_non_sesquilinear():
-    with pytest.raises(ValueError):
-        form_kernel(lambda x, y: x @ y + np.eye(2), 2)
 
 
 def test_kernel_positivity_matches_sampled_weights():
@@ -187,7 +175,7 @@ def test_gamma_e_takes_no_eigendecomposition_of_the_full_jump_kernel(monkeypatch
 def test_cp_order_basics():
     gen = dephasing_generator(2)
     q = kernel_from_jumps(gen.jumps.jumps)
-    zero = form_kernel(lambda x, y: np.zeros((2, 2), dtype=complex), 2, check=False)
+    zero = FormKernel(dim=2, basis_size=4, q=np.zeros((8, 8)))
     assert cp_order_holds(zero, q, 0.0)
     assert cp_order_holds(q, q, 1.0)
     assert not cp_order_holds(q, q, 1.0 + 1e-3)
@@ -202,7 +190,7 @@ def test_best_lambda_self_and_scaling():
 
 def test_best_lambda_rejects_zero_small():
     q = kernel_ie(scalar_algebra(2))
-    zero = form_kernel(lambda x, y: np.zeros((2, 2), dtype=complex), 2, check=False)
+    zero = FormKernel(dim=2, basis_size=4, q=np.zeros((8, 8)))
     with pytest.raises(ValueError):
         best_lambda(zero, q)
 
@@ -452,7 +440,7 @@ def test_choi_reshuffle_gives_the_scalar_module_basis_norm(m):
     for t in (0.0, 0.3, 1.0, 2.0):
         s = (v * np.exp(-t * w)) @ v.conj().T - n.expectation.matrix
         chi_norm = cb_norm_1_to_inf(make_superop(s, m), mb)
-        reshuffled = m * np.linalg.norm(cporder._reshuffle(s, m), 2)
+        reshuffled = m * np.linalg.norm(reshuffle(s, m), 2)
         assert abs(reshuffled - chi_norm) <= 1e-12
 
 

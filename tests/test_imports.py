@@ -1,6 +1,8 @@
-"""No module of ``qmsemi`` imports a name it neither uses nor re-exports."""
+"""No module of ``qmsemi`` imports a name it neither uses nor re-exports, every
+``__all__`` entry exists, and the package re-exports only listed names."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qmsemi"
@@ -43,3 +45,21 @@ def test_guard_sees_plain_from_and_aliased_imports():
         "def f(x):\n    return vec(np.abs(x))\n"
     )
     assert unused_imports(src) == ["2: math", "4: scipy", "5: hs_inner"]
+
+
+def test_every_all_entry_is_defined_in_its_module():
+    missing = []
+    for path in sorted(SRC.glob("*.py")):
+        mod = importlib.import_module(f"qmsemi.{path.stem}")
+        missing += [f"{path.name}: {name}" for name in getattr(mod, "__all__", [])
+                    if not hasattr(mod, name)]
+    assert not missing, "\n".join(missing)
+
+
+def test_package_imports_only_names_its_modules_list():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    froms = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert len(froms) >= 8
+    unlisted = [f"{node.module}: {alias.name}" for node in froms for alias in node.names
+                if alias.name not in importlib.import_module(f"qmsemi.{node.module}").__all__]
+    assert not unlisted, "\n".join(unlisted)

@@ -129,8 +129,9 @@ def test_eps_sigma_rejects_bad_parameters():
     a = depolarizing_generator(2).superop
     with pytest.raises(ValueError):
         eps_sigma_generator(a, 1.5, 0.5)
-    with pytest.raises(ValueError):
-        eps_sigma_generator(a, 0.5, -1.0)
+    for sigma in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma"):
+            eps_sigma_generator(a, 0.5, sigma)
 
 
 def test_density_approximation_basics():
@@ -146,9 +147,8 @@ def test_density_approximation_basics():
     assert rep2["wide_eps0"]
     w2, _ = b2.eig
     assert w2.min() >= -1e-10
-    # optional refined floor is reported on demand
-    _, rep3 = density_approximation(gen, 0.1, refined_beta=True)
-    assert "refined_floor" in rep3
+    # the refined floor is always reported
+    assert rep["refined_floor"] > 0.0
 
 
 def test_psi_r_unital_and_monotone_normalization():
