@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -65,6 +66,30 @@ def _load_generator(path: str):
     return lindblad(jumps)
 
 
+def _flag_number(text: str, flag: str, ok: Callable[[float], bool], expected: str) -> float:
+    """float(text) if ``ok`` accepts it, else a ValueError that names the flag."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not ok(x):
+        raise ValueError(f"{flag} must be {expected}, got {text!r}")
+    return x
+
+
+def _parse_grid(text: str) -> np.ndarray:
+    """The geometric time grid of ``--grid A:B:N``, with finite A, B > 0 and N >= 1."""
+    parts = text.split(":")
+    try:
+        a, b, npts = float(parts[0]), float(parts[1]), int(parts[2])
+    except (ValueError, IndexError):
+        npts = 0
+    if len(parts) != 3 or npts < 1 or not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise ValueError(f"--grid must be A:B:N with finite A, B > 0 and an integer N >= 1, "
+                         f"got {text!r}")
+    return np.array([a]) if npts == 1 else np.geomspace(a, b, npts)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -105,7 +130,8 @@ def cmd_subordinate(args) -> int:
             sigma = t0["sigma"]
             report["mode"] = {"eps": args.eps, "sigma": sigma, "t0": t0["t0"]}
         else:
-            sigma = float(args.sigma)
+            sigma = _flag_number(args.sigma, "--sigma", lambda x: 0.0 < x < math.inf,
+                                 "'auto' or a finite number > 0")
             report["mode"] = {"eps": args.eps, "sigma": sigma}
         sub = eps_sigma_generator(gen.superop, args.eps, sigma)
         norm_l = gen.superop.norm
@@ -127,16 +153,10 @@ def cmd_decay(args) -> int:
     if args.lam == "auto":
         lam = gamma_e_constant(gen).lambda_star
     else:
-        try:
-            lam = float(args.lam)
-        except ValueError:
-            lam = math.nan
-        if not 0.0 <= lam < math.inf:
-            raise ValueError(f"--lambda must be 'auto' or a finite number >= 0, got {args.lam!r}")
+        lam = _flag_number(args.lam, "--lambda", lambda x: 0.0 <= x < math.inf,
+                           "'auto' or a finite number >= 0")
     if args.grid:
-        a, b, npts = args.grid.split(":")
-        a, b, npts = float(a), float(b), int(npts)
-        grid = np.array([a]) if npts == 1 else np.geomspace(a, b, npts)
+        grid = _parse_grid(args.grid)
     else:
         grid = default_grid(lam if lam > 0 else 1.0)
     if args.state == "random":

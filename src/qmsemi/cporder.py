@@ -8,15 +8,19 @@ operator basis {e_a} as the Hermitian kernel
 so that sum_{ij} z_i* Gamma(x_i, x_j) z_j >= 0 for all finite families
 (x_i in span{e_a}, z_i in C^m) is exactly Q >= 0.  Kernels are built from
 a self-adjoint superoperator A (the weak form of Gamma_A, ``kernel_from_superop``,
-over any basis such as that of a subalgebra) or from a jump set
+gathered from A's entries in O(m^6) on the full basis, or over any explicit
+basis such as that of a subalgebra) or from a jump set
 (``kernel_from_jumps``).  The gradient condition
 "lambda * Gamma_{I-E} <= Gamma_A in cp order" becomes an eigenvalue pencil,
-solved directly from one split of Q_A into range and kernel (see
-``best_lambda``).  For a Lindblad generator with K jumps Q_A = C* C with the
-(K m) x m^3 commutator factor C[(k,i),(b,u)] = ([a_k, e_b])_{iu}, so
-rank Q_A <= K m; when K < m^2 the split comes from an SVD of C instead of an
-eigendecomposition of the m^3 x m^3 Q_A.  Matrix-amplified agreement is
-delegated to a sampling oracle in the tests.
+solved directly (see ``best_lambda``).  For a Lindblad generator with K jumps
+Q_A = C* C with the (K m) x m^3 commutator factor
+C[(k,i),(b,u)] = ([a_k, e_b])_{iu}, so rank Q_A <= K m and ker Q_A has
+dimension >= m^3 - K m.  When K < m^2 the leak of Q_{I-E} out of ker Q_A is
+first sought by Lanczos on P_K Q_{I-E} P_K from a thin SVD of C: the zero
+verdict then rests on a Ritz value and is proved by its Ritz vector, which
+lies in ker Q_A.  A "positive" status always comes from the dense split of
+Q_A into range and kernel (a full SVD of C, or an eigendecomposition of Q_A).
+Matrix-amplified agreement is delegated to a sampling oracle in the tests.
 
 The module also computes the module-basis Choi matrix whose operator norm is
 the L1 -> Linf cb-norm of an N-bimodule map, and the derived return time.
@@ -33,6 +37,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .algebra import ModuleBasis, SubAlgebra, module_basis
 from .generator import LindbladGenerator, spectral_gap
@@ -102,10 +107,28 @@ def kernel_from_superop(a: Superop, basis: np.ndarray | None = None) -> FormKern
     """Kernel of the weak-form gradient of a self-adjoint generator A:
 
         Gamma_A(x, y) = (A(x)* y + x* A(y) - A(x* y)) / 2.
+
+    On the default basis e_ij = sqrt(m) |i><j| both products are gathers of
+    A's entries: <u, A(e_ij)* e_kl v> = m conj(A[(k,u),(i,j)]) delta_lv, and
+    A(e_ij* e_kl) = m delta_ik A(|j><l|), so the kernel is
+    (m/2) [X + X* - I_m (x) Choi(A)] with X = S (x) vec(1)^T of rank <= m,
+    built in O(m^6).  It rounds exactly as the products over that basis do:
+    A is scaled by sqrt(m) twice, and the diagonal blocks, where the Choi
+    term enters, are replaced by their Hermitian part.  An explicit basis of
+    k elements takes the products.
     """
     m = a.dim
     if basis is None:
-        basis = tau_orthonormal_basis(m)
+        n, root, diag = m ** 3, np.sqrt(m), np.arange(m)
+        s = (a.matrix.conj() * root * root).reshape(m, m, m * m).transpose(2, 1, 0).reshape(n, m)
+        q = np.zeros((n, n), dtype=complex)
+        q.reshape(n, m, m * m)[:, :, :: m + 1] = s[:, :, None]  # X at columns (k, l, l)
+        q.reshape(m, m * m, n)[:, :: m + 1, :] += s.conj().T[:, None, :]  # X* at rows (k, l, l)
+        q *= 0.5
+        blocks = q.reshape(m, m * m, m, m * m)  # rows (i, (j, u)), columns (k, (l, v))
+        d = blocks[diag, :, diag, :] - (0.5 * root * root) * reshuffle(a.matrix, m)
+        blocks[diag, :, diag, :] = (d + d.conj().transpose(0, 2, 1)) / 2.0
+        return FormKernel(dim=m, basis_size=m * m, q=q)
     k = basis.shape[0]
 
     def rows(x):  # x_a* stacked: rows (a, i), columns j
@@ -162,9 +185,13 @@ class GammaECertificate:
     """lambda* = max{lambda : lambda Q_small <= Q_big} and how it was decided.
 
     ``leak`` = ||P_ker Q_small P_ker|| over ker Q_big (None if Q_big is not
-    PSD); ``margin`` is how far the number that chose ``status`` ("positive"
-    or "zero") clears its floor; ``tolerance`` is the floor of Q_big below
-    which directions count as kernel.  ``witness`` is a unit vector where the
+    PSD).  A zero status reached by Lanczos (factored Q_big) carries a Ritz
+    value instead: the Rayleigh quotient of the witness, a lower bound on that
+    norm which proves the verdict; a positive status carries the dense
+    split's value, below the floor of Q_small.  ``margin`` is how far the
+    number that chose ``status`` ("positive" or "zero") clears its floor;
+    ``tolerance`` is the floor of Q_big below which directions count as
+    kernel.  ``witness`` is a unit vector where the
     order fails (zero) or is tight (positive); None for trivial dynamics.
     """
 
@@ -188,6 +215,52 @@ class GammaECertificate:
         }
 
 
+def _lanczos_leak(
+    q_small: FormKernel, q_big: FormKernel, floor_small: float
+) -> GammaECertificate | None:
+    """Zero certificate from the top Ritz pair of P_K Q_small P_K, or None.
+
+    Q_big = C* C with a wide factor C = U S V*; R holds the right singular
+    vectors with S^2 above the PSD floor and P_K = 1 - R R* projects onto
+    ker Q_big.  ARPACK (``eigsh``, tol 0) works with x -> P_K Q_small P_K x
+    alone, from a fixed seeded start, so no kernel basis and no
+    (n - r) x (n - r) block are formed.  The witness P_K v lies in ker Q_big
+    and its Rayleigh quotient is the leak; when that clears ``floor_small``
+    it proves lambda* = 0.  None (use the dense split) when the leak does
+    not clear the floor, when ARPACK does not converge, or when the kernel
+    is too small for it (k + 1 < ncv <= n).  ncv = 2m + 2: for N = C 1,
+    Q_small is 1/2 plus a rank-2m term, so the Krylov space of P_K Q_small P_K
+    closes within 2m + 1 vectors and one Arnoldi pass is exact.
+    """
+    n = q_big.size
+    ncv = min(n, 2 * q_big.dim + 2)
+    if ncv <= 2:
+        return None
+    _, s, rh = np.linalg.svd(q_big.factor, full_matrices=False)
+    w = s ** 2
+    floor = rel_floor(w, PSD)
+    rh = rh[w > floor]
+    r = rh.conj().T
+    qs = q_small.q
+
+    def project(x: np.ndarray) -> np.ndarray:
+        return x - r @ (rh @ x)
+
+    op = LinearOperator((n, n), matvec=lambda x: project(qs @ project(x.ravel())), dtype=complex)
+    rng = np.random.default_rng(13)  # fixed start and restarts: reruns are byte-identical
+    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    try:
+        _, vec = eigsh(op, k=1, which="LA", tol=0, ncv=ncv, v0=v0, rng=rng)
+    except ArpackError:  # ArpackNoConvergence included
+        return None
+    wit = project(vec[:, 0])
+    wit /= np.linalg.norm(wit)
+    leak = float((wit.conj() @ qs @ wit).real)
+    if not leak > floor_small:
+        return None
+    return GammaECertificate(0.0, "zero", leak, leak - floor_small, floor, wit)
+
+
 def best_lambda(q_small: FormKernel, q_big: FormKernel) -> GammaECertificate:
     """Largest lambda with lambda * Q_small <= Q_big, by a direct pencil solve.
 
@@ -196,10 +269,14 @@ def best_lambda(q_small: FormKernel, q_big: FormKernel) -> GammaECertificate:
     if the leak ||K* Q_small K|| exceeds the floor of Q_small (ker Q_big is
     not inside ker Q_small), and otherwise
     lambda* = 1 / lambda_max(S^-1/2 R* Q_small R S^-1/2).
-    The split is an eigendecomposition of Q_big, or, when Q_big carries a
-    wide factor C (a jump kernel, rank Q_A <= K m), a full SVD of C: S holds
-    the squared singular values above the floor and R and K are the right
-    singular vectors; such a Q_big is PSD by construction.
+    When Q_big carries a wide factor C (a jump kernel, rank Q_A <= K m, PSD
+    by construction) the leak is first sought as a Lanczos Ritz value of
+    P_K Q_small P_K from a thin SVD of C (``_lanczos_leak``); a Ritz value
+    above the floor is a zero verdict proved by its witness in ker Q_big.
+    Every other verdict, and every "positive" status, comes from the dense
+    split: an eigendecomposition of Q_big, or a full SVD of its factor whose
+    right singular vectors give R and K and whose squared singular values
+    above the floor give S.
     Raises ValueError when the kernels differ in shape or Q_small vanishes.
     """
     _check_same_shape(q_small, q_big)
@@ -207,6 +284,10 @@ def best_lambda(q_small: FormKernel, q_big: FormKernel) -> GammaECertificate:
     if norm_small <= PSD:
         raise ValueError("Q_small vanishes; no pencil to solve")
     floor_small = rel_floor(norm_small, PSD)
+    if q_big.factor is not None:
+        cert = _lanczos_leak(q_small, q_big, floor_small)
+        if cert is not None:
+            return cert
     wb, vb = _kernel_eigh(q_big)
     floor = rel_floor(wb, PSD)
     if wb[0] < -floor:

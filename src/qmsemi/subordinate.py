@@ -90,8 +90,11 @@ class WeightProfile:
 
     @staticmethod
     def eps_sigma(eps: float, sigma: float) -> "WeightProfile":
-        if not 0.0 < eps < 1.0 or sigma <= 0.0:
-            raise ValueError("require 0 < eps < 1 and sigma > 0")
+        # NaN fails both comparisons, so it stops here, before any quadrature
+        if not 0.0 < eps < 1.0:
+            raise ValueError(f"eps must lie in (0, 1), got {eps}")
+        if not 0.0 < sigma < math.inf:
+            raise ValueError(f"sigma must be finite and > 0, got {sigma}")
         prof = WeightProfile(kind="epssigma", eps=eps, sigma=sigma)
         return prof.with_checked_conditions()
 
@@ -100,6 +103,8 @@ class WeightProfile:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
             raise ValueError("table profile needs at least two (t, F) points")
+        if not np.isfinite(pts).all():
+            raise ValueError("table points must be finite")
         if np.any(pts[:, 0] <= 0) or np.any(pts[:, 1] < 0):
             raise ValueError("table points must have t > 0 and F >= 0")
         pts = pts[np.argsort(pts[:, 0])]

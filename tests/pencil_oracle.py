@@ -1,13 +1,17 @@
-"""Bisection oracle for the cp-order pencil, kept to check the direct solve.
+"""Oracles for the cp-order pencil, kept to check the direct solve.
 
-It bisects on the smallest eigenvalue of Q_big - lambda Q_small, shifted by
-the same PSD floor that ``cp_order_holds`` allows, so it finds the largest
-lambda the floor accepts, up to ``tol``.
+``bisect_lambda`` bisects on the smallest eigenvalue of Q_big - lambda Q_small,
+shifted by the same PSD floor that ``cp_order_holds`` allows, so it finds the
+largest lambda the floor accepts, up to ``tol``.  ``dense_split_lambda`` is
+the factored split as ``best_lambda`` took it before the Lanczos leak: a
+full SVD of Q_big's factor, the (n - r) x (n - r) block K* Q_small K over
+the whole kernel basis and a dense top eigenpair of it.
 """
 
 import numpy as np
+import scipy.linalg
 
-from qmsemi.cporder import FormKernel
+from qmsemi.cporder import FormKernel, GammaECertificate
 from qmsemi.tolerances import PSD as PSD_RTOL, rel_floor
 
 
@@ -40,3 +44,31 @@ def bisect_lambda(q_small: FormKernel, q_big: FormKernel, tol: float = 1e-8) -> 
         else:
             hi = mid
     return lo
+
+
+def _top_eigpair(h: np.ndarray) -> tuple[float, np.ndarray]:
+    n = h.shape[0]
+    w, v = scipy.linalg.eigh(h, subset_by_index=[n - 1, n - 1], driver="evr")
+    return float(w[0]), v[:, 0]
+
+
+def dense_split_lambda(q_small: FormKernel, q_big: FormKernel) -> GammaECertificate:
+    """lambda* of a factored Q_big = C* C from a full SVD of C and dense blocks."""
+    floor_small = rel_floor(np.linalg.norm(q_small.q), PSD_RTOL)
+    _, s, vh = np.linalg.svd(q_big.factor, full_matrices=True)
+    wb = np.zeros(q_big.size)
+    wb[q_big.size - s.size:] = s[::-1] ** 2
+    vb = vh[::-1].conj().T
+    floor = rel_floor(wb, PSD_RTOL)
+    in_range = wb > floor
+    ker = vb[:, ~in_range]
+    leak = 0.0
+    if ker.shape[1]:
+        leak, v = _top_eigpair(ker.conj().T @ q_small.q @ ker)
+        if leak > floor_small:
+            return GammaECertificate(0.0, "zero", leak, leak - floor_small, floor, ker @ v)
+    r = vb[:, in_range] / np.sqrt(wb[in_range])
+    top, u = _top_eigpair(r.conj().T @ q_small.q @ r)
+    wit = r @ u
+    return GammaECertificate(1.0 / top, "positive", leak, floor_small - leak, floor,
+                             wit / np.linalg.norm(wit))

@@ -2,6 +2,7 @@
 sigmas, and casebook flags and sizes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -111,7 +112,7 @@ def test_decay_rejects_a_rate_that_is_not_finite_and_nonnegative(rate, jumps_fil
     assert "--lambda" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("sigma", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-1", "abc"])
 def test_subordinate_rejects_a_sigma_that_is_not_finite_and_positive(sigma, jumps_file, tmp_path,
                                                                      capsys):
     out = tmp_path / "sub.json"
@@ -119,7 +120,45 @@ def test_subordinate_rejects_a_sigma_that_is_not_finite_and_positive(sigma, jump
                  "--out", str(out)]) == 1
     assert not out.exists()
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "sigma" in err
+    assert err.startswith("error:") and "--sigma" in err
+
+
+@pytest.mark.parametrize("grid", ["1:0:5", "1:nan:5", "1:5", "0:1:5", "1:inf:5", "1:5:0", "1:5:2.5",
+                                  "a:5:3", "1:5:3:4"])
+def test_decay_rejects_a_grid_that_is_not_a_positive_finite_geometric_grid(grid, jumps_file,
+                                                                          tmp_path, capsys):
+    out = tmp_path / "trace.csv"
+    assert main(["decay", jumps_file, "--lambda", "0.5", "--grid", grid, "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--grid" in err
+
+
+def test_decay_accepts_a_one_point_grid(jumps_file, tmp_path):
+    out = tmp_path / "trace.csv"
+    assert main(["decay", jumps_file, "--lambda", "0.5", "--grid", "0.5:0.5:1",
+                 "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("profile, name", [
+    ({"kind": "epssigma", "eps": 0.5, "sigma": float("nan")}, "sigma"),
+    ({"kind": "epssigma", "eps": 0.5, "sigma": float("inf")}, "sigma"),
+    ({"kind": "epssigma", "eps": float("nan"), "sigma": 0.5}, "eps"),
+    ({"kind": "table", "points": [[0.5, 1.0], [1.0, float("nan")]]}, "points"),
+    ({"kind": "table", "points": [[0.5, 1.0], [float("inf"), 1.0]]}, "points"),
+])
+def test_subordinate_rejects_a_non_finite_profile_before_any_quadrature(profile, name, jumps_file,
+                                                                       tmp_path, capsys):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(profile))  # json writes NaN and Infinity, and reads them back
+    out = tmp_path / "sub.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a quadrature on a NaN integrand would warn
+        assert main(["subordinate", jumps_file, "--profile", str(path), "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err and "integrab" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -31,6 +31,7 @@ from qmsemi.matops import (
     random_hermitian,
     reshuffle,
     semigroup_apply,
+    tau_orthonormal_basis,
     vec,
 )
 from qmsemi.models import dephasing_generator, depolarizing_generator, random_lindblad
@@ -86,9 +87,9 @@ def _kernel_cases():
 KERNEL_CASES = _kernel_cases()
 
 
-def _assert_kernel_close(q, ref):
+def _assert_kernel_close(q, ref, rtol=1e-12):
     assert q.shape == ref.shape
-    assert np.abs(q - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
+    assert np.abs(q - ref).max() <= rtol * max(np.abs(ref).max(), 1.0)
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
@@ -111,6 +112,41 @@ def test_kernel_ie_matches_the_oracle_on_a_subalgebra_basis(m):
         k = kernel_ie(n, basis=basis)
         assert k.basis_size == m
         _assert_kernel_close(k.q, kernel_from_superop_by_einsum(n.complement, basis=basis).q)
+
+
+def _superop_cases(m):
+    """L, I - E, A^1/2 and B_eps of a random generator, and I - E onto the diagonals."""
+    gen = random_lindblad(m, 2, np.random.default_rng(300 + m), scale=0.6)
+    b_eps, _ = density_approximation(gen, 0.1)
+    return {
+        "L": gen.superop,
+        "I-E": gen.fixed_algebra.complement,
+        "A^1/2": fractional_power(gen.superop, 0.5),
+        "B_eps": b_eps,
+        "I-E diagonal": diagonal_algebra(m).complement,
+    }
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 8])
+def test_gathered_superop_kernel_matches_the_einsum_oracle(m):
+    for name, a in _superop_cases(m).items():
+        k = kernel_from_superop(a)
+        assert k.basis_size == m * m and k.factor is None, name
+        _assert_kernel_close(k.q, kernel_from_superop_by_einsum(a).q, rtol=1e-13)
+        assert np.array_equal(k.q, k.q.conj().T), name
+        # the gather rounds as the products over the same basis round
+        assert np.array_equal(k.q, kernel_from_superop(a, basis=tau_orthonormal_basis(m)).q), name
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_an_explicit_basis_keeps_the_product_kernel(m):
+    rng = np.random.default_rng(m)
+    u = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
+    rotated = u @ tau_orthonormal_basis(m) @ u.conj().T  # still tau-orthonormal
+    for name, a in _superop_cases(m).items():
+        for basis in (tau_orthonormal_basis(m), rotated):
+            _assert_kernel_close(kernel_from_superop(a, basis=basis).q,
+                                 kernel_from_superop_by_einsum(a, basis=basis).q, rtol=1e-13)
 
 
 def test_jump_kernel_keeps_its_factor_only_when_it_bounds_the_rank():
