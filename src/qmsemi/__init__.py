@@ -35,6 +35,7 @@ from .cporder import (
     cb_norm_1_to_inf,
     choi_matrix,
     cp_order_holds,
+    gamma_e,
     gamma_e_constant,
     kernel_from_jumps,
     kernel_from_superop,

@@ -16,11 +16,12 @@ import numpy as np
 
 from .algebra import diagonal_algebra, scalar_algebra
 from .constants import flsi_estimate
-from .cporder import FormKernel, best_lambda, gamma_e_constant, kernel_from_superop, kernel_ie
+from .cporder import FormKernel, gamma_e, gamma_e_constant, kernel_from_superop, kernel_ie
 from .entropy import decay_terms, fisher, relative_entropy, spectral_terms
 from .generator import LindbladGenerator
 from .io import MAX_DIM
 from .matops import (
+    Superop,
     make_state,
     make_superop,
     norm_trace,
@@ -118,26 +119,33 @@ def _evaluate(name: str, computed: dict, expected: dict, details: dict | None = 
 # weighted graphs
 # ---------------------------------------------------------------------------
 
-def graph_kernels(weights: np.ndarray) -> tuple[FormKernel, FormKernel]:
-    """Kernels of Gamma_{I-E} and of the weighted-graph generator.
-
-    The generator A f(x) = 2 sum_y w_xy (f(x) - f(y)) lives on the diagonal
-    algebra of M_|V| with the normalized counting measure; as a map on M_|V|
-    it acts on the diagonal vec positions only.  Both kernels are built over
-    the diagonal basis.
-    """
+def _graph_superop(weights: np.ndarray) -> Superop:
+    """The generator A f(x) = 2 sum_y w_xy (f(x) - f(y)) on the diagonal
+    algebra of M_|V|, as a map on M_|V| acting on the diagonal vec positions."""
     v = weights.shape[0]
-    diag = diagonal_algebra(v).basis
     lap = np.zeros((v * v, v * v))
     pos = np.arange(v) * (v + 1)  # vec index of |x><x|
     lap[np.ix_(pos, pos)] = 2.0 * (np.diag(weights.sum(axis=1)) - weights)
-    a = make_superop(lap, v)
+    return make_superop(lap, v)
+
+
+def graph_kernels(weights: np.ndarray) -> tuple[FormKernel, FormKernel]:
+    """Kernels of Gamma_{I-E} and of the weighted-graph generator.
+
+    The generator lives on the diagonal algebra of M_|V| with the normalized
+    counting measure, so both kernels are built over the diagonal basis.
+    """
+    v = weights.shape[0]
+    diag = diagonal_algebra(v).basis
+    a = _graph_superop(weights)
     return kernel_ie(scalar_algebra(v), basis=diag), kernel_from_superop(a, basis=diag)
 
 
 def graph_lambda_star(weights: np.ndarray) -> float:
     """Gradient-condition constant of the weighted-graph generator, by the pencil."""
-    return best_lambda(*graph_kernels(weights)).lambda_star
+    v = weights.shape[0]
+    a = _graph_superop(weights)
+    return gamma_e(a, scalar_algebra(v), basis=diagonal_algebra(v).basis).lambda_star
 
 
 def _connected(weights: np.ndarray) -> bool:

@@ -18,8 +18,12 @@ C[(k,i),(b,u)] = ([a_k, e_b])_{iu}, so rank Q_A <= K m and ker Q_A has
 dimension >= m^3 - K m.  When K < m^2 the leak of Q_{I-E} out of ker Q_A is
 first sought by Lanczos on P_K Q_{I-E} P_K from a thin SVD of C: the zero
 verdict then rests on a Ritz value and is proved by its Ritz vector, which
-lies in ker Q_A.  A "positive" status always comes from the dense split of
-Q_A into range and kernel (a full SVD of C, or an eigendecomposition of Q_A).
+lies in ker Q_A.  A "positive" status of ``best_lambda`` comes from the
+dense split of Q_A into range and kernel (a full SVD of C, or an
+eigendecomposition of Q_A).  A superoperator pencil (``gamma_e``) first drops
+the N (x) C^m directions, which both kernels kill, by a congruence; its
+"positive" status is then proved by a Cholesky factorization with Rump's
+rounding margin, and any other outcome takes ``best_lambda``.
 Matrix-amplified agreement is delegated to a sampling oracle in the tests.
 
 The module also computes the module-basis Choi matrix whose operator norm is
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -42,7 +46,17 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 from .algebra import ModuleBasis, SubAlgebra, module_basis
 from .generator import LindbladGenerator, spectral_gap
 from .matops import Superop, make_superop, reshuffle, tau_orthonormal_basis
-from .tolerances import PROBE, PSD, RETURN_TIME, SUPEROP_FLAG, rel_floor
+from .tolerances import (
+    CERT_HEADROOM,
+    CERT_SHIFT,
+    CHOLESKY_UNIT,
+    PROBE,
+    PSD,
+    RETURN_TIME,
+    SUPEROP_FLAG,
+    UNDERFLOW,
+    rel_floor,
+)
 
 __all__ = [
     "FormKernel",
@@ -53,6 +67,7 @@ __all__ = [
     "cp_order_holds",
     "best_lambda",
     "gamma_e_constant",
+    "gamma_e",
     "choi_matrix",
     "cb_norm_1_to_inf",
     "return_time",
@@ -193,9 +208,10 @@ class GammaECertificate:
     ``tolerance`` is the floor of Q_big below which directions count as
     kernel.  ``witness`` is a unit vector where the
     order fails (zero) or is tight (positive); None for trivial dynamics.
+    ``method`` names the solve: "pencil-direct" (``best_lambda``) or
+    "congruence-cholesky" (``gamma_e``), which also sets ``lambda_cert``, a
+    lower bound on lambda* proved by a Cholesky factorization.
     """
-
-    method: ClassVar[str] = "pencil-direct"
 
     lambda_star: float
     status: str
@@ -203,9 +219,11 @@ class GammaECertificate:
     margin: float
     tolerance: float
     witness: np.ndarray | None = None
+    lambda_cert: float | None = None
+    method: str = "pencil-direct"
 
     def to_json(self) -> dict:
-        return {
+        doc = {
             "lambda_star": float(self.lambda_star),
             "status": self.status,
             "leak": None if self.leak is None else float(self.leak),
@@ -213,6 +231,9 @@ class GammaECertificate:
             "method": self.method,
             "tolerance": float(self.tolerance),
         }
+        if self.lambda_cert is not None:
+            doc["lambda_cert"] = float(self.lambda_cert)
+        return doc
 
 
 def _lanczos_leak(
@@ -320,6 +341,113 @@ def gamma_e_constant(gen: LindbladGenerator) -> GammaECertificate:
     if norm_small <= PSD:
         return GammaECertificate(0.0, "zero", 0.0, PSD - norm_small, PSD)
     return best_lambda(q_small, kernel_from_jumps(gen.jumps.jumps))
+
+
+def _cholesky_shift(h: np.ndarray, spread: float) -> float:
+    """Diagonal shift c such that a completed floating-point Cholesky of
+    fl(h - c 1) proves that the exact matrix h - ``spread`` 1 is positive definite.
+
+    This is the criterion of S. M. Rump, "Verification of positive
+    definiteness", BIT 46 (2006).  A completed Cholesky R of H = fl(h - c 1)
+    has R* R = H + dH with |dH| <= gamma |R*| |R|, so ||dH|| <= gamma/(1 - gamma)
+    tr(H); rounding h_ii - c costs at most v max_i h_ii more.  Hence
+
+        c = gamma/(1 - 2 gamma) tr(h) + v max_i h_ii + spread
+            + 4 n (2 (n + 1) + max_i h_ii) eta,
+        gamma = (n + 1) v / (1 - (n + 1) v),
+
+    with eta the smallest subnormal (Rump's underflow term) and v the rounding
+    unit, taken as CHOLESKY_UNIT = 4u to cover complex arithmetic.  ``spread``
+    bounds the spectral norm of the rounding error made in forming h.
+    """
+    n = h.shape[0]
+    d = h.diagonal().real
+    gamma = (n + 1) * CHOLESKY_UNIT / (1.0 - (n + 1) * CHOLESKY_UNIT)
+    return (gamma / (1.0 - 2.0 * gamma) * d.sum() + CHOLESKY_UNIT * d.max() + spread
+            + 4.0 * n * (2.0 * (n + 1) + d.max()) * UNDERFLOW)
+
+
+def _congruence_cholesky(
+    q_small: FormKernel, q_big: FormKernel, n: SubAlgebra, basis: np.ndarray
+) -> GammaECertificate | None:
+    """Positive certificate of a superoperator pencil that kills N, or None.
+
+    Swap dim N basis elements e_p (chosen by a pivoted QR of N's coordinates)
+    for N's basis.  When both kernels vanish on the swapped-in N (x) C^m
+    directions (rows below the PSD floor), the congruence makes each kernel
+    block diagonal with a zero block, so lambda* is that of the kernels with
+    the e_p (x) C^m rows and columns deleted; no new matrix is formed.  One
+    generalized ``eigh`` (Cholesky of Q_big' inside) gives lambda_hat, and a
+    second Cholesky of Q_big' - lambda_hat (1 - delta) Q_small', shifted by
+    Rump's margin (``_cholesky_shift``), proves that lower bound; delta is
+    CERT_SHIFT or, when the margin needs more room, the smallest value whose
+    estimated eigenvalue clears it CERT_HEADROOM times.  The proof is for the
+    kernels with the swapped-in rows, which A's bimodularity makes exactly
+    zero and the row check finds below the floor, set to zero.  None when a
+    row check fails, Q_big' is not positive definite, the top eigenvalue is not
+    positive, delta reaches 1, or the certifying Cholesky fails.
+    """
+    m, k = q_big.dim, q_big.basis_size
+    coords = np.tensordot(n.basis, basis.conj(), axes=([1, 2], [1, 2])) / m  # tau(e_a* n_j)
+    pivots = scipy.linalg.qr(coords, mode="r", pivoting=True)[1][: n.size]
+    keep = np.ones((k, m), dtype=bool)
+    keep[pivots] = False
+    keep = keep.ravel()
+    # Q times the swapped-in directions n_j (x) e_u, columns (j, u)
+    swapped = [np.einsum("rau,ja->rju", q.q.reshape(-1, k, m), coords) for q in (q_small, q_big)]
+    floors = [rel_floor(q.q, PSD) for q in (q_small, q_big)]
+    if any(np.abs(s).max() > f for s, f in zip(swapped, floors)):
+        return None
+    qs, qb = q_small.q[np.ix_(keep, keep)], q_big.q[np.ix_(keep, keep)]
+    size = qs.shape[0]
+    if size == 0:
+        return None
+    try:
+        mu, vec = scipy.linalg.eigh(qs, qb, subset_by_index=[size - 1, size - 1])
+    except np.linalg.LinAlgError:
+        return None
+    if not mu[0] > 0.0:
+        return None
+    lam = 1.0 / mu[0]
+    spread = 2.0 * CHOLESKY_UNIT * (np.linalg.norm(qb) + lam * np.linalg.norm(qs))
+    h = qb - lam * qs
+    # Q_big' - lam (1 - delta) Q_small' has its smallest eigenvalue near
+    # delta / |v|^2 along the top eigenvector v (v* Q_big' v = 1): size delta
+    # so that this clears Rump's margin CERT_HEADROOM times
+    delta = max(CERT_SHIFT, CERT_HEADROOM * _cholesky_shift(h, spread) * np.vdot(vec, vec).real)
+    if not delta < 1.0:
+        return None
+    lam_cert = lam * (1.0 - delta)
+    h += (lam * delta) * qs
+    h[np.diag_indices(size)] -= _cholesky_shift(h, spread)
+    try:
+        scipy.linalg.cholesky(h, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return None
+    # leak of Q_small on the swapped-in directions (orthonormal: both bases are)
+    d = n.size
+    vqv = np.einsum("ja,aup->jup", coords.conj(), swapped[0].reshape(k, m, d * m))
+    leak = float(np.linalg.eigvalsh(vqv.reshape(d * m, d * m))[-1])
+    wit = np.zeros(q_big.size, dtype=complex)
+    wit[keep] = vec[:, 0]
+    wit /= np.linalg.norm(wit)
+    return GammaECertificate(lam, "positive", leak, floors[0] - leak, floors[1], wit,
+                             lambda_cert=lam_cert, method="congruence-cholesky")
+
+
+def gamma_e(a: Superop, n: SubAlgebra, basis: np.ndarray | None = None) -> GammaECertificate:
+    """Certified lambda* of lambda Gamma_{I-E_N} <= Gamma_A for a superoperator A.
+
+    Both kernels are built over ``basis`` (default: the matrix units, see
+    ``kernel_from_superop``).  When A kills N the pencil is compressed by a
+    congruence and certified by Cholesky (``_congruence_cholesky``); any
+    other case, and any failed step, takes ``best_lambda``.
+    """
+    q_small = kernel_ie(n, basis=basis)
+    q_big = kernel_from_superop(a, basis=basis)
+    e = tau_orthonormal_basis(a.dim) if basis is None else basis
+    cert = _congruence_cholesky(q_small, q_big, n, e)
+    return cert if cert is not None else best_lambda(q_small, q_big)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ and the subordinated generator Phi_F(A) = phi_F(A), applied eigenvalue-wise
 to the PSD self-adjoint superoperator A.  This is exact up to the scalar
 quadrature error, so no operator-level discretization is needed.  Power-law
 profiles give fractional powers; the truncated eps-sigma profile yields the
-norm-controlled approximants used in the density construction.
+norm-controlled approximants used in the density construction, and its
+calculus is evaluated in closed form (exponential integrals), for all
+eigenvalues at once.
 """
 
 from __future__ import annotations
@@ -19,11 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import exp1, gamma, gammaincc, loggamma, zeta
 
-from .cporder import best_lambda, kernel_from_superop, kernel_ie, return_time
+# best_lambda stays importable from this module: perfbench/test_perfbench.py
+# checks that the benchmark's tracer wraps the pencil here as in cporder
+from .cporder import best_lambda, gamma_e, return_time
 from .generator import LindbladGenerator
 from .matops import Superop, make_superop
-from .tolerances import QUAD_ABS, QUAD_ERR, QUAD_REL, SPECTRAL_ZERO, TINY, rel_floor
+from .tolerances import CF_STOP, QUAD_ABS, QUAD_ERR, QUAD_REL, SPECTRAL_ZERO, TINY, rel_floor
 
 __all__ = [
     "WeightProfile",
@@ -35,6 +40,7 @@ __all__ = [
     "density_approximation",
     "psi_r_map",
     "theta_family_report",
+    "best_lambda",
 ]
 
 def _quad_dt_over_t(f, with_error: bool = False):
@@ -183,23 +189,128 @@ def phi_of_lambda(profile: WeightProfile, lam: float) -> float:
 
 
 def _spectral_map(a: Superop, fn) -> Superop:
+    """f(A) from the cached eigendecomposition; fn maps the array of eigenvalues
+    (those below the floor set to 0) to the array of values."""
     w, v = a.eig
     w = np.where(w < rel_floor(w, SPECTRAL_ZERO), 0.0, w)
-    fw = np.array([fn(x) for x in w])
+    fw = np.asarray(fn(w), dtype=float)
     mat = (v * fw) @ v.conj().T
     return make_superop(mat, a.dim)
 
 
 def subordinated_generator(a: Superop, profile: WeightProfile) -> Superop:
     """Phi_F(A) applied spectrally; keeps self-adjointness, PSD, nullspace."""
-    return _spectral_map(a, lambda lam: phi_of_lambda(profile, lam))
+    return _spectral_map(a, lambda w: [phi_of_lambda(profile, lam) for lam in w])
 
 
 def fractional_power(a: Superop, theta: float) -> Superop:
     """A^theta by eigenvalue-wise power, theta in (0, 1]."""
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must lie in (0, 1]")
-    return _spectral_map(a, lambda lam: lam ** theta if lam > 0 else 0.0)
+    return _spectral_map(a, lambda w: [lam ** theta if lam > 0 else 0.0 for lam in w])
+
+
+# ln Gamma(1 - p) = EULER p + sum_{k >= 2} zeta(k) p^k / k, used for 0 < p <= 1/2
+_LOG_GAMMA_K = np.arange(2, 60)
+_LOG_GAMMA_COEF = (zeta(_LOG_GAMMA_K) / _LOG_GAMMA_K)[::-1]
+# terms k = 1..20 of the series of E_{1+p}(x) at x <= 1: x^20 / 20! < 1e-18
+_SERIES_K = np.arange(1.0, 21.0)
+_SERIES_FACT = np.cumprod(_SERIES_K)
+
+
+def _expint_cf(x: np.ndarray, nu: float) -> np.ndarray:
+    """E_nu(x) for x > 1 by the continued fraction of E_nu, evaluated by
+    the modified Lentz method (Numerical Recipes, section 6.3)."""
+    b = x + nu
+    c = np.full_like(x, np.inf)
+    d = 1.0 / b
+    h = d
+    for i in range(1, 1000):
+        an = -i * (nu - 1.0 + i)
+        b = b + 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = c * d
+        h = h * delta
+        if np.all(np.abs(delta - 1.0) <= CF_STOP):
+            return h * np.exp(-x)
+    raise ArithmeticError("continued fraction of E_nu did not converge")
+
+
+def _x_expint(x: np.ndarray, sigma: float) -> np.ndarray:
+    """x E_sigma(x) with E_sigma(x) = int_1^inf e^{-xt} t^-sigma dt, for x > 0.
+
+    sigma < 1: x^sigma Gamma(1 - sigma) Q(1 - sigma, x); sigma = 1: x E_1(x).
+    sigma > 1: the continued fraction where x > 1.  Where x <= 1, the series
+
+        E_{1+p}(x) = (1 - x^p Gamma(1 - p)) / p - sum_{k>=1} (-x)^k / (k! (k - p))
+
+    at p = frac(sigma) (leading term -ln x - EULER at p = 0), stepped up by
+    E_{q+1} = (e^-x - x E_q) / q.  The leading term is an expm1 of a Taylor
+    series of ln Gamma(1 - p) / p, so no step divides a cancelled difference
+    by a small p.
+    """
+    if sigma < 1.0:
+        return x ** sigma * gamma(1.0 - sigma) * gammaincc(1.0 - sigma, x)
+    if sigma == 1.0:
+        return x * exp1(x)
+    out = np.empty_like(x)
+    far = x > 1.0
+    out[far] = x[far] * _expint_cf(x[far], sigma)
+    y = x[~far]
+    p = sigma - math.floor(sigma)
+    if p == 0.0:
+        e = -np.log(y) - np.euler_gamma
+    else:
+        if p <= 0.5:
+            lg = np.euler_gamma + p * np.polyval(_LOG_GAMMA_COEF, p)  # ln Gamma(1 - p) / p
+        else:
+            lg = loggamma(1.0 - p).real / p
+        e = -np.expm1(p * (np.log(y) + lg)) / p
+    e = e - ((-y[:, None]) ** _SERIES_K / (_SERIES_FACT * (_SERIES_K - p))).sum(axis=1)
+    for q in p + np.arange(1.0, math.floor(sigma)):
+        e = (np.exp(-y) - y * e) / q
+    out[~far] = y * e
+    return out
+
+
+def _eps_sigma_values(lam: np.ndarray, sigma: float, log_eps: float):
+    """(phi, psi, psi_tilde) of ``eps_sigma_scalar`` at every lam >= 0 at once:
+
+        psi(lam)       = expm1(-lam) + lam (1 - e^{-lam eps}) / (lam eps)
+                         + lam (E_1(lam eps) - E_1(lam)),
+        psi_tilde(lam) = (1 - e^{-lam} + lam E_sigma(lam)) / sigma,
+
+    with E_1(lam eps) = -EULER - ln(lam eps) where lam eps underflows.
+    """
+    lam = np.asarray(lam, dtype=float)
+    psi, psit = np.zeros_like(lam), np.zeros_like(lam)
+    pos = lam > 0.0
+    x = lam[pos]
+    lx = np.log(x) + log_eps  # ln(lam eps)
+    xe = np.exp(lx)
+    tiny = xe == 0.0
+    xs = np.where(tiny, 1.0, xe)
+    ratio = np.where(tiny, 1.0, -np.expm1(-xs) / xs)
+    e1 = np.where(tiny, -np.euler_gamma - lx, exp1(xs))
+    psi[pos] = np.expm1(-x) + x * ratio + x * (e1 - exp1(x))
+    psit[pos] = (-np.expm1(-x) + _x_expint(x, sigma)) / sigma
+    return (psi + psit) / abs(log_eps), psi, psit
+
+
+def _log_eps(eps: float | None, log_eps: float | None) -> float:
+    if log_eps is None:
+        if not 0.0 < eps < 1.0:
+            raise ValueError("require 0 < eps < 1")
+        return math.log(eps)
+    if not -math.inf < log_eps < 0.0:
+        raise ValueError("require eps < 1: log_eps must be finite and < 0")
+    return log_eps
+
+
+def _check_sigma(sigma: float) -> None:
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be finite and > 0, got {sigma}")
 
 
 def eps_sigma_scalar(
@@ -209,52 +320,28 @@ def eps_sigma_scalar(
 
         psi(lam)        = int_eps^1 (1 - e^{-lam t}) dt/t^2,
         psi_tilde(lam)  = int_1^inf (1 - e^{-lam t}) dt/t^{1+sigma},
-        phi             = (psi + psi_tilde) / |ln eps|.
+        phi             = (psi + psi_tilde) / |ln eps|,
 
-    ``log_eps`` = ln(eps) may be passed instead of eps, which keeps the
-    calculus usable when eps underflows float64 (the construction below
-    needs |ln eps| up to ~1e4).  Both quadratures run in u = ln t, where the
-    integrands are bounded with exponential tails.
+    in closed form (see ``_eps_sigma_values``).  ``log_eps`` = ln(eps) may be
+    passed instead of eps, which keeps the calculus usable when eps
+    underflows float64 (the construction below needs |ln eps| up to ~1e4).
+    Raises ValueError unless sigma is finite and > 0 and lam finite and >= 0.
     """
-    if log_eps is None:
-        if not 0.0 < eps < 1.0:
-            raise ValueError("require 0 < eps < 1")
-        log_eps = math.log(eps)
-    if log_eps >= 0.0:
-        raise ValueError("require eps < 1")
-    if lam == 0.0:
-        return 0.0, 0.0, 0.0
-
-    def f_psi(u: float) -> float:
-        t = math.exp(u)
-        return -math.expm1(-lam * t) / t if t > 0.0 else lam
-
-    # below u_c the integrand equals lam to double precision; integrate exactly
-    u_c = min(0.0, -math.log(lam) - 37.0)
-    if log_eps < u_c:
-        psi = lam * (u_c - log_eps)
-        psi += quad(f_psi, u_c, 0.0, epsabs=QUAD_ABS, epsrel=QUAD_REL, limit=500)[0]
-    else:
-        psi, _ = quad(f_psi, log_eps, 0.0, epsabs=QUAD_ABS, epsrel=QUAD_REL, limit=500)
-
-    def f_psit(u: float) -> float:
-        if u > 690.0:
-            return math.exp(-sigma * u)
-        return -math.expm1(-lam * math.exp(u)) * math.exp(-sigma * u)
-
-    psit, _ = quad(f_psit, 0.0, np.inf, epsabs=QUAD_ABS, epsrel=QUAD_REL, limit=500)
-    return (psi + psit) / abs(log_eps), psi, psit
+    log_eps = _log_eps(eps, log_eps)
+    _check_sigma(sigma)
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
+    phi, psi, psit = _eps_sigma_values(np.array([lam]), sigma, log_eps)
+    return float(phi[0]), float(psi[0]), float(psit[0])
 
 
 def eps_sigma_generator(
     l: Superop, eps: float | None, sigma: float, log_eps: float | None = None
 ) -> Superop:
     """Spectral application of phi_{eps,sigma}; a norm-controlled surrogate of L."""
-    if not 0.0 < sigma < math.inf:
-        raise ValueError(f"sigma must be finite and > 0, got {sigma}")
-    return _spectral_map(
-        l, lambda lam: eps_sigma_scalar(eps, sigma, lam, log_eps=log_eps)[0]
-    )
+    _check_sigma(sigma)
+    log_eps = _log_eps(eps, log_eps)
+    return _spectral_map(l, lambda w: _eps_sigma_values(w, sigma, log_eps)[0])
 
 
 def auto_sigma(gen: LindbladGenerator) -> dict:
@@ -290,7 +377,7 @@ def density_approximation(gen: LindbladGenerator, eps: float) -> tuple[Superop, 
     b = eps_sigma_generator(l, None, sigma, log_eps=-ln_eps0)
     dist = (l - b).norm
     alpha_l = 1.0 / (2.0 * math.e * lt * (lt + norm_l**2))
-    cert = best_lambda(kernel_ie(gen.fixed_algebra), kernel_from_superop(b))
+    cert = gamma_e(b, gen.fixed_algebra)
     report = {
         "eps": eps,
         "t0": t0,
@@ -327,7 +414,7 @@ def psi_r_map(a: Superop, profile: WeightProfile, r: float) -> tuple[Superop, fl
         )
         return val / g_r
 
-    return _spectral_map(a, fn), g_r
+    return _spectral_map(a, lambda w: [fn(lam) for lam in w]), g_r
 
 
 def theta_family_report(gen: LindbladGenerator, thetas=(0.25, 0.5, 0.75)) -> dict:
@@ -337,13 +424,12 @@ def theta_family_report(gen: LindbladGenerator, thetas=(0.25, 0.5, 0.75)) -> dic
     by least squares in c0; the universal constant itself is not claimed.
     """
     t0 = return_time(gen.superop, gen.fixed_algebra)
-    q_small = kernel_ie(gen.fixed_algebra)
     measured = {}
     shape_vals = []
     lam_vals = []
     for th in thetas:
         a_th = fractional_power(gen.superop, th)
-        cert = best_lambda(q_small, kernel_from_superop(a_th))
+        cert = gamma_e(a_th, gen.fixed_algebra)
         measured[th] = cert.lambda_star
         shape_vals.append(t0 ** (-th) * th**2 * (1.0 - th))
         lam_vals.append(cert.lambda_star)

@@ -41,6 +41,11 @@ QUAD_ABS = 1e-12         # absolute error target of every scalar quadrature
 QUAD_REL = 1e-11         # relative error target of every scalar quadrature
 QUAD_ERR = 1e-10         # a quadrature error estimate above this fails integrability
 RETURN_TIME = 1e-6       # resolution in t of the return-time bisection
+CF_STOP = 1e-15          # a continued fraction stops once its last factor is this close to 1
+CERT_SHIFT = 1e-6        # a superoperator pencil's Cholesky proves lambda_hat (1 - d), d >= this,
+CERT_HEADROOM = 4.0      # and d puts its estimated least eigenvalue at this many rounding margins
+CHOLESKY_UNIT = 2.0 ** -51   # rounding unit (4u) budgeted per complex operation in that proof
+UNDERFLOW = 2.0 ** -1074     # smallest subnormal, the underflow term of that proof
 
 
 def rel_floor(x, rtol: float, axis=None):
