@@ -20,10 +20,10 @@ first sought by Lanczos on P_K Q_{I-E} P_K from a thin SVD of C: the zero
 verdict then rests on a Ritz value and is proved by its Ritz vector, which
 lies in ker Q_A.  A "positive" status of ``best_lambda`` comes from the
 dense split of Q_A into range and kernel (a full SVD of C, or an
-eigendecomposition of Q_A).  A superoperator pencil (``gamma_e``) first drops
-the N (x) C^m directions, which both kernels kill, by a congruence; its
-"positive" status is then proved by a Cholesky factorization with Rump's
-rounding margin, and any other outcome takes ``best_lambda``.
+eigendecomposition of Q_A).  A superoperator pencil (``gamma_e``) with
+N = C 1 first drops the 1 (x) C^m directions, which both kernels kill, by a
+congruence; its "positive" status is then proved by a Cholesky factorization
+with Rump's rounding margin, and any other outcome takes ``best_lambda``.
 Matrix-amplified agreement is delegated to a sampling oracle in the tests.
 
 The module also computes the module-basis Choi matrix whose operator norm is
@@ -370,10 +370,10 @@ def _cholesky_shift(h: np.ndarray, spread: float) -> float:
 def _congruence_cholesky(
     q_small: FormKernel, q_big: FormKernel, n: SubAlgebra, basis: np.ndarray
 ) -> GammaECertificate | None:
-    """Positive certificate of a superoperator pencil that kills N, or None.
+    """Positive certificate of a superoperator pencil that kills N = C 1, or None.
 
-    Swap dim N basis elements e_p (chosen by a pivoted QR of N's coordinates)
-    for N's basis.  When both kernels vanish on the swapped-in N (x) C^m
+    Swap the basis element e_p with the largest |tau(e_p)| for the unit
+    1 / ||1||.  When both kernels vanish on the swapped-in 1 (x) C^m
     directions (rows below the PSD floor), the congruence makes each kernel
     block diagonal with a zero block, so lambda* is that of the kernels with
     the e_p (x) C^m rows and columns deleted; no new matrix is formed.  One
@@ -388,10 +388,9 @@ def _congruence_cholesky(
     positive, delta reaches 1, or the certifying Cholesky fails.
     """
     m, k = q_big.dim, q_big.basis_size
-    coords = np.tensordot(n.basis, basis.conj(), axes=([1, 2], [1, 2])) / m  # tau(e_a* n_j)
-    pivots = scipy.linalg.qr(coords, mode="r", pivoting=True)[1][: n.size]
+    coords = np.tensordot(n.basis, basis.conj(), axes=([1, 2], [1, 2])) / m  # tau(e_a* n_0)
     keep = np.ones((k, m), dtype=bool)
-    keep[pivots] = False
+    keep[np.argmax(np.abs(coords[0]))] = False
     keep = keep.ravel()
     # Q times the swapped-in directions n_j (x) e_u, columns (j, u)
     swapped = [np.einsum("rau,ja->rju", q.q.reshape(-1, k, m), coords) for q in (q_small, q_big)]
@@ -425,9 +424,8 @@ def _congruence_cholesky(
     except np.linalg.LinAlgError:
         return None
     # leak of Q_small on the swapped-in directions (orthonormal: both bases are)
-    d = n.size
-    vqv = np.einsum("ja,aup->jup", coords.conj(), swapped[0].reshape(k, m, d * m))
-    leak = float(np.linalg.eigvalsh(vqv.reshape(d * m, d * m))[-1])
+    vqv = np.einsum("ja,aup->jup", coords.conj(), swapped[0].reshape(k, m, m))
+    leak = float(np.linalg.eigvalsh(vqv.reshape(m, m))[-1])
     wit = np.zeros(q_big.size, dtype=complex)
     wit[keep] = vec[:, 0]
     wit /= np.linalg.norm(wit)
@@ -439,12 +437,16 @@ def gamma_e(a: Superop, n: SubAlgebra, basis: np.ndarray | None = None) -> Gamma
     """Certified lambda* of lambda Gamma_{I-E_N} <= Gamma_A for a superoperator A.
 
     Both kernels are built over ``basis`` (default: the matrix units, see
-    ``kernel_from_superop``).  When A kills N the pencil is compressed by a
-    congruence and certified by Cholesky (``_congruence_cholesky``); any
-    other case, and any failed step, takes ``best_lambda``.
+    ``kernel_from_superop``).  With N = C 1 the pencil is compressed by a
+    congruence and certified by Cholesky (``_congruence_cholesky``); a failed
+    step, or dim N > 1, takes ``best_lambda``.  Both forms are N-bimodular, so
+    for dim N > 1 the directions (x n) (x) z - x (x) (n z) lie in both kernels
+    and the compressed Q_big' would always be singular.
     """
     q_small = kernel_ie(n, basis=basis)
     q_big = kernel_from_superop(a, basis=basis)
+    if n.size > 1:
+        return best_lambda(q_small, q_big)
     e = tau_orthonormal_basis(a.dim) if basis is None else basis
     cert = _congruence_cholesky(q_small, q_big, n, e)
     return cert if cert is not None else best_lambda(q_small, q_big)

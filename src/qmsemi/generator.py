@@ -83,13 +83,18 @@ def lindblad(jumps: JumpSet) -> LindbladGenerator:
 
     Over row-major vec, x -> b x c has matrix b (x) c^T, so the generator is
     sq (x) 1 + 1 (x) sq^T - 2 sum_k a_k (x) a_k^T with sq = sum_k a_k^2.
+    Raises ValueError when that matrix is not finite (jumps too large).
     """
     m = jumps.dim
     a = jumps.jumps
-    sq = np.einsum("kij,kjl->il", a, a)
     eye = np.eye(m)
-    sandwich = np.einsum("kij,kqp->ipjq", a, a).reshape(m * m, m * m)
-    sup = make_superop(np.kron(sq, eye) + np.kron(eye, sq.T) - 2.0 * sandwich, m)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        sq = np.einsum("kij,kjl->il", a, a)
+        sandwich = np.einsum("kij,kqp->ipjq", a, a).reshape(m * m, m * m)
+        matrix = np.kron(sq, eye) + np.kron(eye, sq.T) - 2.0 * sandwich
+    if not np.isfinite(matrix).all():
+        raise ValueError("jumps too large: sum_k a_k^2 or the generator is not finite")
+    sup = make_superop(matrix, m)
     fixed = commutant(list(a), m)
     return LindbladGenerator(jumps, sup.with_cp_flag("verified"), fixed)
 
@@ -154,8 +159,5 @@ def validate_generator(a: Superop) -> dict:
 def spectral_gap(a: Superop) -> float:
     """Smallest eigenvalue of A on the complement of its nullspace; 0 if A = 0."""
     w, _ = a.eig
-    scale = np.abs(w).max()
-    if scale <= 0.0:
-        return 0.0
-    pos = w[w > KERNEL * scale]
+    pos = w[w > KERNEL * np.abs(w).max()]
     return float(pos.min()) if pos.size else 0.0

@@ -49,8 +49,25 @@ def operator_to_obj(x: np.ndarray) -> dict:
     }
 
 
+def _object(obj, what: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def _real(obj: dict, field: str, number: bool = False, default=None):
+    """obj[field] (or ``default``) as a float array or, for ``number``, a float;
+    else a ValueError that names the field."""
+    value = obj[field] if default is None else obj.get(field, default)
+    try:
+        return float(value) if number else np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        kind = "a number" if number else "an array of real numbers"
+        raise ValueError(f'"{field}" must be {kind}, got {value!r:.40}') from None
+
+
 def _dim(obj: dict) -> int:
-    m = obj["dim"]
+    m = _object(obj, "the document")["dim"]
     if isinstance(m, bool) or not isinstance(m, int) or not 1 <= m <= MAX_DIM:
         raise ValueError(f'"dim" must be an integer from 1 to {MAX_DIM}, got {m!r}')
     return m
@@ -58,8 +75,7 @@ def _dim(obj: dict) -> int:
 
 def _parse_matrix(entry: dict, m: int) -> np.ndarray:
     """One m x m matrix from its "re" and optional "im" parts; rejects NaN and inf."""
-    re = np.asarray(entry["re"], dtype=float)
-    im = np.asarray(entry.get("im", np.zeros((m, m))), dtype=float)
+    re, im = _real(entry, "re"), _real(entry, "im", default=np.zeros((m, m)))
     if re.shape != (m, m) or im.shape != (m, m):
         raise ValueError("operator entries do not match the declared dimension")
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
@@ -85,7 +101,10 @@ def operators_to_obj(mats: list[np.ndarray] | np.ndarray) -> dict:
 
 def obj_to_operators(obj: dict) -> list[np.ndarray]:
     m = _dim(obj)
-    return [_parse_matrix(entry, m) for entry in obj["matrices"]]
+    mats = obj["matrices"]
+    if not (isinstance(mats, list) and all(isinstance(x, dict) for x in mats)):
+        raise ValueError(f'"matrices" must be a list of operator objects, got {mats!r:.40}')
+    return [_parse_matrix(entry, m) for entry in mats]
 
 
 def jumps_to_obj(jumps: JumpSet) -> dict:
@@ -123,13 +142,14 @@ def generator_to_obj(gen: LindbladGenerator) -> dict:
 
 
 def profile_from_obj(obj: dict) -> WeightProfile:
-    kind = obj.get("kind")
+    kind = _object(obj, "the profile").get("kind")
     if kind == "power":
-        return WeightProfile.power_law(float(obj["alpha"]))
+        return WeightProfile.power_law(_real(obj, "alpha", number=True))
     if kind == "epssigma":
-        return WeightProfile.eps_sigma(float(obj["eps"]), float(obj["sigma"]))
+        return WeightProfile.eps_sigma(_real(obj, "eps", number=True),
+                                       _real(obj, "sigma", number=True))
     if kind == "table":
-        return WeightProfile.table(obj["points"])
+        return WeightProfile.table(_real(obj, "points"))
     raise ValueError(f"unknown profile kind {kind!r}")
 
 

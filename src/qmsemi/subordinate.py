@@ -344,12 +344,17 @@ def eps_sigma_generator(
     return _spectral_map(l, lambda w: _eps_sigma_values(w, sigma, log_eps)[0])
 
 
+def _log_return_time(gen: LindbladGenerator) -> tuple[float, float]:
+    """The return time t0 and ln t0 clamped at 1 (the construction assumes t0 >= e)."""
+    t0 = return_time(gen.superop, gen.fixed_algebra)
+    if not math.isfinite(t0):
+        raise ValueError("no convergence to the conditional expectation")
+    return t0, max(math.log(t0), 1.0)
+
+
 def auto_sigma(gen: LindbladGenerator) -> dict:
     """sigma = 1/ln(t0) from the measured return time, clamped to 1 for t0 <= e."""
-    t0 = return_time(gen.superop, gen.fixed_algebra)
-    lt = max(math.log(t0), 1.0) if math.isfinite(t0) else math.inf
-    if not math.isfinite(lt):
-        raise ValueError("no convergence to the conditional expectation")
+    t0, lt = _log_return_time(gen)
     return {"t0": t0, "sigma": 1.0 / lt}
 
 
@@ -367,10 +372,7 @@ def density_approximation(gen: LindbladGenerator, eps: float) -> tuple[Superop, 
     norm_l = l.norm
     if not 0.0 < eps:
         raise ValueError("eps must be positive")
-    t0 = return_time(l, gen.fixed_algebra)
-    if not math.isfinite(t0):
-        raise ValueError("no convergence to the conditional expectation")
-    lt = max(math.log(t0), 1.0)  # the construction assumes t0 >= e
+    t0, lt = _log_return_time(gen)
     sigma = 1.0 / lt
     ln_eps0 = (lt + norm_l**2 / 2.0) / eps
     eps0 = math.exp(-ln_eps0) if ln_eps0 < 700.0 else 0.0  # may underflow; log form used

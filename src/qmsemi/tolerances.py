@@ -30,8 +30,6 @@ PROBE = 1e-8             # a randomized linearity or bimodularity probe fails ab
 TRIVIAL = 1e-12          # a generator norm at or below this means trivial dynamics
 D_N_ZERO = 1e-6          # D_N below this leaves I_A / D_N fewer than ~10 correct digits
 DECAY_SKIP = 1e-12       # a start state with D_N below this is skipped by the decay check
-IMPROVE = 1e-14          # a search step counts as progress only by more than this
-DUAL_STEP = 1e-8         # the dual-norm ascent stops at a step below this
 TRACE_ZERO = 1e-10       # |tau(x)| above this means x is not trace-zero
 VIOLATION = 1e-8         # a relative excess above this fails an inequality check
 LP_BASE = 1e-14          # an L_p probe whose centred norm is below this is skipped

@@ -173,3 +173,58 @@ def test_casebook_rejects_a_size_beyond_its_cap(argv, tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error:") and "<=" in err
+
+
+STATE_OR_JUMPS = {
+    "a list": [1, 2],
+    "null": None,
+    "re an object": {"dim": 2, "re": {"a": 1}},
+    "re with an object entry": {"dim": 2, "re": [[1, {}], [0, 1]]},
+}
+JUMPS_ONLY = {
+    "matrices a number": {"dim": 2, "matrices": 5},
+    "matrices of numbers": {"dim": 2, "matrices": [5]},
+    "matrices an object": {"dim": 2, "matrices": {"re": [[1, 0], [0, 1]]}},
+    "im an object": {"dim": 2, "matrices": [{"re": [[1, 0], [0, -1]], "im": {"a": 1}}]},
+}
+PROFILES = {
+    "a list": [1, 2],
+    "alpha a list": {"kind": "power", "alpha": [0.5]},
+    "eps null": {"kind": "epssigma", "eps": None, "sigma": 1.0},
+    "points an object": {"kind": "table", "points": {"a": 1}},
+}
+MALFORMED = (
+    [(["gamma-e", "{doc}"], d) for d in [*STATE_OR_JUMPS.values(), *JUMPS_ONLY.values()]]
+    + [([cmd, "{doc}", *flags], d) for d in JUMPS_ONLY.values()
+       for cmd, flags in [("flsi", []), ("subordinate", ["--theta", "0.5"]), ("decay", []),
+                          ("validate", [])]]
+    + [(["decay", "{jumps}", "--state", "{doc}"], d) for d in STATE_OR_JUMPS.values()]
+    + [(["state-convert", "{doc}", "--to", "tau"], d) for d in STATE_OR_JUMPS.values()]
+    + [(["subordinate", "{jumps}", "--profile", "{doc}"], d) for d in PROFILES.values()]
+)
+
+
+@pytest.mark.parametrize("argv, doc", MALFORMED)
+def test_a_malformed_document_exits_1_with_a_message(argv, doc, jumps_file, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = [a.format(doc=path, jumps=jumps_file) for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_overflowing_jumps_exit_1_before_any_eigensolve(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dim": 2, "matrices": [{"re": [[1e308, 0], [0, -1e308]]}]}))
+    assert main(["gamma-e", str(path)]) == 1
+    assert "not finite" in capsys.readouterr().err
+
+
+def test_a_failed_eigensolve_exits_3(jumps_file, tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    assert main(["validate", jumps_file, "--out", str(tmp_path / "report.json")]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: Eigenvalues did not converge")

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import make_zoo
+from dual_norm_oracle import dual_norm_ascent
 from flsi_oracle import sweep_one_by_one
 from qmsemi import constants, matops
 from qmsemi.constants import (
@@ -184,43 +186,73 @@ def test_check_lp_decay_p2_matches_spectral_bound():
 
 def test_gamma_dual_norm_zero_inputs():
     gen = dephasing_generator(2)
-    assert gamma_dual_norm(gen, np.zeros((2, 2), dtype=complex), n_starts=2, seed=0) == 0.0
+    assert gamma_dual_norm(gen, np.zeros((2, 2), dtype=complex)) == (0.0, 0.0)
     rng = np.random.default_rng(2)
     rho = random_state(2, rng)
     fixed = gen.e_fix.apply(rho)
     fixed = (fixed + fixed.conj().T) / 2
     centered = fixed - gen.e_fix.apply(fixed)  # identically zero
-    assert gamma_dual_norm(gen, centered, n_starts=2, seed=0) < 1e-12
+    assert max(gamma_dual_norm(gen, centered)) < 1e-12
 
 
 def test_gamma_dual_norm_requires_centering():
     gen = dephasing_generator(2)
     with pytest.raises(ValueError):
-        gamma_dual_norm(gen, np.eye(2, dtype=complex), n_starts=1, seed=0)
+        gamma_dual_norm(gen, np.eye(2, dtype=complex))
 
 
 def test_gamma_dual_norm_transport_consistency():
-    # lower bound <= 4 sqrt(2 D_N / lambda) under the certified constant
+    # both ends <= 4 sqrt(2 D_N / lambda) under the certified constant
     rng = np.random.default_rng(3)
     gen = dephasing_generator(2)
     lam = gamma_e_constant(gen).lambda_star
     for _ in range(10):
         rho = random_state(2, rng)
-        val = gamma_dual_norm(gen, rho - gen.e_fix.apply(rho), n_starts=2, seed=0)
+        lower, upper = gamma_dual_norm(gen, rho - gen.e_fix.apply(rho))
         bound = 4.0 * math.sqrt(2.0 * d_sub(rho, gen.fixed_algebra) / lam)
-        assert val <= bound + 1e-6
+        assert lower <= upper * (1 + 1e-12)
+        assert upper <= bound + 1e-6
 
 
 def test_gamma_dual_norm_scaling_covariance():
     # halving the jumps doubles the dual norm (the Lipschitz ball doubles)
     rng = np.random.default_rng(4)
+    for gen in (dephasing_generator(2), depolarizing_generator(3), random_lindblad(3, 2, rng)):
+        half = lindblad(jump_set(0.5 * gen.jumps.jumps))
+        rho = random_state(gen.dim, rng)
+        rho0 = rho - gen.e_fix.apply(rho)
+        for v1, v2 in zip(gamma_dual_norm(gen, rho0), gamma_dual_norm(half, rho0)):
+            assert v2 == pytest.approx(2.0 * v1, rel=1e-12)
+
+
+def dual_norm_cases():
+    """The zoo and random 2-jump generators on M_2 .. M_4, four states each."""
+    rng = np.random.default_rng(13)
+    gens = list(make_zoo().values())
+    gens += [dephasing_generator(m) for m in (3, 4)] + [depolarizing_generator(4)]
+    gens += [random_lindblad(m, 2, rng, scale=0.6) for m in (2, 3, 4)]
+    for gen in gens:
+        for _ in range(4):
+            rho = random_state(gen.dim, rng, spread=0.5 + rng.random())
+            yield gen, rho - gen.e_fix.apply(rho)
+
+
+def test_gamma_dual_norm_bracket_contains_the_ascent():
+    for gen, rho0 in dual_norm_cases():
+        lower, upper = gamma_dual_norm(gen, rho0)
+        assert 0.0 < lower <= upper * (1 + 1e-12)
+        assert dual_norm_ascent(gen, rho0, n_starts=2, seed=0) <= upper * (1 + 1e-9)
+
+
+def test_gamma_dual_norm_is_exact_when_gamma_is_scalar():
+    # dephasing on M_2: Gamma(f, f) is a multiple of 1 for f off the diagonal
+    rng = np.random.default_rng(5)
     gen = dephasing_generator(2)
-    half = lindblad(jump_set(0.5 * gen.jumps.jumps[0]))
-    rho = random_state(2, rng)
-    rho0 = rho - gen.e_fix.apply(rho)
-    v1 = gamma_dual_norm(gen, rho0, n_starts=3, seed=0)
-    v2 = gamma_dual_norm(half, rho0, n_starts=3, seed=0)
-    assert v2 == pytest.approx(2.0 * v1, rel=5e-3)
+    for _ in range(5):
+        rho = random_state(2, rng)
+        lower, upper = gamma_dual_norm(gen, rho - gen.e_fix.apply(rho))
+        assert lower == pytest.approx(upper, rel=1e-12)
+        assert lower > 0.1
 
 
 def test_geometric_talagrand_trivial_and_two_point():

@@ -19,7 +19,7 @@ from qmsemi.cporder import (
     kernel_ie,
 )
 from qmsemi.matops import identity_superop
-from qmsemi.models import random_lindblad
+from qmsemi.models import dephasing_generator, random_lindblad
 from qmsemi.subordinate import density_approximation, fractional_power
 
 
@@ -102,6 +102,34 @@ def test_fallback_for_a_singular_compressed_kernel():
     n = diagonal_algebra(3)
     got, ref = _agree(n.complement, scalar_algebra(3))
     assert got.method == "pencil-direct" and got.status == "zero"
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_a_pencil_with_dim_n_above_one_goes_straight_to_best_lambda(m, monkeypatch):
+    # dephasing: N is the diagonal, and its module directions make Q_big' singular
+    gen = dephasing_generator(m)
+    a = fractional_power(gen.superop, 0.5)
+    calls = []
+
+    def counted(name):
+        solver = getattr(scipy.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return solver(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "qr"):
+        monkeypatch.setattr(scipy.linalg, name, counted(name))
+    got = gamma_e(a, gen.fixed_algebra)
+    own = calls[:]
+    calls.clear()
+    ref = best_lambda(kernel_ie(gen.fixed_algebra), kernel_from_superop(a))
+    assert own and own == calls and "qr" not in own
+    assert got.method == ref.method == "pencil-direct" and got.lambda_cert is None
+    for field in ("lambda_star", "status", "leak", "margin", "tolerance"):
+        assert getattr(got, field) == getattr(ref, field)
+    np.testing.assert_array_equal(got.witness, ref.witness)
 
 
 def test_a_positive_status_needs_the_certifying_cholesky(zoo, monkeypatch):

@@ -33,6 +33,34 @@ def test_guard_sees_signed_and_exponent_literals():
     assert sorted(v for _, v in small_float_literals(src)) == [1e-300, 1e-9, 2.5e-8]
 
 
+def policy_constants(source: str) -> set[str]:
+    """Upper-case names bound at the top level of the policy module."""
+    body = ast.parse(source).body
+    targets = [t for n in body if isinstance(n, ast.Assign) for t in n.targets]
+    targets += [n.target for n in body if isinstance(n, ast.AnnAssign)]
+    return {t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()}
+
+
+def names_read(source: str) -> set[str]:
+    """Names an expression reads, bare or as an attribute."""
+    tree = ast.parse(source)
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+
+
+def test_every_policy_constant_is_read_by_another_module():
+    defined = policy_constants((SRC / "tolerances.py").read_text())
+    assert len(defined) >= 20
+    read = set().union(*(names_read(p.read_text()) for p in SRC.glob("*.py")
+                         if p.name != "tolerances.py"))
+    assert not defined - read, f"dead tolerances, delete them: {sorted(defined - read)}"
+
+
+def test_dead_policy_guard_sees_definitions_and_reads():
+    assert policy_constants("A = 1e-9\nb = 2\nB, C = 1, 2\nD: float = 3\nE = F = 4\n") == {"A", "D", "E", "F"}
+    assert names_read("from .t import A, B\nx = A * t.C\nB = 1\n") == {"A", "t", "C"}
+
+
 def test_rel_floor_scales_by_the_largest_magnitude_but_never_below_rtol():
     assert rel_floor(np.array([0.5, -0.2]), 1e-9) == 1e-9
     assert rel_floor(np.array([3.0, -4.0]), 1e-9) == 1e-9 * 4.0
