@@ -319,8 +319,8 @@ def case_rothaus_failure(n: int = 3, alpha: float = 10.0) -> CaseResult:
     """
     if not 2 <= n <= MAX_DIM:  # 2n^2 x 2n^2 matrices
         raise ValueError(f"need 2 <= n <= {MAX_DIM}")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha <= 1e3:  # D_N(|x|^2) is 2.5e-10 off at 1e3 and 1.1e-5 at 1e5
+        raise ValueError(f"alpha must lie in (0, 1e3], got {alpha}")
     x, y, f = _rothaus_objects(n, alpha)
     xx = x.conj().T @ x
     d_x = _d_n_first_factor(xx, n)

@@ -15,15 +15,15 @@ basis such as that of a subalgebra) or from a jump set
 solved directly (see ``best_lambda``).  For a Lindblad generator with K jumps
 Q_A = C* C with the (K m) x m^3 commutator factor
 C[(k,i),(b,u)] = ([a_k, e_b])_{iu}, so rank Q_A <= K m and ker Q_A has
-dimension >= m^3 - K m.  When K < m^2 the leak of Q_{I-E} out of ker Q_A is
-first sought by Lanczos on P_K Q_{I-E} P_K from a thin SVD of C: the zero
-verdict then rests on a Ritz value and is proved by its Ritz vector, which
-lies in ker Q_A.  A "positive" status of ``best_lambda`` comes from the
-dense split of Q_A into range and kernel (a full SVD of C, or an
-eigendecomposition of Q_A).  A superoperator pencil (``gamma_e``) with
-N = C 1 first drops the 1 (x) C^m directions, which both kernels kill, by a
-congruence; its "positive" status is then proved by a Cholesky factorization
-with Rump's rounding margin, and any other outcome takes ``best_lambda``.
+dimension >= m^3 - K m.  When K < m^2 and the index element of N is scalar,
+a zero verdict and the exact leak of Q_{I-E} out of ker Q_A follow in closed
+form from a thin SVD of C and one m x m eigenproblem (``gamma_e_constant``).
+Every other verdict comes from the dense split of Q_A into range and kernel
+(a full SVD of C, or an eigendecomposition of Q_A).  A superoperator pencil
+(``gamma_e``) with N = C 1 first drops the 1 (x) C^m directions, which both
+kernels kill, by a congruence; its "positive" status is then proved by a
+Cholesky factorization with Rump's rounding margin, and any other outcome
+takes ``best_lambda``.
 Matrix-amplified agreement is delegated to a sampling oracle in the tests.
 
 The module also computes the module-basis Choi matrix whose operator norm is
@@ -41,7 +41,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .algebra import ModuleBasis, SubAlgebra, module_basis
 from .generator import LindbladGenerator, spectral_gap
@@ -200,15 +199,14 @@ class GammaECertificate:
     """lambda* = max{lambda : lambda Q_small <= Q_big} and how it was decided.
 
     ``leak`` = ||P_ker Q_small P_ker|| over ker Q_big (None if Q_big is not
-    PSD).  A zero status reached by Lanczos (factored Q_big) carries a Ritz
-    value instead: the Rayleigh quotient of the witness, a lower bound on that
-    norm which proves the verdict; a positive status carries the dense
-    split's value, below the floor of Q_small.  ``margin`` is how far the
+    PSD), the exact norm to rounding: a zero status carries it above the floor
+    of Q_small, a positive status below it.  ``margin`` is how far the
     number that chose ``status`` ("positive" or "zero") clears its floor;
     ``tolerance`` is the floor of Q_big below which directions count as
     kernel.  ``witness`` is a unit vector where the
     order fails (zero) or is tight (positive); None for trivial dynamics.
-    ``method`` names the solve: "pencil-direct" (``best_lambda``) or
+    ``method`` names the solve: "pencil-direct" (``best_lambda``, or the
+    closed-form zero verdict of ``gamma_e_constant``) or
     "congruence-cholesky" (``gamma_e``), which also sets ``lambda_cert``, a
     lower bound on lambda* proved by a Cholesky factorization.
     """
@@ -236,52 +234,6 @@ class GammaECertificate:
         return doc
 
 
-def _lanczos_leak(
-    q_small: FormKernel, q_big: FormKernel, floor_small: float
-) -> GammaECertificate | None:
-    """Zero certificate from the top Ritz pair of P_K Q_small P_K, or None.
-
-    Q_big = C* C with a wide factor C = U S V*; R holds the right singular
-    vectors with S^2 above the PSD floor and P_K = 1 - R R* projects onto
-    ker Q_big.  ARPACK (``eigsh``, tol 0) works with x -> P_K Q_small P_K x
-    alone, from a fixed seeded start, so no kernel basis and no
-    (n - r) x (n - r) block are formed.  The witness P_K v lies in ker Q_big
-    and its Rayleigh quotient is the leak; when that clears ``floor_small``
-    it proves lambda* = 0.  None (use the dense split) when the leak does
-    not clear the floor, when ARPACK does not converge, or when the kernel
-    is too small for it (k + 1 < ncv <= n).  ncv = 2m + 2: for N = C 1,
-    Q_small is 1/2 plus a rank-2m term, so the Krylov space of P_K Q_small P_K
-    closes within 2m + 1 vectors and one Arnoldi pass is exact.
-    """
-    n = q_big.size
-    ncv = min(n, 2 * q_big.dim + 2)
-    if ncv <= 2:
-        return None
-    _, s, rh = np.linalg.svd(q_big.factor, full_matrices=False)
-    w = s ** 2
-    floor = rel_floor(w, PSD)
-    rh = rh[w > floor]
-    r = rh.conj().T
-    qs = q_small.q
-
-    def project(x: np.ndarray) -> np.ndarray:
-        return x - r @ (rh @ x)
-
-    op = LinearOperator((n, n), matvec=lambda x: project(qs @ project(x.ravel())), dtype=complex)
-    rng = np.random.default_rng(13)  # fixed start and restarts: reruns are byte-identical
-    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    try:
-        _, vec = eigsh(op, k=1, which="LA", tol=0, ncv=ncv, v0=v0, rng=rng)
-    except ArpackError:  # ArpackNoConvergence included
-        return None
-    wit = project(vec[:, 0])
-    wit /= np.linalg.norm(wit)
-    leak = float((wit.conj() @ qs @ wit).real)
-    if not leak > floor_small:
-        return None
-    return GammaECertificate(0.0, "zero", leak, leak - floor_small, floor, wit)
-
-
 def best_lambda(q_small: FormKernel, q_big: FormKernel) -> GammaECertificate:
     """Largest lambda with lambda * Q_small <= Q_big, by a direct pencil solve.
 
@@ -290,14 +242,9 @@ def best_lambda(q_small: FormKernel, q_big: FormKernel) -> GammaECertificate:
     if the leak ||K* Q_small K|| exceeds the floor of Q_small (ker Q_big is
     not inside ker Q_small), and otherwise
     lambda* = 1 / lambda_max(S^-1/2 R* Q_small R S^-1/2).
-    When Q_big carries a wide factor C (a jump kernel, rank Q_A <= K m, PSD
-    by construction) the leak is first sought as a Lanczos Ritz value of
-    P_K Q_small P_K from a thin SVD of C (``_lanczos_leak``); a Ritz value
-    above the floor is a zero verdict proved by its witness in ker Q_big.
-    Every other verdict, and every "positive" status, comes from the dense
-    split: an eigendecomposition of Q_big, or a full SVD of its factor whose
-    right singular vectors give R and K and whose squared singular values
-    above the floor give S.
+    The split is an eigendecomposition of Q_big or, when Q_big carries a
+    wide factor C, a full SVD of C whose right singular vectors give R and K
+    and whose squared singular values above the floor give S.
     Raises ValueError when the kernels differ in shape or Q_small vanishes.
     """
     _check_same_shape(q_small, q_big)
@@ -305,10 +252,6 @@ def best_lambda(q_small: FormKernel, q_big: FormKernel) -> GammaECertificate:
     if norm_small <= PSD:
         raise ValueError("Q_small vanishes; no pencil to solve")
     floor_small = rel_floor(norm_small, PSD)
-    if q_big.factor is not None:
-        cert = _lanczos_leak(q_small, q_big, floor_small)
-        if cert is not None:
-            return cert
     wb, vb = _kernel_eigh(q_big)
     floor = rel_floor(wb, PSD)
     if wb[0] < -floor:
@@ -329,18 +272,74 @@ def best_lambda(q_small: FormKernel, q_big: FormKernel) -> GammaECertificate:
     return GammaECertificate(1.0 / top, "positive", leak, floor_small - leak, floor, wit)
 
 
+def _index_leak(
+    q_small: FormKernel, q_big: FormKernel, n: SubAlgebra, floor_small: float
+) -> GammaECertificate | None:
+    """Zero certificate of a jump pencil Q_big = C* C in closed form, or None.
+
+    Over the matrix units e_a, z = sum_a e_a E(e_a*) is the index element of
+    N: central, with tau(z) = dim N.  When z = c 1 (so c = dim N),
+    (x, y) -> E((x - Ex)* (y - Ey)) has the kernel c (1 - P_0), P_0 the
+    projector onto ker Q_small, and
+
+        Q_small = B* B / 2 + (c/2)(1 - P_0),  B[i, (b, u)] = (e_b - E e_b)_{iu},
+
+    with B of size m x m^3.  ker Q_small lies in ker C, so when rank C (rows
+    R of the thin SVD with s^2 above the PSD floor) is below
+    rank Q_small = m (m^2/c - 1), ker C holds directions outside ker Q_small
+    and lambda* = 0.  With P_K = 1 - R* R the leak is then
+    c/2 + lambda_max(B P_K B*)/2, reached at w = P_K B* y for the top
+    eigenvector y of the m x m matrix B B* - (B R*)(B R*)*; ``leak`` is
+    w* Q_small w, the exact norm to rounding, and w in ker C is the witness.
+    None (use the dense split) when Q_big has no factor, z is not scalar,
+    rank C is not below the count, or that top eigenvalue is at or under the
+    PSD floor.
+    """
+    if q_big.factor is None:
+        return None
+    m, c = n.dim, n.size
+    e = tau_orthonormal_basis(m)
+    ee = n.expectation.apply(e)
+    z = np.einsum("aij,akj->ik", e, ee.conj())  # E(e_a*) = E(e_a)*
+    if np.abs(z - c * np.eye(m)).max() > rel_floor(z, PSD):
+        return None
+    _, s, rh = np.linalg.svd(q_big.factor, full_matrices=False)
+    w = s ** 2
+    floor = rel_floor(w, PSD)
+    rh = rh[w > floor]
+    if rh.shape[0] >= m * (m * m / c - 1):
+        return None
+    b = (e - ee).transpose(1, 0, 2).reshape(m, -1)
+    br = b @ rh.conj().T
+    h = b @ b.conj().T - br @ br.conj().T
+    top, y = _top_eigpair(h)
+    if not top > rel_floor(h, PSD):
+        return None
+    wit = b.conj().T @ y
+    wit -= rh.conj().T @ (rh @ wit)
+    wit /= np.linalg.norm(wit)
+    leak = float((wit.conj() @ q_small.q @ wit).real)
+    return GammaECertificate(0.0, "zero", leak, leak - floor_small, floor, wit)
+
+
 def gamma_e_constant(gen: LindbladGenerator) -> GammaECertificate:
     """Certified gradient-condition constant of a Lindblad generator.
 
     Compares the kernel of Gamma_{I-E_fix} against the kernel of the jump
     gradient form.  A generator with trivial dynamics (fixed algebra all of
     M_m, so Gamma_{I-E} vanishes) gets a zero certificate without a solve.
+    A zero verdict is first sought in closed form from the jump factor
+    (K < m^2) and the index element of the fixed algebra (``_index_leak``);
+    every other case takes ``best_lambda``.
     """
-    q_small = kernel_ie(gen.fixed_algebra)
+    n = gen.fixed_algebra
+    q_small = kernel_ie(n)
     norm_small = np.linalg.norm(q_small.q)
     if norm_small <= PSD:
         return GammaECertificate(0.0, "zero", 0.0, PSD - norm_small, PSD)
-    return best_lambda(q_small, kernel_from_jumps(gen.jumps.jumps))
+    q_big = kernel_from_jumps(gen.jumps.jumps)
+    cert = _index_leak(q_small, q_big, n, rel_floor(norm_small, PSD))
+    return cert if cert is not None else best_lambda(q_small, q_big)
 
 
 def _cholesky_shift(h: np.ndarray, spread: float) -> float:

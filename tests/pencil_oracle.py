@@ -3,9 +3,10 @@
 ``bisect_lambda`` bisects on the smallest eigenvalue of Q_big - lambda Q_small,
 shifted by the same PSD floor that ``cp_order_holds`` allows, so it finds the
 largest lambda the floor accepts, up to ``tol``.  ``dense_split_lambda`` is
-the factored split as ``best_lambda`` took it before the Lanczos leak: a
-full SVD of Q_big's factor, the (n - r) x (n - r) block K* Q_small K over
-the whole kernel basis and a dense top eigenpair of it.
+the factored split written out on its own: a full SVD of Q_big's factor, the
+(n - r) x (n - r) block K* Q_small K over the whole kernel basis and a dense
+top eigenpair of it.  It is the reference for the closed-form leak that
+``gamma_e_constant`` reports for a jump pencil.
 """
 
 import numpy as np

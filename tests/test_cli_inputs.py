@@ -175,6 +175,23 @@ def test_casebook_rejects_a_size_beyond_its_cap(argv, tmp_path, capsys):
     assert err.startswith("error:") and "<=" in err
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf", "1e308", "1e5", "0", "-1"])
+def test_casebook_rothaus_rejects_an_alpha_the_arithmetic_cannot_support(alpha, tmp_path, capsys):
+    # beyond 1e3 the computed D_N(|x|^2) drifts from its closed form (1.1e-5 at 1e5)
+    out = tmp_path / "case.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["casebook", "run", "rothaus", "--alpha", alpha, "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "alpha" in err
+
+
+def test_casebook_rothaus_passes_at_the_largest_alpha_it_accepts(tmp_path):
+    out = tmp_path / "case.json"
+    assert main(["casebook", "run", "rothaus", "--alpha", "1e3", "--out", str(out)]) == 0
+
+
 STATE_OR_JUMPS = {
     "a list": [1, 2],
     "null": None,

@@ -1,9 +1,14 @@
-"""Property tests of the cp-order pencil on a factored Q_big = C* C."""
+"""Property tests of the cp-order pencil on a factored Q_big = C* C, and of the
+index-element identities its closed-form leak rests on."""
 
 import numpy as np
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from qmsemi.cporder import FormKernel, best_lambda, cp_order_holds
+from conftest import random_degenerate_commutant
+from qmsemi.cporder import FormKernel, best_lambda, cp_order_holds, kernel_from_jumps, kernel_ie
+from qmsemi.generator import jump_set, lindblad
+from qmsemi.matops import tau_orthonormal_basis
 from qmsemi.tolerances import PSD, rel_floor
 
 
@@ -57,3 +62,44 @@ def test_factored_pencil_is_tight_and_its_status_follows_the_leak(pencil):
         assert not cp_order_holds(q_small, q_big, lam + max(1e-6, 1e-6 * lam))
     floor_small = rel_floor(np.linalg.norm(q_small.q), PSD)
     assert (cert.status == "zero") == (cert.leak > floor_small)
+
+
+def _index_element(n):
+    """z = sum_a e_a E(e_a*) over the tau-orthonormal matrix units."""
+    e = tau_orthonormal_basis(n.dim)
+    return np.einsum("aij,ajk->ik", e, n.expectation.apply(e.conj().transpose(0, 2, 1)))
+
+
+def _block_jumps(m, rng):
+    """One or two jumps, block diagonal in a random unitary frame."""
+    cuts = np.sort(rng.choice(np.arange(1, m), rng.integers(1, m), replace=False))
+    sizes = np.diff(np.r_[0, cuts, m])
+    u = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
+    jumps = []
+    for _ in range(rng.integers(1, 3)):
+        gs = [rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s)) for s in sizes]
+        jumps.append(u @ scipy.linalg.block_diag(*(g + g.conj().T for g in gs)) @ u.conj().T)
+    return jump_set(jumps, m=m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["commutant", "jumps"]), st.integers(2, 5), st.integers(0, 2**32 - 1))
+def test_the_index_element_is_central_and_fixes_the_rank_of_q_ie(kind, m, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "commutant":
+        n, jumps = random_degenerate_commutant(m, rng), None
+    else:
+        jumps = _block_jumps(m, rng)
+        n = lindblad(jumps).fixed_algebra
+    z = _index_element(n)
+    assert np.abs(n.project(z) - z).max() <= 1e-12  # z lies in N ...
+    assert np.abs(n.basis @ z - z @ n.basis).max() <= 1e-12  # ... and commutes with N
+    rank = m * (m * np.trace(np.linalg.inv(z)).real - 1)
+    assert abs(rank - round(rank)) <= 1e-9
+    q_small = kernel_ie(n)
+    w, v = np.linalg.eigh(q_small.q)
+    in_range = w > rel_floor(w, PSD)
+    assert in_range.sum() == round(rank)
+    if jumps is not None:  # ker Q_{I-E} lies in ker Q_A
+        q_big = kernel_from_jumps(jumps.jumps)
+        assert np.abs(q_big.q @ v[:, ~in_range]).max() <= rel_floor(q_big.q, PSD)
