@@ -15,11 +15,12 @@ basis such as that of a subalgebra) or from a jump set
 solved directly (see ``best_lambda``).  For a Lindblad generator with K jumps
 Q_A = C* C with the (K m) x m^3 commutator factor
 C[(k,i),(b,u)] = ([a_k, e_b])_{iu}, so rank Q_A <= K m and ker Q_A has
-dimension >= m^3 - K m.  When K < m^2 and the index element of N is scalar,
-a zero verdict and the exact leak of Q_{I-E} out of ker Q_A follow in closed
-form from a thin SVD of C and one m x m eigenproblem (``gamma_e_constant``).
-Every other verdict comes from the dense split of Q_A into range and kernel
-(a full SVD of C, or an eigendecomposition of Q_A).  A superoperator pencil
+dimension >= m^3 - K m.  When K < m^2, ``gamma_e_constant`` works on C alone
+and never forms Q_A: if the index element of N is scalar, a zero verdict and
+the exact leak of Q_{I-E} out of ker Q_A follow in closed form from a thin
+SVD of C and one m x m eigenproblem, and every other verdict comes from the
+split of Q_A into range and kernel given by a full SVD of C.  With K >= m^2
+the dense Q_A is split by an eigendecomposition.  A superoperator pencil
 (``gamma_e``) with N = C 1 first drops the 1 (x) C^m directions, which both
 kernels kill, by a congruence; its "positive" status is then proved by a
 Cholesky factorization with Rump's rounding margin, and any other outcome
@@ -75,20 +76,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FormKernel:
-    """Hermitian kernel of an operator-valued sesquilinear form.
-
-    ``factor``, when set, is a matrix C with fewer rows than columns and
-    q = C* C, so its row count bounds the rank of q.
-    """
+    """Hermitian kernel of an operator-valued sesquilinear form."""
 
     dim: int                 # matrix size m (the "vector" slots)
     basis_size: int          # number of operator basis elements
     q: np.ndarray            # (basis_size*dim, basis_size*dim)
-    factor: np.ndarray | None = None  # (rows, basis_size*dim) with q = factor* factor
-
-    def __post_init__(self) -> None:
-        if self.factor is not None and (self.factor.ndim != 2 or self.factor.shape[1] != self.size):
-            raise ValueError("kernel factor must have one column per kernel row")
 
     @property
     def size(self) -> int:
@@ -99,22 +91,20 @@ def _symmetrize(q: np.ndarray) -> np.ndarray:
     return (q + q.conj().T) / 2.0
 
 
-def kernel_from_jumps(jumps_arr: np.ndarray) -> FormKernel:
-    """Kernel of Gamma(x,y) = sum_k [a_k,x]*[a_k,y] as C* C.
-
-    C[(k,i),(b,u)] = ([a_k, e_b])_{iu} is kept as the kernel's ``factor`` when
-    it has fewer rows than columns (K < m^2 jumps).
-    """
+def _jump_factor(jumps_arr: np.ndarray) -> np.ndarray:
+    """The (K m) x m^3 commutator factor C[(k,i),(b,u)] = ([a_k, e_b])_{iu}."""
     a = np.asarray(jumps_arr, dtype=complex)
     m = a.shape[-1]
     basis = tau_orthonormal_basis(m)
-    k = basis.shape[0]
-    # commutators [a_k, e_b] for all jumps and basis elements
     c = np.einsum("kij,bjl->kbil", a, basis) - np.einsum("bij,kjl->kbil", basis, a)
-    factor = c.transpose(0, 2, 1, 3).reshape(-1, k * m)
-    q = _symmetrize(factor.conj().T @ factor)
-    wide = factor.shape[0] < factor.shape[1]
-    return FormKernel(dim=m, basis_size=k, q=q, factor=factor if wide else None)
+    return c.transpose(0, 2, 1, 3).reshape(-1, m ** 3)
+
+
+def kernel_from_jumps(jumps_arr: np.ndarray) -> FormKernel:
+    """Kernel of Gamma(x,y) = sum_k [a_k,x]*[a_k,y], the dense C* C of ``_jump_factor``."""
+    c = _jump_factor(jumps_arr)
+    m = np.shape(jumps_arr)[-1]
+    return FormKernel(dim=m, basis_size=m * m, q=_symmetrize(c.conj().T @ c))
 
 
 def kernel_from_superop(a: Superop, basis: np.ndarray | None = None) -> FormKernel:
@@ -173,17 +163,16 @@ def cp_order_holds(q_small: FormKernel, q_big: FormKernel, lam: float) -> bool:
     return bool(w.min() >= -rel_floor(w, PSD))
 
 
-def _kernel_eigh(q: FormKernel) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and eigenvectors of q, from its factor when set.
+def _factor_eigh(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors of C* C from a full SVD of C.
 
-    For q = C* C with C = U S V*, the eigenvalues are S^2 padded with exact
-    zeros and the eigenvectors are the columns of V, both in reverse order.
+    For C = U S V*, the eigenvalues are S^2 padded with exact zeros and the
+    eigenvectors are the columns of V, both in reverse order.
     """
-    if q.factor is None:
-        return np.linalg.eigh(q.q)
-    _, s, vh = np.linalg.svd(q.factor, full_matrices=True)
-    w = np.zeros(q.size)
-    w[q.size - s.size:] = s[::-1] ** 2
+    n = c.shape[1]
+    _, s, vh = np.linalg.svd(c, full_matrices=True)
+    w = np.zeros(n)
+    w[n - s.size:] = s[::-1] ** 2
     return w, vh[::-1].conj().T
 
 
@@ -237,22 +226,27 @@ class GammaECertificate:
 def best_lambda(q_small: FormKernel, q_big: FormKernel) -> GammaECertificate:
     """Largest lambda with lambda * Q_small <= Q_big, by a direct pencil solve.
 
-    Q_small is PSD.  Q_big, split at the PSD floor into range R (eigenvalues
-    S) and kernel K, gives lambda* = 0 if it has a direction below -floor or
-    if the leak ||K* Q_small K|| exceeds the floor of Q_small (ker Q_big is
-    not inside ker Q_small), and otherwise
-    lambda* = 1 / lambda_max(S^-1/2 R* Q_small R S^-1/2).
-    The split is an eigendecomposition of Q_big or, when Q_big carries a
-    wide factor C, a full SVD of C whose right singular vectors give R and K
-    and whose squared singular values above the floor give S.
+    Q_small is PSD.  Q_big is split by one eigendecomposition (``_split_pencil``).
     Raises ValueError when the kernels differ in shape or Q_small vanishes.
     """
     _check_same_shape(q_small, q_big)
     norm_small = np.linalg.norm(q_small.q)  # Frobenius: bounds ||Q_small||, no eigensolve
     if norm_small <= PSD:
         raise ValueError("Q_small vanishes; no pencil to solve")
-    floor_small = rel_floor(norm_small, PSD)
-    wb, vb = _kernel_eigh(q_big)
+    wb, vb = np.linalg.eigh(q_big.q)
+    return _split_pencil(q_small, rel_floor(norm_small, PSD), wb, vb)
+
+
+def _split_pencil(
+    q_small: FormKernel, floor_small: float, wb: np.ndarray, vb: np.ndarray
+) -> GammaECertificate:
+    """lambda* from the ascending eigenpairs (wb, vb) of Q_big.
+
+    Q_big, split at the PSD floor into range R (eigenvalues S) and kernel K,
+    gives lambda* = 0 if it has a direction below -floor or if the leak
+    ||K* Q_small K|| exceeds ``floor_small`` (ker Q_big is not inside
+    ker Q_small), and otherwise lambda* = 1 / lambda_max(S^-1/2 R* Q_small R S^-1/2).
+    """
     floor = rel_floor(wb, PSD)
     if wb[0] < -floor:
         return GammaECertificate(0.0, "zero", None, -wb[0] - floor, floor, vb[:, 0])
@@ -273,7 +267,7 @@ def best_lambda(q_small: FormKernel, q_big: FormKernel) -> GammaECertificate:
 
 
 def _index_leak(
-    q_small: FormKernel, q_big: FormKernel, n: SubAlgebra, floor_small: float
+    q_small: FormKernel, c: np.ndarray, n: SubAlgebra, floor_small: float
 ) -> GammaECertificate | None:
     """Zero certificate of a jump pencil Q_big = C* C in closed form, or None.
 
@@ -291,23 +285,20 @@ def _index_leak(
     c/2 + lambda_max(B P_K B*)/2, reached at w = P_K B* y for the top
     eigenvector y of the m x m matrix B B* - (B R*)(B R*)*; ``leak`` is
     w* Q_small w, the exact norm to rounding, and w in ker C is the witness.
-    None (use the dense split) when Q_big has no factor, z is not scalar,
-    rank C is not below the count, or that top eigenvalue is at or under the
-    PSD floor.
+    None (use the dense split) when z is not scalar, rank C is not below the
+    count, or that top eigenvalue is at or under the PSD floor.
     """
-    if q_big.factor is None:
-        return None
-    m, c = n.dim, n.size
+    m, dim_n = n.dim, n.size
     e = tau_orthonormal_basis(m)
     ee = n.expectation.apply(e)
     z = np.einsum("aij,akj->ik", e, ee.conj())  # E(e_a*) = E(e_a)*
-    if np.abs(z - c * np.eye(m)).max() > rel_floor(z, PSD):
+    if np.abs(z - dim_n * np.eye(m)).max() > rel_floor(z, PSD):
         return None
-    _, s, rh = np.linalg.svd(q_big.factor, full_matrices=False)
+    _, s, rh = np.linalg.svd(c, full_matrices=False)
     w = s ** 2
     floor = rel_floor(w, PSD)
     rh = rh[w > floor]
-    if rh.shape[0] >= m * (m * m / c - 1):
+    if rh.shape[0] >= m * (m * m / dim_n - 1):
         return None
     b = (e - ee).transpose(1, 0, 2).reshape(m, -1)
     br = b @ rh.conj().T
@@ -328,18 +319,20 @@ def gamma_e_constant(gen: LindbladGenerator) -> GammaECertificate:
     Compares the kernel of Gamma_{I-E_fix} against the kernel of the jump
     gradient form.  A generator with trivial dynamics (fixed algebra all of
     M_m, so Gamma_{I-E} vanishes) gets a zero certificate without a solve.
-    A zero verdict is first sought in closed form from the jump factor
-    (K < m^2) and the index element of the fixed algebra (``_index_leak``);
-    every other case takes ``best_lambda``.
+    With K >= m^2 jumps the dense Q_A takes ``best_lambda``; with K < m^2 the
+    factor C alone decides (``_index_leak``, else the split from C's full SVD).
     """
     n = gen.fixed_algebra
     q_small = kernel_ie(n)
     norm_small = np.linalg.norm(q_small.q)
     if norm_small <= PSD:
         return GammaECertificate(0.0, "zero", 0.0, PSD - norm_small, PSD)
-    q_big = kernel_from_jumps(gen.jumps.jumps)
-    cert = _index_leak(q_small, q_big, n, rel_floor(norm_small, PSD))
-    return cert if cert is not None else best_lambda(q_small, q_big)
+    if gen.jumps.size >= gen.jumps.dim ** 2:
+        return best_lambda(q_small, kernel_from_jumps(gen.jumps.jumps))
+    floor_small = rel_floor(norm_small, PSD)
+    c = _jump_factor(gen.jumps.jumps)
+    cert = _index_leak(q_small, c, n, floor_small)
+    return cert if cert is not None else _split_pencil(q_small, floor_small, *_factor_eigh(c))
 
 
 def _cholesky_shift(h: np.ndarray, spread: float) -> float:
@@ -383,8 +376,9 @@ def _congruence_cholesky(
     estimated eigenvalue clears it CERT_HEADROOM times.  The proof is for the
     kernels with the swapped-in rows, which A's bimodularity makes exactly
     zero and the row check finds below the floor, set to zero.  None when a
-    row check fails, Q_big' is not positive definite, the top eigenvalue is not
-    positive, delta reaches 1, or the certifying Cholesky fails.
+    row check fails, Q_big' is not positive definite, the eigensolver returns
+    no top pair, the top eigenvalue is not positive, delta reaches 1, or the
+    certifying Cholesky fails.
     """
     m, k = q_big.dim, q_big.basis_size
     coords = np.tensordot(n.basis, basis.conj(), axes=([1, 2], [1, 2])) / m  # tau(e_a* n_0)
@@ -404,7 +398,7 @@ def _congruence_cholesky(
         mu, vec = scipy.linalg.eigh(qs, qb, subset_by_index=[size - 1, size - 1])
     except np.linalg.LinAlgError:
         return None
-    if not mu[0] > 0.0:
+    if mu.size == 0 or not mu[0] > 0.0:  # gvx may return no pair on a flat spectrum
         return None
     lam = 1.0 / mu[0]
     spread = 2.0 * CHOLESKY_UNIT * (np.linalg.norm(qb) + lam * np.linalg.norm(qs))

@@ -80,7 +80,8 @@ def decay_terms(rho, rho_eig, e: Superop, b: Superop):
     """D(rho||E(rho)) and tau(B(rho) ln rho) for a stack of states (..., m, m).
 
     ``rho_eig`` holds the eigenpairs of rho; adds one stacked eigensolve of
-    E(rho).  An ill-defined Fisher value raises, as in ``fisher``.
+    E(rho).  E is trace preserving, so D >= 0 exactly and a rounding-negative
+    D is clipped to 0.  An ill-defined Fisher value raises, as in ``fisher``.
     """
     m = rho.shape[-1]
     flat = rho.reshape(-1, m, m)
@@ -88,7 +89,7 @@ def decay_terms(rho, rho_eig, e: Superop, b: Superop):
     d, i, _ = spectral_terms(flat, flat_eig, np.linalg.eigh(e.apply(flat)), b.apply(flat))
     if np.isnan(i).any():
         raise ValueError("ill-defined Fisher information, supply eps_shift")
-    return d.reshape(rho.shape[:-2]), i.reshape(rho.shape[:-2])
+    return np.maximum(d, 0.0).reshape(rho.shape[:-2]), i.reshape(rho.shape[:-2])
 
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -101,8 +102,8 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 
 def d_sub(rho: np.ndarray, n: SubAlgebra) -> float:
-    """Relative entropy to the subalgebra, D(rho || E_N(rho))."""
-    return relative_entropy(rho, n.expectation.apply(rho))
+    """Relative entropy to the subalgebra, D(rho || E_N(rho)), clipped at 0."""
+    return float(np.maximum(relative_entropy(rho, n.expectation.apply(rho)), 0.0))
 
 
 def fisher(

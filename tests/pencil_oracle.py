@@ -3,10 +3,11 @@
 ``bisect_lambda`` bisects on the smallest eigenvalue of Q_big - lambda Q_small,
 shifted by the same PSD floor that ``cp_order_holds`` allows, so it finds the
 largest lambda the floor accepts, up to ``tol``.  ``dense_split_lambda`` is
-the factored split written out on its own: a full SVD of Q_big's factor, the
+the factored split written out on its own: it takes the factor C of
+Q_big = C* C explicitly (no kernel carries one), a full SVD of C, the
 (n - r) x (n - r) block K* Q_small K over the whole kernel basis and a dense
-top eigenpair of it.  It is the reference for the closed-form leak that
-``gamma_e_constant`` reports for a jump pencil.
+top eigenpair of it.  It is the reference for the closed-form leak and the
+factored split that ``gamma_e_constant`` uses for a jump pencil.
 """
 
 import numpy as np
@@ -53,12 +54,13 @@ def _top_eigpair(h: np.ndarray) -> tuple[float, np.ndarray]:
     return float(w[0]), v[:, 0]
 
 
-def dense_split_lambda(q_small: FormKernel, q_big: FormKernel) -> GammaECertificate:
-    """lambda* of a factored Q_big = C* C from a full SVD of C and dense blocks."""
+def dense_split_lambda(q_small: FormKernel, c: np.ndarray) -> GammaECertificate:
+    """lambda* of Q_big = C* C from a full SVD of the factor C and dense blocks."""
     floor_small = rel_floor(np.linalg.norm(q_small.q), PSD_RTOL)
-    _, s, vh = np.linalg.svd(q_big.factor, full_matrices=True)
-    wb = np.zeros(q_big.size)
-    wb[q_big.size - s.size:] = s[::-1] ** 2
+    size = c.shape[1]
+    _, s, vh = np.linalg.svd(c, full_matrices=True)
+    wb = np.zeros(size)
+    wb[size - s.size:] = s[::-1] ** 2
     vb = vh[::-1].conj().T
     floor = rel_floor(wb, PSD_RTOL)
     in_range = wb > floor

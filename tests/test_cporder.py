@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -97,8 +96,9 @@ def test_kernels_match_the_einsum_oracle(name):
     gen = KERNEL_CASES[name]
     jumps = kernel_from_jumps(gen.jumps.jumps)
     _assert_kernel_close(jumps.q, kernel_from_jumps_by_einsum(gen.jumps.jumps).q)
-    if jumps.factor is not None:
-        _assert_kernel_close(jumps.factor.conj().T @ jumps.factor, jumps.q)
+    c = cporder._jump_factor(gen.jumps.jumps)
+    assert c.shape == (gen.jumps.size * gen.dim, jumps.size)
+    _assert_kernel_close(c.conj().T @ c, jumps.q)
     n = gen.fixed_algebra
     _assert_kernel_close(kernel_ie(n).q, kernel_from_superop_by_einsum(n.complement).q)
     _assert_kernel_close(kernel_from_superop(gen.superop).q,
@@ -131,7 +131,7 @@ def _superop_cases(m):
 def test_gathered_superop_kernel_matches_the_einsum_oracle(m):
     for name, a in _superop_cases(m).items():
         k = kernel_from_superop(a)
-        assert k.basis_size == m * m and k.factor is None, name
+        assert k.basis_size == m * m, name
         _assert_kernel_close(k.q, kernel_from_superop_by_einsum(a).q, rtol=1e-13)
         assert np.array_equal(k.q, k.q.conj().T), name
         # the gather rounds as the products over the same basis round
@@ -149,20 +149,6 @@ def test_an_explicit_basis_keeps_the_product_kernel(m):
                                  kernel_from_superop_by_einsum(a, basis=basis).q, rtol=1e-13)
 
 
-def test_jump_kernel_keeps_its_factor_only_when_it_bounds_the_rank():
-    assert kernel_from_jumps(depolarizing_generator(3).jumps.jumps).factor is None
-    gen = random_lindblad(6, 3, np.random.default_rng(6), scale=0.6)
-    assert kernel_from_jumps(gen.jumps.jumps).factor.shape == (3 * 6, 6 ** 3)
-
-
-def test_form_kernel_rejects_a_factor_of_the_wrong_width():
-    k = kernel_from_jumps(dephasing_generator(2).jumps.jumps)
-    with pytest.raises(ValueError, match="factor"):
-        dataclasses.replace(k, factor=k.factor[:, :-1])
-    with pytest.raises(ValueError, match="factor"):
-        dataclasses.replace(k, factor=k.factor.ravel())
-
-
 def test_best_lambda_rejects_mismatched_kernels():
     q2 = kernel_ie(scalar_algebra(2))
     q3 = kernel_ie(scalar_algebra(3))
@@ -177,8 +163,10 @@ def test_factored_split_agrees_with_the_eigendecomposition(name):
     gen = KERNEL_CASES[name]
     q_small = kernel_ie(gen.fixed_algebra)
     q_big = kernel_from_jumps(gen.jumps.jumps)
-    cert = best_lambda(q_small, q_big)
-    ref = best_lambda(q_small, dataclasses.replace(q_big, factor=None))
+    floor_small = rel_floor(np.linalg.norm(q_small.q), PSD)
+    c = cporder._jump_factor(gen.jumps.jumps)
+    cert = cporder._split_pencil(q_small, floor_small, *cporder._factor_eigh(c))
+    ref = best_lambda(q_small, q_big)
     assert cert.status == ref.status
     for field in ("lambda_star", "margin"):
         got, want = getattr(cert, field), getattr(ref, field)
@@ -202,10 +190,34 @@ def test_gamma_e_takes_no_eigendecomposition_of_the_full_jump_kernel(monkeypatch
     monkeypatch.setattr(np.linalg, "eigh", recorded)
     assert gamma_e_constant(gen).status == "zero"
     assert full not in shapes
-    # the recorder does see the eigendecomposition of an unfactored Q_big
-    q_big = dataclasses.replace(kernel_from_jumps(gen.jumps.jumps), factor=None)
-    best_lambda(kernel_ie(gen.fixed_algebra), q_big)
+    # the recorder does see the eigendecomposition of the dense Q_big
+    best_lambda(kernel_ie(gen.fixed_algebra), kernel_from_jumps(gen.jumps.jumps))
     assert full in shapes
+
+
+def _without_identity(m):
+    """Depolarizing on M_m with its (commuting) identity jump dropped: K = m^2 - 1."""
+    jumps = depolarizing_generator(m).jumps.jumps
+    keep = [k for k, a in enumerate(jumps) if np.abs(a - a[0, 0] * np.eye(m)).max() > 1e-12]
+    return lindblad(jump_set(jumps[keep], m=m))
+
+
+@pytest.mark.parametrize("gen", [
+    pytest.param(random_lindblad(m, k, np.random.default_rng(90 + 10 * m + k), scale=0.6),
+                 id=f"random-m{m}-k{k}") for m, k in ((2, 2), (3, 2), (4, 3), (6, 3), (8, 3))
+] + [pytest.param(_without_identity(m), id=f"depolarizing-without-identity-m{m}") for m in (2, 3)])
+def test_gamma_e_constant_never_forms_q_a_for_fewer_than_m2_jumps(gen, monkeypatch):
+    m = gen.dim
+    assert gen.jumps.size < m * m and gen.fixed_algebra.size == 1
+    ref = best_lambda(kernel_ie(gen.fixed_algebra), kernel_from_jumps(gen.jumps.jumps))
+
+    def refuse(jumps_arr):
+        raise AssertionError("the dense jump kernel was formed")
+
+    monkeypatch.setattr(cporder, "kernel_from_jumps", refuse)
+    cert = gamma_e_constant(gen)
+    assert cert.status == ref.status
+    assert cert.lambda_star == pytest.approx(ref.lambda_star, rel=1e-9, abs=1e-12)
 
 
 def test_cp_order_basics():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_zoo, random_connected_weights
 from qmsemi.algebra import diagonal_algebra, scalar_algebra
-from qmsemi.casebook import _graph_superop, graph_kernels, graph_lambda_star
+from qmsemi.casebook import _graph_superop, case_graph_criterion, graph_kernels, graph_lambda_star
 from qmsemi.cporder import (
     _cholesky_shift,
     best_lambda,
@@ -19,7 +19,7 @@ from qmsemi.cporder import (
     kernel_ie,
 )
 from qmsemi.matops import identity_superop
-from qmsemi.models import dephasing_generator, random_lindblad
+from qmsemi.models import dephasing_generator, depolarizing_generator, random_lindblad
 from qmsemi.subordinate import density_approximation, fractional_power
 
 
@@ -142,6 +142,37 @@ def test_a_positive_status_needs_the_certifying_cholesky(zoo, monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "cholesky", fail)
     got, ref = _agree(a, gen.fixed_algebra)
+    assert got.method == "pencil-direct" and got.lambda_star == ref.lambda_star
+
+
+@pytest.mark.parametrize("v", [6, 8, 12])
+def test_the_complete_graph_survives_a_flat_compressed_spectrum(v):
+    # every generalized eigenvalue of the compressed K_v pencil is equal, where
+    # LAPACK's subset eigensolver may return no top pair
+    w = np.ones((v, v)) - np.eye(v)
+    got, _ = _agree(_graph_superop(w), scalar_algebra(v), basis=diagonal_algebra(v).basis)
+    assert got.status == "positive"
+    assert got.lambda_star == pytest.approx(2.0 * v, rel=1e-12)
+    assert case_graph_criterion(w).passed
+
+
+@pytest.mark.parametrize("m", [6, 7, 8])
+def test_depolarizing_survives_a_flat_compressed_spectrum(m):
+    got, _ = _agree(depolarizing_generator(m).superop, scalar_algebra(m))
+    assert got.status == "positive"
+    assert got.lambda_star == pytest.approx(1.0, rel=1e-12)
+
+
+def test_an_empty_top_pair_takes_best_lambda(monkeypatch):
+    eigh = scipy.linalg.eigh
+
+    def no_pair(a, b=None, **kwargs):  # the generalized solve finds no eigenvalue
+        if b is None:
+            return eigh(a, **kwargs)
+        return np.empty(0), np.empty((a.shape[0], 0))
+
+    monkeypatch.setattr(scipy.linalg, "eigh", no_pair)
+    got, ref = _agree(depolarizing_generator(3).superop, scalar_algebra(3))
     assert got.method == "pencil-direct" and got.lambda_star == ref.lambda_star
 
 

@@ -2,9 +2,10 @@
 
 With K < m^2 jumps and a fixed algebra N whose index element
 z = sum_a e_a E(e_a*) is scalar, ``gamma_e_constant`` decides a zero verdict
-from a thin SVD of the jump factor and one m x m eigenproblem, and reports
+from a thin SVD of the jump factor C and one m x m eigenproblem, and reports
 the exact leak ||P_ker Q_A Q_{I-E} P_ker Q_A||; every other pencil takes the
-dense split, which ``pencil_oracle.dense_split_lambda`` keeps as the
+dense split (of C's full SVD, or of Q_A's eigendecomposition in
+``best_lambda``), which ``pencil_oracle.dense_split_lambda`` keeps as the
 reference.  The older test names that speak of a Lanczos leak or an all-ones
 start are kept so that the test ids stay stable; they name the same pencils.
 """
@@ -41,25 +42,26 @@ def _two_by_h(m, seed):
 
 
 def _pencil(gen):
-    return kernel_ie(gen.fixed_algebra), kernel_from_jumps(gen.jumps.jumps)
+    """Q_{I-E} and the jump factor C of Q_A = C* C."""
+    return kernel_ie(gen.fixed_algebra), cporder._jump_factor(gen.jumps.jumps)
 
 
 def _no_dense_split(monkeypatch):
-    def refuse(q):
+    def refuse(*args):
         raise AssertionError("the dense split was taken")
 
-    monkeypatch.setattr(cporder, "_kernel_eigh", refuse)
+    monkeypatch.setattr(cporder, "_split_pencil", refuse)
 
 
 def _count_dense_splits(monkeypatch):
     splits = []
-    kernel_eigh = cporder._kernel_eigh
-    monkeypatch.setattr(cporder, "_kernel_eigh", lambda q: splits.append(q) or kernel_eigh(q))
+    split = cporder._split_pencil
+    monkeypatch.setattr(cporder, "_split_pencil", lambda *a: splits.append(a) or split(*a))
     return splits
 
 
-def _assert_matches_oracle(q_small, q_big, cert):
-    ref = dense_split_lambda(q_small, q_big)
+def _assert_matches_oracle(q_small, c, cert):
+    ref = dense_split_lambda(q_small, c)
     assert cert.status == ref.status
     assert cert.lambda_star == ref.lambda_star
     if cert.status == "zero":
@@ -68,24 +70,24 @@ def _assert_matches_oracle(q_small, q_big, cert):
         assert abs(cert.leak - ref.leak) <= rel_floor(np.linalg.norm(q_small.q), PSD)
 
 
-def _assert_zero_witness(q_small, q_big, cert):
+def _assert_zero_witness(q_small, c, cert):
     v = cert.witness
     assert np.linalg.norm(v) == pytest.approx(1.0)
-    assert np.linalg.norm(q_big.factor @ v) ** 2 <= cert.tolerance  # v lies in ker Q_A
+    assert np.linalg.norm(c @ v) ** 2 <= cert.tolerance  # v lies in ker Q_A
     assert (v.conj() @ q_small.q @ v).real == pytest.approx(cert.leak, rel=1e-12)
     assert cert.margin == pytest.approx(cert.leak - rel_floor(np.linalg.norm(q_small.q), PSD))
 
 
 def _assert_closed_form(gen, monkeypatch):
     """gamma_e_constant decides zero without the dense split, as the oracle does."""
-    q_small, q_big = _pencil(gen)
-    assert q_big.factor is not None
+    q_small, c = _pencil(gen)
+    assert c.shape[0] < c.shape[1]
     with monkeypatch.context() as mp:
         _no_dense_split(mp)
         cert = gamma_e_constant(gen)
     assert cert.status == "zero" and cert.method == "pencil-direct"
-    _assert_matches_oracle(q_small, q_big, cert)
-    _assert_zero_witness(q_small, q_big, cert)
+    _assert_matches_oracle(q_small, c, cert)
+    _assert_zero_witness(q_small, c, cert)
     again = gamma_e_constant(gen)
     assert again.to_json() == cert.to_json()
     assert np.array_equal(again.witness, cert.witness)
@@ -112,17 +114,16 @@ def test_the_closed_form_leak_holds_on_homogeneous_fixed_algebras(gen, monkeypat
     _assert_closed_form(gen, monkeypatch)
 
 
-FACTORED_ZOO = sorted(name for name, gen in make_zoo().items()
-                      if kernel_from_jumps(gen.jumps.jumps).factor is not None)
+FACTORED_ZOO = sorted(name for name, gen in make_zoo().items() if gen.jumps.size < gen.dim ** 2)
 
 
 @pytest.mark.parametrize("name", FACTORED_ZOO)
 def test_lanczos_leak_matches_the_dense_split_on_the_zoo(zoo, name):
-    q_small, q_big = _pencil(zoo[name])
+    q_small, c = _pencil(zoo[name])
     cert = gamma_e_constant(zoo[name])
-    _assert_matches_oracle(q_small, q_big, cert)
+    _assert_matches_oracle(q_small, c, cert)
     if cert.status == "zero":
-        _assert_zero_witness(q_small, q_big, cert)
+        _assert_zero_witness(q_small, c, cert)
 
 
 @pytest.mark.parametrize("m, jumps", [
@@ -138,28 +139,28 @@ def test_a_structured_pencil_whose_top_vector_misses_the_all_ones_start(m, jumps
     if gen.jumps.size == 1:
         _assert_closed_form(gen, monkeypatch)
         return
-    q_small, q_big = _pencil(gen)
+    q_small, c = _pencil(gen)
     splits = _count_dense_splits(monkeypatch)
     cert = gamma_e_constant(gen)
     assert len(splits) == 1
     assert cert.status == "zero"
-    _assert_matches_oracle(q_small, q_big, cert)
-    _assert_zero_witness(q_small, q_big, cert)
+    _assert_matches_oracle(q_small, c, cert)
+    _assert_zero_witness(q_small, c, cert)
 
 
 def test_a_factored_positive_pencil_certifies_through_the_dense_split(monkeypatch):
     # Q_small = (X C)* (X C) vanishes on ker C: no leak, lambda* > 0
     rng = np.random.default_rng(5)
     gen = random_lindblad(3, 2, rng, scale=0.6)
-    q_big = kernel_from_jumps(gen.jumps.jumps)
-    x = rng.standard_normal((4, q_big.factor.shape[0]))
-    g = x @ q_big.factor
+    c = cporder._jump_factor(gen.jumps.jumps)
+    x = rng.standard_normal((4, c.shape[0]))
+    g = x @ c
     q_small = FormKernel(dim=3, basis_size=9, q=g.conj().T @ g)
     splits = _count_dense_splits(monkeypatch)
-    cert = best_lambda(q_small, q_big)
+    cert = best_lambda(q_small, kernel_from_jumps(gen.jumps.jumps))
     assert len(splits) == 1
     assert cert.status == "positive" and cert.lambda_star > 0
-    _assert_matches_oracle(q_small, q_big, cert)
+    _assert_matches_oracle(q_small, c, cert)
 
 
 def test_the_lanczos_leak_is_byte_identical_on_rerun(tmp_path):

@@ -6,7 +6,8 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_degenerate_commutant
-from qmsemi.cporder import FormKernel, best_lambda, cp_order_holds, kernel_from_jumps, kernel_ie
+from qmsemi import cporder
+from qmsemi.cporder import FormKernel, cp_order_holds, kernel_from_jumps, kernel_ie
 from qmsemi.generator import jump_set, lindblad
 from qmsemi.matops import tau_orthonormal_basis
 from qmsemi.tolerances import PSD, rel_floor
@@ -17,8 +18,8 @@ def _orthonormal_rows(rng, rows, cols):
     return np.linalg.qr(g)[0].T.conj()
 
 
-def _kernel(dim, basis_size, q, factor=None):
-    return FormKernel(dim=dim, basis_size=basis_size, q=(q + q.conj().T) / 2, factor=factor)
+def _kernel(dim, basis_size, q):
+    return FormKernel(dim=dim, basis_size=basis_size, q=(q + q.conj().T) / 2)
 
 
 @st.composite
@@ -48,19 +49,20 @@ def pencils(draw):
     q_small = _kernel(dim, basis_size, g.conj().T @ g)
     if np.linalg.norm(q_small.q) <= PSD:  # a rank-0 C gives no range pencil
         q_small = _kernel(dim, basis_size, np.eye(size))
-    return q_small, _kernel(dim, basis_size, c.conj().T @ c, factor=c)
+    return q_small, c
 
 
 @settings(max_examples=60, deadline=None)
 @given(pencils())
 def test_factored_pencil_is_tight_and_its_status_follows_the_leak(pencil):
-    q_small, q_big = pencil
-    cert = best_lambda(q_small, q_big)
+    q_small, c = pencil
+    q_big = _kernel(q_small.dim, q_small.basis_size, c.conj().T @ c)
+    floor_small = rel_floor(np.linalg.norm(q_small.q), PSD)
+    cert = cporder._split_pencil(q_small, floor_small, *cporder._factor_eigh(c))
     lam = cert.lambda_star
     assert cp_order_holds(q_small, q_big, lam)
     if cert.status == "positive":
         assert not cp_order_holds(q_small, q_big, lam + max(1e-6, 1e-6 * lam))
-    floor_small = rel_floor(np.linalg.norm(q_small.q), PSD)
     assert (cert.status == "zero") == (cert.leak > floor_small)
 
 
