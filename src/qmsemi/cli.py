@@ -21,7 +21,7 @@ from . import casebook
 from .constants import flsi_estimate
 from .cporder import gamma_e_constant
 from .entropy import default_grid, simulate_decay
-from .generator import lindblad
+from .generator import lindblad, validate_generator
 from .io import (
     dump_json,
     generator_to_obj,
@@ -196,8 +196,6 @@ def cmd_state_convert(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from .generator import validate_generator
-
     gen = _load_generator(args.jumps)
     report = validate_generator(gen.superop)
     doc = {"report": report, "generator": generator_to_obj(gen),
@@ -294,7 +292,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes included
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {msg}", file=sys.stderr)
         return EXIT_INPUT
 
 

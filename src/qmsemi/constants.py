@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .algebra import SubAlgebra
 from .entropy import decay_terms, default_grid, spectral_terms
@@ -214,6 +213,8 @@ def flsi_estimate(
         raise ValueError("need at least one start")
     if n_validate < 0:
         raise ValueError("n_validate must be nonnegative")
+    from scipy.optimize import minimize
+
     a, _, e = _dynamics(gen)
     if a.norm <= TRIVIAL:
         raise ValueError("FLSI undefined: generator has trivial dynamics")

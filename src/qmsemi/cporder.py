@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import ModuleBasis, SubAlgebra, module_basis
 from .generator import LindbladGenerator, spectral_gap
@@ -178,6 +177,8 @@ def _factor_eigh(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _top_eigpair(h: np.ndarray) -> tuple[float, np.ndarray]:
     """Largest eigenvalue of a Hermitian matrix and a unit eigenvector."""
+    import scipy.linalg
+
     n = h.shape[0]
     w, v = scipy.linalg.eigh(h, subset_by_index=[n - 1, n - 1], driver="evr")
     return float(w[0]), v[:, 0]
@@ -380,6 +381,8 @@ def _congruence_cholesky(
     no top pair, the top eigenvalue is not positive, delta reaches 1, or the
     certifying Cholesky fails.
     """
+    import scipy.linalg
+
     m, k = q_big.dim, q_big.basis_size
     coords = np.tensordot(n.basis, basis.conj(), axes=([1, 2], [1, 2])) / m  # tau(e_a* n_0)
     keep = np.ones((k, m), dtype=bool)

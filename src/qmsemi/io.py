@@ -55,10 +55,19 @@ def _object(obj, what: str) -> dict:
     return obj
 
 
+def _field(obj: dict, field: str, default=None):
+    """obj[field], else ``default`` if one is given, else a ValueError that names the field."""
+    if field in obj:
+        return obj[field]
+    if default is None:
+        raise ValueError(f'missing field "{field}"')
+    return default
+
+
 def _real(obj: dict, field: str, number: bool = False, default=None):
     """obj[field] (or ``default``) as a float array or, for ``number``, a float;
     else a ValueError that names the field."""
-    value = obj[field] if default is None else obj.get(field, default)
+    value = _field(obj, field, default)
     try:
         return float(value) if number else np.asarray(value, dtype=float)
     except (TypeError, ValueError):
@@ -67,7 +76,7 @@ def _real(obj: dict, field: str, number: bool = False, default=None):
 
 
 def _dim(obj: dict) -> int:
-    m = _object(obj, "the document")["dim"]
+    m = _field(_object(obj, "the document"), "dim")
     if isinstance(m, bool) or not isinstance(m, int) or not 1 <= m <= MAX_DIM:
         raise ValueError(f'"dim" must be an integer from 1 to {MAX_DIM}, got {m!r}')
     return m
@@ -101,7 +110,7 @@ def operators_to_obj(mats: list[np.ndarray] | np.ndarray) -> dict:
 
 def obj_to_operators(obj: dict) -> list[np.ndarray]:
     m = _dim(obj)
-    mats = obj["matrices"]
+    mats = _field(obj, "matrices")
     if not (isinstance(mats, list) and all(isinstance(x, dict) for x in mats)):
         raise ValueError(f'"matrices" must be a list of operator objects, got {mats!r:.40}')
     return [_parse_matrix(entry, m) for entry in mats]

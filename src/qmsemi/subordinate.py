@@ -18,10 +18,9 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import exp1, gamma, gammaincc, loggamma, zeta
 
 # best_lambda stays importable from this module: perfbench/test_perfbench.py
 # checks that the benchmark's tracer wraps the pencil here as in cporder
@@ -50,6 +49,8 @@ def _quad_dt_over_t(f, with_error: bool = False):
     exponential tails on both sides, which QUADPACK's infinite-range
     transformation handles at QUAD_ABS absolute tolerance.
     """
+    from scipy.integrate import quad
+
     def g(u: float) -> float:
         if u > 700.0:  # t beyond 1e304: integrand negligible for any (I)-profile
             return 0.0
@@ -210,9 +211,16 @@ def fractional_power(a: Superop, theta: float) -> Superop:
     return _spectral_map(a, lambda w: [lam ** theta if lam > 0 else 0.0 for lam in w])
 
 
-# ln Gamma(1 - p) = EULER p + sum_{k >= 2} zeta(k) p^k / k, used for 0 < p <= 1/2
-_LOG_GAMMA_K = np.arange(2, 60)
-_LOG_GAMMA_COEF = (zeta(_LOG_GAMMA_K) / _LOG_GAMMA_K)[::-1]
+@cache
+def _log_gamma_coef() -> np.ndarray:
+    """zeta(k) / k for k = 59 down to 2, the series
+    ln Gamma(1 - p) = EULER p + sum_{k >= 2} zeta(k) p^k / k used for 0 < p <= 1/2."""
+    from scipy.special import zeta
+
+    k = np.arange(2, 60)
+    return (zeta(k) / k)[::-1]
+
+
 # terms k = 1..20 of the series of E_{1+p}(x) at x <= 1: x^20 / 20! < 1e-18
 _SERIES_K = np.arange(1.0, 21.0)
 _SERIES_FACT = np.cumprod(_SERIES_K)
@@ -250,6 +258,8 @@ def _x_expint(x: np.ndarray, sigma: float) -> np.ndarray:
     series of ln Gamma(1 - p) / p, so no step divides a cancelled difference
     by a small p.
     """
+    from scipy.special import exp1, gamma, gammaincc, loggamma
+
     if sigma < 1.0:
         return x ** sigma * gamma(1.0 - sigma) * gammaincc(1.0 - sigma, x)
     if sigma == 1.0:
@@ -263,7 +273,7 @@ def _x_expint(x: np.ndarray, sigma: float) -> np.ndarray:
         e = -np.log(y) - np.euler_gamma
     else:
         if p <= 0.5:
-            lg = np.euler_gamma + p * np.polyval(_LOG_GAMMA_COEF, p)  # ln Gamma(1 - p) / p
+            lg = np.euler_gamma + p * np.polyval(_log_gamma_coef(), p)  # ln Gamma(1 - p) / p
         else:
             lg = loggamma(1.0 - p).real / p
         e = -np.expm1(p * (np.log(y) + lg)) / p
@@ -283,6 +293,8 @@ def _eps_sigma_values(lam: np.ndarray, sigma: float, log_eps: float):
 
     with E_1(lam eps) = -EULER - ln(lam eps) where lam eps underflows.
     """
+    from scipy.special import exp1
+
     lam = np.asarray(lam, dtype=float)
     psi, psit = np.zeros_like(lam), np.zeros_like(lam)
     pos = lam > 0.0

@@ -245,3 +245,26 @@ def test_a_failed_eigensolve_exits_3(jumps_file, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(np.linalg, "eigh", fail)
     assert main(["validate", jumps_file, "--out", str(tmp_path / "report.json")]) == 3
     assert capsys.readouterr().err.startswith("numerical failure: Eigenvalues did not converge")
+
+
+MISSING = [
+    (["gamma-e", "{doc}"], {"matrices": [{"re": [[1, 0], [0, -1]]}]}, "dim"),
+    (["gamma-e", "{doc}"], {"dim": 2}, "matrices"),
+    (["gamma-e", "{doc}"], {"dim": 2, "matrices": [{"im": [[0, 1], [-1, 0]]}]}, "re"),
+    (["state-convert", "{doc}", "--to", "tau"], {"dim": 2, "im": [[0, 0], [0, 0]]}, "re"),
+    (["decay", "{jumps}", "--lambda", "0.5", "--state", "{doc}"], {"dim": 2}, "re"),
+    (["subordinate", "{jumps}", "--profile", "{doc}"], {"kind": "power"}, "alpha"),
+]
+
+
+@pytest.mark.parametrize("argv, doc, name", MISSING)
+def test_a_missing_field_is_named(argv, doc, name, jumps_file, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([a.format(doc=path, jumps=jumps_file) for a in argv]) == 1
+    assert capsys.readouterr().err == f'error: missing field "{name}"\n'
+
+
+def test_an_unknown_case_prints_its_message_unquoted(capsys):
+    assert main(["casebook", "run", "nosuch"]) == 1
+    assert capsys.readouterr().err.startswith("error: unknown case 'nosuch'; available: [")

@@ -6,8 +6,7 @@ from a thin SVD of the jump factor C and one m x m eigenproblem, and reports
 the exact leak ||P_ker Q_A Q_{I-E} P_ker Q_A||; every other pencil takes the
 dense split (of C's full SVD, or of Q_A's eigendecomposition in
 ``best_lambda``), which ``pencil_oracle.dense_split_lambda`` keeps as the
-reference.  The older test names that speak of a Lanczos leak or an all-ones
-start are kept so that the test ids stay stable; they name the same pencils.
+reference.
 """
 
 import json
@@ -95,7 +94,7 @@ def _assert_closed_form(gen, monkeypatch):
 
 @pytest.mark.parametrize("n_jumps", [2, 3])
 @pytest.mark.parametrize("m", [3, 4, 6, 8])
-def test_lanczos_leak_matches_the_dense_split_on_random_jumps(m, n_jumps, monkeypatch):
+def test_the_closed_form_leak_matches_the_dense_split_on_random_jumps(m, n_jumps, monkeypatch):
     gen = random_lindblad(m, n_jumps, np.random.default_rng(40 + 10 * m + n_jumps), scale=0.6)
     assert gen.fixed_algebra.size == 1
     _assert_closed_form(gen, monkeypatch)
@@ -118,7 +117,7 @@ FACTORED_ZOO = sorted(name for name, gen in make_zoo().items() if gen.jumps.size
 
 
 @pytest.mark.parametrize("name", FACTORED_ZOO)
-def test_lanczos_leak_matches_the_dense_split_on_the_zoo(zoo, name):
+def test_the_closed_form_leak_matches_the_dense_split_on_the_zoo(zoo, name):
     q_small, c = _pencil(zoo[name])
     cert = gamma_e_constant(zoo[name])
     _assert_matches_oracle(q_small, c, cert)
@@ -163,7 +162,7 @@ def test_a_factored_positive_pencil_certifies_through_the_dense_split(monkeypatc
     _assert_matches_oracle(q_small, c, cert)
 
 
-def test_the_lanczos_leak_is_byte_identical_on_rerun(tmp_path):
+def test_the_closed_form_leak_is_byte_identical_on_rerun(tmp_path):
     # the gamma-e command's JSON, with the closed-form leak in it, reruns byte for byte
     gens = [random_lindblad(6, 2, np.random.default_rng(66), scale=0.6), dephasing_generator(4)]
     for k, gen in enumerate(gens):
