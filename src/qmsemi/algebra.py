@@ -22,7 +22,7 @@ from .matops import (
     nullspace_basis,
     vec,
 )
-from .tolerances import INDEPENDENT, MODULE_KERNEL, MODULE_RESIDUAL, rel_floor
+from .tolerances import PSD, rel_floor
 
 __all__ = [
     "SubAlgebra",
@@ -75,7 +75,7 @@ def commutant(gens: list[np.ndarray], m: int | None = None) -> SubAlgebra:
     the result is always a von Neumann algebra containing the identity (a
     no-op for Hermitian generators).  Computed as the joint nullspace of the
     stacked commutator superoperators with a scale-aware singular value
-    cutoff at NULLSPACE * sigma_max.
+    cutoff at PSD * sigma_max.
     """
     gens = [np.asarray(g, dtype=complex) for g in gens]
     if m is None:
@@ -99,7 +99,7 @@ def commutant(gens: list[np.ndarray], m: int | None = None) -> SubAlgebra:
         for c in cols:
             v = v - c * (c.conj() @ v)
         nrm = np.linalg.norm(v)
-        if nrm > INDEPENDENT:
+        if nrm > PSD:
             cols.append(v / nrm)
     coords = np.column_stack(cols[: ns.shape[1]])
     return SubAlgebra(dim=m, basis=_coords_to_ops(coords, m), contains_identity=True)
@@ -164,7 +164,7 @@ def module_basis(n: SubAlgebra, candidates: np.ndarray | None = None) -> ModuleB
     Candidates default to the matrix units in lexicographic order, which
     makes the basis deterministic across runs.  Each accepted residual r is
     normalized to r h^{-1/2} with h = E(r* r) restricted to its support
-    (eigenvalues below MODULE_KERNEL, relative, are its kernel), so E(xi* xi)
+    (eigenvalues at or below PSD, relative, are its kernel), so E(xi* xi)
     is an exact projection.
     """
     m = n.dim
@@ -177,12 +177,12 @@ def module_basis(n: SubAlgebra, candidates: np.ndarray | None = None) -> ModuleB
         r = cand.astype(complex)
         for xi in xis:
             r = r - xi @ e.apply(xi.conj().T @ r)
-        if hs_norm(r) <= MODULE_RESIDUAL:
+        if hs_norm(r) <= PSD:
             continue
         h = e.apply(r.conj().T @ r)
         h = (h + h.conj().T) / 2.0
         w, u = np.linalg.eigh(h)
-        cut = rel_floor(w, MODULE_KERNEL)
+        cut = rel_floor(w, PSD)
         inv_sqrt = np.where(w > cut, 1.0 / np.sqrt(np.clip(w, cut, None)), 0.0)
         supp = np.where(w > cut, 1.0, 0.0)
         xis.append(r @ ((u * inv_sqrt) @ u.conj().T))

@@ -27,8 +27,7 @@ from .matops import (
     schur_multiplier,
     semigroup_apply,
 )
-from .tolerances import (D_N_ZERO, DECAY_SKIP, KERNEL, LP_BASE, TINY, TRACE_ZERO, TRIVIAL,
-                         VIOLATION)
+from .tolerances import D_N_ZERO, DECAY_SKIP, LP_BASE, PSD, TINY, TRIVIAL, VIOLATION
 
 __all__ = [
     "FlsiEstimate",
@@ -358,14 +357,14 @@ def gamma_dual_norm(gen: LindbladGenerator, rho: np.ndarray) -> tuple[float, flo
     function f1 = L^+ rho0 is feasible once divided by sqrt(||Gamma(f1,f1)||), so
     lower = q / sqrt(||Gamma(f1,f1)||) <= upper; the two meet when Gamma(f1,f1)
     is a multiple of 1.  L^+ comes from the cached eigendecomposition of L,
-    with the kernel cut at spectral_gap's floor KERNEL * max|w|.
+    with the kernel cut at spectral_gap's floor PSD * max|w|.
     """
-    if abs(norm_trace(rho).real) > TRACE_ZERO:
+    if abs(norm_trace(rho).real) > PSD:
         raise ValueError("dual norm expects a trace-zero perturbation")
     rho0 = rho - gen.e_fix.apply(rho)
     rho0 = (rho0 + rho0.conj().T) / 2.0
     w, v = gen.superop.eig
-    keep = w > KERNEL * np.abs(w).max()
+    keep = w > PSD * np.abs(w).max()
     v, w = v[:, keep], w[keep]
     c = v.conj().T @ rho0.reshape(-1)
     q = float(np.sum(np.abs(c) ** 2 / w)) / gen.dim

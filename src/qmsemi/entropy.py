@@ -1,7 +1,7 @@
 """Relative entropy, Fisher information (entropy production) and decay traces.
 
 All quantities use the normalized trace tau = tr/m, so states carry matrix
-trace m.  Eigenvalues at or below SUPPORT (relative) are off the support before
+trace m.  Eigenvalues at or below PSD (relative) are off the support before
 logarithms and the support-restricted branch is used for singular states;
 results record which branch ran where that matters.
 """
@@ -15,7 +15,7 @@ import numpy as np
 
 from .algebra import SubAlgebra
 from .matops import Superop, semigroup_apply
-from .tolerances import CP_VIOLATION, FISHER_LEAK, OFF_SUPPORT, PSD, SUPPORT, rel_floor
+from .tolerances import CP_VIOLATION, PSD, rel_floor
 
 __all__ = [
     "relative_entropy",
@@ -34,7 +34,7 @@ def _support(w: np.ndarray, name: str):
     if (low < -rel_floor(w, PSD, axis=-1)).any():
         raise ValueError(f"{name} has negative eigenvalue {low.min():.3e}")
     w = np.clip(w, 0.0, None)
-    on = w > rel_floor(w, SUPPORT, axis=-1)[:, None]
+    on = w > rel_floor(w, PSD, axis=-1)[:, None]
     return w, on, np.log(np.where(on, w, 1.0))
 
 
@@ -48,11 +48,11 @@ def spectral_terms(rho, rho_eig, sigma_eig=None, a_rho=None, eps_shift: float = 
 
     rho, its eigenpairs ``rho_eig``, the eigenpairs of sigma and A(rho) all
     carry a leading batch axis.  This is the one home of the entropy rules,
-    each floor relative (``rel_floor``): eigenvalues below -PSD raise and the
-    rest are clipped at 0; those at or below SUPPORT are off the support
-    (0 log 0 = 0); D is +inf when rho weighs more than OFF_SUPPORT off the
+    all at the one zero floor PSD, relative (``rel_floor``): eigenvalues below
+    -PSD raise and the rest are clipped at 0; those at or below PSD are off
+    the support (0 log 0 = 0); D is +inf when rho weighs more than PSD off the
     support of sigma; for eps = 0, I is NaN (ill-defined) when A(rho) leaks
-    more than FISHER_LEAK onto the kernel of rho.  Returns (d, i, full), with
+    more than PSD onto the kernel of rho.  Returns (d, i, full), with
     None for a term whose inputs are missing and ``full`` for full support.
     """
     w, on, log_w = _support(rho_eig[0], "rho")
@@ -64,14 +64,14 @@ def spectral_terms(rho, rho_eig, sigma_eig=None, a_rho=None, eps_shift: float = 
         weights = _diag_in_basis(rho, sigma_eig[1])
         off_support = np.where(on_s, 0.0, weights).sum(axis=-1)
         d = ((w * log_w).sum(axis=-1) - (weights * log_s).sum(axis=-1)) / m
-        d = np.where(off_support > rel_floor(w, OFF_SUPPORT, axis=-1), np.inf, d)
+        d = np.where(off_support > rel_floor(w, PSD, axis=-1), np.inf, d)
     if a_rho is not None:
         ydiag = _diag_in_basis(a_rho, rho_eig[1])
         if eps_shift > 0.0:
             i = (ydiag * np.log(w + eps_shift)).sum(axis=-1) / m
         else:
             leak = np.abs(np.where(on, 0.0, ydiag)).sum(axis=-1)
-            ill = leak > rel_floor(ydiag, FISHER_LEAK, axis=-1)
+            ill = leak > rel_floor(ydiag, PSD, axis=-1)
             i = np.where(ill, np.nan, (ydiag * log_w).sum(axis=-1) / m)
     return d, i, on.all(axis=-1)
 

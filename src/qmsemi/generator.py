@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import SubAlgebra, commutant
 from .matops import Superop, is_hermitian, make_superop, reshuffle
-from .tolerances import KERNEL, PSD, rel_floor
+from .tolerances import PSD, rel_floor
 
 __all__ = [
     "JumpSet",
@@ -145,7 +145,7 @@ def validate_generator(a: Superop) -> dict:
     }
     if a.hs_selfadjoint:
         w, v = a.eig
-        report["psd"] = bool(w.min() >= -rel_floor(w, KERNEL))
+        report["psd"] = bool(w.min() >= -rel_floor(w, PSD))
         t_maps = [(v * np.exp(-t * w)) @ v.conj().T for t in (0.1, 1.0, 10.0)]
         choi = np.array([reshuffle(s, a.dim) for s in t_maps])
         cw = np.linalg.eigvalsh((choi + choi.conj().swapaxes(-1, -2)) / 2.0)
@@ -159,5 +159,5 @@ def validate_generator(a: Superop) -> dict:
 def spectral_gap(a: Superop) -> float:
     """Smallest eigenvalue of A on the complement of its nullspace; 0 if A = 0."""
     w, _ = a.eig
-    pos = w[w > KERNEL * np.abs(w).max()]
+    pos = w[w > PSD * np.abs(w).max()]
     return float(pos.min()) if pos.size else 0.0

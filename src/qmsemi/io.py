@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 MAX_DIM = 16  # the desk-scale envelope
+MAX_GRID = 10_000  # time points of a decay grid; one N x m x m stack is ~41 MB at MAX_DIM
 
 
 def operator_to_obj(x: np.ndarray) -> dict:

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tolerances import HERMITIAN, NULLSPACE, STATE_PSD, SUPEROP_FLAG, TIE, rel_floor
+from .tolerances import HERMITIAN, PSD, SUPEROP_FLAG, rel_floor
 
 __all__ = [
     "norm_trace",
@@ -129,12 +129,12 @@ def schur_multiplier(w: np.ndarray, u: np.ndarray, fw: np.ndarray, fprime: Calla
     """Divided-difference Schur multiplier of f in the eigenbasis (w, u), fw = f(w).
 
     Df(s, t) = (f(s) - f(t)) / (s - t) away from the diagonal and f'((s+t)/2),
-    with fprime called on scalars, when |s - t| <= TIE * max(|s|, |t|, 1); the
+    with fprime called on scalars, when |s - t| <= PSD * max(|s|, |t|, 1); the
     midpoint rule removes the 0/0 singularity with O(gap) error.  ``inverse``
     takes the reciprocal of every entry.
     """
     gap = w[:, None] - w[None, :]
-    tie = np.abs(gap) <= TIE * np.maximum(np.maximum.outer(np.abs(w), np.abs(w)), 1.0)
+    tie = np.abs(gap) <= PSD * np.maximum(np.maximum.outer(np.abs(w), np.abs(w)), 1.0)
     d = np.empty(gap.shape)
     d[~tie] = (fw[:, None] - fw[None, :])[~tie] / gap[~tie]
     d[tie] = [fprime(s) for s in (0.5 * (w[:, None] + w[None, :]))[tie]]
@@ -315,14 +315,15 @@ def tensor_superop(s1: Superop, s2: Superop) -> Superop:
 # subspace utilities
 # ---------------------------------------------------------------------------
 
-def nullspace_basis(k: np.ndarray, rtol: float = NULLSPACE) -> np.ndarray:
-    """Orthonormal basis (columns) of the nullspace, scale-aware cutoff."""
+def nullspace_basis(k: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (columns) of the nullspace: singular values at or below
+    PSD * s_max count as zero."""
     # a tall k needs no U; a wide one needs the full V for its extra null directions
     _, s, vh = np.linalg.svd(k, full_matrices=k.shape[0] < k.shape[1])
     smax = s[0] if s.size else 0.0
     if smax == 0.0:
         return np.eye(k.shape[1], dtype=complex)
-    return vh[int((s > rtol * smax).sum()):].conj().T
+    return vh[int((s > PSD * smax).sum()):].conj().T
 
 
 def subspace_gap(b1: np.ndarray, b2: np.ndarray) -> float:
@@ -339,12 +340,12 @@ def subspace_gap(b1: np.ndarray, b2: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def make_state(mat: np.ndarray) -> np.ndarray:
-    """Validate and normalize a state: Hermitian, PSD up to STATE_PSD, tau = 1."""
+    """Validate and normalize a state: Hermitian, no eigenvalue below -PSD (relative), tau = 1."""
     mat = np.asarray(mat, dtype=complex)
     if not is_hermitian(mat):
         raise ValueError("a state must be Hermitian")
     w, u = np.linalg.eigh(mat)
-    if w.min() < -rel_floor(w, STATE_PSD):
+    if w.min() < -rel_floor(w, PSD):
         raise ValueError(f"state has negative eigenvalue {w.min():.3e}")
     w = np.clip(w, 0.0, None)
     tot = w.sum()

@@ -27,7 +27,7 @@ import numpy as np
 from .cporder import best_lambda, gamma_e, return_time
 from .generator import LindbladGenerator
 from .matops import Superop, make_superop
-from .tolerances import CF_STOP, QUAD_ABS, QUAD_ERR, QUAD_REL, SPECTRAL_ZERO, TINY, rel_floor
+from .tolerances import CF_STOP, PSD, QUAD_ABS, QUAD_ERR, QUAD_REL, TINY, rel_floor
 
 __all__ = [
     "WeightProfile",
@@ -193,7 +193,7 @@ def _spectral_map(a: Superop, fn) -> Superop:
     """f(A) from the cached eigendecomposition; fn maps the array of eigenvalues
     (those below the floor set to 0) to the array of values."""
     w, v = a.eig
-    w = np.where(w < rel_floor(w, SPECTRAL_ZERO), 0.0, w)
+    w = np.where(w < rel_floor(w, PSD), 0.0, w)
     fw = np.asarray(fn(w), dtype=float)
     mat = (v * fw) @ v.conj().T
     return make_superop(mat, a.dim)

@@ -7,10 +7,12 @@ import warnings
 import numpy as np
 import pytest
 
+from qmsemi import cli
 from qmsemi.casebook import case_graph_criterion, run_case
 from qmsemi.cli import main
 from qmsemi.generator import JumpSet
-from qmsemi.io import dump_json, jumps_to_obj, obj_to_operator, obj_to_operators, operator_to_obj
+from qmsemi.io import (MAX_GRID, dump_json, jumps_to_obj, obj_to_operator, obj_to_operators,
+                       operator_to_obj)
 from qmsemi.models import pauli
 
 
@@ -132,6 +134,24 @@ def test_decay_rejects_a_grid_that_is_not_a_positive_finite_geometric_grid(grid,
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--grid" in err
+
+
+def test_decay_rejects_a_grid_beyond_the_cap_before_any_allocation(jumps_file, tmp_path,
+                                                                   capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid was allocated")
+    monkeypatch.setattr(np, "geomspace", refuse)
+    monkeypatch.setattr(cli, "simulate_decay", refuse)
+    out = tmp_path / "trace.csv"
+    assert main(["decay", jumps_file, "--lambda", "0.5", "--grid", f"1:5:{MAX_GRID + 1}",
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--grid" in err and str(MAX_GRID) in err
+
+
+def test_a_grid_at_the_cap_parses():
+    assert cli._parse_grid(f"1:5:{MAX_GRID}").shape == (MAX_GRID,)
 
 
 def test_decay_accepts_a_one_point_grid(jumps_file, tmp_path):

@@ -130,7 +130,7 @@ def test_the_closed_form_leak_matches_the_dense_split_on_the_zoo(zoo, name):
     (7, lambda jx, jy: [jx]),
     (5, lambda jx, jy: [jx, jy @ jy]),
 ])
-def test_a_structured_pencil_whose_top_vector_misses_the_all_ones_start(m, jumps, monkeypatch):
+def test_spin_jump_pencils_take_the_closed_form_or_one_dense_split(m, jumps, monkeypatch):
     # spin jumps: [J_x] fixes the J_x-diagonal algebra (z = m 1, closed form);
     # [J_x, J_y^2] at m = 5 fixes blocks of sizes 3 and 2, where z has the
     # eigenvalues 5/3 and 5/2, so the pencil takes the dense split

@@ -80,11 +80,11 @@ def test_subordinated_zero_generator():
 def test_subordination_preserves_nullspace():
     rng = np.random.default_rng(1)
     gen = random_lindblad(3, 2, rng)
-    ns_a = nullspace_basis(gen.superop.matrix, rtol=1e-10)
+    ns_a = nullspace_basis(gen.superop.matrix)
     for th in (0.25, 0.5, 0.75):
         a_th = fractional_power(gen.superop, th)
         assert a_th.hs_selfadjoint and a_th.kills_identity
-        ns_th = nullspace_basis(a_th.matrix, rtol=1e-10)
+        ns_th = nullspace_basis(a_th.matrix)
         assert subspace_gap(ns_a, ns_th) < 1e-8
 
 

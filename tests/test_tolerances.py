@@ -1,11 +1,18 @@
 """The tolerance policy: every numerical floor lives in ``qmsemi/tolerances.py``."""
 
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from qmsemi.tolerances import rel_floor
+from qmsemi.algebra import diagonal_algebra, module_basis
+from qmsemi.entropy import relative_entropy
+from qmsemi.generator import spectral_gap
+from qmsemi.matops import make_state, make_superop
+from qmsemi.subordinate import fractional_power
+from qmsemi.tolerances import PSD, rel_floor
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qmsemi"
 # the casebook's tolerances are each case's published claim, not policy
@@ -61,6 +68,34 @@ def test_dead_policy_guard_sees_definitions_and_reads():
     assert names_read("from .t import A, B\nx = A * t.C\nB = 1\n") == {"A", "t", "C"}
 
 
+def tolerance_defaults(source: str, policy: set[str]):
+    """(line, function, name) of every parameter default that reads a policy constant."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            for default in node.args.defaults + [d for d in node.args.kw_defaults if d is not None]:
+                read = names_read(ast.unparse(default)) & policy
+                for name in sorted(read):
+                    yield default.lineno, getattr(node, "name", "<lambda>"), name
+
+
+def test_no_function_takes_a_tolerance_as_a_default():
+    # a floor is a constant: no caller sets one, so no signature offers it
+    policy = policy_constants((SRC / "tolerances.py").read_text())
+    found = [f"{p.name}:{line}: {func}(... = {name})" for p in sorted(SRC.glob("*.py"))
+             for line, func, name in tolerance_defaults(p.read_text(), policy)]
+    assert not found, "read these floors inside the function:\n" + "\n".join(found)
+
+
+def test_default_guard_sees_positional_keyword_and_attribute_defaults():
+    src = ("def f(k, rtol=PSD): pass\n"
+           "def g(*, tol=t.VIOLATION, n=3): pass\n"
+           "h = lambda x, s=2 * FLOOR: x\n"
+           "def ok(x, rtol=1e-9, name='PSD'): return PSD\n")
+    policy = {"PSD", "VIOLATION", "FLOOR"}
+    assert [(f, n) for _, f, n in tolerance_defaults(src, policy)] == [
+        ("f", "PSD"), ("g", "VIOLATION"), ("<lambda>", "FLOOR")]
+
+
 def test_rel_floor_scales_by_the_largest_magnitude_but_never_below_rtol():
     assert rel_floor(np.array([0.5, -0.2]), 1e-9) == 1e-9
     assert rel_floor(np.array([3.0, -4.0]), 1e-9) == 1e-9 * 4.0
@@ -68,3 +103,40 @@ def test_rel_floor_scales_by_the_largest_magnitude_but_never_below_rtol():
     assert rel_floor(2.0, 1e-9) == 1e-9 * 2.0
     rows = np.array([[0.1, 2.0], [-5.0, 0.0], [0.3, -0.2]])
     np.testing.assert_array_equal(rel_floor(rows, 1e-10, axis=-1), 1e-10 * np.array([2.0, 5.0, 1.0]))
+
+
+# Each probe puts one number x next to a top value of 1, so the relative floor
+# is PSD itself, and says whether x (or -x, for a state) was taken for 0.
+def _off_support(x):
+    return math.isinf(relative_entropy(np.eye(2), np.diag([1.0, x])))
+
+
+def _zeroed_by_fractional_power(x):
+    a = make_superop(np.diag([0.0, x, 0.5, 1.0]), 2)
+    return fractional_power(a, 0.5).matrix[1, 1] == 0.0
+
+
+def _below_spectral_gap(x):
+    return spectral_gap(make_superop(np.diag([0.0, x, 0.5, 1.0]), 2)) == 0.5
+
+
+def _clipped_in_a_state(x):
+    # -x is clipped to 0, not rejected as a negative eigenvalue
+    try:
+        return make_state(np.diag([1.0, 1.0, -x]))[2, 2] == 0.0
+    except ValueError:
+        return False
+
+
+def _in_module_kernel(x):
+    # r = [[0, 1], [sqrt(x), 0]] over the diagonal algebra: E(r* r) = diag(x, 1)
+    cand = np.array([[[0.0, 1.0], [math.sqrt(x), 0.0]]])
+    support = module_basis(diagonal_algebra(2), cand).supports[1]
+    return abs(support[0, 0]) < 0.5
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+@pytest.mark.parametrize("probe", [_off_support, _zeroed_by_fractional_power, _below_spectral_gap,
+                                   _clipped_in_a_state, _in_module_kernel])
+def test_one_zero_floor_decides_every_kind_of_zero(probe, factor):
+    assert probe(factor * PSD) == (factor < 1.0)
