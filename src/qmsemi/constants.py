@@ -142,14 +142,18 @@ def _ratio_and_grad(a: Superop, e: Superop, h: np.ndarray, want_grad: bool):
     e_rho = e.apply(rho)
     e_rho = (e_rho + e_rho.conj().T) / 2.0
     w_e, u_e = np.linalg.eigh(e_rho)
-    d_val = float(spectral_terms(rho[None], (r[None], u[None]), (w_e[None], u_e[None]))[0][0])
+    if w_e.min() <= 0:
+        raise ValueError("E(rho) is singular: its logarithm is undefined")
+    # D_N keeps every x ln x term, as its gradient does: rho is full rank, so no zero floor
+    # applies (an eigenvalue that underflows to 0 adds 0 ln 0 = 0)
+    weights = (u_e.conj() * (rho @ u_e)).sum(axis=0).real
+    r_log_r = r * np.log(r, out=np.zeros_like(r), where=r > 0)
+    d_val = float(r_log_r.sum() - (weights * np.log(w_e)).sum()) / m
     a_rho = a.apply(rho)
     a_rho = (a_rho + a_rho.conj().T) / 2.0
     i_val = norm_trace(a_rho @ log_rho).real
     if not want_grad:
         return i_val, d_val, rho, None
-    if w_e.min() <= 0:
-        raise ValueError("E(rho) is singular: its logarithm is undefined")
     log_e_rho = (u_e * np.log(w_e)) @ u_e.conj().T
     grad_i = a.apply(log_rho) + schur_multiplier(r, u, log_r, np.reciprocal, a_rho)
     grad_i = (grad_i + grad_i.conj().T) / 2.0

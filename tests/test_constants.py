@@ -22,6 +22,7 @@ from qmsemi.entropy import d_sub
 from qmsemi.generator import gradient_form, jump_set, lindblad
 from qmsemi.matops import norm_trace, random_hermitian, random_state, semigroup_apply
 from qmsemi.models import dephasing_generator, depolarizing_generator, random_lindblad
+from qmsemi.tolerances import PSD
 
 
 def test_schatten_norms():
@@ -51,6 +52,18 @@ def test_flsi_reproducible_across_seeds():
         for s in (0, 1)
     ]
     assert abs(vals[0] - vals[1]) < 1e-4
+
+
+@pytest.mark.parametrize("delta", [1e-13, 0.5 * PSD])
+def test_flsi_objective_keeps_the_entropy_term_of_an_eigenvalue_under_the_floor(delta):
+    # rho = 2|+><+| moved delta off its edge has E(rho) = 1 on the diagonal algebra of
+    # dephasing, so D_N = tau(rho ln rho), delta ln delta included: the chart state is
+    # full rank and the gradient keeps that term, so the objective's value must too
+    gen = dephasing_generator(2)
+    plus = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
+    r = np.array([2.0 - delta, delta])
+    _, d, _, _ = constants._ratio_and_grad(gen.superop, gen.e_fix, (plus * np.log(r)) @ plus, False)
+    assert d == pytest.approx(float(r @ np.log(r)) / 2, rel=0, abs=1e-14)
 
 
 def test_flsi_rejects_trivial_dynamics():

@@ -25,6 +25,7 @@ from qmsemi.matops import (
     semigroup_apply,
 )
 from qmsemi.models import dephasing_generator, depolarizing_generator, random_lindblad
+from qmsemi.tolerances import PSD
 
 
 def test_relative_entropy_of_state_with_itself():
@@ -189,6 +190,22 @@ def test_simulate_decay_monotone_for_random_models():
         assert np.all(trace.d_n >= -1e-10)
         assert np.all(trace.i_a >= -1e-9)
         assert np.all(np.diff(trace.d_n) <= 1e-9)
+
+
+@pytest.mark.parametrize("t", [1e-10, 1e-8])
+def test_decay_from_a_pure_state_is_ill_defined_while_its_kernel_is_under_the_floor(t):
+    # depolarizing from rho0 = diag(2, 0): rho_t has spectrum 1 +- e^{-t}, so its small
+    # eigenvalue is about t.  At or below PSD (relative) it is off the support, A(rho_t)
+    # leaks onto it and the point raises; above it I_A has the closed form below.
+    gen = depolarizing_generator(2)
+    rho0 = make_state(np.diag([1.0, 0.0]).astype(complex))
+    if t <= PSD:
+        with pytest.raises(ValueError, match="ill-defined Fisher information"):
+            simulate_decay(gen.superop, gen.fixed_algebra, rho0, np.array([t]))
+        return
+    trace = simulate_decay(gen.superop, gen.fixed_algebra, rho0, np.array([t]))
+    q = math.exp(-t)
+    assert trace.i_a[0] == pytest.approx(0.5 * q * math.log((1 + q) / (1 - q)), rel=1e-6)
 
 
 def test_simulate_decay_rejects_bad_grid():
