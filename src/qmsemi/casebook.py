@@ -161,10 +161,11 @@ def _connected(weights: np.ndarray) -> bool:
     return len(seen) == v
 
 
-def case_graph_criterion(weights=None, require_connected: bool = False) -> CaseResult:
+def case_graph_criterion(weights=None) -> CaseResult:
     """Pencil constant of an ergodic graph Laplacian vs 2|V| min_{x!=y} w_xy.
 
-    ``weights`` defaults to the complete graph K_3 with unit weights.
+    ``weights`` defaults to the complete graph K_3 with unit weights.  A
+    disconnected graph raises: its semigroup never converges to the trace.
     """
     if weights is None:
         weights = np.ones((3, 3)) - np.eye(3)
@@ -174,7 +175,7 @@ def case_graph_criterion(weights=None, require_connected: bool = False) -> CaseR
         raise ValueError("weights must be a symmetric square matrix")
     if np.any(weights < 0) or np.any(np.diag(weights) != 0):
         raise ValueError("weights must be nonnegative with zero diagonal")
-    if require_connected and not _connected(weights):
+    if not _connected(weights):
         raise ValueError("graph is disconnected; no convergence to the trace")
     lam_star = graph_lambda_star(weights)
     off = weights[~np.eye(v, dtype=bool)]
@@ -414,7 +415,7 @@ def case_depolarizing(m: int = 2, seed: int = 0) -> CaseResult:
     rho_eig = np.linalg.eigh(rho)
     e_rho = n_scal.expectation.apply(rho)
     d_fwd, lhs = decay_terms(rho, rho_eig, n_scal.expectation, n_scal.complement)
-    d_back, _, _ = spectral_terms(e_rho, np.linalg.eigh(e_rho), rho_eig)
+    d_back, _ = spectral_terms(e_rho, np.linalg.eigh(e_rho), rho_eig)
     worst = float(np.max(np.abs(lhs - (d_fwd + d_back))))
     est = flsi_estimate(gen, n_starts=4, seed=seed, n_validate=2000)
     cert = gamma_e_constant(gen)

@@ -108,6 +108,8 @@ def cmd_gamma_e(args) -> int:
 def cmd_flsi(args) -> int:
     if args.starts < 1:
         raise ValueError("--starts must be at least 1")
+    if args.validate < 0:
+        raise ValueError(f"--validate must be nonnegative, got {args.validate}")
     gen = _load_generator(args.jumps)
     est = flsi_estimate(gen, n_starts=args.starts, seed=args.seed,
                         n_validate=args.validate)
@@ -127,6 +129,10 @@ def cmd_subordinate(args) -> int:
         sub = fractional_power(gen.superop, args.theta)
         report["mode"] = {"theta": args.theta}
     elif args.eps is not None:
+        # NaN fails both comparisons
+        if not 0.0 < args.eps < 1.0:
+            raise ValueError(f"--eps must lie in (0, 1), got {args.eps}")
+        log_eps = math.log(args.eps)
         if args.sigma == "auto":
             t0 = auto_sigma(gen)
             sigma = t0["sigma"]
@@ -135,9 +141,9 @@ def cmd_subordinate(args) -> int:
             sigma = _flag_number(args.sigma, "--sigma", lambda x: 0.0 < x < math.inf,
                                  "'auto' or a finite number > 0")
             report["mode"] = {"eps": args.eps, "sigma": sigma}
-        sub = eps_sigma_generator(gen.superop, args.eps, sigma)
+        sub = eps_sigma_generator(gen.superop, log_eps, sigma)
         norm_l = gen.superop.norm
-        bound = (2.0 / sigma + norm_l**2) / (2.0 * abs(math.log(args.eps)))
+        bound = (2.0 / sigma + norm_l**2) / (2.0 * abs(log_eps))
         report["distance"] = (gen.superop - sub).norm
         report["distance_bound"] = bound
         report["bound_satisfied"] = bool(report["distance"] <= bound * (1 + BOUND_SLACK))
@@ -164,7 +170,11 @@ def cmd_decay(args) -> int:
     if args.state == "random":
         rho0 = random_state(gen.dim, np.random.default_rng(args.seed))
     else:
-        rho0 = make_state(obj_to_operator(_load_json(args.state)))
+        rho0 = obj_to_operator(_load_json(args.state))
+        if len(rho0) != gen.dim:
+            raise ValueError(f"--state is {len(rho0)}x{len(rho0)} but the jumps are "
+                             f"{gen.dim}x{gen.dim}")
+        rho0 = make_state(rho0)
     trace = simulate_decay(gen.superop, gen.fixed_algebra, rho0, grid, lam)
     _emit(trace.to_csv(), args.out)
     return EXIT_OK

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import SubAlgebra
-from .entropy import decay_terms, default_grid, spectral_terms
+from .entropy import ILL_DEFINED, decay_terms, default_grid, spectral_terms
 from .generator import LindbladGenerator, gradient_form
 from .matops import (
     Superop,
@@ -185,10 +185,10 @@ def _validation_sweep(a: Superop, e: Superop, rng: np.random.Generator, n_valida
     for lo in range(0, n_validate, SWEEP_CHUNK):
         k = min(SWEEP_CHUNK, n_validate - lo)
         _, u, _, r, rho = _chart(random_hermitian_stack(m, rng, k, 0.4, 1.2))
-        d, i, _ = spectral_terms(rho, (r, u), np.linalg.eigh(e.apply(rho)), a.apply(rho))
+        d, i = spectral_terms(rho, (r, u), np.linalg.eigh(e.apply(rho)), a.apply(rho))
         keep = d >= D_N_ZERO
         if np.isnan(i[keep]).any():
-            raise ValueError("ill-defined Fisher information, supply eps_shift")
+            raise ValueError(ILL_DEFINED)
         lowest = min(lowest, float(np.min(i[keep] / d[keep], initial=math.inf)))
         kept += int(keep.sum())
     return lowest, kept
@@ -317,10 +317,11 @@ def check_decay_bound(gen, lam: float, n_states: int = 50, seed: int = 0) -> dic
         "state_index": int(kept[w[0]]), "t": float(grid[w[1]]), "which": ("D_N", "I_N")[w[2]]})
 
 
-def check_lp_decay(
-    gen, lam: float, p_list=(1.0, 2.0, 4.0, math.inf), n_x: int = 50, seed: int = 0
-) -> dict:
-    """Verify ||T_t(x) - E(x)||_p <= e^{-lam t} ||x - E(x)||_p on random x.
+LP_EXPONENTS = (1.0, 2.0, 4.0, math.inf)
+
+
+def check_lp_decay(gen, lam: float, n_x: int = 50, seed: int = 0) -> dict:
+    """Verify ||T_t(x) - E(x)||_p <= e^{-lam t} ||x - E(x)||_p, p in LP_EXPONENTS, on random x.
 
     All probes and times go through one semigroup evaluation and one stacked
     SVD, whose singular values give every p; (x, p) pairs with base norm below
@@ -338,14 +339,14 @@ def check_lp_decay(
     x0 = x - e.apply(x)
     x_t = np.concatenate([x0[None], semigroup_apply(a, grid, x0)])
     s = np.linalg.svd(x_t, compute_uv=False)
-    slack = np.full((n_x, len(p_list), grid.size), -np.inf)
-    for ip, p in enumerate(p_list):
+    slack = np.full((n_x, len(LP_EXPONENTS), grid.size), -np.inf)
+    for ip, p in enumerate(LP_EXPONENTS):
         norms = _schatten(s, p, m)  # (1 + t, x): the base norm, then each time
         base = norms[0]
         ok = base >= LP_BASE
         slack[ok, ip] = (norms[1:, ok] / (np.exp(-lam * grid)[:, None] * base[ok]) - 1.0).T
     return _report("lp_decay", lam, seed, slack, lambda w: {
-        "x_index": int(w[0]), "p": p_list[w[1]], "t": float(grid[w[2]])})
+        "x_index": int(w[0]), "p": LP_EXPONENTS[w[1]], "t": float(grid[w[2]])})
 
 
 # ---------------------------------------------------------------------------

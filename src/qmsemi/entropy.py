@@ -2,8 +2,8 @@
 
 All quantities use the normalized trace tau = tr/m, so states carry matrix
 trace m.  Eigenvalues at or below PSD (relative) are off the support before
-logarithms and the support-restricted branch is used for singular states;
-results record which branch ran where that matters.
+logarithms, and the Fisher information of a singular state is taken on its
+support, which is defined only when A(rho) does not weigh on its kernel.
 """
 
 from __future__ import annotations
@@ -28,6 +28,9 @@ __all__ = [
 ]
 
 
+ILL_DEFINED = "ill-defined Fisher information: A(rho) weighs on the kernel of rho"
+
+
 def _support(w: np.ndarray, name: str):
     """Checked and clipped spectra, their support masks and logs (0 off support)."""
     low = w.min(axis=-1)
@@ -43,17 +46,17 @@ def _diag_in_basis(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (u.conj() * (x @ u)).sum(axis=-2).real
 
 
-def spectral_terms(rho, rho_eig, sigma_eig=None, a_rho=None, eps_shift: float = 0.0):
-    """D(rho||sigma) and I = tau(A(rho) ln(rho + eps 1)) for a batch of states.
+def spectral_terms(rho, rho_eig, sigma_eig=None, a_rho=None):
+    """D(rho||sigma) and I = tau(A(rho) ln rho) for a batch of states.
 
     rho, its eigenpairs ``rho_eig``, the eigenpairs of sigma and A(rho) all
     carry a leading batch axis.  This is the one home of the entropy rules,
     all at the one zero floor PSD, relative (``rel_floor``): eigenvalues below
     -PSD raise and the rest are clipped at 0; those at or below PSD are off
     the support (0 log 0 = 0); D is +inf when rho weighs more than PSD off the
-    support of sigma; for eps = 0, I is NaN (ill-defined) when A(rho) leaks
-    more than PSD onto the kernel of rho.  Returns (d, i, full), with
-    None for a term whose inputs are missing and ``full`` for full support.
+    support of sigma; I is NaN (ill-defined) when A(rho) leaks more than PSD
+    onto the kernel of rho.  Returns (d, i), with None for a term whose
+    inputs are missing.
     """
     w, on, log_w = _support(rho_eig[0], "rho")
     m = w.shape[-1]
@@ -67,13 +70,10 @@ def spectral_terms(rho, rho_eig, sigma_eig=None, a_rho=None, eps_shift: float = 
         d = np.where(off_support > rel_floor(w, PSD, axis=-1), np.inf, d)
     if a_rho is not None:
         ydiag = _diag_in_basis(a_rho, rho_eig[1])
-        if eps_shift > 0.0:
-            i = (ydiag * np.log(w + eps_shift)).sum(axis=-1) / m
-        else:
-            leak = np.abs(np.where(on, 0.0, ydiag)).sum(axis=-1)
-            ill = leak > rel_floor(ydiag, PSD, axis=-1)
-            i = np.where(ill, np.nan, (ydiag * log_w).sum(axis=-1) / m)
-    return d, i, on.all(axis=-1)
+        leak = np.abs(np.where(on, 0.0, ydiag)).sum(axis=-1)
+        ill = leak > rel_floor(ydiag, PSD, axis=-1)
+        i = np.where(ill, np.nan, (ydiag * log_w).sum(axis=-1) / m)
+    return d, i
 
 
 def decay_terms(rho, rho_eig, e: Superop, b: Superop):
@@ -86,9 +86,9 @@ def decay_terms(rho, rho_eig, e: Superop, b: Superop):
     m = rho.shape[-1]
     flat = rho.reshape(-1, m, m)
     flat_eig = (rho_eig[0].reshape(-1, m), rho_eig[1].reshape(-1, m, m))
-    d, i, _ = spectral_terms(flat, flat_eig, np.linalg.eigh(e.apply(flat)), b.apply(flat))
+    d, i = spectral_terms(flat, flat_eig, np.linalg.eigh(e.apply(flat)), b.apply(flat))
     if np.isnan(i).any():
-        raise ValueError("ill-defined Fisher information, supply eps_shift")
+        raise ValueError(ILL_DEFINED)
     return np.maximum(d, 0.0).reshape(rho.shape[:-2]), i.reshape(rho.shape[:-2])
 
 
@@ -97,7 +97,7 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
 
     Uses 0 log 0 = 0.  Nonnegative whenever tau(rho) = tau(sigma).
     """
-    d, _, _ = spectral_terms(rho[None], np.linalg.eigh(rho[None]), np.linalg.eigh(sigma[None]))
+    d, _ = spectral_terms(rho[None], np.linalg.eigh(rho[None]), np.linalg.eigh(sigma[None]))
     return float(d[0])
 
 
@@ -106,32 +106,25 @@ def d_sub(rho: np.ndarray, n: SubAlgebra) -> float:
     return float(np.maximum(relative_entropy(rho, n.expectation.apply(rho)), 0.0))
 
 
-def fisher(
-    a: Superop, rho: np.ndarray, eps_shift: float = 0.0, return_branch: bool = False
-):
-    """Fisher information / entropy production tau(A(rho) ln(rho + eps 1)).
+def fisher(a: Superop, rho: np.ndarray) -> float:
+    """Fisher information / entropy production tau(A(rho) ln rho).
 
-    For eps_shift = 0 and singular rho the logarithm is restricted to the
-    support of rho, which is legitimate only when A(rho) carries no weight
-    there; otherwise the quantity diverges and a ValueError asks the caller
-    to supply an eps_shift.  With return_branch the evaluation path is
-    reported alongside the value ("shifted", "full" or "support").
+    For singular rho the logarithm is restricted to the support of rho, which
+    is legitimate only when A(rho) carries no weight on its kernel; otherwise
+    the quantity diverges and a ValueError says so.
     """
-    y = a.apply(rho)[None]
-    _, i, full = spectral_terms(rho[None], np.linalg.eigh(rho[None]), a_rho=y, eps_shift=eps_shift)
+    _, i = spectral_terms(rho[None], np.linalg.eigh(rho[None]), a_rho=a.apply(rho)[None])
     if np.isnan(i[0]):
-        raise ValueError("ill-defined Fisher information, supply eps_shift")
-    val = float(i[0])
-    branch = "shifted" if eps_shift > 0.0 else ("full" if full[0] else "support")
-    return (val, branch) if return_branch else val
+        raise ValueError(ILL_DEFINED)
+    return float(i[0])
 
 
-def fisher_n(n: SubAlgebra, rho: np.ndarray, eps_shift: float = 0.0) -> float:
+def fisher_n(n: SubAlgebra, rho: np.ndarray) -> float:
     """Fisher information of the generator I - E_N.
 
     Equals D(rho||E(rho)) + D(E(rho)||rho), the symmetrized divergence.
     """
-    return fisher(n.complement, rho, eps_shift)
+    return fisher(n.complement, rho)
 
 
 @dataclass(frozen=True)

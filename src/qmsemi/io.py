@@ -97,16 +97,16 @@ def obj_to_operator(obj: dict) -> np.ndarray:
     return _parse_matrix(obj, _dim(obj))
 
 
-def operators_to_obj(mats: list[np.ndarray] | np.ndarray) -> dict:
+def _operators_obj(m: int, mats) -> dict:
     mats = [np.asarray(x, dtype=complex) for x in mats]
-    if not mats:
+    return {"dim": int(m), "matrices": [{"re": x.real.tolist(), "im": x.imag.tolist()}
+                                        for x in mats]}
+
+
+def operators_to_obj(mats: list[np.ndarray] | np.ndarray) -> dict:
+    if len(mats) == 0:
         raise ValueError("empty operator list needs an explicit dimension")
-    return {
-        "dim": int(mats[0].shape[0]),
-        "matrices": [
-            {"re": x.real.tolist(), "im": x.imag.tolist()} for x in mats
-        ],
-    }
+    return _operators_obj(np.shape(mats[0])[0], mats)
 
 
 def obj_to_operators(obj: dict) -> list[np.ndarray]:
@@ -118,7 +118,8 @@ def obj_to_operators(obj: dict) -> list[np.ndarray]:
 
 
 def jumps_to_obj(jumps: JumpSet) -> dict:
-    return operators_to_obj(list(jumps.jumps))
+    """The jump list with the set's own dimension, so an empty set round-trips."""
+    return _operators_obj(jumps.dim, jumps.jumps)
 
 
 def obj_to_jumps(obj: dict) -> JumpSet:

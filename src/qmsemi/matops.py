@@ -253,10 +253,8 @@ class Superop:
         return make_superop(self.matrix @ other.matrix, self.dim)
 
 
-def make_superop(matrix: np.ndarray, dim: int | None = None) -> Superop:
+def make_superop(matrix: np.ndarray, dim: int) -> Superop:
     matrix = np.asarray(matrix, dtype=complex)
-    if dim is None:
-        dim = int(round(np.sqrt(matrix.shape[0])))
     if matrix.shape != (dim * dim, dim * dim):
         raise ValueError("superoperator matrix must be m^2 x m^2")
     floor = rel_floor(matrix, SUPEROP_FLAG)

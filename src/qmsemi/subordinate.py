@@ -100,8 +100,7 @@ class WeightProfile:
         # NaN fails both comparisons, so it stops here, before any quadrature
         if not 0.0 < eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {eps}")
-        if not 0.0 < sigma < math.inf:
-            raise ValueError(f"sigma must be finite and > 0, got {sigma}")
+        _check_eps_sigma(math.log(eps), sigma)
         prof = WeightProfile(kind="epssigma", eps=eps, sigma=sigma)
         return prof.with_checked_conditions()
 
@@ -185,7 +184,7 @@ def phi_of_lambda(profile: WeightProfile, lam: float) -> float:
     if not profile.conditions.get("I", {}).get("ok", True):
         raise ValueError("profile fails the integrability condition")
     if profile.kind == "epssigma":
-        return eps_sigma_scalar(profile.eps, profile.sigma, lam)[0]
+        return eps_sigma_scalar(math.log(profile.eps), profile.sigma, lam)[0]
     return _quad_dt_over_t(lambda t: -math.expm1(-lam * t) * profile.f(t))
 
 
@@ -310,49 +309,36 @@ def _eps_sigma_values(lam: np.ndarray, sigma: float, log_eps: float):
     return (psi + psit) / abs(log_eps), psi, psit
 
 
-def _log_eps(eps: float | None, log_eps: float | None) -> float:
-    if log_eps is None:
-        if not 0.0 < eps < 1.0:
-            raise ValueError("require 0 < eps < 1")
-        return math.log(eps)
+def _check_eps_sigma(log_eps: float, sigma: float) -> None:
+    """Raise unless ln eps is finite and < 0 (0 < eps < 1) and sigma is finite and > 0."""
     if not -math.inf < log_eps < 0.0:
-        raise ValueError("require eps < 1: log_eps must be finite and < 0")
-    return log_eps
-
-
-def _check_sigma(sigma: float) -> None:
+        raise ValueError(f"require eps < 1: log_eps must be finite and < 0, got {log_eps}")
     if not 0.0 < sigma < math.inf:
         raise ValueError(f"sigma must be finite and > 0, got {sigma}")
 
 
-def eps_sigma_scalar(
-    eps: float | None, sigma: float, lam: float, log_eps: float | None = None
-) -> tuple[float, float, float]:
+def eps_sigma_scalar(log_eps: float, sigma: float, lam: float) -> tuple[float, float, float]:
     """(phi_{eps,sigma}(lam), psi(lam), psi_tilde(lam)) with
 
         psi(lam)        = int_eps^1 (1 - e^{-lam t}) dt/t^2,
         psi_tilde(lam)  = int_1^inf (1 - e^{-lam t}) dt/t^{1+sigma},
         phi             = (psi + psi_tilde) / |ln eps|,
 
-    in closed form (see ``_eps_sigma_values``).  ``log_eps`` = ln(eps) may be
-    passed instead of eps, which keeps the calculus usable when eps
-    underflows float64 (the construction below needs |ln eps| up to ~1e4).
-    Raises ValueError unless sigma is finite and > 0 and lam finite and >= 0.
+    in closed form (see ``_eps_sigma_values``).  eps enters as ``log_eps`` =
+    ln(eps), which keeps the calculus usable when eps underflows float64 (the
+    construction below needs |ln eps| up to ~1e4).  Raises ValueError unless
+    log_eps is finite and < 0, sigma finite and > 0 and lam finite and >= 0.
     """
-    log_eps = _log_eps(eps, log_eps)
-    _check_sigma(sigma)
+    _check_eps_sigma(log_eps, sigma)
     if not 0.0 <= lam < math.inf:
         raise ValueError(f"lambda must be finite and >= 0, got {lam}")
     phi, psi, psit = _eps_sigma_values(np.array([lam]), sigma, log_eps)
     return float(phi[0]), float(psi[0]), float(psit[0])
 
 
-def eps_sigma_generator(
-    l: Superop, eps: float | None, sigma: float, log_eps: float | None = None
-) -> Superop:
-    """Spectral application of phi_{eps,sigma}; a norm-controlled surrogate of L."""
-    _check_sigma(sigma)
-    log_eps = _log_eps(eps, log_eps)
+def eps_sigma_generator(l: Superop, log_eps: float, sigma: float) -> Superop:
+    """phi_{eps,sigma}(L) with eps = e^log_eps, spectrally: a norm-controlled surrogate of L."""
+    _check_eps_sigma(log_eps, sigma)
     return _spectral_map(l, lambda w: _eps_sigma_values(w, sigma, log_eps)[0])
 
 
@@ -388,7 +374,7 @@ def density_approximation(gen: LindbladGenerator, eps: float) -> tuple[Superop, 
     sigma = 1.0 / lt
     ln_eps0 = (lt + norm_l**2 / 2.0) / eps
     eps0 = math.exp(-ln_eps0) if ln_eps0 < 700.0 else 0.0  # may underflow; log form used
-    b = eps_sigma_generator(l, None, sigma, log_eps=-ln_eps0)
+    b = eps_sigma_generator(l, -ln_eps0, sigma)
     dist = (l - b).norm
     alpha_l = 1.0 / (2.0 * math.e * lt * (lt + norm_l**2))
     cert = gamma_e(b, gen.fixed_algebra)
@@ -431,8 +417,11 @@ def psi_r_map(a: Superop, profile: WeightProfile, r: float) -> tuple[Superop, fl
     return _spectral_map(a, lambda w: [fn(lam) for lam in w]), g_r
 
 
-def theta_family_report(gen: LindbladGenerator, thetas=(0.25, 0.5, 0.75)) -> dict:
-    """Measured gradient-condition constants of A^theta and a fitted prefactor.
+THETAS = (0.25, 0.5, 0.75)
+
+
+def theta_family_report(gen: LindbladGenerator) -> dict:
+    """Measured gradient-condition constants of A^theta, theta in THETAS, and a fitted prefactor.
 
     The family is fitted against lam(theta) = c0 * t0^-theta theta^2 (1-theta)
     by least squares in c0; the universal constant itself is not claimed.
@@ -441,7 +430,7 @@ def theta_family_report(gen: LindbladGenerator, thetas=(0.25, 0.5, 0.75)) -> dic
     measured = {}
     shape_vals = []
     lam_vals = []
-    for th in thetas:
+    for th in THETAS:
         a_th = fractional_power(gen.superop, th)
         cert = gamma_e(a_th, gen.fixed_algebra)
         measured[th] = cert.lambda_star

@@ -177,7 +177,7 @@ def test_c06_truncated_calculus_bound():
         norm_l = gen.superop.norm
         for eps in (1e-2, 1e-4):
             for sigma in sigmas:
-                b = eps_sigma_generator(gen.superop, eps, sigma)
+                b = eps_sigma_generator(gen.superop, math.log(eps), sigma)
                 bound = (2.0 / sigma + norm_l**2) / (2.0 * abs(math.log(eps)))
                 ratio = (gen.superop - b).norm / bound
                 worst_ratio = max(worst_ratio, ratio)
@@ -186,7 +186,7 @@ def test_c06_truncated_calculus_bound():
     eps, sigma = 1e-3, 0.8
     le = abs(math.log(eps))
     for lam in np.random.default_rng(1061).uniform(0.01, 6.0, size=100):
-        _, psi, psit = eps_sigma_scalar(eps, sigma, lam)
+        _, psi, psit = eps_sigma_scalar(math.log(eps), sigma, lam)
         ok &= le * lam - lam**2 / 2 - 1e-10 <= psi <= le * lam + 1e-10
         ok &= -1e-12 <= psit <= 1.0 / sigma + 1e-12
     _report(6, "truncated-calculus distance bound and scalar brackets",

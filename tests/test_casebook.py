@@ -56,9 +56,8 @@ def test_graph_can_demand_connectivity():
     w = np.zeros((4, 4))
     w[0, 1] = w[1, 0] = 1.0
     w[2, 3] = w[3, 2] = 1.0  # two components
-    with pytest.raises(ValueError):
-        case_graph_criterion(w, require_connected=True)
-    assert case_graph_criterion(w).computed["lambda_star"] <= 1e-6
+    with pytest.raises(ValueError, match="disconnected"):
+        case_graph_criterion(w)
 
 
 def test_poisson_truncations():

@@ -1,5 +1,5 @@
-"""Bad CLI input exits 1 with a message: non-finite matrices, bad dims, rates and
-sigmas, and casebook flags and sizes."""
+"""Bad CLI input exits 1 with a message: non-finite matrices, bad dims, rates,
+eps and sigmas, wrong-sized states, and casebook flags and sizes."""
 
 import json
 import warnings
@@ -11,9 +11,9 @@ from qmsemi import cli
 from qmsemi.casebook import case_graph_criterion, run_case
 from qmsemi.cli import main
 from qmsemi.generator import JumpSet
-from qmsemi.io import (MAX_GRID, dump_json, jumps_to_obj, obj_to_operator, obj_to_operators,
-                       operator_to_obj)
-from qmsemi.models import pauli
+from qmsemi.io import (MAX_GRID, dump_json, jumps_to_obj, obj_to_jumps, obj_to_operator,
+                       obj_to_operators, operator_to_obj)
+from qmsemi.models import depolarizing_generator, pauli
 
 
 @pytest.fixture
@@ -288,3 +288,49 @@ def test_a_missing_field_is_named(argv, doc, name, jumps_file, tmp_path, capsys)
 def test_an_unknown_case_prints_its_message_unquoted(capsys):
     assert main(["casebook", "run", "nosuch"]) == 1
     assert capsys.readouterr().err.startswith("error: unknown case 'nosuch'; available: [")
+
+
+def test_validate_accepts_an_empty_jump_set(tmp_path):
+    path, out = tmp_path / "none.json", tmp_path / "report.json"
+    path.write_text(json.dumps({"dim": 2, "matrices": []}))
+    assert main(["validate", str(path), "--out", str(out)]) == 0
+    back = obj_to_jumps(json.loads(out.read_text())["generator"]["jumps"])
+    assert back.dim == 2 and back.jumps.shape == (0, 2, 2)
+
+
+def test_decay_names_a_state_of_the_wrong_size(tmp_path, capsys):
+    jumps = tmp_path / "m3.json"
+    jumps.write_text(dump_json(jumps_to_obj(depolarizing_generator(3).jumps)))
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(operator_to_obj(np.eye(2))))
+    assert main(["decay", str(jumps), "--state", str(state), "--lambda", "0.5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --state") and "2x2" in err and "3x3" in err
+
+
+def test_flsi_names_a_negative_validate(jumps_file, tmp_path, capsys):
+    out = tmp_path / "flsi.json"
+    assert main(["flsi", jumps_file, "--validate", "-1", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: --validate")
+
+
+@pytest.mark.parametrize("eps", ["0", "1", "1.5", "-0.1", "nan", "inf"])
+def test_subordinate_names_an_eps_outside_the_unit_interval(eps, jumps_file, tmp_path, capsys):
+    out = tmp_path / "sub.json"
+    assert main(["subordinate", jumps_file, "--eps", eps, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: --eps")
+
+
+def test_decay_from_a_pure_state_is_ill_defined_near_t_0(tmp_path, capsys):
+    jumps = tmp_path / "depolarizing.json"
+    jumps.write_text(dump_json(jumps_to_obj(depolarizing_generator(2).jumps)))
+    state = tmp_path / "pure.json"
+    state.write_text(json.dumps(operator_to_obj(np.diag([2.0, 0.0]))))
+    out = tmp_path / "trace.csv"
+    assert main(["decay", str(jumps), "--state", str(state), "--lambda", "1",
+                 "--grid", "1e-9:1:5", "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ill-defined Fisher information") and "eps_shift" not in err

@@ -13,7 +13,7 @@ from qmsemi.entropy import (
     relative_entropy,
     simulate_decay,
 )
-from qmsemi.generator import derivation
+from qmsemi.generator import JumpSet, derivation, lindblad
 from qmsemi.matops import (
     divided_difference_multiplier,
     identity_superop,
@@ -24,7 +24,7 @@ from qmsemi.matops import (
     random_state,
     semigroup_apply,
 )
-from qmsemi.models import dephasing_generator, depolarizing_generator, random_lindblad
+from qmsemi.models import depolarizing_generator, pauli, random_lindblad
 from qmsemi.tolerances import PSD
 
 
@@ -105,20 +105,19 @@ def test_fisher_positive_on_random_states():
 
 def test_fisher_singular_state_branches():
     gen = depolarizing_generator(2)
-    rho = np.diag([2.0, 0.0]).astype(complex)
-    # A(rho) has weight on the kernel of rho: ill-defined without a shift
-    with pytest.raises(ValueError):
-        fisher(gen.superop, rho)
-    val, branch = fisher(gen.superop, rho, eps_shift=1e-8, return_branch=True)
-    assert np.isfinite(val) and branch == "shifted"
-    rng = np.random.default_rng(12)
-    _, branch = fisher(gen.superop, random_state(2, rng), return_branch=True)
-    assert branch == "full"
-    # dephasing keeps the diagonal invariant, so a singular diagonal state
-    # stays inside its own support and the restricted value is legitimate
-    deph = dephasing_generator(2)
-    _, branch = fisher(deph.superop, rho, return_branch=True)
-    assert branch == "support"
+    # A = I - E_tau, so at rho = diag(1 + s, 1 - s) I = (s / 2) ln((1 + s) / (1 - s))
+    assert fisher(gen.superop, np.diag([1.5, 0.5]).astype(complex)) == pytest.approx(
+        0.25 * math.log(3.0), rel=1e-12)
+    # A(rho) has weight on the kernel of rho: the logarithm diverges there
+    with pytest.raises(ValueError, match="^ill-defined Fisher information"):
+        fisher(gen.superop, np.diag([2.0, 0.0]).astype(complex))
+    # sigma_x + 0 mixes e_1 and e_2 only: at rho = diag(2, 1, 0), A(rho) = diag(2, -2, 0)
+    # misses the kernel and the support-restricted I is (2 ln 2 - 2 ln 1) / 3
+    a = np.zeros((1, 3, 3), dtype=complex)
+    a[0, :2, :2] = pauli("x")
+    block = lindblad(JumpSet(dim=3, jumps=a)).superop
+    assert fisher(block, np.diag([2.0, 1.0, 0.0]).astype(complex)) == pytest.approx(
+        2.0 * math.log(2.0) / 3.0, rel=1e-12)
 
 
 def test_fisher_identity_on_near_pure_states():

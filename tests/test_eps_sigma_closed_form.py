@@ -35,14 +35,14 @@ def psi_tilde_reference(lam: float, sigma: float) -> float:
 
 @pytest.mark.parametrize("sigma", SIGMAS)
 def test_psi_tilde_matches_mpmath(sigma):
-    got = np.array([eps_sigma_scalar(0.5, sigma, lam)[2] for lam in LAMS])
+    got = np.array([eps_sigma_scalar(math.log(0.5), sigma, lam)[2] for lam in LAMS])
     ref = np.array([psi_tilde_reference(lam, sigma) for lam in LAMS])
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("log_eps", LOG_EPS)
 def test_psi_matches_mpmath(log_eps):
-    got = np.array([eps_sigma_scalar(None, 1.0, lam, log_eps=log_eps)[1] for lam in LAMS])
+    got = np.array([eps_sigma_scalar(log_eps, 1.0, lam)[1] for lam in LAMS])
     ref = np.array([psi_reference(lam, log_eps) for lam in LAMS])
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
@@ -51,7 +51,7 @@ def test_psi_matches_mpmath(log_eps):
 @pytest.mark.parametrize("log_eps", [math.log(1e-3), -50.0])
 def test_closed_form_agrees_with_the_old_quadrature(sigma, log_eps):
     for lam in (1e-6, 0.03, 0.7, 2.0, 9.0, 60.0):
-        got = eps_sigma_scalar(None, sigma, lam, log_eps=log_eps)
+        got = eps_sigma_scalar(log_eps, sigma, lam)
         ref = eps_sigma_by_quadrature(log_eps, sigma, lam)
         np.testing.assert_allclose(got, ref, rtol=1e-7, atol=0.0)
 
@@ -61,31 +61,31 @@ def test_generator_applies_the_scalar_calculus_to_every_eigenvalue():
     l = gen.superop
     w, v = l.eig
     for eps, sigma in ((1e-4, 0.4), (1e-2, 1.0), (0.5, 2.5)):
-        fw = [eps_sigma_scalar(eps, sigma, lam)[0] if lam > 1e-9 else 0.0 for lam in w]
+        fw = [eps_sigma_scalar(math.log(eps), sigma, lam)[0] if lam > 1e-9 else 0.0 for lam in w]
         ref = (v * np.array(fw)) @ v.conj().T
-        got = eps_sigma_generator(l, eps, sigma).matrix
+        got = eps_sigma_generator(l, math.log(eps), sigma).matrix
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_profile_phi_uses_the_closed_form():
     prof = WeightProfile.eps_sigma(0.5, 1.5)
     for lam in (0.0, 0.2, 3.0):
-        assert phi_of_lambda(prof, lam) == eps_sigma_scalar(0.5, 1.5, lam)[0]
+        assert phi_of_lambda(prof, lam) == eps_sigma_scalar(math.log(0.5), 1.5, lam)[0]
 
 
 @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf, -math.inf])
 def test_scalar_rejects_a_sigma_that_is_not_finite_and_positive(sigma):
     with pytest.raises(ValueError, match="sigma"):
-        eps_sigma_scalar(0.5, sigma, 1.0)
+        eps_sigma_scalar(math.log(0.5), sigma, 1.0)
 
 
 @pytest.mark.parametrize("lam", [-1.0, -1e-300, math.nan, math.inf])
 def test_scalar_rejects_a_lambda_that_is_not_finite_and_nonnegative(lam):
     with pytest.raises(ValueError, match="lambda"):
-        eps_sigma_scalar(0.5, 0.5, lam)
+        eps_sigma_scalar(math.log(0.5), 0.5, lam)
 
 
 @pytest.mark.parametrize("log_eps", [0.0, 1.0, math.nan, -math.inf])
 def test_scalar_rejects_a_log_eps_that_is_not_finite_and_negative(log_eps):
     with pytest.raises(ValueError, match="eps"):
-        eps_sigma_scalar(None, 0.5, 1.0, log_eps=log_eps)
+        eps_sigma_scalar(log_eps, 0.5, 1.0)

@@ -105,11 +105,11 @@ def test_fractional_power_identities():
 
 def test_eps_sigma_scalar_zero_and_brackets():
     eps, sigma = 1e-3, 0.6
-    assert eps_sigma_scalar(eps, sigma, 0.0) == (0.0, 0.0, 0.0)
+    assert eps_sigma_scalar(math.log(eps), sigma, 0.0) == (0.0, 0.0, 0.0)
     le = abs(math.log(eps))
     rng = np.random.default_rng(3)
     for lam in rng.uniform(0.01, 8.0, size=25):
-        _, psi, psit = eps_sigma_scalar(eps, sigma, lam)
+        _, psi, psit = eps_sigma_scalar(math.log(eps), sigma, lam)
         assert le * lam - lam**2 / 2 - 1e-10 <= psi <= le * lam + 1e-10
         assert -1e-12 <= psit <= 1.0 / sigma + 1e-12
 
@@ -120,7 +120,7 @@ def test_eps_sigma_operator_bound():
     l = gen.superop
     for eps in (1e-2, 1e-4):
         for sigma in (0.5, 1.0):
-            b = eps_sigma_generator(l, eps, sigma)
+            b = eps_sigma_generator(l, math.log(eps), sigma)
             bound = (2.0 / sigma + l.norm**2) / (2.0 * abs(math.log(eps)))
             assert (l - b).norm <= bound * (1 + 1e-10)
 
@@ -128,10 +128,10 @@ def test_eps_sigma_operator_bound():
 def test_eps_sigma_rejects_bad_parameters():
     a = depolarizing_generator(2).superop
     with pytest.raises(ValueError):
-        eps_sigma_generator(a, 1.5, 0.5)
+        eps_sigma_generator(a, math.log(1.5), 0.5)
     for sigma in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="sigma"):
-            eps_sigma_generator(a, 0.5, sigma)
+            eps_sigma_generator(a, math.log(0.5), sigma)
 
 
 def test_density_approximation_basics():
@@ -234,8 +234,9 @@ def test_auto_sigma_clamps():
 
 def test_theta_family_report_shape():
     gen = dephasing_generator(2)
-    rep = theta_family_report(gen, thetas=(0.25, 0.5, 0.75))
+    rep = theta_family_report(gen)
     assert set(rep) == {"t0", "lambda_theta", "fitted_c0"}
+    assert tuple(rep["lambda_theta"]) == (0.25, 0.5, 0.75)
     assert all(v > 0 for v in rep["lambda_theta"].values())
     assert rep["fitted_c0"] > 0
 

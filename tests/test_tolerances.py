@@ -1,4 +1,5 @@
-"""The tolerance policy: every numerical floor lives in ``qmsemi/tolerances.py``."""
+"""The tolerance policy: every numerical floor lives in ``qmsemi/tolerances.py``.
+The option ratchet: the number of defaulted parameters in ``qmsemi`` does not grow."""
 
 import ast
 import math
@@ -94,6 +95,39 @@ def test_default_guard_sees_positional_keyword_and_attribute_defaults():
     policy = {"PSD", "VIOLATION", "FLOOR"}
     assert [(f, n) for _, f, n in tolerance_defaults(src, policy)] == [
         ("f", "PSD"), ("g", "VIOLATION"), ("<lambda>", "FLOOR")]
+
+
+# Parameters with a default over src/qmsemi, lambdas included.  Each is an option
+# that some caller must need; adding one raises this number in the same edit.
+MAX_OPTIONS = 43
+
+
+def defaulted_parameters(source: str):
+    """(function, name) of every parameter that has a default."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            named = positional[len(positional) - len(args.defaults):]
+            named += [p for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            for param in named:
+                yield getattr(node, "name", "<lambda>"), param.arg
+
+
+def test_no_option_is_added_without_raising_the_count():
+    found = [f"{p.name}: {func}({name}=...)" for p in sorted(SRC.glob("*.py"))
+             for func, name in defaulted_parameters(p.read_text())]
+    assert len(found) <= MAX_OPTIONS, (
+        f"{len(found)} defaulted parameters, over {MAX_OPTIONS}:\n" + "\n".join(found))
+
+
+def test_option_count_sees_positional_keyword_only_and_lambda_defaults():
+    src = ("def f(a, b=1, *, c, d=2): pass\n"
+           "def g(p, /, q=3, *args, **kw): pass\n"
+           "h = lambda x, y=4: x\n"
+           "class K:\n    def m(self, r=5): pass\n")
+    assert sorted(defaulted_parameters(src)) == [
+        ("<lambda>", "y"), ("f", "b"), ("f", "d"), ("g", "q"), ("m", "r")]
 
 
 def test_rel_floor_scales_by_the_largest_magnitude_but_never_below_rtol():
