@@ -163,10 +163,7 @@ def cmd_decay(args) -> int:
     else:
         lam = _flag_number(args.lam, "--lambda", lambda x: 0.0 <= x < math.inf,
                            "'auto' or a finite number >= 0")
-    if args.grid:
-        grid = _parse_grid(args.grid)
-    else:
-        grid = default_grid(lam if lam > 0 else 1.0)
+    grid = _parse_grid(args.grid) if args.grid else default_grid(lam)
     if args.state == "random":
         rho0 = random_state(gen.dim, np.random.default_rng(args.seed))
     else:

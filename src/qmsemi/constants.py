@@ -301,7 +301,7 @@ def check_decay_bound(gen, lam: float, n_states: int = 50, seed: int = 0) -> dic
     if n_states < 1:
         raise ValueError("n_states must be at least 1")
     a, n, e = _dynamics(gen)
-    grid = default_grid(lam if lam > 0 else 1.0)
+    grid = default_grid(lam)
     rng = np.random.default_rng([seed, 17])
     rho0 = random_state_stack(a.dim, rng, n_states, 0.5, 1.0)
     d0, i0 = decay_terms(rho0, np.linalg.eigh(rho0), e, n.complement)
@@ -331,7 +331,7 @@ def check_lp_decay(gen, lam: float, n_x: int = 50, seed: int = 0) -> dict:
         raise ValueError("n_x must be at least 1")
     a, _, e = _dynamics(gen)
     m = a.dim
-    grid = default_grid(lam if lam > 0 else 1.0, n=20)
+    grid = default_grid(lam, n=20)
     rng = np.random.default_rng([seed, 23])
     # odd indices are non-Hermitian probes
     x = np.array([random_hermitian(m, rng) + (1j * random_hermitian(m, rng) if idx % 2 else 0)

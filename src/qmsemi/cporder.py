@@ -328,6 +328,8 @@ def gamma_e_constant(gen: LindbladGenerator) -> GammaECertificate:
     norm_small = np.linalg.norm(q_small.q)
     if norm_small <= PSD:
         return GammaECertificate(0.0, "zero", 0.0, PSD - norm_small, PSD)
+    # Keep this fork: at K = m^2 (depolarizing) the dense solve beats the factor path,
+    # 2.5 vs 4.2 ms at m = 4 and 36 vs 58 ms at m = 6 (one BLAS thread, Xeon vCPU).
     if gen.jumps.size >= gen.jumps.dim ** 2:
         return best_lambda(q_small, kernel_from_jumps(gen.jumps.jumps))
     floor_small = rel_floor(norm_small, PSD)

@@ -145,8 +145,8 @@ class DecayTrace:
 
 
 def default_grid(lam: float, n: int = 60) -> np.ndarray:
-    """Geometric grid on [1e-3/lam, 6/lam], resolving slope and tail."""
-    if lam <= 0:
+    """Geometric grid on [1e-3/lam, 6/lam], resolving slope and tail; lam <= 0 or NaN reads as 1."""
+    if not lam > 0:
         lam = 1.0
     return np.geomspace(1e-3 / lam, 6.0 / lam, n)
 

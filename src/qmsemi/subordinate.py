@@ -5,12 +5,12 @@ A weight profile F on (0, inf) induces the Bernstein-type function
     phi_F(lam) = int_0^inf (1 - e^{-t lam}) F(t) dt/t
 
 and the subordinated generator Phi_F(A) = phi_F(A), applied eigenvalue-wise
-to the PSD self-adjoint superoperator A.  This is exact up to the scalar
-quadrature error, so no operator-level discretization is needed.  Power-law
-profiles give fractional powers; the truncated eps-sigma profile yields the
-norm-controlled approximants used in the density construction, and its
-calculus is evaluated in closed form (exponential integrals), for all
-eigenvalues at once.
+to the PSD self-adjoint superoperator A, so no operator-level discretization
+is needed.  Each profile kind has one phi: a power law gives the fractional
+power A^alpha, and the truncated eps-sigma profile gives the norm-controlled
+approximants of the density construction in closed form (exponential
+integrals), for all eigenvalues at once.  Scalar quadrature runs only for
+table profiles, for the growth-condition checks and for Psi_F(r).
 """
 
 from __future__ import annotations
@@ -66,9 +66,9 @@ def _quad_dt_over_t(f, with_error: bool = False):
 class WeightProfile:
     """Subordination weight F(t) with numerically verified growth conditions.
 
-    kind is one of "power" (F(t) = c(alpha) t^-alpha with the normalization
-    c(alpha) computed by quadrature so that phi(lam) = lam^alpha), "epssigma"
-    (the truncated profile t^-2 on [eps,1), t^-sigma on [1,inf)), or "table"
+    kind is one of "power" (F(t) = c t^-alpha, c = alpha / Gamma(1 - alpha), so
+    that phi(lam) = lam^alpha), "epssigma" ((t^-1 on [eps,1), t^-sigma on
+    [1,inf)) / |ln eps|, whose phi is ``eps_sigma_scalar``), or "table"
     (log-log interpolation of sampled points).
 
     conditions holds the integrability flag C_F (finite), the
@@ -89,10 +89,8 @@ class WeightProfile:
     def power_law(alpha: float) -> "WeightProfile":
         if not 0.0 < alpha < 1.0:
             raise ValueError("power-law exponent must lie in (0, 1)")
-        # c(alpha) with int (1 - e^-s) s^{-alpha} ds/s = 1/c(alpha); never hard-coded
-        raw = _quad_dt_over_t(lambda s: -math.expm1(-s) * s ** (-alpha))
-        c = 1.0 / raw
-        prof = WeightProfile(kind="power", alpha=alpha, norm_const=c)
+        # int (1 - e^-s) s^{-alpha} ds/s = Gamma(1 - alpha) / alpha
+        prof = WeightProfile(kind="power", alpha=alpha, norm_const=alpha / math.gamma(1.0 - alpha))
         return prof.with_checked_conditions()
 
     @staticmethod
@@ -126,7 +124,7 @@ class WeightProfile:
         if self.kind == "epssigma":
             if t < self.eps:
                 return 0.0
-            return t ** -2.0 if t < 1.0 else t ** (-self.sigma)
+            return (1.0 / t if t < 1.0 else t ** (-self.sigma)) / -math.log(self.eps)
         # log-log interpolation, zero outside the sampled range
         pts = self.points
         if t < pts[0, 0] or t > pts[-1, 0]:
@@ -140,7 +138,7 @@ class WeightProfile:
         """Verify (integrability, quasi-monotonicity at mu = 1/2, doubling) on a log grid."""
         cond: dict = {}
         c_f, err = _quad_dt_over_t(lambda t: min(1.0, t) * self.f(t), with_error=True)
-        cond["I"] = {"C_F": c_f, "ok": bool(np.isfinite(c_f) and err <= QUAD_ERR)}
+        cond["I"] = {"C_F": c_f, "ok": bool(np.isfinite(c_f) and err <= rel_floor(c_f, QUAD_ERR))}
         mu = 0.5
         grid = np.geomspace(1e-6, 1e6, 241)
         fg = np.array([self.f(t) for t in grid])
@@ -183,6 +181,8 @@ def phi_of_lambda(profile: WeightProfile, lam: float) -> float:
         return 0.0
     if not profile.conditions.get("I", {}).get("ok", True):
         raise ValueError("profile fails the integrability condition")
+    if profile.kind == "power":
+        return lam ** profile.alpha
     if profile.kind == "epssigma":
         return eps_sigma_scalar(math.log(profile.eps), profile.sigma, lam)[0]
     return _quad_dt_over_t(lambda t: -math.expm1(-lam * t) * profile.f(t))
@@ -200,6 +200,12 @@ def _spectral_map(a: Superop, fn) -> Superop:
 
 def subordinated_generator(a: Superop, profile: WeightProfile) -> Superop:
     """Phi_F(A) applied spectrally; keeps self-adjointness, PSD, nullspace."""
+    if not profile.conditions.get("I", {}).get("ok", True):
+        raise ValueError("profile fails the integrability condition")
+    if profile.kind == "power":
+        return fractional_power(a, profile.alpha)
+    if profile.kind == "epssigma":
+        return eps_sigma_generator(a, math.log(profile.eps), profile.sigma)
     return _spectral_map(a, lambda w: [phi_of_lambda(profile, lam) for lam in w])
 
 

@@ -137,6 +137,31 @@ def test_subordinate_eps_auto_sigma(jumps_file, tmp_path):
     assert "t0" in doc["report"]["mode"]
 
 
+def _superop_of(argv, tmp_path):
+    out = tmp_path / "sub.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    return json.loads(out.read_text())["superop"]
+
+
+@pytest.mark.parametrize("gen", [
+    JumpSet(dim=2, jumps=np.array([pauli("z"), pauli("x")])),
+    random_lindblad(4, 2, np.random.default_rng(12)).jumps,
+], ids=["zx", "random_m4"])
+def test_subordinate_profile_matches_theta_and_eps_byte_for_byte(gen, tmp_path):
+    jf = tmp_path / "jumps.json"
+    jf.write_text(dump_json(jumps_to_obj(gen)))
+    pairs = [({"kind": "power", "alpha": 0.5}, ["--theta", "0.5"]),
+             ({"kind": "epssigma", "eps": 1e-3, "sigma": 0.7}, ["--eps", "1e-3", "--sigma", "0.7"])]
+    for profile, flags in pairs:
+        pf = tmp_path / "profile.json"
+        pf.write_text(json.dumps(profile))
+        got = _superop_of(["subordinate", str(jf), "--profile", str(pf)], tmp_path)
+        assert json.dumps(got) == json.dumps(_superop_of(["subordinate", str(jf), *flags], tmp_path))
+    # a table with C_F = 559.5 passes the integrability gate
+    pf.write_text(json.dumps({"kind": "table", "points": [[0.01, 100.0], [100.0, 100.0]]}))
+    _superop_of(["subordinate", str(jf), "--profile", str(pf)], tmp_path)
+
+
 def test_subordinate_mode_exclusivity(jumps_file):
     assert main(["subordinate", jumps_file]) == 1
     assert main(["subordinate", jumps_file, "--theta", "0.5", "--eps", "0.1"]) == 1

@@ -15,6 +15,7 @@ from qmsemi.cporder import (
     best_lambda,
     cp_order_holds,
     gamma_e,
+    gamma_e_constant,
     kernel_from_superop,
     kernel_ie,
 )
@@ -27,17 +28,20 @@ def _agree(a, n, basis=None):
     """gamma_e(a, n) against best_lambda on the same kernels; returns both."""
     q_small, q_big = kernel_ie(n, basis=basis), kernel_from_superop(a, basis=basis)
     got, ref = gamma_e(a, n, basis=basis), best_lambda(q_small, q_big)
-    assert got.status == ref.status
+    doc = got.to_json()
+    assert got.status == ref.status == doc["status"] and doc["method"] == got.method
     assert got.lambda_star == pytest.approx(ref.lambda_star, rel=1e-8, abs=0.0)
     if got.method == "congruence-cholesky":
         assert got.status == "positive"
         assert 0.0 < got.lambda_cert <= got.lambda_star
+        assert doc["lambda_cert"] == got.lambda_cert <= doc["lambda_star"]
         assert cp_order_holds(q_small, q_big, got.lambda_cert)
         v = got.witness
         big, small = (v.conj() @ q_big.q @ v).real, (v.conj() @ q_small.q @ v).real
         assert big - got.lambda_star * small == pytest.approx(0.0, abs=1e-9 * big)
     else:
         assert got.method == "pencil-direct" and got.lambda_cert is None
+        assert "lambda_cert" not in doc
     return got, ref
 
 
@@ -53,6 +57,9 @@ def test_gamma_e_agrees_with_best_lambda_on_the_zoo(zoo, name):
         got, _ = _agree(a, gen.fixed_algebra)
         # with N = C 1 the compressed kernel is positive definite: no fallback
         assert (got.method == "congruence-cholesky") == (gen.fixed_algebra.size == 1), kind
+    # a jump pencil is never certified by the Cholesky, so its JSON carries no lambda_cert
+    jump_doc = gamma_e_constant(gen).to_json()
+    assert jump_doc["method"] != "congruence-cholesky" and "lambda_cert" not in jump_doc
 
 
 @pytest.mark.parametrize("m", [5, 6])

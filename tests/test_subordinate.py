@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma as gammafn
 
+from qmsemi import subordinate
 from qmsemi.cporder import kernel_from_superop, kernel_ie, return_time
 from qmsemi.matops import (
     identity_superop,
@@ -68,7 +69,36 @@ def test_subordinated_matches_fractional_power():
     for th in (0.3, 0.5):
         a1 = subordinated_generator(gen.superop, WeightProfile.power_law(th))
         a2 = fractional_power(gen.superop, th)
-        assert np.abs(a1.matrix - a2.matrix).max() < 1e-9
+        np.testing.assert_array_equal(a1.matrix, a2.matrix)
+    b1 = subordinated_generator(gen.superop, WeightProfile.eps_sigma(1e-3, 0.7))
+    b2 = eps_sigma_generator(gen.superop, math.log(1e-3), 0.7)
+    np.testing.assert_array_equal(b1.matrix, b2.matrix)
+
+
+def test_closed_form_profiles_take_no_quadrature(monkeypatch):
+    a = random_lindblad(3, 2, np.random.default_rng(10)).superop
+    profiles = [WeightProfile.power_law(0.5), WeightProfile.eps_sigma(1e-3, 0.7)]
+    table = WeightProfile.table([[0.1, 1.0], [10.0, 0.1]])
+
+    def fail(*args, **kwargs):
+        raise AssertionError("quadrature called")
+
+    monkeypatch.setattr(subordinate, "_quad_dt_over_t", fail)
+    for prof in profiles:
+        subordinated_generator(a, prof)
+        phi_of_lambda(prof, 2.0)
+    with pytest.raises(AssertionError, match="quadrature"):
+        subordinated_generator(a, table)
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.1, 1e-2, 1e-3, 1e-4, 1e-8, 1e-30, 1e-300])
+def test_eps_sigma_profile_is_integrable_with_its_closed_form_c_f(eps):
+    # F = (t^-1 on [eps, 1), t^-sigma on [1, inf)) / |ln eps|: C_F = 1 + 1/(sigma |ln eps|)
+    for sigma in (0.3, 0.7, 1.0, 2.5):
+        cond = WeightProfile.eps_sigma(eps, sigma).conditions
+        assert cond["I"]["ok"] and cond["QM"]["ok"] and cond["Delta2"]["ok"]
+        c_f = 1.0 + 1.0 / (sigma * abs(math.log(eps)))
+        assert cond["I"]["C_F"] == pytest.approx(c_f, rel=1e-8)
 
 
 def test_subordinated_zero_generator():
@@ -180,22 +210,29 @@ def test_psi_r_approximates_subordinated_generator():
 
 
 def test_psi_r_scalar_values_increase_to_phi():
-    # g(r)(1 - psi_r(lam)) = int e^{-r/t}(1-e^{-t lam}) F dt/t increases as r -> 0
-    prof = WeightProfile.power_law(0.5)
+    # g(r)(1 - psi_r(lam)) = int e^{-r/t}(1-e^{-t lam}) F dt/t increases as r -> 0,
+    # to the phi_F(lam) that the profile's own F integrates to
     lam = 2.3
-    target = quad(
-        lambda t: (1 - math.exp(-lam * t)) * prof.f(t) / t, 0, np.inf, limit=200
-    )[0]
-    prev = -math.inf
-    for r in (1.0, 0.3, 0.1, 0.01, 1e-4):
-        val = quad(
-            lambda t: math.exp(-r / t) * (1 - math.exp(-lam * t)) * prof.f(t) / t,
-            0, np.inf, limit=200,
+    for prof in (
+        WeightProfile.power_law(0.5),
+        WeightProfile.eps_sigma(0.5, 1.5),
+        WeightProfile.eps_sigma(1e-3, 0.7),
+        WeightProfile.table([[0.1, 1.0], [10.0, 0.1]]),
+    ):
+        target = quad(
+            lambda t: (1 - math.exp(-lam * t)) * prof.f(t) / t, 0, np.inf, limit=200
         )[0]
-        assert val >= prev - 1e-12
-        assert val <= target + 1e-9
-        prev = val
-    assert target - prev < 0.05 * target
+        assert target == pytest.approx(phi_of_lambda(prof, lam), rel=1e-8), prof.kind
+        prev = -math.inf
+        for r in (1.0, 0.3, 0.1, 0.01, 1e-4):
+            val = quad(
+                lambda t: math.exp(-r / t) * (1 - math.exp(-lam * t)) * prof.f(t) / t,
+                0, np.inf, limit=200,
+            )[0]
+            assert val >= prev - 1e-12
+            assert val <= target + 1e-9
+            prev = val
+        assert target - prev < 0.05 * target
 
 
 def test_gradient_domination_of_approximants():
@@ -247,5 +284,9 @@ def test_table_profile_evaluation_and_conditions():
     assert prof.f(1.0) == pytest.approx(0.3, rel=1e-6)
     assert prof.f(1e-6) == 0.0  # outside the sampled range
     assert prof.conditions["I"]["ok"]
+    # F = 100 on [0.01, 100]: C_F = 100 (0.99 + ln 100) = 559.5, its error read on that scale
+    cond = WeightProfile.table([[0.01, 100.0], [100.0, 100.0]]).conditions["I"]
+    assert cond["ok"]
+    assert cond["C_F"] == pytest.approx(100.0 * (0.99 + math.log(100.0)), rel=1e-8)
     with pytest.raises(ValueError):
         WeightProfile.table([(1.0, 1.0)])
