@@ -17,6 +17,7 @@ from .matops import (
     Superop,
     hs_norm,
     identity_superop,
+    is_hermitian,
     make_superop,
     matrix_units,
     nullspace_basis,
@@ -68,28 +69,21 @@ def _coords_to_ops(coords: np.ndarray, m: int) -> np.ndarray:
     return (np.sqrt(m) * coords).T.reshape(-1, m, m)
 
 
-def commutant(gens: list[np.ndarray], m: int | None = None) -> SubAlgebra:
-    """Commutant {x : [g, x] = 0 for all g} as a SubAlgebra.
+def commutant(gens: list[np.ndarray], m: int) -> SubAlgebra:
+    """Commutant {x : [g, x] = 0 for all g} of Hermitian generators on M_m as a SubAlgebra.
 
-    The adjoints of the generators are included in the commutator stack, so
-    the result is always a von Neumann algebra containing the identity (a
-    no-op for Hermitian generators).  Computed as the joint nullspace of the
-    stacked commutator superoperators with a scale-aware singular value
-    cutoff at PSD * sigma_max.
+    The generators are Hermitian (a generator that is not raises), so the
+    result is a von Neumann algebra containing the identity.  Computed as the
+    joint nullspace of the stacked commutator superoperators with a
+    scale-aware singular value cutoff at PSD * sigma_max.
     """
     gens = [np.asarray(g, dtype=complex) for g in gens]
-    if m is None:
-        if not gens:
-            raise ValueError("dimension required for an empty generator list")
-        m = gens[0].shape[0]
     if not gens:
         return full_algebra(m)
+    if not all(is_hermitian(g) for g in gens):
+        raise ValueError("commutant requires Hermitian generators")
     eye = np.eye(m, dtype=complex)
-    blocks = []
-    for g in gens:
-        for h in (g, g.conj().T):
-            blocks.append(np.kron(h, eye) - np.kron(eye, h.T))
-    stacked = np.vstack(blocks)
+    stacked = np.vstack([np.kron(g, eye) - np.kron(eye, g.T) for g in gens])
     ns = nullspace_basis(stacked)
     # rotate the basis so the identity direction comes first
     c0 = vec(eye) / np.sqrt(m)

@@ -18,7 +18,6 @@ from .algebra import diagonal_algebra, scalar_algebra
 from .constants import flsi_estimate
 from .cporder import FormKernel, gamma_e, gamma_e_constant, kernel_from_superop, kernel_ie
 from .entropy import decay_terms, fisher, relative_entropy, spectral_terms
-from .generator import LindbladGenerator
 from .io import MAX_DIM
 from .matops import (
     Superop,
@@ -439,19 +438,11 @@ def case_depolarizing(m: int = 2, seed: int = 0) -> CaseResult:
 # tensorization
 # ---------------------------------------------------------------------------
 
-def case_tensorization(
-    gen1: LindbladGenerator | None = None,
-    gen2: LindbladGenerator | None = None,
-    seed: int = 0,
-) -> CaseResult:
-    """min(lambda_1, lambda_2)-decay of the tensor sum via data processing."""
-    if gen1 is None:
-        gen1 = depolarizing_generator(2)
-    if gen2 is None:
-        gen2 = depolarizing_generator(2)
+def case_tensorization(seed: int = 0) -> CaseResult:
+    """min(lambda_1, lambda_2)-decay of the tensor sum of two depolarizing qubits
+    via data processing."""
+    gen1 = gen2 = depolarizing_generator(2)
     m1, m2 = gen1.dim, gen2.dim
-    if m1 * m2 > 64:
-        raise ValueError("dimension overflow: product dimension exceeds 64")
     lam1 = gamma_e_constant(gen1).lambda_star
     lam2 = gamma_e_constant(gen2).lambda_star
     lam = min(lam1, lam2)

@@ -50,22 +50,24 @@ def rho_multiplier(rho: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The two-sided multiplier [rho](y) = int_0^1 rho^s y rho^{1-s} ds.
 
     In the eigenbasis of rho this is the Schur multiplier with entries
-    (r_k - r_l)/(ln r_k - ln r_l), the inverse of the logarithmic divided
-    difference; requires rho > 0.
+    (r_k - r_l)/(ln r_k - ln r_l), the divided difference of exp at
+    (ln r_k, ln r_l); requires rho > 0.
     """
-    return _log_multiplier(rho, y, inverse=True)
+    w, u = _positive_eigh(rho)
+    return schur_multiplier(np.log(w), u, w, np.exp, y)
 
 
 def rho_multiplier_inv(rho: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Inverse multiplier [rho]^{-1}(y) = int_0^inf (rho+t)^{-1} y (rho+t)^{-1} dt."""
-    return _log_multiplier(rho, y, inverse=False)
+    w, u = _positive_eigh(rho)
+    return schur_multiplier(w, u, np.log(w), np.reciprocal, y)
 
 
-def _log_multiplier(rho: np.ndarray, y: np.ndarray, inverse: bool) -> np.ndarray:
+def _positive_eigh(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, u = np.linalg.eigh(rho)
     if w.min() <= 0:
         raise ValueError("rho must be positive definite")
-    return schur_multiplier(w, u, np.log(w), np.reciprocal, y, inverse=inverse)
+    return w, u
 
 
 def schatten_norm(x: np.ndarray, p: float) -> float | np.ndarray:
@@ -170,6 +172,8 @@ def _ratio_and_grad(a: Superop, e: Superop, h: np.ndarray, want_grad: bool):
 
 # States per stacked eigensolve in the validation sweep; bounds its memory.
 SWEEP_CHUNK = 1000
+# L-BFGS-B iterations per start of the FLSI descent.
+MAX_ITER = 200
 
 
 def _validation_sweep(a: Superop, e: Superop, rng: np.random.Generator, n_validate: int):
@@ -199,11 +203,10 @@ def flsi_estimate(
     n_starts: int = 8,
     seed: int = 0,
     n_validate: int = 10_000,
-    max_iter: int = 200,
 ) -> FlsiEstimate:
     """Two upper bounds on the constant: I_A(rho)/D_N(rho) minimized over states.
 
-    Each start runs L-BFGS-B, at most ``max_iter`` iterations (none for 0), on
+    Each start runs L-BFGS-B, at most ``MAX_ITER`` iterations, on
     rho = m e^H / tr(e^H) with H = sum_k x_k B_k over the traceless orthonormal
     basis and |x_k| <= 40; the analytic gradient is checked against a finite
     difference at the first start.  ``lambda_upper`` is the lowest ratio at an
@@ -250,11 +253,10 @@ def flsi_estimate(
             # d/dx_k of the ratio is tau(G B_k) = tr(G B_k) / m
             return i_x / d_x, np.einsum("ij,kji->k", g_x, basis).real / m
 
-        if max_iter > 0:
-            # the box keeps ||H|| <= 40 sqrt(m^2 - 1) < 709 for m <= 16: e^H stays finite
-            minimize(objective, np.einsum("ij,kji->k", h, basis).real, jac=True,
-                     method="L-BFGS-B", bounds=[(-40.0, 40.0)] * len(basis),
-                     options={"maxiter": max_iter})
+        # the box keeps ||H|| <= 40 sqrt(m^2 - 1) < 709 for m <= 16: e^H stays finite
+        minimize(objective, np.einsum("ij,kji->k", h, basis).real, jac=True,
+                 method="L-BFGS-B", bounds=[(-40.0, 40.0)] * len(basis),
+                 options={"maxiter": MAX_ITER})
         if low[0] < best:
             best, best_state = low
     if best_state is None:

@@ -525,8 +525,7 @@ def return_time(a: Superop, n: SubAlgebra) -> float:
         s = (v * np.exp(-t * w)) @ v.conj().T - n.expectation.matrix
         return scale * np.abs(np.linalg.eigvalsh(chi(s))).max() - 0.5
 
-    if g(0.0) <= 0.0:
-        return 0.0
+    # g(0) > 0: m^2 - 3/2 if N = C 1, else >= 1/2 as chi_{I-E} has the entry xi_j - E(xi_j) = xi_j
     t_cap = 1e4 / gap
     hi = 1.0 / gap
     while g(hi) > 0.0:

@@ -156,7 +156,7 @@ def simulate_decay(
     n: SubAlgebra,
     rho0: np.ndarray,
     t_grid: np.ndarray,
-    lam: float = 0.0,
+    lam: float,
 ) -> DecayTrace:
     """Evolve rho through e^{-tA}, recording D_N, I_A and e^{-lam t} D_N(rho0)."""
     t_grid = np.asarray(t_grid, dtype=float)

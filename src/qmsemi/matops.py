@@ -125,21 +125,18 @@ def divided_difference_multiplier(
 
 
 def schur_multiplier(w: np.ndarray, u: np.ndarray, fw: np.ndarray, fprime: Callable,
-                     y: np.ndarray, inverse: bool = False) -> np.ndarray:
+                     y: np.ndarray) -> np.ndarray:
     """Divided-difference Schur multiplier of f in the eigenbasis (w, u), fw = f(w).
 
     Df(s, t) = (f(s) - f(t)) / (s - t) away from the diagonal and f'((s+t)/2),
     with fprime called on scalars, when |s - t| <= PSD * max(|s|, |t|, 1); the
-    midpoint rule removes the 0/0 singularity with O(gap) error.  ``inverse``
-    takes the reciprocal of every entry.
+    midpoint rule removes the 0/0 singularity with O(gap) error.
     """
     gap = w[:, None] - w[None, :]
     tie = np.abs(gap) <= PSD * np.maximum(np.maximum.outer(np.abs(w), np.abs(w)), 1.0)
     d = np.empty(gap.shape)
     d[~tie] = (fw[:, None] - fw[None, :])[~tie] / gap[~tie]
     d[tie] = [fprime(s) for s in (0.5 * (w[:, None] + w[None, :]))[tie]]
-    if inverse:
-        d = 1.0 / d
     uh = u.conj().T
     return u @ (d * (uh @ y @ u)) @ uh
 
@@ -231,11 +228,9 @@ class Superop:
 
     @cached_property
     def norm(self) -> float:
-        """Operator norm on L2(tau)."""
-        if self.hs_selfadjoint:
-            w, _ = self.eig
-            return float(np.abs(w).max()) if w.size else 0.0
-        return float(np.linalg.norm(self.matrix, 2))
+        """Operator norm on L2(tau) of the self-adjoint map, from its spectrum."""
+        w, _ = self.eig
+        return float(np.abs(w).max()) if w.size else 0.0
 
     def with_cp_flag(self, flag: str) -> "Superop":
         return dataclasses.replace(self, cp_semigroup=flag)

@@ -25,7 +25,7 @@ def pauli(name: str) -> np.ndarray:
     return _PAULI[name].copy()
 
 
-def dephasing_generator(m: int = 2) -> LindbladGenerator:
+def dephasing_generator(m: int) -> LindbladGenerator:
     """Single diagonal jump; sigma_z for m = 2, diag(1..m) in general.
 
     The fixed-point algebra is the diagonal subalgebra.

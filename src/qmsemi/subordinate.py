@@ -42,12 +42,13 @@ __all__ = [
     "best_lambda",
 ]
 
-def _quad_dt_over_t(f, with_error: bool = False):
-    """Integral of f(t) dt/t over (0, inf) via the substitution t = e^u.
+def _quad_dt_over_t(f, breaks):
+    """Integral of f(t) dt/t over (0, inf) and its error estimate, via t = e^u.
 
     The log substitution turns endpoint power-law singularities into
     exponential tails on both sides, which QUADPACK's infinite-range
-    transformation handles at QUAD_ABS absolute tolerance.
+    transformation handles at QUAD_ABS absolute tolerance.  The u-axis is
+    split at 0 and at ln b for each breakpoint b, where f may jump or kink.
     """
     from scipy.integrate import quad
 
@@ -57,9 +58,10 @@ def _quad_dt_over_t(f, with_error: bool = False):
         t = math.exp(u)
         return f(t) if t > 0.0 else 0.0  # exp underflow: integrand vanishes under (I)
 
-    lo, e1 = quad(g, -np.inf, 0.0, epsabs=QUAD_ABS, epsrel=QUAD_REL, limit=300)
-    hi, e2 = quad(g, 0.0, np.inf, epsabs=QUAD_ABS, epsrel=QUAD_REL, limit=300)
-    return (lo + hi, e1 + e2) if with_error else lo + hi
+    edges = [-math.inf, *sorted({0.0, *(math.log(b) for b in breaks)}), math.inf]
+    parts = [quad(g, lo, hi, epsabs=QUAD_ABS, epsrel=QUAD_REL, limit=300)
+             for lo, hi in zip(edges, edges[1:])]
+    return sum(p[0] for p in parts), sum(p[1] for p in parts)
 
 
 @dataclass(frozen=True)
@@ -116,6 +118,15 @@ class WeightProfile:
         return prof.with_checked_conditions()
 
     # -- evaluation --------------------------------------------------------
+    @property
+    def breaks(self) -> tuple:
+        """The t where F may jump or kink besides t = 1: eps, or every table point."""
+        if self.kind == "epssigma":
+            return (self.eps,)
+        if self.kind == "table":
+            return tuple(self.points[:, 0])
+        return ()
+
     def f(self, t: float) -> float:
         if t <= 0.0:
             return 0.0
@@ -137,7 +148,7 @@ class WeightProfile:
     def with_checked_conditions(self) -> "WeightProfile":
         """Verify (integrability, quasi-monotonicity at mu = 1/2, doubling) on a log grid."""
         cond: dict = {}
-        c_f, err = _quad_dt_over_t(lambda t: min(1.0, t) * self.f(t), with_error=True)
+        c_f, err = _quad_dt_over_t(lambda t: min(1.0, t) * self.f(t), self.breaks)
         cond["I"] = {"C_F": c_f, "ok": bool(np.isfinite(c_f) and err <= rel_floor(c_f, QUAD_ERR))}
         mu = 0.5
         grid = np.geomspace(1e-6, 1e6, 241)
@@ -185,14 +196,14 @@ def phi_of_lambda(profile: WeightProfile, lam: float) -> float:
         return lam ** profile.alpha
     if profile.kind == "epssigma":
         return eps_sigma_scalar(math.log(profile.eps), profile.sigma, lam)[0]
-    return _quad_dt_over_t(lambda t: -math.expm1(-lam * t) * profile.f(t))
+    return _quad_dt_over_t(lambda t: -math.expm1(-lam * t) * profile.f(t), profile.breaks)[0]
 
 
 def _spectral_map(a: Superop, fn) -> Superop:
     """f(A) from the cached eigendecomposition; fn maps the array of eigenvalues
-    (those below the floor set to 0) to the array of values."""
+    (those at or below PSD * max|w| set to 0, as in ``spectral_gap``) to the array of values."""
     w, v = a.eig
-    w = np.where(w < rel_floor(w, PSD), 0.0, w)
+    w = np.where(w <= PSD * np.abs(w).max(), 0.0, w)
     fw = np.asarray(fn(w), dtype=float)
     mat = (v * fw) @ v.conj().T
     return make_superop(mat, a.dim)
@@ -410,14 +421,14 @@ def psi_r_map(a: Superop, profile: WeightProfile, r: float) -> tuple[Superop, fl
     """
     if r <= 0.0:
         raise ValueError("r must be positive")
-    g_r = _quad_dt_over_t(lambda t: math.exp(-r / t) * profile.f(t))
+    g_r = _quad_dt_over_t(lambda t: math.exp(-r / t) * profile.f(t), profile.breaks)[0]
     if not np.isfinite(g_r) or g_r <= 0.0:
         raise ValueError("normalization integral g(r) did not converge")
 
     def fn(lam: float) -> float:
         val = _quad_dt_over_t(
-            lambda t: math.exp(-r / t) * math.exp(-t * lam) * profile.f(t)
-        )
+            lambda t: math.exp(-r / t) * math.exp(-t * lam) * profile.f(t), profile.breaks
+        )[0]
         return val / g_r
 
     return _spectral_map(a, lambda w: [fn(lam) for lam in w]), g_r

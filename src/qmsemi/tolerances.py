@@ -4,9 +4,10 @@ as zero, negative, tied, Hermitian, converged or violating.
 One zero floor, PSD, decides every eigenvalue, singular value, weight, residual
 and eigenvalue gap that counts as zero; the other constants are named after the
 decision they make, and no caller sets one.  Relative floors scale by
-``rel_floor``, except that ``generator.spectral_gap`` (PSD * max|w|) and
-``matops.nullspace_basis`` (PSD * s_max) scale by the top value alone and
-``matops.schur_multiplier`` ties eigenvalues at PSD * max(|s|, |t|, 1) per pair.
+``rel_floor``, except that ``generator.spectral_gap`` and the functional calculus
+``subordinate._spectral_map`` (PSD * max|w|) and ``matops.nullspace_basis``
+(PSD * s_max) scale by the top value alone, and ``matops.schur_multiplier`` ties
+eigenvalues at PSD * max(|s|, |t|, 1) per pair.
 """
 
 from __future__ import annotations

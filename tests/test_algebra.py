@@ -15,7 +15,7 @@ from qmsemi.models import pauli
 
 
 def test_commutant_of_irreducible_pair_is_scalars():
-    n = commutant([pauli("x"), pauli("z")])
+    n = commutant([pauli("x"), pauli("z")], 2)
     assert n.size == 1
     assert np.abs(n.basis[0] - np.eye(2)).max() < 1e-10
 
@@ -24,8 +24,13 @@ def test_commutant_of_nothing_is_everything():
     assert commutant([], 3).size == 9
 
 
+def test_commutant_rejects_a_generator_that_is_not_hermitian():
+    with pytest.raises(ValueError, match="Hermitian generators"):
+        commutant([pauli("x"), np.array([[0, 1], [0, 0]], dtype=complex)], 2)
+
+
 def test_commutant_of_nondegenerate_diagonal():
-    n = commutant([np.diag([1.0, 2.0]).astype(complex)])
+    n = commutant([np.diag([1.0, 2.0]).astype(complex)], 2)
     assert n.size == 2
     for b in n.basis:
         assert np.abs(b - np.diag(np.diag(b))).max() < 1e-10

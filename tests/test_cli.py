@@ -219,6 +219,11 @@ def test_casebook_run_single_and_all(tmp_path):
     assert "name\tpass\tmax_slack" in out_all.read_text()
 
 
+def test_casebook_run_needs_a_name_or_all(capsys):
+    assert main(["casebook", "run"]) == 1
+    assert "give a case name or --all" in capsys.readouterr().err
+
+
 def test_casebook_unknown_case(tmp_path):
     assert main(["casebook", "run", "nope"]) == 1
 

@@ -135,7 +135,7 @@ def test_simulate_decay_flags_positivity_violation():
     a = -1.0 * (identity_superop(2) - n.expectation)
     rho0 = make_state(np.diag([1.9, 0.1]).astype(complex))
     with pytest.raises(ValueError):
-        simulate_decay(a, n, rho0, np.array([0.5, 2.0, 6.0]))
+        simulate_decay(a, n, rho0, np.array([0.5, 2.0, 6.0]), 0.0)
 
 
 def test_fisher_via_divided_difference_route():
@@ -161,7 +161,7 @@ def test_simulate_decay_zero_generator():
     a = make_superop(np.zeros((4, 4)), 2)
     rng = np.random.default_rng(6)
     rho = random_state(2, rng)
-    trace = simulate_decay(a, n, rho, np.array([0.1, 1.0, 2.0]))
+    trace = simulate_decay(a, n, rho, np.array([0.1, 1.0, 2.0]), 0.0)
     assert np.ptp(trace.d_n) < 1e-12
 
 
@@ -184,7 +184,7 @@ def test_simulate_decay_monotone_for_random_models():
         gen = random_lindblad(3, 2, rng, scale=0.7)
         rho0 = random_state(3, rng)
         trace = simulate_decay(
-            gen.superop, gen.fixed_algebra, rho0, default_grid(1.0, n=25)
+            gen.superop, gen.fixed_algebra, rho0, default_grid(1.0, n=25), 0.0
         )
         assert np.all(trace.d_n >= -1e-10)
         assert np.all(trace.i_a >= -1e-9)
@@ -200,9 +200,9 @@ def test_decay_from_a_pure_state_is_ill_defined_while_its_kernel_is_under_the_fl
     rho0 = make_state(np.diag([1.0, 0.0]).astype(complex))
     if t <= PSD:
         with pytest.raises(ValueError, match="ill-defined Fisher information"):
-            simulate_decay(gen.superop, gen.fixed_algebra, rho0, np.array([t]))
+            simulate_decay(gen.superop, gen.fixed_algebra, rho0, np.array([t]), 0.0)
         return
-    trace = simulate_decay(gen.superop, gen.fixed_algebra, rho0, np.array([t]))
+    trace = simulate_decay(gen.superop, gen.fixed_algebra, rho0, np.array([t]), 0.0)
     q = math.exp(-t)
     assert trace.i_a[0] == pytest.approx(0.5 * q * math.log((1 + q) / (1 - q)), rel=1e-6)
 
@@ -212,7 +212,7 @@ def test_simulate_decay_rejects_bad_grid():
     rng = np.random.default_rng(9)
     with pytest.raises(ValueError):
         simulate_decay(
-            gen.superop, gen.fixed_algebra, random_state(2, rng), np.array([1.0, 0.5])
+            gen.superop, gen.fixed_algebra, random_state(2, rng), np.array([1.0, 0.5]), 0.0
         )
 
 

@@ -268,6 +268,13 @@ def test_make_state_clamps_and_normalizes():
         make_state(np.diag([1.0, -0.5]).astype(complex))
 
 
+def test_norm_of_a_map_that_is_not_self_adjoint_raises():
+    s = make_superop(np.triu(np.ones((4, 4))), 2)
+    assert not s.hs_selfadjoint
+    with pytest.raises(ValueError, match="requires a self-adjoint map"):
+        s.norm
+
+
 def test_make_superop_rejects_bad_shape():
     with pytest.raises(ValueError):
         make_superop(np.eye(5), 2)

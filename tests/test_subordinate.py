@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,14 +7,15 @@ from scipy.integrate import quad
 from scipy.special import gamma as gammafn
 
 from qmsemi import subordinate
-from qmsemi.cporder import kernel_from_superop, kernel_ie, return_time
+from qmsemi.cporder import gamma_e, kernel_from_superop, kernel_ie, return_time
+from qmsemi.generator import JumpSet, lindblad
 from qmsemi.matops import (
     identity_superop,
     make_superop,
     nullspace_basis,
     subspace_gap,
 )
-from qmsemi.models import dephasing_generator, depolarizing_generator, random_lindblad
+from qmsemi.models import dephasing_generator, depolarizing_generator, pauli, random_lindblad
 from qmsemi.subordinate import (
     WeightProfile,
     auto_sigma,
@@ -99,6 +101,50 @@ def test_eps_sigma_profile_is_integrable_with_its_closed_form_c_f(eps):
         assert cond["I"]["ok"] and cond["QM"]["ok"] and cond["Delta2"]["ok"]
         c_f = 1.0 + 1.0 / (sigma * abs(math.log(eps)))
         assert cond["I"]["C_F"] == pytest.approx(c_f, rel=1e-8)
+
+
+@pytest.mark.parametrize("prof, c_f", [
+    (WeightProfile.table([[0.01, 100.0], [100.0, 100.0]]), 100.0 * (0.99 + math.log(100.0))),
+    (WeightProfile.eps_sigma(1e-2, 0.3), 1.0 + 1.0 / (0.3 * math.log(100.0))),
+    (WeightProfile.eps_sigma(1e-3, 0.7), 1.0 + 1.0 / (0.7 * math.log(1000.0))),
+    (WeightProfile.eps_sigma(0.5, 2.5), 1.0 + 1.0 / (2.5 * math.log(2.0))),
+], ids=["table", "epssigma-0.01-0.3", "epssigma-0.001-0.7", "epssigma-0.5-2.5"])
+def test_c_f_lies_within_its_reported_quadrature_error(prof, c_f):
+    # F jumps at eps or at the table's ends: the quadrature splits there, so its error
+    # estimate covers the distance to the closed form
+    value, err = subordinate._quad_dt_over_t(lambda t: min(1.0, t) * prof.f(t), prof.breaks)
+    assert value == prof.conditions["I"]["C_F"]
+    assert abs(value - c_f) <= err
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-3, 1e-5])
+def test_fractional_power_does_not_depend_on_the_scale(s):
+    # A scales as s^2, so A^(1/2) and its gamma-e constant scale as s
+    gen = lindblad(JumpSet(dim=2, jumps=s * np.array([pauli("x"), pauli("z")])))
+    lam = gamma_e(fractional_power(gen.superop, 0.5), gen.fixed_algebra).lambda_star
+    assert lam == pytest.approx(1.1715728752538 * s, rel=1e-9)
+
+
+def test_profile_guards():
+    with pytest.raises(ValueError, match="t > 0 and F >= 0"):
+        WeightProfile.table([[0.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="t > 0 and F >= 0"):
+        WeightProfile.table([[0.5, 1.0], [1.0, -1.0]])
+    prof = WeightProfile.power_law(0.5)
+    with pytest.raises(ValueError, match="lambda must be nonnegative"):
+        phi_of_lambda(prof, -1.0)
+    bad = dataclasses.replace(prof, conditions={"I": {"C_F": math.inf, "ok": False}})
+    with pytest.raises(ValueError, match="fails the integrability condition"):
+        phi_of_lambda(bad, 1.0)
+    with pytest.raises(ValueError, match="fails the integrability condition"):
+        subordinated_generator(dephasing_generator(2).superop, bad)
+    gen = depolarizing_generator(2)
+    for eps in (0.0, -0.1):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            density_approximation(gen, eps)
+    for r in (0.0, -1.0):
+        with pytest.raises(ValueError, match="r must be positive"):
+            psi_r_map(gen.superop, prof, r)
 
 
 def test_subordinated_zero_generator():

@@ -99,7 +99,7 @@ def test_default_guard_sees_positional_keyword_and_attribute_defaults():
 
 # Parameters with a default over src/qmsemi, lambdas included.  Each is an option
 # that some caller must need; adding one raises this number in the same edit.
-MAX_OPTIONS = 43
+MAX_OPTIONS = 35
 
 
 def defaulted_parameters(source: str):
