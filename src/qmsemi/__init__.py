@@ -25,7 +25,6 @@ from .constants import (
     gamma_dual_norm,
     geometric_talagrand_check,
     rho_multiplier,
-    rho_multiplier_inv,
     schatten_norm,
 )
 from .cporder import (

@@ -23,7 +23,7 @@ from .matops import (
     nullspace_basis,
     vec,
 )
-from .tolerances import PSD, rel_floor
+from .tolerances import PSD, SUPEROP_FLAG, rel_floor
 
 __all__ = [
     "SubAlgebra",
@@ -43,7 +43,6 @@ class SubAlgebra:
 
     dim: int
     basis: np.ndarray  # shape (k, m, m)
-    contains_identity: bool
 
     @property
     def size(self) -> int:
@@ -96,40 +95,41 @@ def commutant(gens: list[np.ndarray], m: int) -> SubAlgebra:
         if nrm > PSD:
             cols.append(v / nrm)
     coords = np.column_stack(cols[: ns.shape[1]])
-    return SubAlgebra(dim=m, basis=_coords_to_ops(coords, m), contains_identity=True)
+    return SubAlgebra(dim=m, basis=_coords_to_ops(coords, m))
 
 
 def conditional_expectation(n: SubAlgebra) -> Superop:
     """Trace-preserving conditional expectation onto N as a superoperator.
 
     E(x) = sum_i b_i tau(b_i* x); unital, idempotent, positive and
-    N-bimodular because the basis spans a *-subalgebra containing 1.
+    N-bimodular because the basis spans a *-subalgebra containing 1.  Raises
+    unless E(1) = 1 up to SUPEROP_FLAG (relative), that is unless 1 lies in
+    the span of the basis.
     """
-    if not n.contains_identity:
-        raise ValueError("conditional expectation requires 1 in the subalgebra")
     m = n.dim
     s = np.zeros((m * m, m * m), dtype=complex)
     for b in n.basis:
         vb = vec(b)
         s += np.outer(vb, vb.conj()) / m
+    one = vec(np.eye(m))
+    if np.linalg.norm(s @ one - one) / np.sqrt(m) > rel_floor(s, SUPEROP_FLAG):
+        raise ValueError("conditional expectation requires 1 in the subalgebra")
     return make_superop(s, m)
 
 
 def full_algebra(m: int) -> SubAlgebra:
-    return SubAlgebra(dim=m, basis=np.sqrt(m) * matrix_units(m), contains_identity=True)
+    return SubAlgebra(dim=m, basis=np.sqrt(m) * matrix_units(m))
 
 
 def scalar_algebra(m: int) -> SubAlgebra:
-    return SubAlgebra(
-        dim=m, basis=np.eye(m, dtype=complex)[None, :, :], contains_identity=True
-    )
+    return SubAlgebra(dim=m, basis=np.eye(m, dtype=complex)[None, :, :])
 
 
 def diagonal_algebra(m: int) -> SubAlgebra:
     basis = np.zeros((m, m, m), dtype=complex)
     for i in range(m):
         basis[i, i, i] = np.sqrt(m)
-    return SubAlgebra(dim=m, basis=basis, contains_identity=True)
+    return SubAlgebra(dim=m, basis=basis)
 
 
 @dataclass(frozen=True)

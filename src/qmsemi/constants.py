@@ -37,7 +37,6 @@ __all__ = [
     "gamma_dual_norm",
     "geometric_talagrand_check",
     "rho_multiplier",
-    "rho_multiplier_inv",
     "schatten_norm",
 ]
 
@@ -55,12 +54,6 @@ def rho_multiplier(rho: np.ndarray, y: np.ndarray) -> np.ndarray:
     """
     w, u = _positive_eigh(rho)
     return schur_multiplier(np.log(w), u, w, np.exp, y)
-
-
-def rho_multiplier_inv(rho: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Inverse multiplier [rho]^{-1}(y) = int_0^inf (rho+t)^{-1} y (rho+t)^{-1} dt."""
-    w, u = _positive_eigh(rho)
-    return schur_multiplier(w, u, np.log(w), np.reciprocal, y)
 
 
 def _positive_eigh(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -98,8 +91,6 @@ class FlsiEstimate:
     lambda_lower: float
     lambda_upper: float
     argmin_state: np.ndarray
-    n_starts: int
-    seed: int
     grad_check: float
     n_validated: int
 
@@ -107,8 +98,6 @@ class FlsiEstimate:
         return {
             "lambda_lower": float(self.lambda_lower),
             "lambda_upper": float(self.lambda_upper),
-            "n_starts": int(self.n_starts),
-            "seed": int(self.seed),
             "grad_check": float(self.grad_check),
             "n_validated": int(self.n_validated),
         }
@@ -268,8 +257,6 @@ def flsi_estimate(
         lambda_lower=min(best, sampled),
         lambda_upper=best,
         argmin_state=best_state,
-        n_starts=n_starts,
-        seed=seed,
         grad_check=grad_check,
         n_validated=n_validated,
     )
@@ -364,14 +351,14 @@ def gamma_dual_norm(gen: LindbladGenerator, rho: np.ndarray) -> tuple[float, flo
     function f1 = L^+ rho0 is feasible once divided by sqrt(||Gamma(f1,f1)||), so
     lower = q / sqrt(||Gamma(f1,f1)||) <= upper; the two meet when Gamma(f1,f1)
     is a multiple of 1.  L^+ comes from the cached eigendecomposition of L,
-    with the kernel cut at spectral_gap's floor PSD * max|w|.
+    with the kernel cut at L's null modes, as in spectral_gap.
     """
     if abs(norm_trace(rho).real) > PSD:
         raise ValueError("dual norm expects a trace-zero perturbation")
     rho0 = rho - gen.e_fix.apply(rho)
     rho0 = (rho0 + rho0.conj().T) / 2.0
     w, v = gen.superop.eig
-    keep = w > PSD * np.abs(w).max()
+    keep = ~gen.superop.null_modes
     v, w = v[:, keep], w[keep]
     c = v.conj().T @ rho0.reshape(-1)
     q = float(np.sum(np.abs(c) ** 2 / w)) / gen.dim

@@ -135,7 +135,6 @@ class DecayTrace:
     d_n: np.ndarray
     i_a: np.ndarray
     bound: np.ndarray
-    lambda_used: float
 
     def to_csv(self) -> str:
         lines = ["t,D_N,I_A,bound"]
@@ -177,5 +176,4 @@ def simulate_decay(
         d_n=d_vals,
         i_a=i_vals,
         bound=np.asarray(bound),
-        lambda_used=lam,
     )

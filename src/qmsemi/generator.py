@@ -79,7 +79,7 @@ class LindbladGenerator:
 
 
 def lindblad(jumps: JumpSet) -> LindbladGenerator:
-    """Build the generator, its fixed algebra, and mark the semigroup CP.
+    """Build the generator and its fixed algebra.
 
     Over row-major vec, x -> b x c has matrix b (x) c^T, so the generator is
     sq (x) 1 + 1 (x) sq^T - 2 sum_k a_k (x) a_k^T with sq = sum_k a_k^2.
@@ -94,9 +94,7 @@ def lindblad(jumps: JumpSet) -> LindbladGenerator:
         matrix = np.kron(sq, eye) + np.kron(eye, sq.T) - 2.0 * sandwich
     if not np.isfinite(matrix).all():
         raise ValueError("jumps too large: sum_k a_k^2 or the generator is not finite")
-    sup = make_superop(matrix, m)
-    fixed = commutant(list(a), m)
-    return LindbladGenerator(jumps, sup.with_cp_flag("verified"), fixed)
+    return LindbladGenerator(jumps, make_superop(matrix, m), commutant(list(a), m))
 
 
 def derivation(jumps: JumpSet, x: np.ndarray) -> np.ndarray:
@@ -157,7 +155,7 @@ def validate_generator(a: Superop) -> dict:
 
 
 def spectral_gap(a: Superop) -> float:
-    """Smallest eigenvalue of A on the complement of its nullspace; 0 if A = 0."""
+    """Smallest eigenvalue of A off its null modes (``Superop.null_modes``); 0 if A = 0."""
     w, _ = a.eig
-    pos = w[w > PSD * np.abs(w).max()]
+    pos = w[~a.null_modes]
     return float(pos.min()) if pos.size else 0.0

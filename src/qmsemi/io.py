@@ -134,14 +134,11 @@ def superop_to_obj(s: Superop) -> dict:
     out["acts_on_dim"] = int(s.dim)
     out["hs_selfadjoint"] = bool(s.hs_selfadjoint)
     out["kills_identity"] = bool(s.kills_identity)
-    out["cp_semigroup"] = s.cp_semigroup
     return out
 
 
 def subalgebra_to_obj(n: SubAlgebra) -> dict:
-    out = operators_to_obj(list(n.basis))
-    out["contains_identity"] = bool(n.contains_identity)
-    return out
+    return operators_to_obj(list(n.basis))
 
 
 def generator_to_obj(gen: LindbladGenerator) -> dict:

@@ -17,7 +17,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -114,13 +113,17 @@ def divided_difference_multiplier(
         J_f(y) = sum_{k,l} Df(r_k, r_l) e_k y e_l,
 
     with Df as in ``schur_multiplier``; f and fprime are called on scalars.
+    Raises if f is undefined (non-finite) at an eigenvalue of rho.
     """
     if not is_hermitian(rho):
         raise ValueError("divided_difference_multiplier requires Hermitian rho")
     if rho.shape != y.shape:
         raise ValueError("dimension mismatch")
     w, u = np.linalg.eigh(rho)
-    fw = np.array([f(t) for t in w], dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fw = np.array([f(t) for t in w], dtype=float)
+    if not np.all(np.isfinite(fw)):
+        raise ValueError("function undefined on part of the spectrum")
     return schur_multiplier(w, u, fw, fprime, y)
 
 
@@ -202,16 +205,13 @@ class Superop:
     Validity flags are computed at construction time:
 
     * ``hs_selfadjoint`` -- the matrix is Hermitian (map self-adjoint for tau);
-    * ``kills_identity`` -- the map annihilates 1;
-    * ``cp_semigroup``   -- tri-state "verified"/"failed"/"unchecked", set by
-      generator validation.
+    * ``kills_identity`` -- the map annihilates 1.
     """
 
     dim: int
     matrix: np.ndarray
     hs_selfadjoint: bool
     kills_identity: bool
-    cp_semigroup: str = "unchecked"
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The map on x of shape (..., m, m), matrix by matrix over a stack."""
@@ -232,8 +232,11 @@ class Superop:
         w, _ = self.eig
         return float(np.abs(w).max()) if w.size else 0.0
 
-    def with_cp_flag(self, flag: str) -> "Superop":
-        return dataclasses.replace(self, cp_semigroup=flag)
+    @cached_property
+    def null_modes(self) -> np.ndarray:
+        """Mask of the eigenvalues of ``eig`` that count as 0: those at or below PSD * norm."""
+        w, _ = self.eig
+        return w <= PSD * self.norm
 
     def __add__(self, other: "Superop") -> "Superop":
         return make_superop(self.matrix + other.matrix, self.dim)

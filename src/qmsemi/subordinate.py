@@ -27,7 +27,7 @@ import numpy as np
 from .cporder import best_lambda, gamma_e, return_time
 from .generator import LindbladGenerator
 from .matops import Superop, make_superop
-from .tolerances import CF_STOP, PSD, QUAD_ABS, QUAD_ERR, QUAD_REL, TINY, rel_floor
+from .tolerances import CF_STOP, QUAD_ABS, QUAD_ERR, QUAD_REL, TINY, rel_floor
 
 __all__ = [
     "WeightProfile",
@@ -185,9 +185,10 @@ class WeightProfile:
 
 
 def phi_of_lambda(profile: WeightProfile, lam: float) -> float:
-    """phi_F(lam) = int (1 - e^{-t lam}) F(t) dt/t; 0 at lam = 0."""
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    """phi_F(lam) = int (1 - e^{-t lam}) F(t) dt/t; 0 at lam = 0.  Raises
+    unless lam is finite and >= 0, for every profile kind."""
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lambda must be nonnegative and finite, got {lam}")
     if lam == 0.0:
         return 0.0
     if not profile.conditions.get("I", {}).get("ok", True):
@@ -201,9 +202,9 @@ def phi_of_lambda(profile: WeightProfile, lam: float) -> float:
 
 def _spectral_map(a: Superop, fn) -> Superop:
     """f(A) from the cached eigendecomposition; fn maps the array of eigenvalues
-    (those at or below PSD * max|w| set to 0, as in ``spectral_gap``) to the array of values."""
+    (the null modes set to 0, as in ``spectral_gap``) to the array of values."""
     w, v = a.eig
-    w = np.where(w <= PSD * np.abs(w).max(), 0.0, w)
+    w = np.where(a.null_modes, 0.0, w)
     fw = np.asarray(fn(w), dtype=float)
     mat = (v * fw) @ v.conj().T
     return make_superop(mat, a.dim)

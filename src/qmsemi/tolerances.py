@@ -4,10 +4,11 @@ as zero, negative, tied, Hermitian, converged or violating.
 One zero floor, PSD, decides every eigenvalue, singular value, weight, residual
 and eigenvalue gap that counts as zero; the other constants are named after the
 decision they make, and no caller sets one.  Relative floors scale by
-``rel_floor``, except that ``generator.spectral_gap`` and the functional calculus
-``subordinate._spectral_map`` (PSD * max|w|) and ``matops.nullspace_basis``
-(PSD * s_max) scale by the top value alone, and ``matops.schur_multiplier`` ties
-eigenvalues at PSD * max(|s|, |t|, 1) per pair.
+``rel_floor``, except that ``matops.Superop.null_modes`` (PSD * max|w|, the
+kernel of ``generator.spectral_gap``, of the functional calculus
+``subordinate._spectral_map`` and of ``constants.gamma_dual_norm``) and
+``matops.nullspace_basis`` (PSD * s_max) scale by the top value alone, and
+``matops.schur_multiplier`` ties eigenvalues at PSD * max(|s|, |t|, 1) per pair.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 HERMITIAN = 1e-12        # x - x* above this (relative) means x is not Hermitian
-SUPEROP_FLAG = 1e-10     # a map matrix is self-adjoint / kills 1 below this (relative)
+SUPEROP_FLAG = 1e-10     # a map matrix is self-adjoint / kills 1 / fixes 1 below this (relative)
 PSD = 1e-9               # the zero floor: at or below this (relative) is 0, below minus it < 0
 CP_VIOLATION = 1e-8      # an evolved state's eigenvalue below minus this breaks CP
 PROBE = 1e-8             # a randomized linearity or bimodularity probe fails above this

@@ -86,4 +86,4 @@ def simulate_decay_per_time(a, n, rho0, t_grid, lam=0.0):
         d_vals.append(d_sub(rho_t, n))
         i_vals.append(fisher(a, rho_t))
     bound = math.e ** (-lam * t_grid) * d0 if lam > 0 else np.full_like(t_grid, d0)
-    return DecayTrace(t_grid, np.array(d_vals), np.array(i_vals), np.asarray(bound), lam)
+    return DecayTrace(t_grid, np.array(d_vals), np.array(i_vals), np.asarray(bound))

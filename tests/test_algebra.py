@@ -97,7 +97,7 @@ def test_expectation_requires_identity():
 
     basis = np.zeros((1, 2, 2), dtype=complex)
     basis[0, 0, 0] = np.sqrt(2)  # span{E_11} has no identity
-    n = SubAlgebra(dim=2, basis=basis, contains_identity=False)
+    n = SubAlgebra(dim=2, basis=basis)
     with pytest.raises(ValueError):
         conditional_expectation(n)
 

@@ -242,3 +242,23 @@ def test_validate_command(jumps_file, tmp_path):
     out = tmp_path / "val.json"
     assert main(["validate", jumps_file, "--out", str(out)]) == 0
     assert json.loads(out.read_text())["report"]["all_passed"]
+
+
+def test_documents_hold_only_computed_keys(jumps_file, tmp_path):
+    # every key is computed: flsi echoes neither --starts nor a second seed
+    # beside config, and no map or algebra carries a flag that nothing checked
+    argvs = {"flsi": ["flsi", jumps_file, "--starts", "1", "--validate", "10"],
+             "theta": ["subordinate", jumps_file, "--theta", "0.5"],
+             "validate": ["validate", jumps_file]}
+    docs = {}
+    for name, argv in argvs.items():
+        out = tmp_path / f"{name}.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        docs[name] = json.loads(out.read_text())
+    assert set(docs["flsi"]) == {"lambda_lower", "lambda_upper", "grad_check", "n_validated",
+                                 "config"}
+    superop = {"dim", "re", "im", "acts_on_dim", "hs_selfadjoint", "kills_identity"}
+    assert set(docs["theta"]["superop"]) == superop
+    assert set(docs["validate"]["generator"]) == {"jumps", "superop", "fixed_algebra"}
+    assert set(docs["validate"]["generator"]["superop"]) == superop
+    assert set(docs["validate"]["generator"]["fixed_algebra"]) == {"dim", "matrices"}

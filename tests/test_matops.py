@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from superop_oracle import superop_from_action
-from qmsemi.constants import SWEEP_CHUNK, rho_multiplier, rho_multiplier_inv
+from qmsemi.constants import SWEEP_CHUNK, rho_multiplier
 from qmsemi.matops import (
     Superop,
     divided_difference_multiplier,
@@ -132,8 +132,18 @@ def test_rho_multiplier_round_trip_on_near_ties(gap):
     diag = np.diag([1.0, 1.0 + gap, 2.5]).astype(complex)
     y = random_hermitian(3, rng)
     for rho in (diag, q @ diag @ q.conj().T):
-        back = rho_multiplier_inv(rho, rho_multiplier(rho, y))
+        # [rho]^{-1} is the divided difference of ln at rho
+        back = divided_difference_multiplier(rho, np.log, rho_multiplier(rho, y),
+                                             fprime=np.reciprocal)
         assert np.abs(back - y).max() < 1e-10
+
+
+@pytest.mark.parametrize("r0", [0.0, -0.5])
+def test_divided_difference_raises_where_f_is_undefined_on_the_spectrum(r0):
+    rho = np.diag([r0, 1.0, 2.0]).astype(complex)
+    y = random_hermitian(3, np.random.default_rng(12))
+    with pytest.raises(ValueError, match="undefined on part of the spectrum"):
+        divided_difference_multiplier(rho, np.log, y, fprime=np.reciprocal)
 
 
 def test_superop_identity_action():

@@ -34,6 +34,22 @@ def test_phi_at_zero():
     assert phi_of_lambda(WeightProfile.power_law(0.5), 0.0) == 0.0
 
 
+PROFILE_KINDS = {
+    "power": lambda: WeightProfile.power_law(0.5),
+    "epssigma": lambda: WeightProfile.eps_sigma(0.1, 0.5),
+    "table": lambda: WeightProfile.table([[0.01, 1.0], [100.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", sorted(PROFILE_KINDS))
+def test_phi_of_lambda_takes_only_a_finite_nonnegative_lambda(kind, lam):
+    # one domain for every kind: NaN and inf used to give NaN, inf or a finite
+    # number for the power and table kinds, and raise only for eps-sigma
+    with pytest.raises(ValueError, match="lambda"):
+        phi_of_lambda(PROFILE_KINDS[kind](), lam)
+
+
 def test_power_law_normalization_against_gamma_function():
     # independent oracle: int (1-e^-s) s^{-a-1} ds = Gamma(1-a)/a
     for al in (0.25, 0.5, 0.75):

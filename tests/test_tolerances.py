@@ -8,10 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmsemi.algebra import diagonal_algebra, module_basis
+from qmsemi.algebra import diagonal_algebra, module_basis, scalar_algebra
+from qmsemi.constants import gamma_dual_norm
 from qmsemi.entropy import relative_entropy
-from qmsemi.generator import spectral_gap
+from qmsemi.generator import LindbladGenerator, jump_set, spectral_gap
 from qmsemi.matops import make_state, make_superop
+from qmsemi.models import pauli
 from qmsemi.subordinate import fractional_power
 from qmsemi.tolerances import PSD, rel_floor
 
@@ -97,13 +99,23 @@ def test_default_guard_sees_positional_keyword_and_attribute_defaults():
         ("f", "PSD"), ("g", "VIOLATION"), ("<lambda>", "FLOOR")]
 
 
-# Parameters with a default over src/qmsemi, lambdas included.  Each is an option
-# that some caller must need; adding one raises this number in the same edit.
-MAX_OPTIONS = 35
+# Parameters with a default over src/qmsemi, lambdas and dataclass fields
+# included.  Each is an option that some caller must need; adding one raises
+# this number in the same edit.
+MAX_OPTIONS = 45
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """Whether a decorator is ``dataclass``, called or not, bare or as an attribute."""
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
 
 
 def defaulted_parameters(source: str):
-    """(function, name) of every parameter that has a default."""
+    """(function or dataclass, name) of every parameter or dataclass field that has a default."""
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             args = node.args
@@ -112,6 +124,11 @@ def defaulted_parameters(source: str):
             named += [p for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
             for param in named:
                 yield getattr(node, "name", "<lambda>"), param.arg
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            for stmt in node.body:
+                if (isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+                        and isinstance(stmt.target, ast.Name)):
+                    yield node.name, stmt.target.id
 
 
 def test_no_option_is_added_without_raising_the_count():
@@ -128,6 +145,15 @@ def test_option_count_sees_positional_keyword_only_and_lambda_defaults():
            "class K:\n    def m(self, r=5): pass\n")
     assert sorted(defaulted_parameters(src)) == [
         ("<lambda>", "y"), ("f", "b"), ("f", "d"), ("g", "q"), ("m", "r")]
+
+
+def test_option_count_sees_dataclass_field_defaults():
+    # a field default is an option of the constructor; a plain class attribute is not
+    src = ("class K:\n    s: int = 6\n"
+           "@dataclass(frozen=True)\nclass D:\n    u: int\n    v: str = 'x'\n"
+           "@dataclasses.dataclass\nclass E:\n    w: list = field(default_factory=list)\n"
+           "    Z = 7\n")
+    assert sorted(defaulted_parameters(src)) == [("D", "v"), ("E", "w")]
 
 
 def test_rel_floor_scales_by_the_largest_magnitude_but_never_below_rtol():
@@ -154,6 +180,14 @@ def _below_spectral_gap(x):
     return spectral_gap(make_superop(np.diag([0.0, x, 0.5, 1.0]), 2)) == 0.5
 
 
+def _dropped_by_the_dual_norm(x):
+    # rho0 = E_12 + E_21 meets L's eigenvalue x on E_12 and 0.5 on E_21; q = <rho0, L^+ rho0>
+    # is 1 when x is in the kernel of L, and about 1/(2x) when it is not
+    a = make_superop(np.diag([0.0, x, 0.5, 1.0]), 2)
+    gen = LindbladGenerator(jump_set(pauli("z")), a, scalar_algebra(2))
+    return gamma_dual_norm(gen, np.array([[0.0, 1.0], [1.0, 0.0]]))[1] < 2.0
+
+
 def _clipped_in_a_state(x):
     # -x is clipped to 0, not rejected as a negative eigenvalue
     try:
@@ -171,6 +205,7 @@ def _in_module_kernel(x):
 
 @pytest.mark.parametrize("factor", [0.5, 2.0])
 @pytest.mark.parametrize("probe", [_off_support, _zeroed_by_fractional_power, _below_spectral_gap,
-                                   _clipped_in_a_state, _in_module_kernel])
+                                   _dropped_by_the_dual_norm, _clipped_in_a_state,
+                                   _in_module_kernel])
 def test_one_zero_floor_decides_every_kind_of_zero(probe, factor):
     assert probe(factor * PSD) == (factor < 1.0)
