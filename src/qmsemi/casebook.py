@@ -25,7 +25,6 @@ from .matops import (
     make_superop,
     norm_trace,
     random_state,
-    random_state_stack,
     tensor_sum_generator,
     tensor_superop,
 )
@@ -410,7 +409,7 @@ def case_depolarizing(m: int = 2, seed: int = 0) -> CaseResult:
     gen = depolarizing_generator(m)
     n_scal = gen.fixed_algebra
     rng = np.random.default_rng([seed, 5])
-    rho = random_state_stack(m, rng, 100, 0.5, 1.0)
+    rho = random_state(m, rng, 0.5 + rng.random(100))
     rho_eig = np.linalg.eigh(rho)
     e_rho = n_scal.expectation.apply(rho)
     d_fwd, lhs = decay_terms(rho, rho_eig, n_scal.expectation, n_scal.complement)
@@ -450,7 +449,7 @@ def case_tensorization(seed: int = 0) -> CaseResult:
     e = tensor_superop(gen1.e_fix, gen2.e_fix)
     rng = np.random.default_rng([seed, 31])
     m = m1 * m2
-    rho = random_state_stack(m, rng, 200, 0.4, 0.8)
+    rho = random_state(m, rng, 0.4 + 0.8 * rng.random(200))
     d_val, i_val = decay_terms(rho, np.linalg.eigh(rho), e, a)
     worst_gap = max(0.0, float(np.max(lam * d_val - i_val)))
     # additivity on product states

@@ -124,6 +124,8 @@ def cmd_subordinate(args) -> int:
     n_modes = sum(x is not None for x in (args.theta, args.eps, args.profile))
     if n_modes != 1:
         raise ValueError("choose exactly one of --theta, --eps, --profile")
+    if args.sigma is not None and args.eps is None:
+        raise ValueError("--sigma applies only with --eps")
     report: dict = {"config": {"seed": args.seed}}
     if args.theta is not None:
         sub = fractional_power(gen.superop, args.theta)
@@ -133,7 +135,7 @@ def cmd_subordinate(args) -> int:
         if not 0.0 < args.eps < 1.0:
             raise ValueError(f"--eps must lie in (0, 1), got {args.eps}")
         log_eps = math.log(args.eps)
-        if args.sigma == "auto":
+        if args.sigma in (None, "auto"):
             t0 = auto_sigma(gen)
             sigma = t0["sigma"]
             report["mode"] = {"eps": args.eps, "sigma": sigma, "t0": t0["t0"]}
@@ -247,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("jumps")
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--sigma", default="auto",
-                   help="sigma for --eps mode, or 'auto' for 1/ln(t0)")
+    p.add_argument("--sigma", default=None,
+                   help="sigma for --eps mode, or 'auto' (the default) for 1/ln(t0)")
     p.add_argument("--profile", default=None, help="JSON weight-profile file")
     _add_common(p)
     p.set_defaults(func=cmd_subordinate)

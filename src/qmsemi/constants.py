@@ -22,8 +22,7 @@ from .matops import (
     hermitian_basis,
     norm_trace,
     random_hermitian,
-    random_hermitian_stack,
-    random_state_stack,
+    random_state,
     schur_multiplier,
     semigroup_apply,
 )
@@ -168,16 +167,16 @@ MAX_ITER = 200
 def _validation_sweep(a: Superop, e: Superop, rng: np.random.Generator, n_validate: int):
     """Smallest I_A/D_N over ``n_validate`` random states, and how many were kept.
 
-    The exponents H are drawn ``SWEEP_CHUNK`` at a time by
-    ``random_hermitian_stack(m, rng, k, 0.4, 1.2)``, bit for bit the states
-    ``random_state(m, rng, 0.4 + 1.2 * rng.random())`` draws one by one; states
-    with D_N below D_N_ZERO are dropped before the Fisher leak check.
+    The exponents H are drawn ``SWEEP_CHUNK`` at a time: k uniforms u in one
+    ``rng.random(k)``, then the k GUE draws of scales 0.4 + 1.2 u in one
+    ``random_hermitian`` call.  States with D_N below D_N_ZERO are dropped
+    before the Fisher leak check.
     """
     m = a.dim
     lowest, kept = math.inf, 0
     for lo in range(0, n_validate, SWEEP_CHUNK):
         k = min(SWEEP_CHUNK, n_validate - lo)
-        _, u, _, r, rho = _chart(random_hermitian_stack(m, rng, k, 0.4, 1.2))
+        _, u, _, r, rho = _chart(random_hermitian(m, rng, 0.4 + 1.2 * rng.random(k)))
         d, i = spectral_terms(rho, (r, u), np.linalg.eigh(e.apply(rho)), a.apply(rho))
         keep = d >= D_N_ZERO
         if np.isnan(i[keep]).any():
@@ -280,19 +279,18 @@ def check_decay_bound(gen, lam: float, n_states: int = 50, seed: int = 0) -> dic
 
     Both inequalities follow from a certified gradient-condition constant;
     the report carries the worst multiplicative slack and a witness when a
-    violation is found.  The states are drawn by one
-    ``random_state_stack(m, rng, n_states, 0.5, 1.0)``, bit for bit the
-    ``random_state(m, rng, 0.5 + rng.random())`` draws of a loop.  All states
-    and times go through one semigroup evaluation and two stacked eigensolves;
-    states with D_N below DECAY_SKIP are skipped, and a violation is a slack
-    above VIOLATION.
+    violation is found.  The states come from one ``rng.random(n_states)``
+    and one ``random_state`` call with spreads 0.5 + u.  All states and times
+    go through one semigroup evaluation and two stacked eigensolves; states
+    with D_N below DECAY_SKIP are skipped, and a violation is a slack above
+    VIOLATION.
     """
     if n_states < 1:
         raise ValueError("n_states must be at least 1")
     a, n, e = _dynamics(gen)
     grid = default_grid(lam)
     rng = np.random.default_rng([seed, 17])
-    rho0 = random_state_stack(a.dim, rng, n_states, 0.5, 1.0)
+    rho0 = random_state(a.dim, rng, 0.5 + rng.random(n_states))
     d0, i0 = decay_terms(rho0, np.linalg.eigh(rho0), e, n.complement)
     kept = np.flatnonzero(d0 >= DECAY_SKIP)
     rho_t = semigroup_apply(a, grid, rho0[kept]).swapaxes(0, 1)  # (state, t, m, m)
@@ -312,6 +310,8 @@ LP_EXPONENTS = (1.0, 2.0, 4.0, math.inf)
 def check_lp_decay(gen, lam: float, n_x: int = 50, seed: int = 0) -> dict:
     """Verify ||T_t(x) - E(x)||_p <= e^{-lam t} ||x - E(x)||_p, p in LP_EXPONENTS, on random x.
 
+    The probes take two draws: every Hermitian part in one ``random_hermitian``
+    call, then the anti-Hermitian parts of the odd-indexed probes in one more.
     All probes and times go through one semigroup evaluation and one stacked
     SVD, whose singular values give every p; (x, p) pairs with base norm below
     LP_BASE are skipped.
@@ -322,9 +322,8 @@ def check_lp_decay(gen, lam: float, n_x: int = 50, seed: int = 0) -> dict:
     m = a.dim
     grid = default_grid(lam, n=20)
     rng = np.random.default_rng([seed, 23])
-    # odd indices are non-Hermitian probes
-    x = np.array([random_hermitian(m, rng) + (1j * random_hermitian(m, rng) if idx % 2 else 0)
-                  for idx in range(n_x)])
+    x = random_hermitian(m, rng, np.ones(n_x))
+    x[1::2] += 1j * random_hermitian(m, rng, np.ones(n_x // 2))
     x0 = x - e.apply(x)
     x_t = np.concatenate([x0[None], semigroup_apply(a, grid, x0)])
     s = np.linalg.svd(x_t, compute_uv=False)

@@ -49,9 +49,7 @@ __all__ = [
     "subspace_gap",
     "make_state",
     "random_hermitian",
-    "random_hermitian_stack",
     "random_state",
-    "random_state_stack",
 ]
 
 
@@ -357,26 +355,15 @@ def _gue(pairs: np.ndarray, scale) -> np.ndarray:
     return scale * (g + _adjoint(g)) / 2.0
 
 
-def random_hermitian(m: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """scale * (G + G*)/2 with G = X + iY, X then Y drawn as standard normals."""
-    return _gue(rng.standard_normal((2, m, m)), scale)
+def random_hermitian(m: int, rng: np.random.Generator,
+                     scale: float | np.ndarray = 1.0) -> np.ndarray:
+    """scale * (G + G*)/2 with G = X + iY, X then Y drawn as standard normals.
 
-
-def random_hermitian_stack(m: int, rng: np.random.Generator, n: int, lo: float,
-                           width: float) -> np.ndarray:
-    """n draws, shape (n, m, m), the k-th bit for bit the k-th matrix of
-    ``[random_hermitian(m, rng, lo + width * rng.random()) for _ in range(n)]``.
-
-    Each draw takes its uniform and then its Gaussian pair from ``rng``, which
-    leaves the generator where the loop would; the Hermitian parts are formed
-    in one vectorized expression.
+    A 1-D array of n scales draws the (n, m, m) stack in one call, the k-th
+    matrix scaled by ``scale[k]`` from the k-th (2, m, m) Gaussian block.
     """
-    u = np.empty(n)
-    pairs = np.empty((n, 2, m, m))
-    for k in range(n):
-        u[k] = rng.random()
-        rng.standard_normal(out=pairs[k])
-    return _gue(pairs, (lo + width * u)[:, None, None])
+    scale = np.asarray(scale, dtype=float)
+    return _gue(rng.standard_normal(scale.shape + (2, m, m)), scale[..., None, None])
 
 
 def _gibbs(h: np.ndarray) -> np.ndarray:
@@ -385,14 +372,8 @@ def _gibbs(h: np.ndarray) -> np.ndarray:
     return h.shape[-1] * e / np.trace(e, axis1=-2, axis2=-1).real[..., None, None]
 
 
-def random_state(m: int, rng: np.random.Generator, spread: float = 1.0) -> np.ndarray:
-    """Random invertible state m*exp(H)/tr(exp(H)) with H a scaled GUE draw."""
+def random_state(m: int, rng: np.random.Generator,
+                 spread: float | np.ndarray = 1.0) -> np.ndarray:
+    """Random invertible state m*exp(H)/tr(exp(H)) with H = random_hermitian(m, rng, spread),
+    so a 1-D array of spreads gives a stack of states."""
     return _gibbs(random_hermitian(m, rng, spread))
-
-
-def random_state_stack(m: int, rng: np.random.Generator, n: int, lo: float,
-                       width: float) -> np.ndarray:
-    """n states, the k-th bit for bit the k-th state of
-    ``[random_state(m, rng, lo + width * rng.random()) for _ in range(n)]``,
-    exponentiated by one stacked eigh."""
-    return _gibbs(random_hermitian_stack(m, rng, n, lo, width))

@@ -10,7 +10,7 @@ is needed.  Each profile kind has one phi: a power law gives the fractional
 power A^alpha, and the truncated eps-sigma profile gives the norm-controlled
 approximants of the density construction in closed form (exponential
 integrals), for all eigenvalues at once.  Scalar quadrature runs only for
-table profiles, for the growth-condition checks and for Psi_F(r).
+table profiles, for the integrability check and for Psi_F(r).
 """
 
 from __future__ import annotations
@@ -66,16 +66,16 @@ def _quad_dt_over_t(f, breaks):
 
 @dataclass(frozen=True)
 class WeightProfile:
-    """Subordination weight F(t) with numerically verified growth conditions.
+    """Subordination weight F(t) with its integrability condition checked.
 
     kind is one of "power" (F(t) = c t^-alpha, c = alpha / Gamma(1 - alpha), so
     that phi(lam) = lam^alpha), "epssigma" ((t^-1 on [eps,1), t^-sigma on
     [1,inf)) / |ln eps|, whose phi is ``eps_sigma_scalar``), or "table"
     (log-log interpolation of sampled points).
 
-    conditions holds the integrability flag C_F (finite), the
-    quasi-monotonicity constant C_mu at a given mu, and the doubling-type
-    parameters (alpha, t_alpha, c_alpha); each entry is None when unchecked.
+    conditions["I"] holds the integrability constant C_F and whether the
+    quadrature found it finite; phi and the calculus refuse a profile whose
+    "ok" is False.
     """
 
     kind: str
@@ -146,42 +146,10 @@ class WeightProfile:
 
     # -- conditions --------------------------------------------------------
     def with_checked_conditions(self) -> "WeightProfile":
-        """Verify (integrability, quasi-monotonicity at mu = 1/2, doubling) on a log grid."""
-        cond: dict = {}
+        """Verify integrability (I): C_F = int min(1, t) F(t) dt/t is finite, by quadrature."""
         c_f, err = _quad_dt_over_t(lambda t: min(1.0, t) * self.f(t), self.breaks)
-        cond["I"] = {"C_F": c_f, "ok": bool(np.isfinite(c_f) and err <= rel_floor(c_f, QUAD_ERR))}
-        mu = 0.5
-        grid = np.geomspace(1e-6, 1e6, 241)
-        fg = np.array([self.f(t) for t in grid])
-        fmu = np.array([self.f(mu * t) for t in grid])
-        mask = fg > 0
-        if mask.any():
-            c_mu = float((fmu[mask] / fg[mask]).max())
-            cond["QM"] = {"mu": mu, "C_mu": c_mu, "ok": bool(np.isfinite(c_mu))}
-        else:
-            cond["QM"] = {"mu": mu, "C_mu": None, "ok": False}
-        if self.kind == "power":
-            cond["Delta2"] = {"alpha": self.alpha, "t_alpha": 1e-6, "c_alpha": 1.0, "ok": True}
-        else:
-            # fit the smallest c_alpha for alpha = 1/2 on the grid t >= t_alpha
-            t_alpha = 1.0
-            al = 0.5
-            sel = grid >= t_alpha
-            ratios = []
-            for s in (0.25, 0.5, 0.75):
-                num = np.array([self.f(s * t) for t in grid[sel]])
-                den = fg[sel] * s ** (-al)
-                good = den > 0
-                if good.any():
-                    ratios.append((num[good] / den[good]).max())
-            c_al = float(max(ratios)) if ratios else math.inf
-            cond["Delta2"] = {
-                "alpha": al,
-                "t_alpha": t_alpha,
-                "c_alpha": c_al,
-                "ok": bool(np.isfinite(c_al)),
-            }
-        return dataclasses.replace(self, conditions=cond)
+        ok = bool(np.isfinite(c_f) and err <= rel_floor(c_f, QUAD_ERR))
+        return dataclasses.replace(self, conditions={"I": {"C_F": c_f, "ok": ok}})
 
 
 def phi_of_lambda(profile: WeightProfile, lam: float) -> float:

@@ -1,9 +1,10 @@
 """Per-point decay checks, kept to check the batched ones in ``constants`` and ``entropy``.
 
-They apply the semigroup one matrix and one time at a time, with the same
-draws, skip rules and loop order as the batched checks.  The check loops
-yield every slack in loop order, so a test can tell a moved witness from a
-tie; ``report`` reduces them the way the loops always did.
+They take their states and probes from the same one-call draws as the
+batched checks, then apply the semigroup one matrix and one time at a time,
+with the same skip rules and loop order.  The check loops yield every slack
+in loop order, so a test can tell a moved witness from a tie; ``report``
+reduces them the way the loops always did.
 """
 
 import math
@@ -20,8 +21,7 @@ def decay_slacks(gen, lam, n_states=50, seed=0):
     a, n, _ = _dynamics(gen)
     grid = default_grid(lam if lam > 0 else 1.0)
     rng = np.random.default_rng([seed, 17])
-    for idx in range(n_states):
-        rho0 = random_state(a.dim, rng, spread=0.5 + rng.random())
+    for idx, rho0 in enumerate(random_state(a.dim, rng, 0.5 + rng.random(n_states))):
         d0 = d_sub(rho0, n)
         i0 = fisher_n(n, rho0)
         if d0 < 1e-12:
@@ -42,11 +42,11 @@ def lp_slacks(gen, lam, p_list=(1.0, 2.0, 4.0, math.inf), n_x=50, seed=0):
     a, _, e = _dynamics(gen)
     grid = default_grid(lam if lam > 0 else 1.0, n=20)
     rng = np.random.default_rng([seed, 23])
+    # odd indices are non-Hermitian probes
+    x = random_hermitian(a.dim, rng, np.ones(n_x))
+    x[1::2] += 1j * random_hermitian(a.dim, rng, np.ones(n_x // 2))
     for idx in range(n_x):
-        x = random_hermitian(a.dim, rng)
-        if idx % 2:
-            x = x + 1j * random_hermitian(a.dim, rng)
-        x0 = x - e.apply(x)
+        x0 = x[idx] - e.apply(x[idx])
         for p in p_list:
             base = schatten_norm(x0, p)
             if base < 1e-14:

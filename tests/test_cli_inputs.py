@@ -125,6 +125,18 @@ def test_subordinate_rejects_a_sigma_that_is_not_finite_and_positive(sigma, jump
     assert err.startswith("error:") and "--sigma" in err
 
 
+@pytest.mark.parametrize("mode", [["--theta", "0.5"], ["--profile", "{doc}"]])
+def test_subordinate_refuses_a_sigma_outside_eps_mode(mode, jumps_file, tmp_path, capsys):
+    doc = tmp_path / "power.json"
+    doc.write_text(json.dumps({"kind": "power", "alpha": 0.5}))
+    out = tmp_path / "sub.json"
+    argv = ["subordinate", jumps_file, *(a.format(doc=doc) for a in mode), "--sigma", "7"]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: --sigma")
+    assert main(argv[:-2] + ["--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("grid", ["1:0:5", "1:nan:5", "1:5", "0:1:5", "1:inf:5", "1:5:0", "1:5:2.5",
                                   "a:5:3", "1:5:3:4"])
 def test_decay_rejects_a_grid_that_is_not_a_positive_finite_geometric_grid(grid, jumps_file,

@@ -5,6 +5,8 @@ from superop_oracle import superop_from_action
 from qmsemi.constants import SWEEP_CHUNK, rho_multiplier
 from qmsemi.matops import (
     Superop,
+    _gibbs,
+    _gue,
     divided_difference_multiplier,
     hs_inner,
     identity_superop,
@@ -14,9 +16,7 @@ from qmsemi.matops import (
     norm_trace,
     nullspace_basis,
     random_hermitian,
-    random_hermitian_stack,
     random_state,
-    random_state_stack,
     semigroup_apply,
     subspace_gap,
     unvec,
@@ -294,14 +294,20 @@ def test_make_superop_rejects_bad_shape():
 @pytest.mark.parametrize("n", [0, 1, SWEEP_CHUNK + 1])
 @pytest.mark.parametrize("lo, width", [(0.7, 0.0), (0.4, 1.2)])
 def test_stacked_draws_follow_the_per_item_stream(m, n, lo, width):
-    for stack, single in ((random_hermitian_stack, random_hermitian),
-                          (random_state_stack, random_state)):
-        r1, r2 = np.random.default_rng([m, n]), np.random.default_rng([m, n])
-        want = np.array([single(m, r1, lo + width * r1.random()) for _ in range(n)])
-        got = stack(m, r2, n, lo, width)
+    # a scalar scale takes one (2, m, m) Gaussian block, as single draws always did;
+    # n scales take n blocks in one call, the k-th matrix from the k-th block
+    r1, r2 = np.random.default_rng([m, n]), np.random.default_rng([m, n])
+    assert np.array_equal(random_hermitian(m, r2, lo), _gue(r1.standard_normal((2, m, m)), lo))
+    assert np.array_equal(random_state(m, r2, lo),
+                          _gibbs(_gue(r1.standard_normal((2, m, m)), lo)))
+    scale = lo + width * np.random.default_rng(n).random(n)
+    for draw, form in ((random_hermitian, lambda h: h), (random_state, _gibbs)):
+        blocks = r1.standard_normal((n, 2, m, m))
+        got = draw(m, r2, scale)
         assert got.shape == (n, m, m)
-        assert np.array_equal(got, want.reshape(n, m, m))
-        assert r2.random() == r1.random()
+        for k in range(n):
+            assert np.array_equal(got[k], form(_gue(blocks[k], scale[k])))
+    assert r2.random() == r1.random()
 
 
 def test_matrix_function_maps_a_stack_matrix_by_matrix():
