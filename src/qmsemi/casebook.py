@@ -14,15 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import diagonal_algebra, scalar_algebra
 from .constants import flsi_estimate
-from .cporder import FormKernel, gamma_e, gamma_e_constant, kernel_from_superop, kernel_ie
+from .cporder import FormKernel, best_lambda, gamma_e_constant
 from .entropy import decay_terms, fisher, relative_entropy, spectral_terms
 from .io import MAX_DIM
 from .matops import (
-    Superop,
     make_state,
-    make_superop,
     norm_trace,
     random_state,
     tensor_sum_generator,
@@ -117,33 +114,35 @@ def _evaluate(name: str, computed: dict, expected: dict, details: dict | None = 
 # weighted graphs
 # ---------------------------------------------------------------------------
 
-def _graph_superop(weights: np.ndarray) -> Superop:
-    """The generator A f(x) = 2 sum_y w_xy (f(x) - f(y)) on the diagonal
-    algebra of M_|V|, as a map on M_|V| acting on the diagonal vec positions."""
+def _graph_kernel(weights: np.ndarray) -> FormKernel:
+    """Kernel of Gamma(f, g)(x) = sum_y w_xy conj(f(x) - f(y)) (g(x) - g(y)) on
+    l_inf(V), over the diagonal basis e_a = sqrt(|V|) |a><a|.
+
+    Gamma(e_a, e_b) is diagonal, so the kernel is
+    Q[(a, x), (b, z)] = delta_xz sum_y w_xy De_a(x, y) De_b(x, y) with
+    De_a(x, y) = e_a(x) - e_a(y).
+    """
     v = weights.shape[0]
-    lap = np.zeros((v * v, v * v))
-    pos = np.arange(v) * (v + 1)  # vec index of |x><x|
-    lap[np.ix_(pos, pos)] = 2.0 * (np.diag(weights.sum(axis=1)) - weights)
-    return make_superop(lap, v)
+    eye = np.eye(v)
+    de = np.sqrt(v) * (eye[:, :, None] - eye[:, None, :])  # De_a(x, y) at [a, x, y]
+    q = np.einsum("axy,bxy,xy,xz->axbz", de, de, weights, eye)
+    return FormKernel(dim=v, basis_size=v, q=q.reshape(v * v, v * v))
 
 
 def graph_kernels(weights: np.ndarray) -> tuple[FormKernel, FormKernel]:
-    """Kernels of Gamma_{I-E} and of the weighted-graph generator.
+    """Kernels of Gamma_{I-E} and of the generator A f(x) = 2 sum_y w_xy (f(x) - f(y)).
 
-    The generator lives on the diagonal algebra of M_|V| with the normalized
-    counting measure, so both kernels are built over the diagonal basis.
+    Both live on l_inf(V) with the normalized counting measure.  Gamma_A is
+    the graph form of ``weights``, and Gamma_{I-E} that of the complete graph
+    with weights 1/(2|V|).
     """
     v = weights.shape[0]
-    diag = diagonal_algebra(v).basis
-    a = _graph_superop(weights)
-    return kernel_ie(scalar_algebra(v), basis=diag), kernel_from_superop(a, basis=diag)
+    return _graph_kernel((np.ones((v, v)) - np.eye(v)) / (2.0 * v)), _graph_kernel(weights)
 
 
 def graph_lambda_star(weights: np.ndarray) -> float:
     """Gradient-condition constant of the weighted-graph generator, by the pencil."""
-    v = weights.shape[0]
-    a = _graph_superop(weights)
-    return gamma_e(a, scalar_algebra(v), basis=diagonal_algebra(v).basis).lambda_star
+    return best_lambda(*graph_kernels(weights)).lambda_star
 
 
 def _connected(weights: np.ndarray) -> bool:
@@ -168,6 +167,8 @@ def case_graph_criterion(weights=None) -> CaseResult:
     if weights is None:
         weights = np.ones((3, 3)) - np.eye(3)
     weights = np.asarray(weights, dtype=float)
+    if not np.isfinite(weights).all():
+        raise ValueError("weights must be finite")
     v = weights.shape[0]
     if weights.shape != (v, v) or np.abs(weights - weights.T).max() > 0:
         raise ValueError("weights must be a symmetric square matrix")

@@ -79,16 +79,17 @@ def _flag_number(text: str, flag: str, ok: Callable[[float], bool], expected: st
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """The geometric time grid of ``--grid A:B:N``, with finite A, B > 0 and 1 <= N <= MAX_GRID."""
+    """The geometric time grid of ``--grid A:B:N``, with finite A, B > 0, 1 <= N <= MAX_GRID
+    and A < B when N > 1."""
     parts = text.split(":")
     try:
         a, b, npts = float(parts[0]), float(parts[1]), int(parts[2])
     except (ValueError, IndexError):
         npts = 0
     if (len(parts) != 3 or not 1 <= npts <= MAX_GRID
-            or not (0.0 < a < math.inf and 0.0 < b < math.inf)):
-        raise ValueError(f"--grid must be A:B:N with finite A, B > 0 and an integer N from 1 to "
-                         f"{MAX_GRID}, got {text!r}")
+            or not (0.0 < a < math.inf and 0.0 < b < math.inf) or (npts > 1 and a >= b)):
+        raise ValueError(f"--grid must be A:B:N with finite A, B > 0, an integer N from 1 to "
+                         f"{MAX_GRID}, and A < B when N > 1, got {text!r}")
     return np.array([a]) if npts == 1 else np.geomspace(a, b, npts)
 
 

@@ -19,6 +19,7 @@ from .entropy import ILL_DEFINED, decay_terms, default_grid, spectral_terms
 from .generator import LindbladGenerator, gradient_form
 from .matops import (
     Superop,
+    _chart,
     hermitian_basis,
     norm_trace,
     random_hermitian,
@@ -105,14 +106,6 @@ class FlsiEstimate:
 def _dynamics(gen) -> tuple[Superop, SubAlgebra, Superop]:
     a, n = (gen.superop, gen.fixed_algebra) if isinstance(gen, LindbladGenerator) else gen
     return a, n, n.expectation
-
-
-def _chart(h: np.ndarray):
-    """Eigenpairs (w, u) of H, e^w, and rho = m e^H / tr(e^H) with its spectrum r."""
-    w, u = np.linalg.eigh(h)
-    expw = np.exp(w)
-    r = h.shape[-1] * expw / expw.sum(axis=-1, keepdims=True)
-    return w, u, expw, r, (u * r[..., None, :]) @ np.swapaxes(u, -1, -2).conj()
 
 
 def _ratio_and_grad(a: Superop, e: Superop, h: np.ndarray, want_grad: bool):

@@ -8,9 +8,8 @@ operator basis {e_a} as the Hermitian kernel
 so that sum_{ij} z_i* Gamma(x_i, x_j) z_j >= 0 for all finite families
 (x_i in span{e_a}, z_i in C^m) is exactly Q >= 0.  Kernels are built from
 a self-adjoint superoperator A (the weak form of Gamma_A, ``kernel_from_superop``,
-gathered from A's entries in O(m^6) on the full basis, or over any explicit
-basis such as that of a subalgebra) or from a jump set
-(``kernel_from_jumps``).  The gradient condition
+gathered from A's entries in O(m^6)) or from a jump set (``kernel_from_jumps``),
+always over the matrix units e_ij = sqrt(m) |i><j|.  The gradient condition
 "lambda * Gamma_{I-E} <= Gamma_A in cp order" becomes an eigenvalue pencil,
 solved directly (see ``best_lambda``).  For a Lindblad generator with K jumps
 Q_A = C* C with the (K m) x m^3 commutator factor
@@ -106,48 +105,35 @@ def kernel_from_jumps(jumps_arr: np.ndarray) -> FormKernel:
     return FormKernel(dim=m, basis_size=m * m, q=_symmetrize(c.conj().T @ c))
 
 
-def kernel_from_superop(a: Superop, basis: np.ndarray | None = None) -> FormKernel:
+def kernel_from_superop(a: Superop) -> FormKernel:
     """Kernel of the weak-form gradient of a self-adjoint generator A:
 
         Gamma_A(x, y) = (A(x)* y + x* A(y) - A(x* y)) / 2.
 
-    On the default basis e_ij = sqrt(m) |i><j| both products are gathers of
+    Over the matrix units e_ij = sqrt(m) |i><j| both products are gathers of
     A's entries: <u, A(e_ij)* e_kl v> = m conj(A[(k,u),(i,j)]) delta_lv, and
     A(e_ij* e_kl) = m delta_ik A(|j><l|), so the kernel is
     (m/2) [X + X* - I_m (x) Choi(A)] with X = S (x) vec(1)^T of rank <= m,
-    built in O(m^6).  It rounds exactly as the products over that basis do:
-    A is scaled by sqrt(m) twice, and the diagonal blocks, where the Choi
-    term enters, are replaced by their Hermitian part.  An explicit basis of
-    k elements takes the products.
+    built in O(m^6).  A is scaled by sqrt(m) twice rather than by m, which
+    fixes the kernel's last bits, and the diagonal blocks, where the Choi
+    term enters, are replaced by their Hermitian part.
     """
     m = a.dim
-    if basis is None:
-        n, root, diag = m ** 3, np.sqrt(m), np.arange(m)
-        s = (a.matrix.conj() * root * root).reshape(m, m, m * m).transpose(2, 1, 0).reshape(n, m)
-        q = np.zeros((n, n), dtype=complex)
-        q.reshape(n, m, m * m)[:, :, :: m + 1] = s[:, :, None]  # X at columns (k, l, l)
-        q.reshape(m, m * m, n)[:, :: m + 1, :] += s.conj().T[:, None, :]  # X* at rows (k, l, l)
-        q *= 0.5
-        blocks = q.reshape(m, m * m, m, m * m)  # rows (i, (j, u)), columns (k, (l, v))
-        d = blocks[diag, :, diag, :] - (0.5 * root * root) * reshuffle(a.matrix, m)
-        blocks[diag, :, diag, :] = (d + d.conj().transpose(0, 2, 1)) / 2.0
-        return FormKernel(dim=m, basis_size=m * m, q=q)
-    k = basis.shape[0]
-
-    def rows(x):  # x_a* stacked: rows (a, i), columns j
-        return x.conj().transpose(0, 2, 1).reshape(k * m, m)
-
-    cols = basis.transpose(1, 0, 2).reshape(m, k * m)  # e_b side by side: columns (b, l)
-    ax_y = rows(a.apply(basis)) @ cols  # A(e_a)* e_b; x* A(y) is its adjoint
-    prod = (rows(basis) @ cols).reshape(k, m, k, m).transpose(0, 2, 1, 3)  # e_a* e_b at [a, b]
-    a_prod = (prod.reshape(-1, m * m) @ a.matrix.T).reshape(k, k, m, m)
-    q = 0.5 * (ax_y + ax_y.conj().T - a_prod.transpose(0, 2, 1, 3).reshape(k * m, k * m))
-    return FormKernel(dim=m, basis_size=k, q=_symmetrize(q))
+    n, root, diag = m ** 3, np.sqrt(m), np.arange(m)
+    s = (a.matrix.conj() * root * root).reshape(m, m, m * m).transpose(2, 1, 0).reshape(n, m)
+    q = np.zeros((n, n), dtype=complex)
+    q.reshape(n, m, m * m)[:, :, :: m + 1] = s[:, :, None]  # X at columns (k, l, l)
+    q.reshape(m, m * m, n)[:, :: m + 1, :] += s.conj().T[:, None, :]  # X* at rows (k, l, l)
+    q *= 0.5
+    blocks = q.reshape(m, m * m, m, m * m)  # rows (i, (j, u)), columns (k, (l, v))
+    d = blocks[diag, :, diag, :] - (0.5 * root * root) * reshuffle(a.matrix, m)
+    blocks[diag, :, diag, :] = (d + d.conj().transpose(0, 2, 1)) / 2.0
+    return FormKernel(dim=m, basis_size=m * m, q=q)
 
 
-def kernel_ie(n: SubAlgebra, basis: np.ndarray | None = None) -> FormKernel:
+def kernel_ie(n: SubAlgebra) -> FormKernel:
     """Kernel of Gamma_{I-E_N}."""
-    return kernel_from_superop(n.complement, basis=basis)
+    return kernel_from_superop(n.complement)
 
 
 def _check_same_shape(q_small: FormKernel, q_big: FormKernel) -> None:
@@ -363,11 +349,12 @@ def _cholesky_shift(h: np.ndarray, spread: float) -> float:
 
 
 def _congruence_cholesky(
-    q_small: FormKernel, q_big: FormKernel, n: SubAlgebra, basis: np.ndarray
+    q_small: FormKernel, q_big: FormKernel, n: SubAlgebra
 ) -> GammaECertificate | None:
     """Positive certificate of a superoperator pencil that kills N = C 1, or None.
 
-    Swap the basis element e_p with the largest |tau(e_p)| for the unit
+    Both kernels are over the matrix units.  Swap the matrix unit e_p with
+    the largest |tau(e_p)| (the first diagonal one) for the unit
     1 / ||1||.  When both kernels vanish on the swapped-in 1 (x) C^m
     directions (rows below the PSD floor), the congruence makes each kernel
     block diagonal with a zero block, so lambda* is that of the kernels with
@@ -386,7 +373,8 @@ def _congruence_cholesky(
     import scipy.linalg
 
     m, k = q_big.dim, q_big.basis_size
-    coords = np.tensordot(n.basis, basis.conj(), axes=([1, 2], [1, 2])) / m  # tau(e_a* n_0)
+    e = tau_orthonormal_basis(m)
+    coords = np.tensordot(n.basis, e.conj(), axes=([1, 2], [1, 2])) / m  # tau(e_a* n_0)
     keep = np.ones((k, m), dtype=bool)
     keep[np.argmax(np.abs(coords[0]))] = False
     keep = keep.ravel()
@@ -431,22 +419,21 @@ def _congruence_cholesky(
                              lambda_cert=lam_cert, method="congruence-cholesky")
 
 
-def gamma_e(a: Superop, n: SubAlgebra, basis: np.ndarray | None = None) -> GammaECertificate:
+def gamma_e(a: Superop, n: SubAlgebra) -> GammaECertificate:
     """Certified lambda* of lambda Gamma_{I-E_N} <= Gamma_A for a superoperator A.
 
-    Both kernels are built over ``basis`` (default: the matrix units, see
-    ``kernel_from_superop``).  With N = C 1 the pencil is compressed by a
-    congruence and certified by Cholesky (``_congruence_cholesky``); a failed
-    step, or dim N > 1, takes ``best_lambda``.  Both forms are N-bimodular, so
-    for dim N > 1 the directions (x n) (x) z - x (x) (n z) lie in both kernels
-    and the compressed Q_big' would always be singular.
+    Both kernels are built over the matrix units (``kernel_from_superop``).
+    With N = C 1 the pencil is compressed by a congruence and certified by
+    Cholesky (``_congruence_cholesky``); a failed step, or dim N > 1, takes
+    ``best_lambda``.  Both forms are N-bimodular, so for dim N > 1 the
+    directions (x n) (x) z - x (x) (n z) lie in both kernels and the
+    compressed Q_big' would always be singular.
     """
-    q_small = kernel_ie(n, basis=basis)
-    q_big = kernel_from_superop(a, basis=basis)
+    q_small = kernel_ie(n)
+    q_big = kernel_from_superop(a)
     if n.size > 1:
         return best_lambda(q_small, q_big)
-    e = tau_orthonormal_basis(a.dim) if basis is None else basis
-    cert = _congruence_cholesky(q_small, q_big, n, e)
+    cert = _congruence_cholesky(q_small, q_big, n)
     return cert if cert is not None else best_lambda(q_small, q_big)
 
 

@@ -366,14 +366,16 @@ def random_hermitian(m: int, rng: np.random.Generator,
     return _gue(rng.standard_normal(scale.shape + (2, m, m)), scale[..., None, None])
 
 
-def _gibbs(h: np.ndarray) -> np.ndarray:
-    """m exp(H) / tr(exp(H)) for H or each matrix of a stack of H."""
-    e = matrix_function(h, np.exp)
-    return h.shape[-1] * e / np.trace(e, axis1=-2, axis2=-1).real[..., None, None]
+def _chart(h: np.ndarray):
+    """Eigenpairs (w, u) of H, e^w, and rho = m e^H / tr(e^H) with its spectrum r."""
+    w, u = np.linalg.eigh(h)
+    expw = np.exp(w)
+    r = h.shape[-1] * expw / expw.sum(axis=-1, keepdims=True)
+    return w, u, expw, r, (u * r[..., None, :]) @ np.swapaxes(u, -1, -2).conj()
 
 
 def random_state(m: int, rng: np.random.Generator,
                  spread: float | np.ndarray = 1.0) -> np.ndarray:
     """Random invertible state m*exp(H)/tr(exp(H)) with H = random_hermitian(m, rng, spread),
     so a 1-D array of spreads gives a stack of states."""
-    return _gibbs(random_hermitian(m, rng, spread))
+    return _chart(random_hermitian(m, rng, spread))[-1]

@@ -9,9 +9,9 @@ with D_N below 1e-6 before the Fisher information is taken.
 
 import math
 
-from qmsemi.constants import SWEEP_CHUNK, _chart
+from qmsemi.constants import SWEEP_CHUNK
 from qmsemi.entropy import d_sub, fisher
-from qmsemi.matops import random_hermitian
+from qmsemi.matops import _chart, random_hermitian
 
 
 def sweep_one_by_one(a, n, rng, n_validate: int) -> tuple[float, int]:

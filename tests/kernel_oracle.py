@@ -25,14 +25,13 @@ def kernel_from_jumps_by_einsum(jumps_arr: np.ndarray) -> FormKernel:
     return FormKernel(dim=m, basis_size=k, q=_symmetrize(q.reshape(k * m, k * m)))
 
 
-def kernel_from_superop_by_einsum(a: Superop, basis: np.ndarray | None = None) -> FormKernel:
+def kernel_from_superop_by_einsum(a: Superop) -> FormKernel:
     """Kernel of the weak-form gradient of a self-adjoint generator A:
 
         Gamma_A(x, y) = (A(x)* y + x* A(y) - A(x* y)) / 2.
     """
     m = a.dim
-    if basis is None:
-        basis = tau_orthonormal_basis(m)
+    basis = tau_orthonormal_basis(m)
     k = basis.shape[0]
     ab = a.apply(basis)
     prod = np.einsum("aji,bjl->abil", basis.conj(), basis)  # e_a* e_b

@@ -50,6 +50,11 @@ def test_graph_rejects_bad_weights():
         case_graph_criterion(np.array([[0.0, 1.0], [2.0, 0.0]]))
     with pytest.raises(ValueError):
         case_graph_criterion(-np.ones((2, 2)) + np.eye(2))
+    for bad in (np.nan, np.inf):
+        w = np.ones((3, 3)) - np.eye(3)
+        w[0, 1] = w[1, 0] = bad
+        with pytest.raises(ValueError, match="weights must be finite"):
+            case_graph_criterion(w)
 
 
 def test_graph_can_demand_connectivity():

@@ -43,6 +43,14 @@ def test_removed_flags_are_rejected_and_config_holds_only_the_seed(jumps_file, t
     assert json.loads(out.read_text())["config"] == {"seed": 0}
 
 
+def test_gamma_e_without_out_writes_the_same_bytes_to_stdout(jumps_file, tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    assert main(["gamma-e", jumps_file, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["gamma-e", jumps_file]) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+
 def test_gamma_e_empty_jumps_is_negative_result(empty_jumps_file, tmp_path):
     out = tmp_path / "cert.json"
     code = main(["gamma-e", empty_jumps_file, "--out", str(out)])
@@ -236,6 +244,20 @@ def test_state_convert_roundtrip(tmp_path):
     assert main(["state-convert", str(f), "--to", "physics", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert np.trace(np.asarray(doc["re"])) == pytest.approx(1.0)
+
+
+def test_state_convert_round_trip_through_tau(tmp_path):
+    rho = np.array([[0.5, 0.1 - 0.2j, 0.0], [0.1 + 0.2j, 0.3, 0.05j], [0.0, -0.05j, 0.2]])
+    phys = tmp_path / "phys.json"
+    phys.write_text(dump_json(operator_to_obj(rho)))
+    tau, back = tmp_path / "tau.json", tmp_path / "back.json"
+    assert main(["state-convert", str(phys), "--to", "tau", "--out", str(tau)]) == 0
+    tau_doc = json.loads(tau.read_text())
+    assert np.trace(np.asarray(tau_doc["re"])) == pytest.approx(3.0)
+    assert main(["state-convert", str(tau), "--to", "physics", "--out", str(back)]) == 0
+    doc = json.loads(back.read_text())
+    np.testing.assert_allclose(np.asarray(doc["re"]) + 1j * np.asarray(doc["im"]), rho,
+                               rtol=0.0, atol=1e-15)
 
 
 def test_validate_command(jumps_file, tmp_path):

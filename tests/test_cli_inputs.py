@@ -138,7 +138,7 @@ def test_subordinate_refuses_a_sigma_outside_eps_mode(mode, jumps_file, tmp_path
 
 
 @pytest.mark.parametrize("grid", ["1:0:5", "1:nan:5", "1:5", "0:1:5", "1:inf:5", "1:5:0", "1:5:2.5",
-                                  "a:5:3", "1:5:3:4"])
+                                  "a:5:3", "1:5:3:4", "5:1:10", "1:1:5"])
 def test_decay_rejects_a_grid_that_is_not_a_positive_finite_geometric_grid(grid, jumps_file,
                                                                           tmp_path, capsys):
     out = tmp_path / "trace.csv"

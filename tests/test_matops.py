@@ -5,7 +5,7 @@ from superop_oracle import superop_from_action
 from qmsemi.constants import SWEEP_CHUNK, rho_multiplier
 from qmsemi.matops import (
     Superop,
-    _gibbs,
+    _chart,
     _gue,
     divided_difference_multiplier,
     hs_inner,
@@ -299,9 +299,9 @@ def test_stacked_draws_follow_the_per_item_stream(m, n, lo, width):
     r1, r2 = np.random.default_rng([m, n]), np.random.default_rng([m, n])
     assert np.array_equal(random_hermitian(m, r2, lo), _gue(r1.standard_normal((2, m, m)), lo))
     assert np.array_equal(random_state(m, r2, lo),
-                          _gibbs(_gue(r1.standard_normal((2, m, m)), lo)))
+                          _chart(_gue(r1.standard_normal((2, m, m)), lo))[-1])
     scale = lo + width * np.random.default_rng(n).random(n)
-    for draw, form in ((random_hermitian, lambda h: h), (random_state, _gibbs)):
+    for draw, form in ((random_hermitian, lambda h: h), (random_state, lambda h: _chart(h)[-1])):
         blocks = r1.standard_normal((n, 2, m, m))
         got = draw(m, r2, scale)
         assert got.shape == (n, m, m)
