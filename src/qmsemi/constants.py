@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import SubAlgebra
-from .entropy import ILL_DEFINED, decay_terms, default_grid, spectral_terms
+from .entropy import decay_terms, default_grid
 from .generator import LindbladGenerator, gradient_form
 from .matops import (
     Superop,
@@ -162,18 +162,27 @@ def _validation_sweep(a: Superop, e: Superop, rng: np.random.Generator, n_valida
 
     The exponents H are drawn ``SWEEP_CHUNK`` at a time: k uniforms u in one
     ``rng.random(k)``, then the k GUE draws of scales 0.4 + 1.2 u in one
-    ``random_hermitian`` call.  States with D_N below D_N_ZERO are dropped
-    before the Fisher leak check.
+    ``random_hermitian`` call.  Each state is evaluated in its chart, as in
+    ``_ratio_and_grad``, so no eigenvalue floor applies: ln rho = H + shift with
+    shift = ln m - ln tr e^H, tau(rho ln rho) = sum r (w + shift) / m over the
+    eigenvalues w of H, I_A = tau(A(rho) H) + shift tau(A(rho)), and, as E is
+    a conditional expectation, tau(rho ln E rho) = tau(E rho ln E rho) takes
+    only the spectrum of E(rho).  States with D_N below D_N_ZERO are dropped.
     """
     m = a.dim
     lowest, kept = math.inf, 0
     for lo in range(0, n_validate, SWEEP_CHUNK):
         k = min(SWEEP_CHUNK, n_validate - lo)
-        _, u, _, r, rho = _chart(random_hermitian(m, rng, 0.4 + 1.2 * rng.random(k)))
-        d, i = spectral_terms(rho, (r, u), np.linalg.eigh(e.apply(rho)), a.apply(rho))
+        h = random_hermitian(m, rng, 0.4 + 1.2 * rng.random(k))
+        w, _, expw, r, rho = _chart(h)
+        shift = math.log(m) - np.log(expw.sum(axis=-1))
+        w_e = np.linalg.eigvalsh(e.apply(rho))
+        e_log_e = w_e * np.log(w_e, out=np.zeros_like(w_e), where=w_e > 0)
+        d = ((r * (w + shift[:, None])).sum(axis=-1) - e_log_e.sum(axis=-1)) / m
+        a_rho = a.apply(rho)
+        i = (np.einsum("kij,kji->k", a_rho, h).real
+             + shift * np.trace(a_rho, axis1=-2, axis2=-1).real) / m
         keep = d >= D_N_ZERO
-        if np.isnan(i[keep]).any():
-            raise ValueError(ILL_DEFINED)
         lowest = min(lowest, float(np.min(i[keep] / d[keep], initial=math.inf)))
         kept += int(keep.sum())
     return lowest, kept

@@ -52,6 +52,7 @@ from .tolerances import (
     PSD,
     RETURN_TIME,
     SUPEROP_FLAG,
+    TINY,
     UNDERFLOW,
     rel_floor,
 )
@@ -487,13 +488,42 @@ def return_time(a: Superop, n: SubAlgebra) -> float:
     """The return time t0: the smallest t with ||chi_{T_t - E}|| <= 1/2.
 
     The Choi norm of T_t - E is the L1 -> Linf cb distance to equilibrium;
-    it decreases in t, so bisection to a resolution of RETURN_TIME in t is
+    it does not increase in t, since T_{t+s} - E = T_s (T_t - E) with T_s
+    unital CP, so bisection to a resolution of RETURN_TIME in t is
     justified.  T_t - E comes from the cached ``a.eig``; chi is m Choi(T_t - E)
     when N = C 1 and is built over ``module_basis(n)`` otherwise, Hermitian as
-    A preserves Hermiticity (checked), so ``eigvalsh`` gives ||chi||.  Returns
-    math.inf when 1/2 is not reached by t = 1e4 / gap, and raises if A breaks
-    Hermiticity or has no spectral gap (no convergence to E).
+    A preserves Hermiticity (checked), so ``eigvalsh`` gives ||chi||.  Before
+    the bisection, ``_bracket_root`` shrinks a bracket [a, b] of the root
+    with g(a) > PSD and g(b) < -PSD.  As g does not increase, every midpoint
+    at or below a has g > 0 and every one at or above b has g < 0, well clear
+    of rounding, so the bisection takes those signs from the bracket, calls g
+    only inside it, and returns the plain bisection's t0 bit for bit.
+    Returns math.inf when 1/2 is not reached by t = 1e4 / gap, and raises if
+    A breaks Hermiticity or has no spectral gap (no convergence to E).
     """
+    g, gap = _return_distance(a, n)
+    # g(0) > 0: m^2 - 3/2 if N = C 1, else >= 1/2 as chi_{I-E} has the entry xi_j - E(xi_j) = xi_j
+    t_cap = 1e4 / gap
+    hi = 1.0 / gap
+    seen = [(hi, g(hi))]
+    while seen[-1][1] > 0.0:
+        hi *= 2.0
+        if hi > t_cap:
+            return math.inf
+        seen.append((hi, g(hi)))
+    lo = 0.0 if hi <= 2.0 / gap else hi / 2.0
+    left, right = _bracket_root(g, gap, lo, hi, seen[-2:])
+    while hi - lo > RETURN_TIME:
+        mid = 0.5 * (lo + hi)
+        if mid <= left or (mid < right and g(mid) > 0.0):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _return_distance(a: Superop, n: SubAlgebra) -> tuple[Callable[[float], float], float]:
+    """g(t) = ||chi_{T_t - E}|| - 1/2 and the spectral gap of A, checked as in ``return_time``."""
     m = a.dim
     choi_a = reshuffle(a.matrix, m)
     if np.abs(choi_a - choi_a.conj().T).max() > rel_floor(choi_a, SUPEROP_FLAG):
@@ -512,21 +542,53 @@ def return_time(a: Superop, n: SubAlgebra) -> float:
         s = (v * np.exp(-t * w)) @ v.conj().T - n.expectation.matrix
         return scale * np.abs(np.linalg.eigvalsh(chi(s))).max() - 0.5
 
-    # g(0) > 0: m^2 - 3/2 if N = C 1, else >= 1/2 as chi_{I-E} has the entry xi_j - E(xi_j) = xi_j
-    t_cap = 1e4 / gap
-    hi = 1.0 / gap
-    while g(hi) > 0.0:
-        hi *= 2.0
-        if hi > t_cap:
-            return math.inf
-    lo = 0.0 if hi <= 2.0 / gap else hi / 2.0
-    while hi - lo > RETURN_TIME:
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return g, gap
+
+
+def _bracket_root(g: Callable[[float], float], gap: float, lo: float, hi: float,
+                  seen: list[tuple[float, float]]) -> tuple[float, float]:
+    """Ends lo <= a < b <= hi around the root of the non-increasing g.
+
+    An end moves only to a point where |g| > PSD: a where g > PSD, b where
+    g < -PSD.  ``seen`` holds the points (t, g(t)) already evaluated, in
+    increasing t.  ||chi_t|| decays like C e^{-gap t}, so f = ln(2 g + 1),
+    zero at the root, is nearly linear in t: secant steps on f (the first
+    one with slope -gap when only one point is known) home in on the root,
+    a step that leaves (a, b) is replaced by its midpoint, and once a step
+    is shorter than the probe step (RETURN_TIME / 4, or more where g is so
+    flat that |g| <= PSD is wider) one probe on each side of the estimate
+    closes the bracket.
+    """
+    a, b = lo, hi
+    pts = []
+
+    def record(t: float, gt: float) -> float:
+        nonlocal a, b
+        if a < t < b and abs(gt) > PSD:
+            a, b = (t, b) if gt > 0.0 else (a, t)
+        pts.append((t, math.log(max(2.0 * gt + 1.0, TINY))))
+        return gt
+
+    for t, gt in seen:
+        record(t, gt)
+    for _ in range(6):
+        x1, f1 = pts[-1]
+        slope = (f1 - pts[-2][1]) / (x1 - pts[-2][0]) if len(pts) > 1 else -gap
+        if not slope < 0.0:  # flat to rounding: the bisection does the rest
+            return a, b
+        # near the root f ~ 2 g, so |g| <= PSD spans |t - t0| <~ 2 PSD / |slope|: probe twice that
+        step = max(RETURN_TIME / 4.0, 4.0 * PSD / -slope)
+        t = x1 - f1 / slope
+        if abs(t - x1) <= step:
+            break
+        if not a < t < b:
+            t = 0.5 * (a + b)
+        if not abs(record(t, g(t))) > PSD:
+            break
+    for s in (t - step, t + step):
+        if a < s < b:
+            record(s, g(s))
+    return a, b
 
 
 def l2_to_linf_cb_sq(s: Superop) -> float:

@@ -173,4 +173,25 @@ def state_from_physics(rho: np.ndarray) -> np.ndarray:
 
 
 def dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2)`` and a newline, byte for byte.
+
+    json's indented encoder is pure Python.  Here dicts with str keys and
+    lists are laid out directly, each list of plain floats and ints (a matrix
+    row) by one call of the C encoder re-indented with string joins; every
+    other value comes from json itself, re-indented to its depth.
+    """
+    return _dump(obj, "\n") + "\n"
+
+
+def _dump(obj, nl: str) -> str:
+    """The indented text of obj with ``nl`` (a newline and the indent) before each
+    of its lines but the first."""
+    inner = nl + "  "
+    if type(obj) is dict and obj and all(type(k) is str for k in obj):
+        items = [json.dumps(k) + ": " + _dump(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if type(obj) is list and obj:
+        if all(type(x) is float or type(x) is int for x in obj):
+            return "[" + inner + json.dumps(obj)[1:-1].replace(", ", "," + inner) + nl + "]"
+        return "[" + inner + ("," + inner).join(_dump(x, inner) for x in obj) + nl + "]"
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", nl)

@@ -160,6 +160,19 @@ def test_validation_sweep_lowers_short_descent_bracket(zoo, name, lower, upper, 
     assert est.to_json()["n_validated"] == 2000
 
 
+def test_validation_sweep_handles_states_with_eigenvalues_below_the_floor(monkeypatch):
+    # at m = 12 some sweep states have eigenvalues below PSD * max: evaluated
+    # through the support floors, A(rho) weighed on that "kernel" and the sweep raised
+    import scipy.optimize
+
+    monkeypatch.setattr(scipy.optimize, "minimize", lambda *args, **kwargs: None)
+    gen = random_lindblad(12, 2, np.random.default_rng(12))
+    est = flsi_estimate(gen, n_starts=1, seed=4, n_validate=2000)
+    assert math.isfinite(est.lambda_lower) and math.isfinite(est.lambda_upper)
+    assert 0.0 < est.lambda_lower <= est.lambda_upper
+    assert est.n_validated == 2000
+
+
 def test_check_decay_bound_zero_rate_passes():
     gen = dephasing_generator(2)
     rep = check_decay_bound(gen, 0.0, n_states=5, seed=0)

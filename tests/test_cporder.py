@@ -6,7 +6,7 @@ import pytest
 from conftest import make_zoo
 from kernel_oracle import kernel_from_jumps_by_einsum, kernel_from_superop_by_einsum
 from pencil_oracle import bisect_lambda
-from return_time_oracle import return_time_by_module_basis
+from return_time_oracle import return_time_by_bisection, return_time_by_module_basis
 from qmsemi import algebra, cporder
 from qmsemi.algebra import diagonal_algebra, module_basis, scalar_algebra
 from qmsemi.cporder import (
@@ -443,6 +443,46 @@ def test_return_time_matches_module_basis_oracle(name):
     gen = RETURN_TIME_CASES[name]
     t0 = return_time(gen.superop, gen.fixed_algebra)
     assert abs(t0 - return_time_by_module_basis(gen.superop, gen.fixed_algebra)) <= RETURN_TIME
+
+
+def _random_return_time_cases():
+    """Two random 2- or 3-jump generators at each m = 2..8, at scales from 0.2 to 2."""
+    rng = np.random.default_rng(240)
+    return {f"m{m}_{k}": random_lindblad(m, int(rng.integers(2, 4)), rng,
+                                        scale=float(rng.uniform(0.2, 2.0)))
+            for m in (2, 3, 4, 5, 6, 8) for k in range(2)}
+
+
+BISECTION_CASES = {**RETURN_TIME_CASES, **_random_return_time_cases()}
+
+
+@pytest.mark.parametrize("name", sorted(BISECTION_CASES))
+def test_return_time_is_the_plain_bisection_bit_for_bit(name):
+    gen = BISECTION_CASES[name]
+    t0 = return_time(gen.superop, gen.fixed_algebra)
+    assert t0 == return_time_by_bisection(gen.superop, gen.fixed_algebra)
+
+
+def _eigvalsh_calls(monkeypatch, fn, gen) -> int:
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", counted)
+        fn(gen.superop, gen.fixed_algebra)
+    return len(calls)
+
+
+@pytest.mark.parametrize("name", sorted(RETURN_TIME_CASES))
+def test_return_time_takes_at_most_two_thirds_of_the_bisection_eigensolves(monkeypatch, name):
+    gen = RETURN_TIME_CASES[name]
+    plain = _eigvalsh_calls(monkeypatch, return_time_by_bisection, gen)
+    assert plain >= 19
+    assert _eigvalsh_calls(monkeypatch, return_time, gen) <= 2 * plain / 3
 
 
 @pytest.mark.parametrize("name", sorted(make_zoo()))

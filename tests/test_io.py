@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from qmsemi.cli import main
 from qmsemi.generator import JumpSet
 from qmsemi.io import (
     dump_json,
@@ -15,6 +18,7 @@ from qmsemi.io import (
     state_to_physics,
 )
 from qmsemi.matops import random_hermitian
+from qmsemi.models import random_lindblad
 
 
 def test_operator_roundtrip():
@@ -71,3 +75,36 @@ def test_state_convention_conversion():
 def test_dump_json_is_stable():
     obj = {"b": 1.5, "a": [1, 2]}
     assert dump_json(obj) == dump_json({"a": [1, 2], "b": 1.5})
+
+
+def _json_reference(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("obj", [
+    [], {}, [[]], [[], []], [[1.0], []], [1, 2.5, -0.0, 1e300, 5e-324, 10**30],
+    [True, False], [1, True], [[True, 1.0]], [None, 1.0],
+    [np.float64(1.5), 2.0], [[np.float64(1.5)]], {"x": np.float64(0.25)},
+    ["a, b", "], [", "x"], [[1, 2], ["], [", 3]], {"d": "s\n, t", "é": ["ü"]},
+    [NAN, INF, -INF], [[NAN, 1.0], [INF, -INF]],
+    {"b": [1, 2], "a": {"z": [], "y": {}}, "c": None, "e": [[1, 2], [3]]},
+    {0.25: [1.0, 2.0], 0.5: [3.0]}, {"x": (1, 2), "y": [(1.0, 2.0)]},
+    [[[1.0, 2.0], [3.0, 4.0]], [[5.0]]], [{"re": [[1.0]], "im": [[0.0]]}],
+    3, 2.5, "str", None, True,
+], ids=repr)
+def test_dump_json_writes_the_bytes_of_json_indent_2(obj):
+    assert dump_json(obj) == _json_reference(obj)
+
+
+@pytest.mark.parametrize("mode", [["--eps", "1e-4", "--sigma", "auto"], ["--theta", "0.5"]])
+def test_subordinate_documents_are_json_indent_2(tmp_path, mode):
+    gen = random_lindblad(4, 2, np.random.default_rng(41), scale=0.6)
+    jumps, out = tmp_path / "jumps.json", tmp_path / "out.json"
+    jumps.write_text(dump_json(jumps_to_obj(gen.jumps)))
+    assert main(["subordinate", str(jumps), *mode, "--out", str(out)]) == 0
+    text = out.read_text()
+    doc = json.loads(text)
+    assert text == _json_reference(doc) == dump_json(doc)
