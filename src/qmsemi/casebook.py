@@ -413,8 +413,9 @@ def case_depolarizing(m: int = 2, seed: int = 0) -> CaseResult:
     rho = random_state(m, rng, 0.5 + rng.random(100))
     rho_eig = np.linalg.eigh(rho)
     e_rho = n_scal.expectation.apply(rho)
-    d_fwd, lhs = decay_terms(rho, rho_eig, n_scal.expectation, n_scal.complement)
-    d_back, _ = spectral_terms(e_rho, np.linalg.eigh(e_rho), rho_eig)
+    e_eig = np.linalg.eigh(e_rho)
+    d_fwd, lhs = decay_terms(rho, rho_eig, e_eig, rho - e_rho)
+    d_back, _ = spectral_terms(e_rho, e_eig, rho_eig)
     worst = float(np.max(np.abs(lhs - (d_fwd + d_back))))
     est = flsi_estimate(gen, n_starts=4, seed=seed, n_validate=2000)
     cert = gamma_e_constant(gen)
@@ -451,7 +452,7 @@ def case_tensorization(seed: int = 0) -> CaseResult:
     rng = np.random.default_rng([seed, 31])
     m = m1 * m2
     rho = random_state(m, rng, 0.4 + 0.8 * rng.random(200))
-    d_val, i_val = decay_terms(rho, np.linalg.eigh(rho), e, a)
+    d_val, i_val = decay_terms(rho, np.linalg.eigh(rho), np.linalg.eigh(e.apply(rho)), a.apply(rho))
     worst_gap = max(0.0, float(np.max(lam * d_val - i_val)))
     # additivity on product states
     rho1 = random_state(m1, rng)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import SubAlgebra
-from .entropy import decay_terms, default_grid
+from .entropy import check_kills_algebra, decay_terms, default_grid
 from .generator import LindbladGenerator, gradient_form
 from .matops import (
     Superop,
@@ -23,7 +23,6 @@ from .matops import (
     hermitian_basis,
     norm_trace,
     random_hermitian,
-    random_state,
     schur_multiplier,
     semigroup_apply,
 )
@@ -281,23 +280,32 @@ def check_decay_bound(gen, lam: float, n_states: int = 50, seed: int = 0) -> dic
 
     Both inequalities follow from a certified gradient-condition constant;
     the report carries the worst multiplicative slack and a witness when a
-    violation is found.  The states come from one ``rng.random(n_states)``
-    and one ``random_state`` call with spreads 0.5 + u.  All states and times
-    go through one semigroup evaluation and two stacked eigensolves; states
-    with D_N below DECAY_SKIP are skipped, and a violation is a slack above
-    VIOLATION.
+    violation is found.  The exponents H come from one ``rng.random(n_states)``
+    and one ``random_hermitian`` call with spreads 0.5 + u, and each start
+    state is taken in its chart, rho = m e^H / tr e^H with ln rho = H + ln m -
+    ln tr e^H, so no eigenvalue floor applies to it.  A must vanish on N (else
+    ValueError), so E(T_t rho) = E(rho) = sigma and B(T_t rho) = T_t rho - sigma:
+    sigma is diagonalized once per state, and all states and times go through
+    one semigroup evaluation and one stacked eigensolve.  States with D_N below
+    DECAY_SKIP are skipped, and a violation is a slack above VIOLATION.
     """
     if n_states < 1:
         raise ValueError("n_states must be at least 1")
     a, n, e = _dynamics(gen)
+    check_kills_algebra(a, n)
+    m = a.dim
     grid = default_grid(lam)
     rng = np.random.default_rng([seed, 17])
-    rho0 = random_state(a.dim, rng, 0.5 + rng.random(n_states))
-    d0, i0 = decay_terms(rho0, np.linalg.eigh(rho0), e, n.complement)
+    w, u, expw, r, rho0 = _chart(random_hermitian(m, rng, 0.5 + rng.random(n_states)))
+    log_r = w + (math.log(m) - np.log(expw.sum(axis=-1)))[:, None]
+    sigma = e.apply(rho0)
+    sigma_eig = np.linalg.eigh(sigma)
+    d0, i0 = decay_terms(rho0, (r, u, log_r), sigma_eig, rho0 - sigma)
     kept = np.flatnonzero(d0 >= DECAY_SKIP)
     rho_t = semigroup_apply(a, grid, rho0[kept]).swapaxes(0, 1)  # (state, t, m, m)
     rho_t = (rho_t + rho_t.conj().swapaxes(-1, -2)) / 2.0
-    d_t, i_t = decay_terms(rho_t, np.linalg.eigh(rho_t), e, n.complement)
+    d_t, i_t = decay_terms(rho_t, np.linalg.eigh(rho_t), (sigma_eig[0][kept], sigma_eig[1][kept]),
+                           rho_t - sigma[kept, None])
     val = np.stack([d_t, i_t], axis=-1)  # (state, t, D_N then I_N)
     ref = np.exp(-lam * grid)[:, None] * np.stack([d0, i0], axis=-1)[kept, None]
     with np.errstate(divide="ignore", invalid="ignore"):

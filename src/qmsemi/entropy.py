@@ -15,7 +15,7 @@ import numpy as np
 
 from .algebra import SubAlgebra
 from .matops import Superop, semigroup_apply
-from .tolerances import CP_VIOLATION, PSD, rel_floor
+from .tolerances import CP_VIOLATION, PSD, SUPEROP_FLAG, rel_floor
 
 __all__ = [
     "relative_entropy",
@@ -37,7 +37,7 @@ def _support(w: np.ndarray, name: str):
     if (low < -rel_floor(w, PSD, axis=-1)).any():
         raise ValueError(f"{name} has negative eigenvalue {low.min():.3e}")
     w = np.clip(w, 0.0, None)
-    on = w > rel_floor(w, PSD, axis=-1)[:, None]
+    on = w > rel_floor(w, PSD, axis=-1)[..., None]
     return w, on, np.log(np.where(on, w, 1.0))
 
 
@@ -47,49 +47,69 @@ def _diag_in_basis(x: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def spectral_terms(rho, rho_eig, sigma_eig=None, a_rho=None):
-    """D(rho||sigma) and I = tau(A(rho) ln rho) for a batch of states.
+    """D(rho||sigma) and I = tau(A(rho) ln rho) for a stack of states (..., m, m).
 
-    rho, its eigenpairs ``rho_eig``, the eigenpairs of sigma and A(rho) all
-    carry a leading batch axis.  This is the one home of the entropy rules,
-    all at the one zero floor PSD, relative (``rel_floor``): eigenvalues below
-    -PSD raise and the rest are clipped at 0; those at or below PSD are off
-    the support (0 log 0 = 0); D is +inf when rho weighs more than PSD off the
+    ``rho_eig`` is (w, u) from ``eigh``, or (w, u, ln w) for a state given in
+    its chart (``matops._chart``), full rank with exact logarithms, to which no
+    support rule applies.  A(rho) has rho's shape; the eigenpairs of sigma may
+    carry only rho's first leading axes, each sigma shared along the rest, and
+    D costs O(m^2) per state.  This is the one home of the entropy rules, all
+    at the one zero floor PSD, relative (``rel_floor``): eigenvalues below -PSD
+    raise and the rest are clipped at 0; those at or below PSD are off the
+    support (0 log 0 = 0); D is +inf when rho weighs more than PSD off the
     support of sigma; I is NaN (ill-defined) when A(rho) leaks more than PSD
-    onto the kernel of rho.  Returns (d, i), with None for a term whose
-    inputs are missing.
+    onto the kernel of rho.  Returns (d, i), with None for a term whose inputs
+    are missing.
     """
-    w, on, log_w = _support(rho_eig[0], "rho")
+    if len(rho_eig) == 3:
+        w, u, log_w = rho_eig
+        on = True
+    else:
+        (w, on, log_w), u = _support(rho_eig[0], "rho"), rho_eig[1]
     m = w.shape[-1]
     d = i = None
     if sigma_eig is not None:
         _, on_s, log_s = _support(sigma_eig[0], "sigma")
-        # weights of rho in the eigenbasis of sigma
-        weights = _diag_in_basis(rho, sigma_eig[1])
-        off_support = np.where(on_s, 0.0, weights).sum(axis=-1)
-        d = ((w * log_w).sum(axis=-1) - (weights * log_s).sum(axis=-1)) / m
-        d = np.where(off_support > rel_floor(w, PSD, axis=-1), np.inf, d)
+        u_s = sigma_eig[1]
+        # transposes X^T = conj(u) f u^T of X = ln sigma and of the projector off its support
+        ops_t = (u_s.conj()[..., None, :, :] * np.stack([log_s, ~on_s], axis=-2)[..., None, :]
+                 @ u_s.swapaxes(-1, -2)[..., None, :, :])
+        # tr(rho X) = vec(rho) . vec(X^T): both traces for every rho sharing sigma at once
+        lead = u_s.shape[:-2]
+        traces = rho.reshape(lead + (-1, m * m)) @ ops_t.reshape(lead + (2, m * m)).swapaxes(-1, -2)
+        traces = traces.real.reshape(rho.shape[:-2] + (2,))
+        d = ((w * log_w).sum(axis=-1) - traces[..., 0]) / m
+        d = np.where(traces[..., 1] > rel_floor(w, PSD, axis=-1), np.inf, d)
     if a_rho is not None:
-        ydiag = _diag_in_basis(a_rho, rho_eig[1])
+        ydiag = _diag_in_basis(a_rho, u)
         leak = np.abs(np.where(on, 0.0, ydiag)).sum(axis=-1)
         ill = leak > rel_floor(ydiag, PSD, axis=-1)
         i = np.where(ill, np.nan, (ydiag * log_w).sum(axis=-1) / m)
     return d, i
 
 
-def decay_terms(rho, rho_eig, e: Superop, b: Superop):
-    """D(rho||E(rho)) and tau(B(rho) ln rho) for a stack of states (..., m, m).
+def decay_terms(rho, rho_eig, sigma_eig, a_rho):
+    """D(rho||sigma) and tau(A(rho) ln rho) for sigma = E(rho), as ``spectral_terms``.
 
-    ``rho_eig`` holds the eigenpairs of rho; adds one stacked eigensolve of
-    E(rho).  E is trace preserving, so D >= 0 exactly and a rounding-negative
-    D is clipped to 0.  An ill-defined Fisher value raises, as in ``fisher``.
+    The caller gives the eigenpairs of sigma and A(rho), with the shapes
+    ``spectral_terms`` takes.  E is trace preserving, so D >= 0 exactly and a
+    rounding-negative D is clipped to 0.  An ill-defined Fisher value raises,
+    as in ``fisher``.
     """
-    m = rho.shape[-1]
-    flat = rho.reshape(-1, m, m)
-    flat_eig = (rho_eig[0].reshape(-1, m), rho_eig[1].reshape(-1, m, m))
-    d, i = spectral_terms(flat, flat_eig, np.linalg.eigh(e.apply(flat)), b.apply(flat))
+    d, i = spectral_terms(rho, rho_eig, sigma_eig, a_rho)
     if np.isnan(i).any():
         raise ValueError(ILL_DEFINED)
-    return np.maximum(d, 0.0).reshape(rho.shape[:-2]), i.reshape(rho.shape[:-2])
+    return np.maximum(d, 0.0), i
+
+
+def check_kills_algebra(a: Superop, n: SubAlgebra) -> None:
+    """Raise unless A vanishes on N: ||A E|| <= SUPEROP_FLAG, relative, entrywise.
+
+    Then T_t fixes N, and as A and E are self-adjoint (``semigroup_apply``
+    needs A to be) E A = (A E)* = 0 too, so E(T_t rho) = E(rho) at every t.
+    """
+    if np.abs(a.matrix @ n.expectation.matrix).max() > rel_floor(a.matrix, SUPEROP_FLAG):
+        raise ValueError("the generator must vanish on the algebra N (A E = 0)")
 
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -97,8 +117,8 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
 
     Uses 0 log 0 = 0.  Nonnegative whenever tau(rho) = tau(sigma).
     """
-    d, _ = spectral_terms(rho[None], np.linalg.eigh(rho[None]), np.linalg.eigh(sigma[None]))
-    return float(d[0])
+    d, _ = spectral_terms(rho, np.linalg.eigh(rho), np.linalg.eigh(sigma))
+    return float(d)
 
 
 def d_sub(rho: np.ndarray, n: SubAlgebra) -> float:
@@ -113,10 +133,10 @@ def fisher(a: Superop, rho: np.ndarray) -> float:
     is legitimate only when A(rho) carries no weight on its kernel; otherwise
     the quantity diverges and a ValueError says so.
     """
-    _, i = spectral_terms(rho[None], np.linalg.eigh(rho[None]), a_rho=a.apply(rho)[None])
-    if np.isnan(i[0]):
+    _, i = spectral_terms(rho, np.linalg.eigh(rho), a_rho=a.apply(rho))
+    if np.isnan(i):
         raise ValueError(ILL_DEFINED)
-    return float(i[0])
+    return float(i)
 
 
 def fisher_n(n: SubAlgebra, rho: np.ndarray) -> float:
@@ -157,11 +177,18 @@ def simulate_decay(
     t_grid: np.ndarray,
     lam: float,
 ) -> DecayTrace:
-    """Evolve rho through e^{-tA}, recording D_N, I_A and e^{-lam t} D_N(rho0)."""
+    """Evolve rho through e^{-tA}, recording D_N, I_A and e^{-lam t} D_N(rho0).
+
+    A must vanish on N (A E = 0, else ValueError), so E(rho_t) = E(rho0) at
+    every t: the eigenpairs of sigma = E(rho0) are taken once, and the time
+    grid costs one stacked eigensolve of rho_t.
+    """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("time grid must be strictly increasing")
-    d0 = d_sub(rho0, n)
+    check_kills_algebra(a, n)
+    sigma_eig = np.linalg.eigh(n.expectation.apply(rho0))
+    d0 = max(float(spectral_terms(rho0, np.linalg.eigh(rho0), sigma_eig)[0]), 0.0)
     rho_t = semigroup_apply(a, t_grid, rho0)
     rho_t = (rho_t + rho_t.conj().swapaxes(-1, -2)) / 2.0
     rho_eig = np.linalg.eigh(rho_t)
@@ -169,7 +196,7 @@ def simulate_decay(
     bad = wmin < -CP_VIOLATION
     if bad.any():
         raise ValueError(f"state developed eigenvalue {wmin[bad][0]:.3e} (CP violation)")
-    d_vals, i_vals = decay_terms(rho_t, rho_eig, n.expectation, a)
+    d_vals, i_vals = decay_terms(rho_t, rho_eig, sigma_eig, a.apply(rho_t))
     bound = math.e ** (-lam * t_grid) * d0 if lam > 0 else np.full_like(t_grid, d0)
     return DecayTrace(
         times=t_grid,

@@ -7,6 +7,7 @@ from conftest import make_zoo
 from dual_norm_oracle import dual_norm_ascent
 from flsi_oracle import sweep_one_by_one
 from qmsemi import constants
+from qmsemi.algebra import diagonal_algebra
 from qmsemi.constants import (
     SWEEP_CHUNK,
     _validation_sweep,
@@ -18,7 +19,7 @@ from qmsemi.constants import (
     schatten_norm,
 )
 from qmsemi.cporder import gamma_e_constant
-from qmsemi.entropy import d_sub
+from qmsemi.entropy import d_sub, default_grid, simulate_decay
 from qmsemi.generator import gradient_form, jump_set, lindblad
 from qmsemi.matops import norm_trace, random_hermitian, random_state, semigroup_apply
 from qmsemi.models import dephasing_generator, depolarizing_generator, random_lindblad
@@ -137,6 +138,42 @@ def test_lp_decay_takes_one_svd_for_every_p(zoo, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted)
     check_lp_decay(zoo["random_2jump_m3"], 0.1, n_x=4)
     assert len(calls) == 1
+
+
+def test_decay_check_takes_one_eigensolve_each_for_the_charts_the_sigmas_and_the_states(
+        zoo, monkeypatch):
+    # E(T_t rho) = E(rho): sigma is diagonalized once per start state, never per time
+    gen = zoo["random_2jump_m3"]
+    _ = gen.superop.eig  # the cached superoperator eigensolve, taken first
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counted(x, *args, **kwargs):
+        shapes.append(x.shape[:-2])
+        return eigh(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    check_decay_bound(gen, 0.0, n_states=5)
+    assert len(shapes) == 3 and shapes[:2] == [(5,), (5,)] and shapes[2][1:] == (60,)
+
+
+def test_decay_check_at_m16_takes_its_start_states_in_their_chart():
+    # four of these start states have an eigenvalue at or below PSD (relative), where an
+    # eigensolve would put it off the support and call their Fisher information ill-defined
+    rep = check_decay_bound(random_lindblad(16, 2, np.random.default_rng(16)), 0.0, seed=1)
+    assert rep["passed"], rep
+
+
+@pytest.mark.parametrize("check", ["simulate_decay", "check_decay_bound"])
+def test_decay_refuses_a_generator_that_moves_the_algebra(check):
+    # a random generator fixes only the scalars, so it does not vanish on the diagonal
+    m = 3
+    a, n = random_lindblad(m, 2, np.random.default_rng(5)).superop, diagonal_algebra(m)
+    with pytest.raises(ValueError, match="vanish on the algebra"):
+        if check == "simulate_decay":
+            simulate_decay(a, n, random_state(m, np.random.default_rng(6)), default_grid(1.0), 0.0)
+        else:
+            check_decay_bound((a, n), 0.0, n_states=3)
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,16 @@
-"""The batched decay checks and decay trace against the per-point oracle."""
+"""The batched decay checks and decay trace against the per-point oracle, and the
+identity E(T_t rho) = E(rho) they rest on."""
 
 import numpy as np
 import pytest
 
-from conftest import make_zoo
+from conftest import make_zoo, random_degenerate_commutant
 from decay_oracle import WITNESS_KEYS, decay_slacks, lp_slacks, report, simulate_decay_per_time
 from qmsemi.constants import _report, check_decay_bound, check_lp_decay, flsi_estimate
 from qmsemi.cporder import gamma_e_constant
 from qmsemi.entropy import default_grid, simulate_decay
-from qmsemi.matops import random_state
+from qmsemi.matops import make_superop, random_state, semigroup_apply
+from qmsemi.subordinate import fractional_power
 
 ZOO = make_zoo()
 
@@ -69,3 +71,29 @@ def test_simulate_decay_matches_per_time_oracle(name):
     old = simulate_decay_per_time(gen.superop, gen.fixed_algebra, rho0, grid, 0.7)
     for got, want in ((new.d_n, old.d_n), (new.i_a, old.i_a), (new.bound, old.bound)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _fixing_pairs():
+    """(A, N) named: the zoo, its A^theta and a symmetric generator B M B on a random
+    block algebra, B = I - E_N and M = G G* a random positive semidefinite superoperator."""
+    for name, gen in ZOO.items():
+        yield pytest.param(gen.superop, gen.fixed_algebra, id=name)
+        for th in (0.25, 0.5):
+            yield pytest.param(fractional_power(gen.superop, th), gen.fixed_algebra,
+                               id=f"{name}^{th}")
+    rng = np.random.default_rng(25)
+    for m in (3, 4):
+        n = random_degenerate_commutant(m, rng)
+        g = rng.standard_normal((m * m, m * m)) + 1j * rng.standard_normal((m * m, m * m))
+        b = n.complement
+        yield pytest.param(b @ make_superop(g @ g.conj().T / m**2, m) @ b, n, id=f"block_m{m}")
+
+
+@pytest.mark.parametrize("a, n", list(_fixing_pairs()))
+def test_the_semigroup_keeps_the_conditional_expectation(a, n):
+    # E T_t = E: the decay checks take sigma = E(rho) once for every time
+    e = n.expectation
+    rho = random_state(a.dim, np.random.default_rng(7), np.array([0.5, 1.5]))
+    want = e.apply(rho)
+    got = e.apply(semigroup_apply(a, default_grid(1.0), rho))
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
