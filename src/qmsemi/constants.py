@@ -20,6 +20,7 @@ from .generator import LindbladGenerator, gradient_form
 from .matops import (
     Superop,
     _chart,
+    divided_differences,
     hermitian_basis,
     norm_trace,
     random_hermitian,
@@ -111,9 +112,16 @@ def _ratio_and_grad(a: Superop, e: Superop, h: np.ndarray, want_grad: bool):
     """I_A/D_N at rho = m e^H / tr(e^H), plus the H-space gradient.
 
     d(I_A) = tau(beta (A(ln rho) + J_log(A rho))) and
-    d(D_N) = tau(beta (ln rho - ln E rho)); the chain through the chart uses
-    the exponential divided-difference multiplier.  Everything but ln E(rho)
-    lives in the eigenbasis of H: two eigensolves per call.
+    d(D_N) = tau(beta (ln rho - ln E rho)), so the rho-gradient of the ratio
+    is G = X + J_log(A rho) / D_N with X = (A(ln rho) - (I_A/D_N)(ln rho -
+    ln E rho)) / D_N.  The chart rho = s e^H, s = m / tr(e^H), maps G to the
+    H-gradient s J_exp(G) - s^2 tau(G e^H) e^H.  In the eigenbasis (w, U) of
+    H, rho has spectrum r = s e^w, so D_exp(w_k, w_l) D_log(r_k, r_l) = 1/s
+    for every pair: s J_exp J_log is the identity, and the term is A(rho) / D_N
+    with no divided difference of log (whose tie rule would misread
+    eigenvalues of rho below PSD).  What remains is one Schur product with
+    D_exp on U* X U, whose diagonal and tr A(rho) give the trace term t rho,
+    and one rotation back: the eigensolves are those of H and of E(rho).
     """
     m = h.shape[0]
     w, u, expw, r, rho = _chart(h)
@@ -128,24 +136,19 @@ def _ratio_and_grad(a: Superop, e: Superop, h: np.ndarray, want_grad: bool):
         raise ValueError("E(rho) is singular: its logarithm is undefined")
     # D_N keeps every x ln x term, as its gradient does: rho is full rank, so no zero floor
     # applies (an eigenvalue that underflows to 0 adds 0 ln 0 = 0)
+    log_w_e = np.log(w_e)
     weights = (u_e.conj() * (rho @ u_e)).sum(axis=0).real
     r_log_r = r * np.log(r, out=np.zeros_like(r), where=r > 0)
-    d_val = float(r_log_r.sum() - (weights * np.log(w_e)).sum()) / m
+    d_val = float(r_log_r.sum() - (weights * log_w_e).sum()) / m
     a_rho = a.apply(rho)
     a_rho = (a_rho + a_rho.conj().T) / 2.0
     i_val = norm_trace(a_rho @ log_rho).real
     if not want_grad:
         return i_val, d_val, rho, None
-    log_e_rho = (u_e * np.log(w_e)) @ u_e.conj().T
-    grad_i = a.apply(log_rho) + schur_multiplier(r, u, log_r, np.reciprocal, a_rho)
-    grad_i = (grad_i + grad_i.conj().T) / 2.0
-    grad_d = log_rho - log_e_rho
-    g_rho = (d_val * grad_i - i_val * grad_d) / d_val**2
-    # chain rule through H -> rho = m e^H / tr(e^H)
-    j_g = schur_multiplier(w, u, expw, math.exp, g_rho)
-    exph = (u * expw) @ uh
-    coef = (m / tr) ** 2 * norm_trace(g_rho @ exph).real
-    grad_h = (m / tr) * j_g - coef * exph
+    x = (a.apply(log_rho) - i_val / d_val * (log_rho - (u_e * log_w_e) @ u_e.conj().T)) / d_val
+    j_x = (m / tr) * divided_differences(w, expw, math.exp) * (uh @ x @ u)
+    t = (np.trace(j_x).real + np.trace(a_rho).real / d_val) / m
+    grad_h = u @ j_x @ uh + a_rho / d_val - t * rho
     grad_h = (grad_h + grad_h.conj().T) / 2.0
     return i_val, d_val, rho, grad_h
 
@@ -214,7 +217,10 @@ def flsi_estimate(
     if a.norm <= TRIVIAL:
         raise ValueError("FLSI undefined: generator has trivial dynamics")
     m = a.dim
-    basis = hermitian_basis(m)[1:]
+    # rows are the flattened B_k: H = x @ basis, and tr(G B_k) = (conj(basis) @ vec G)_k
+    # as each B_k is Hermitian
+    basis = hermitian_basis(m)[1:].reshape(m * m - 1, m * m)
+    dual = basis.conj()
     best, best_state = math.inf, None
     grad_check = math.nan
     for start in range(n_starts):
@@ -236,14 +242,14 @@ def flsi_estimate(
         low = [i_val / d_val, rho]
 
         def objective(x):
-            i_x, d_x, rho_x, g_x = _ratio_and_grad(a, e, np.tensordot(x, basis, 1), True)
+            i_x, d_x, rho_x, g_x = _ratio_and_grad(a, e, (x @ basis).reshape(m, m), True)
             if d_x >= D_N_ZERO and i_x / d_x < low[0]:
                 low[:] = i_x / d_x, rho_x
             # d/dx_k of the ratio is tau(G B_k) = tr(G B_k) / m
-            return i_x / d_x, np.einsum("ij,kji->k", g_x, basis).real / m
+            return i_x / d_x, (dual @ g_x.reshape(-1)).real / m
 
         # the box keeps ||H|| <= 40 sqrt(m^2 - 1) < 709 for m <= 16: e^H stays finite
-        minimize(objective, np.einsum("ij,kji->k", h, basis).real, jac=True,
+        minimize(objective, (dual @ h.reshape(-1)).real, jac=True,
                  method="L-BFGS-B", bounds=[(-40.0, 40.0)] * len(basis),
                  options={"maxiter": MAX_ITER})
         if low[0] < best:
@@ -320,6 +326,7 @@ LP_EXPONENTS = (1.0, 2.0, 4.0, math.inf)
 def check_lp_decay(gen, lam: float, n_x: int = 50, seed: int = 0) -> dict:
     """Verify ||T_t(x) - E(x)||_p <= e^{-lam t} ||x - E(x)||_p, p in LP_EXPONENTS, on random x.
 
+    A must vanish on N (else ValueError), so T_t(x) - E(x) = T_t(x - E(x)).
     The probes take two draws: every Hermitian part in one ``random_hermitian``
     call, then the anti-Hermitian parts of the odd-indexed probes in one more.
     All probes and times go through one semigroup evaluation and one stacked
@@ -328,7 +335,8 @@ def check_lp_decay(gen, lam: float, n_x: int = 50, seed: int = 0) -> dict:
     """
     if n_x < 1:
         raise ValueError("n_x must be at least 1")
-    a, _, e = _dynamics(gen)
+    a, n, e = _dynamics(gen)
+    check_kills_algebra(a, n)
     m = a.dim
     grid = default_grid(lam, n=20)
     rng = np.random.default_rng([seed, 23])

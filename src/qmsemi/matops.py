@@ -32,6 +32,7 @@ __all__ = [
     "is_hermitian",
     "matrix_function",
     "divided_difference_multiplier",
+    "divided_differences",
     "schur_multiplier",
     "vec",
     "unvec",
@@ -110,7 +111,7 @@ def divided_difference_multiplier(
 
         J_f(y) = sum_{k,l} Df(r_k, r_l) e_k y e_l,
 
-    with Df as in ``schur_multiplier``; f and fprime are called on scalars.
+    with Df as in ``divided_differences``; f and fprime are called on scalars.
     Raises if f is undefined (non-finite) at an eigenvalue of rho.
     """
     if not is_hermitian(rho):
@@ -127,19 +128,26 @@ def divided_difference_multiplier(
 
 def schur_multiplier(w: np.ndarray, u: np.ndarray, fw: np.ndarray, fprime: Callable,
                      y: np.ndarray) -> np.ndarray:
-    """Divided-difference Schur multiplier of f in the eigenbasis (w, u), fw = f(w).
+    """Divided-difference Schur multiplier of f in the eigenbasis (w, u), fw = f(w):
+    u (Df * (u* y u)) u* with Df from ``divided_differences``."""
+    uh = u.conj().T
+    return u @ (divided_differences(w, fw, fprime) * (uh @ y @ u)) @ uh
+
+
+def divided_differences(w: np.ndarray, fw: np.ndarray, fprime: Callable) -> np.ndarray:
+    """The matrix Df(w_k, w_l) of first divided differences of f, fw = f(w).
 
     Df(s, t) = (f(s) - f(t)) / (s - t) away from the diagonal and f'((s+t)/2),
     with fprime called on scalars, when |s - t| <= PSD * max(|s|, |t|, 1); the
     midpoint rule removes the 0/0 singularity with O(gap) error.
     """
-    gap = w[:, None] - w[None, :]
-    tie = np.abs(gap) <= PSD * np.maximum(np.maximum.outer(np.abs(w), np.abs(w)), 1.0)
-    d = np.empty(gap.shape)
-    d[~tie] = (fw[:, None] - fw[None, :])[~tie] / gap[~tie]
-    d[tie] = [fprime(s) for s in (0.5 * (w[:, None] + w[None, :]))[tie]]
-    uh = u.conj().T
-    return u @ (d * (uh @ y @ u)) @ uh
+    gap = np.subtract.outer(w, w)
+    scale = np.maximum(np.abs(w), 1.0)
+    tie = np.abs(gap) <= PSD * np.maximum.outer(scale, scale)
+    d = np.subtract.outer(fw, fw) / np.where(tie, 1.0, gap)
+    for k, l in zip(*tie.nonzero()):
+        d[k, l] = fprime(0.5 * (w[k] + w[l]))
+    return d
 
 
 # ---------------------------------------------------------------------------

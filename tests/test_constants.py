@@ -5,7 +5,7 @@ import pytest
 
 from conftest import make_zoo
 from dual_norm_oracle import dual_norm_ascent
-from flsi_oracle import sweep_one_by_one
+from flsi_oracle import ratio_and_grad_reference, sweep_one_by_one
 from qmsemi import constants
 from qmsemi.algebra import diagonal_algebra
 from qmsemi.constants import (
@@ -23,6 +23,7 @@ from qmsemi.entropy import d_sub, default_grid, simulate_decay
 from qmsemi.generator import gradient_form, jump_set, lindblad
 from qmsemi.matops import norm_trace, random_hermitian, random_state, semigroup_apply
 from qmsemi.models import dephasing_generator, depolarizing_generator, random_lindblad
+from qmsemi.subordinate import fractional_power
 from qmsemi.tolerances import PSD
 
 
@@ -65,6 +66,72 @@ def test_flsi_objective_keeps_the_entropy_term_of_an_eigenvalue_under_the_floor(
     r = np.array([2.0 - delta, delta])
     _, d, _, _ = constants._ratio_and_grad(gen.superop, gen.e_fix, (plus * np.log(r)) @ plus, False)
     assert d == pytest.approx(float(r @ np.log(r)) / 2, rel=0, abs=1e-14)
+
+
+def _objective_pairs():
+    """(A, E) of the zoo and of the A^0.5 pairs of its random entries."""
+    zoo = make_zoo()
+    pairs = {name: (gen.superop, gen.e_fix) for name, gen in zoo.items()}
+    pairs.update({f"{name} A^0.5": (fractional_power(zoo[name].superop, 0.5), zoo[name].e_fix)
+                  for name in ("random_2jump_m3", "random_2jump_m4")})
+    return pairs
+
+
+@pytest.mark.parametrize("spread", [0.3, 1.0])
+def test_flsi_objective_matches_the_two_multiplier_reference(spread):
+    # at these spreads no two eigenvalues of rho fall under the tie floor, so the
+    # reference's J_log is right and the cancelled form must reproduce it
+    for name, (a, e) in _objective_pairs().items():
+        rng = np.random.default_rng(26)
+        for _ in range(10):
+            h = random_hermitian(a.dim, rng, spread)
+            i_val, d_val, rho, g = constants._ratio_and_grad(a, e, h, True)
+            i_ref, d_ref, rho_ref, g_ref = ratio_and_grad_reference(a, e, h, True)
+            assert np.array_equal(rho, rho_ref), name
+            assert i_val == pytest.approx(i_ref, rel=1e-12, abs=0), name
+            assert d_val == pytest.approx(d_ref, rel=1e-12, abs=0), name
+            assert np.abs(g - g_ref).max() <= 1e-10 * np.abs(g_ref).max(), name
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_flsi_gradient_matches_a_central_difference_where_rho_has_tiny_eigenvalues(m):
+    # at spread 5 (a state inside the descent's box) several eigenvalues of rho lie
+    # below PSD, where the tie rule on the spectrum of rho reads them as tied
+    gen = random_lindblad(m, 2, np.random.default_rng(m))
+    a, e = gen.superop, gen.e_fix
+    rng = np.random.default_rng(260 + m)
+    new_err, ref_err = [], []
+    for _ in range(20):
+        h = random_hermitian(m, rng, 5.0)
+        k = random_hermitian(m, rng, 1.0)
+        s = 1e-6
+        ip, dp, _, _ = constants._ratio_and_grad(a, e, h + s * k, False)
+        im, dm, _, _ = constants._ratio_and_grad(a, e, h - s * k, False)
+        fd = (ip / dp - im / dm) / (2 * s)
+        for fn, err in ((constants._ratio_and_grad, new_err), (ratio_and_grad_reference, ref_err)):
+            g = fn(a, e, h, True)[3]
+            err.append(abs(fd - norm_trace(g @ k).real) / max(abs(fd), 1.0))
+    assert max(new_err) < 1e-6
+    assert max(ref_err) > 1e-2
+
+
+def test_flsi_objective_takes_two_eigensolves_and_one_schur_product(zoo, monkeypatch):
+    # the eigensolves of H and of E(rho), and one divided-difference matrix, that of exp
+    gen = zoo["random_2jump_m3"]
+    calls = {"eigh": 0, "divided_differences": 0, "schur_multiplier": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    for name in ("divided_differences", "schur_multiplier"):
+        monkeypatch.setattr(constants, name, counted(name, getattr(constants, name)))
+    h = random_hermitian(3, np.random.default_rng(27), 1.0)
+    constants._ratio_and_grad(gen.superop, gen.e_fix, h, True)
+    assert calls == {"eigh": 2, "divided_differences": 1, "schur_multiplier": 0}
 
 
 def test_flsi_rejects_trivial_dynamics():
@@ -164,7 +231,7 @@ def test_decay_check_at_m16_takes_its_start_states_in_their_chart():
     assert rep["passed"], rep
 
 
-@pytest.mark.parametrize("check", ["simulate_decay", "check_decay_bound"])
+@pytest.mark.parametrize("check", ["simulate_decay", "check_decay_bound", "check_lp_decay"])
 def test_decay_refuses_a_generator_that_moves_the_algebra(check):
     # a random generator fixes only the scalars, so it does not vanish on the diagonal
     m = 3
@@ -172,8 +239,10 @@ def test_decay_refuses_a_generator_that_moves_the_algebra(check):
     with pytest.raises(ValueError, match="vanish on the algebra"):
         if check == "simulate_decay":
             simulate_decay(a, n, random_state(m, np.random.default_rng(6)), default_grid(1.0), 0.0)
-        else:
+        elif check == "check_decay_bound":
             check_decay_bound((a, n), 0.0, n_states=3)
+        else:
+            check_lp_decay((a, n), 0.0, n_x=5)
 
 
 @pytest.mark.parametrize(

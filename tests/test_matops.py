@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from qmsemi.matops import (
     _chart,
     _gue,
     divided_difference_multiplier,
+    divided_differences,
     hs_inner,
     identity_superop,
     make_state,
@@ -17,12 +20,14 @@ from qmsemi.matops import (
     nullspace_basis,
     random_hermitian,
     random_state,
+    schur_multiplier,
     semigroup_apply,
     subspace_gap,
     unvec,
     vec,
 )
 from qmsemi.models import pauli
+from qmsemi.tolerances import PSD
 
 
 def test_hs_inner_identity():
@@ -123,6 +128,60 @@ def test_divided_difference_midpoint_rule_on_near_ties(gap):
                     d[k, l] = (np.log(w[k]) - np.log(w[l])) / (w[k] - w[l])
         assert np.allclose(out, d * y, rtol=1e-12, atol=1e-12)
     assert abs(out[0, 1] / y[0, 1] - 1e12 * gap / 2) < 1e-3
+
+
+def _chart_divided_differences(w):
+    """D_exp at w, D_log at the chart spectrum r = m e^w / sum e^w, r, and tr e^H / m."""
+    r = w.size * np.exp(w) / np.exp(w).sum()
+    return (divided_differences(w, np.exp(w), math.exp),
+            divided_differences(r, np.log(r), np.reciprocal), r, np.exp(w).sum() / w.size)
+
+
+def test_divided_differences_of_exp_and_log_over_the_chart_cancel():
+    # ln r = w + const, so D_exp(w_k, w_l) D_log(r_k, r_l) = tr e^H / m for every pair
+    rng = np.random.default_rng(28)
+    for m in (2, 3, 4, 6):
+        for _ in range(20):
+            w = np.linalg.eigvalsh(random_hermitian(m, rng, 1.0))
+            assert np.diff(w).min() > 1e-3  # separated: no pair near the tie floor
+            d_exp, d_log, _, want = _chart_divided_differences(w)
+            assert np.abs(d_exp * d_log / want - 1.0).max() <= 1e-10
+
+
+@pytest.mark.parametrize("gap", [0.5 * PSD, 2.0 * PSD])
+def test_divided_differences_cancel_across_the_tie_floor(gap):
+    # a pair 0.5 PSD apart is tied in both spectra (midpoint rule), one 2 PSD apart in
+    # neither (a quotient of nearly equal values); each keeps the product to O(eps / gap)
+    for base in (-0.2, 0.0, 0.4):
+        w = np.array([base, base + gap, 0.3, -0.4])
+        d_exp, d_log, r, want = _chart_divided_differences(w)
+        assert np.abs(d_exp * d_log / want - 1.0).max() <= 1e-6
+        assert (d_exp[0, 1] == math.exp(0.5 * (w[0] + w[1]))) == (gap < PSD)
+        assert (d_log[0, 1] == 1.0 / (0.5 * (r[0] + r[1]))) == (gap < PSD)
+
+
+def _masked_schur_multiplier(w, u, fw, fprime, y):
+    """The divided-difference Schur multiplier filled through boolean masks."""
+    gap = w[:, None] - w[None, :]
+    tie = np.abs(gap) <= PSD * np.maximum(np.maximum.outer(np.abs(w), np.abs(w)), 1.0)
+    d = np.empty(gap.shape)
+    d[~tie] = (fw[:, None] - fw[None, :])[~tie] / gap[~tie]
+    d[tie] = [fprime(s) for s in (0.5 * (w[:, None] + w[None, :]))[tie]]
+    uh = u.conj().T
+    return u @ (d * (uh @ y @ u)) @ uh
+
+
+def test_schur_multiplier_keeps_the_bits_of_the_masked_form():
+    rng = np.random.default_rng(29)
+    for k in range(300):
+        m = 1 + k % 6
+        w, u = np.linalg.eigh(random_hermitian(m, rng, 2.0))
+        if m > 2:  # plant a pair at, under or over the tie floor
+            w[1] = w[0] + PSD * (0.0, 0.5, 1.0, 2.0)[k % 4] * max(abs(w[0]), 1.0)
+        y = random_hermitian(m, rng)
+        for f, fprime, at in ((np.exp, math.exp, w), (np.log, np.reciprocal, np.abs(w) + 0.1)):
+            assert np.array_equal(schur_multiplier(at, u, f(at), fprime, y),
+                                  _masked_schur_multiplier(at, u, f(at), fprime, y))
 
 
 @pytest.mark.parametrize("gap", [0.0, 1e-11])
