@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import SubAlgebra
-from .entropy import check_kills_algebra, decay_terms, default_grid
+from .entropy import check_kills_algebra, decay_terms, default_grid, ergodic_terms
 from .generator import LindbladGenerator, gradient_form
 from .matops import (
     Superop,
@@ -159,7 +159,7 @@ SWEEP_CHUNK = 1000
 MAX_ITER = 200
 
 
-def _validation_sweep(a: Superop, e: Superop, rng: np.random.Generator, n_validate: int):
+def _validation_sweep(a: Superop, n: SubAlgebra, rng: np.random.Generator, n_validate: int):
     """Smallest I_A/D_N over ``n_validate`` random states, and how many were kept.
 
     The exponents H are drawn ``SWEEP_CHUNK`` at a time: k uniforms u in one
@@ -169,7 +169,9 @@ def _validation_sweep(a: Superop, e: Superop, rng: np.random.Generator, n_valida
     shift = ln m - ln tr e^H, tau(rho ln rho) = sum r (w + shift) / m over the
     eigenvalues w of H, I_A = tau(A(rho) H) + shift tau(A(rho)), and, as E is
     a conditional expectation, tau(rho ln E rho) = tau(E rho ln E rho) takes
-    only the spectrum of E(rho).  States with D_N below D_N_ZERO are dropped.
+    only the spectrum of E(rho).  For N = C 1, E(rho) = 1 and that term is 0,
+    so E is not applied and E(rho) is not diagonalized.  States with D_N below
+    D_N_ZERO are dropped.
     """
     m = a.dim
     lowest, kept = math.inf, 0
@@ -178,9 +180,11 @@ def _validation_sweep(a: Superop, e: Superop, rng: np.random.Generator, n_valida
         h = random_hermitian(m, rng, 0.4 + 1.2 * rng.random(k))
         w, _, expw, r, rho = _chart(h)
         shift = math.log(m) - np.log(expw.sum(axis=-1))
-        w_e = np.linalg.eigvalsh(e.apply(rho))
-        e_log_e = w_e * np.log(w_e, out=np.zeros_like(w_e), where=w_e > 0)
-        d = ((r * (w + shift[:, None])).sum(axis=-1) - e_log_e.sum(axis=-1)) / m
+        d = (r * (w + shift[:, None])).sum(axis=-1)
+        if n.size > 1:
+            w_e = np.linalg.eigvalsh(n.expectation.apply(rho))
+            d -= (w_e * np.log(w_e, out=np.zeros_like(w_e), where=w_e > 0)).sum(axis=-1)
+        d /= m
         a_rho = a.apply(rho)
         i = (np.einsum("kij,kji->k", a_rho, h).real
              + shift * np.trace(a_rho, axis1=-2, axis2=-1).real) / m
@@ -213,7 +217,7 @@ def flsi_estimate(
         raise ValueError("n_validate must be nonnegative")
     from scipy.optimize import minimize
 
-    a, _, e = _dynamics(gen)
+    a, n, e = _dynamics(gen)
     if a.norm <= TRIVIAL:
         raise ValueError("FLSI undefined: generator has trivial dynamics")
     m = a.dim
@@ -258,7 +262,7 @@ def flsi_estimate(
         raise ValueError("FLSI undefined: no state with positive D_N found")
     # validation sweep: the certified lower value never exceeds a sampled ratio
     rng = np.random.default_rng([seed, 999_983])
-    sampled, n_validated = _validation_sweep(a, e, rng, n_validate)
+    sampled, n_validated = _validation_sweep(a, n, rng, n_validate)
     return FlsiEstimate(
         lambda_lower=min(best, sampled),
         lambda_upper=best,
@@ -292,8 +296,11 @@ def check_decay_bound(gen, lam: float, n_states: int = 50, seed: int = 0) -> dic
     ln tr e^H, so no eigenvalue floor applies to it.  A must vanish on N (else
     ValueError), so E(T_t rho) = E(rho) = sigma and B(T_t rho) = T_t rho - sigma:
     sigma is diagonalized once per state, and all states and times go through
-    one semigroup evaluation and one stacked eigensolve.  States with D_N below
-    DECAY_SKIP are skipped, and a violation is a slack above VIOLATION.
+    one semigroup evaluation and one stacked eigensolve.  For N = C 1, sigma =
+    1, and D_N = D(rho||1) and I_N = D(rho||1) + D(1||rho) are functions of the
+    spectrum (``ergodic_terms``): there is no sigma, and the stacked eigensolve
+    takes eigenvalues only.  States with D_N below DECAY_SKIP are skipped, and
+    a violation is a slack above VIOLATION.
     """
     if n_states < 1:
         raise ValueError("n_states must be at least 1")
@@ -304,14 +311,20 @@ def check_decay_bound(gen, lam: float, n_states: int = 50, seed: int = 0) -> dic
     rng = np.random.default_rng([seed, 17])
     w, u, expw, r, rho0 = _chart(random_hermitian(m, rng, 0.5 + rng.random(n_states)))
     log_r = w + (math.log(m) - np.log(expw.sum(axis=-1)))[:, None]
-    sigma = e.apply(rho0)
-    sigma_eig = np.linalg.eigh(sigma)
-    d0, i0 = decay_terms(rho0, (r, u, log_r), sigma_eig, rho0 - sigma)
+    if n.size == 1:
+        d0, i0 = ergodic_terms(r, log_r)
+    else:
+        sigma = e.apply(rho0)
+        sigma_eig = np.linalg.eigh(sigma)
+        d0, i0 = decay_terms(rho0, (r, u, log_r), sigma_eig, rho0 - sigma)
     kept = np.flatnonzero(d0 >= DECAY_SKIP)
     rho_t = semigroup_apply(a, grid, rho0[kept]).swapaxes(0, 1)  # (state, t, m, m)
     rho_t = (rho_t + rho_t.conj().swapaxes(-1, -2)) / 2.0
-    d_t, i_t = decay_terms(rho_t, np.linalg.eigh(rho_t), (sigma_eig[0][kept], sigma_eig[1][kept]),
-                           rho_t - sigma[kept, None])
+    if n.size == 1:
+        d_t, i_t = ergodic_terms(np.linalg.eigvalsh(rho_t), None)
+    else:
+        d_t, i_t = decay_terms(rho_t, np.linalg.eigh(rho_t),
+                               (sigma_eig[0][kept], sigma_eig[1][kept]), rho_t - sigma[kept, None])
     val = np.stack([d_t, i_t], axis=-1)  # (state, t, D_N then I_N)
     ref = np.exp(-lam * grid)[:, None] * np.stack([d0, i0], axis=-1)[kept, None]
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -360,16 +360,17 @@ def _congruence_cholesky(
     directions (rows below the PSD floor), the congruence makes each kernel
     block diagonal with a zero block, so lambda* is that of the kernels with
     the e_p (x) C^m rows and columns deleted; no new matrix is formed.  One
-    generalized ``eigh`` (Cholesky of Q_big' inside) gives lambda_hat, and a
-    second Cholesky of Q_big' - lambda_hat (1 - delta) Q_small', shifted by
-    Rump's margin (``_cholesky_shift``), proves that lower bound; delta is
-    CERT_SHIFT or, when the margin needs more room, the smallest value whose
-    estimated eigenvalue clears it CERT_HEADROOM times.  The proof is for the
-    kernels with the swapped-in rows, which A's bimodularity makes exactly
-    zero and the row check finds below the floor, set to zero.  None when a
-    row check fails, Q_big' is not positive definite, the eigensolver returns
-    no top pair, the top eigenvalue is not positive, delta reaches 1, or the
-    certifying Cholesky fails.
+    generalized ``eigh`` (Cholesky of Q_big' inside) gives lambda_hat from its
+    top pair (the full solve's top pair when the subset solve returns none, as
+    it does on a flat spectrum), and a second Cholesky of Q_big' - lambda_hat
+    (1 - delta) Q_small', shifted by Rump's margin (``_cholesky_shift``),
+    proves that lower bound; delta is CERT_SHIFT or, when the margin needs
+    more room, the smallest value whose estimated eigenvalue clears it
+    CERT_HEADROOM times.  The proof is for the kernels with the swapped-in
+    rows, which A's bimodularity makes exactly zero and the row check finds
+    below the floor, set to zero.  None when a row check fails, Q_big' is not
+    positive definite, neither solve returns a top pair, the top eigenvalue
+    is not positive, delta reaches 1, or the certifying Cholesky fails.
     """
     import scipy.linalg
 
@@ -390,9 +391,12 @@ def _congruence_cholesky(
         return None
     try:
         mu, vec = scipy.linalg.eigh(qs, qb, subset_by_index=[size - 1, size - 1])
+        if mu.size == 0:  # gvx may return no pair on a flat spectrum: take the full solve's top
+            mu, vec = scipy.linalg.eigh(qs, qb)
+            mu, vec = mu[-1:], vec[:, -1:]
     except np.linalg.LinAlgError:
         return None
-    if mu.size == 0 or not mu[0] > 0.0:  # gvx may return no pair on a flat spectrum
+    if mu.size == 0 or not mu[0] > 0.0:
         return None
     lam = 1.0 / mu[0]
     spread = 2.0 * CHOLESKY_UNIT * (np.linalg.norm(qb) + lam * np.linalg.norm(qs))

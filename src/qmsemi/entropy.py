@@ -102,6 +102,26 @@ def decay_terms(rho, rho_eig, sigma_eig, a_rho):
     return np.maximum(d, 0.0), i
 
 
+def ergodic_terms(w, log_w):
+    """D_N and I_N for N = C 1 from the spectra w (..., m) of states of trace m.
+
+    E(rho) = tau(rho) 1 = 1, so D_N(rho) = D(rho||1) = tau(rho ln rho) and
+    I_N(rho) = tau((rho - 1) ln rho) = D(rho||1) + D(1||rho) read off the
+    spectrum alone: no eigenvectors and no sigma.  ``log_w`` is ln w for a
+    state given in its chart (full rank, exact logarithms, no support rule),
+    or None for eigenvalues from ``eigvalsh``, which take the rules of
+    ``spectral_terms``: below -PSD raises, the rest are clipped at 0 (0 ln 0 =
+    0), and one at or below PSD makes I_N ill-defined, as rho - 1 weighs -1
+    on it.  D is clipped at 0, as in ``decay_terms``.
+    """
+    if log_w is None:
+        w, on, log_w = _support(w, "rho")
+        if not on.all():
+            raise ValueError(ILL_DEFINED)
+    m = w.shape[-1]
+    return np.maximum((w * log_w).sum(axis=-1) / m, 0.0), ((w - 1.0) * log_w).sum(axis=-1) / m
+
+
 def check_kills_algebra(a: Superop, n: SubAlgebra) -> None:
     """Raise unless A vanishes on N: ||A E|| <= SUPEROP_FLAG, relative, entrywise.
 

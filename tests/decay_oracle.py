@@ -11,9 +11,10 @@ import math
 
 import numpy as np
 
-from qmsemi.constants import _dynamics, schatten_norm
-from qmsemi.entropy import DecayTrace, d_sub, default_grid, fisher, fisher_n
-from qmsemi.matops import random_hermitian, random_state, semigroup_apply
+from qmsemi.constants import _dynamics, _report, schatten_norm
+from qmsemi.entropy import DecayTrace, d_sub, decay_terms, default_grid, fisher, fisher_n
+from qmsemi.matops import _chart, random_hermitian, random_state, semigroup_apply
+from qmsemi.tolerances import DECAY_SKIP, TINY
 
 
 def decay_slacks(gen, lam, n_states=50, seed=0):
@@ -35,6 +36,35 @@ def decay_slacks(gen, lam, n_states=50, seed=0):
             for val, ref, tag in ((d_t, decay * d0, "D_N"), (i_t, decay * i0, "I_N")):
                 slack = val / ref - 1.0 if ref > 1e-300 else 0.0
                 yield (idx, float(t), tag), slack
+
+
+def decay_report_through_sigma(gen, lam, n_states=50, seed=0):
+    """``check_decay_bound``'s report by the rule for general N, whatever N is.
+
+    The same start states, grid and skip rule; D_N and I_N of every state come
+    from its eigenvectors and the eigenpairs of sigma = E(rho), never from the
+    spectrum alone.
+    """
+    a, n, e = _dynamics(gen)
+    m = a.dim
+    grid = default_grid(lam)
+    rng = np.random.default_rng([seed, 17])
+    w, u, expw, r, rho0 = _chart(random_hermitian(m, rng, 0.5 + rng.random(n_states)))
+    log_r = w + (math.log(m) - np.log(expw.sum(axis=-1)))[:, None]
+    sigma = e.apply(rho0)
+    sigma_eig = np.linalg.eigh(sigma)
+    d0, i0 = decay_terms(rho0, (r, u, log_r), sigma_eig, rho0 - sigma)
+    kept = np.flatnonzero(d0 >= DECAY_SKIP)
+    rho_t = semigroup_apply(a, grid, rho0[kept]).swapaxes(0, 1)
+    rho_t = (rho_t + rho_t.conj().swapaxes(-1, -2)) / 2.0
+    d_t, i_t = decay_terms(rho_t, np.linalg.eigh(rho_t),
+                           (sigma_eig[0][kept], sigma_eig[1][kept]), rho_t - sigma[kept, None])
+    val = np.stack([d_t, i_t], axis=-1)
+    ref = np.exp(-lam * grid)[:, None] * np.stack([d0, i0], axis=-1)[kept, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slack = np.where(ref > TINY, val / ref - 1.0, 0.0)
+    return _report("entropy_decay", lam, seed, slack, lambda w: {
+        "state_index": int(kept[w[0]]), "t": float(grid[w[1]]), "which": ("D_N", "I_N")[w[2]]})
 
 
 def lp_slacks(gen, lam, p_list=(1.0, 2.0, 4.0, math.inf), n_x=50, seed=0):

@@ -149,7 +149,7 @@ def test_flsi_rejects_negative_validation_count():
 def test_stacked_sweep_matches_per_state_oracle(zoo, n_validate):
     for name, gen in zoo.items():
         got, kept = _validation_sweep(
-            gen.superop, gen.e_fix, np.random.default_rng([7, 999_983]), n_validate
+            gen.superop, gen.fixed_algebra, np.random.default_rng([7, 999_983]), n_validate
         )
         want, want_kept = sweep_one_by_one(
             gen.superop, gen.fixed_algebra, np.random.default_rng([7, 999_983]), n_validate
@@ -178,7 +178,7 @@ def test_sweep_and_decay_check_draw_no_single_states(zoo, monkeypatch):
     # check takes its real parts in one call and the odd probes' imaginary parts in one
     gen = zoo["random_2jump_m3"]
     rng = CountedDraws(np.random.default_rng(3))
-    _validation_sweep(gen.superop, gen.e_fix, rng, 2 * SWEEP_CHUNK + 1)
+    _validation_sweep(gen.superop, gen.fixed_algebra, rng, 2 * SWEEP_CHUNK + 1)
     assert rng.calls == ["random", "standard_normal"] * 3
     made = []
     default_rng = np.random.default_rng
@@ -207,21 +207,39 @@ def test_lp_decay_takes_one_svd_for_every_p(zoo, monkeypatch):
     assert len(calls) == 1
 
 
+def _decay_check_eigensolves(gen, monkeypatch):
+    """(name, leading shape) of every eigensolve a 5-state decay check makes."""
+    _ = gen.superop.eig  # the cached superoperator eigensolve, taken first
+    calls = []
+
+    def counted(name):
+        solver = getattr(np.linalg, name)
+
+        def wrapper(x, *args, **kwargs):
+            calls.append((name, x.shape[:-2]))
+            return solver(x, *args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    check_decay_bound(gen, 0.0, n_states=5)
+    return calls
+
+
+def test_decay_check_on_scalar_n_takes_the_charts_and_the_state_spectra(zoo, monkeypatch):
+    # N = C 1: sigma = 1, so there is no sigma eigensolve, and D_N and I_N of the
+    # evolved states need their eigenvalues only
+    calls = _decay_check_eigensolves(zoo["random_2jump_m3"], monkeypatch)
+    assert len(calls) == 2 and calls[0] == ("eigh", (5,))
+    assert calls[1][0] == "eigvalsh" and calls[1][1][1:] == (60,)
+
+
 def test_decay_check_takes_one_eigensolve_each_for_the_charts_the_sigmas_and_the_states(
         zoo, monkeypatch):
     # E(T_t rho) = E(rho): sigma is diagonalized once per start state, never per time
-    gen = zoo["random_2jump_m3"]
-    _ = gen.superop.eig  # the cached superoperator eigensolve, taken first
-    shapes = []
-    eigh = np.linalg.eigh
-
-    def counted(x, *args, **kwargs):
-        shapes.append(x.shape[:-2])
-        return eigh(x, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    check_decay_bound(gen, 0.0, n_states=5)
-    assert len(shapes) == 3 and shapes[:2] == [(5,), (5,)] and shapes[2][1:] == (60,)
+    calls = _decay_check_eigensolves(zoo["dephasing_m2"], monkeypatch)
+    assert len(calls) == 3 and calls[:2] == [("eigh", (5,)), ("eigh", (5,))]
+    assert calls[2][0] == "eigh" and calls[2][1][1:] == (60,)
 
 
 def test_decay_check_at_m16_takes_its_start_states_in_their_chart():

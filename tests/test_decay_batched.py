@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import make_zoo, random_degenerate_commutant
-from decay_oracle import WITNESS_KEYS, decay_slacks, lp_slacks, report, simulate_decay_per_time
+from decay_oracle import (WITNESS_KEYS, decay_report_through_sigma, decay_slacks, lp_slacks,
+                          report, simulate_decay_per_time)
 from qmsemi.constants import _report, check_decay_bound, check_lp_decay, flsi_estimate
 from qmsemi.cporder import gamma_e_constant
 from qmsemi.entropy import default_grid, simulate_decay
@@ -48,6 +49,26 @@ def test_decay_checks_match_per_point_oracle(rates, name):
         assert_same_report(lp, "lp_decay", lam, 3, lp_slacks(gen, lam, n_x=8, seed=3))
         if k == 2:  # ten times the FLSI value is beyond every true rate
             assert not rep["passed"] and not lp["passed"]
+
+
+@pytest.mark.parametrize("name", sorted(n for n, g in ZOO.items() if g.fixed_algebra.size == 1))
+def test_the_spectrum_only_decay_check_matches_the_check_through_sigma(rates, name):
+    # N = C 1: D_N and I_N from the eigenvalues of rho_t alone report what the
+    # eigenvectors and sigma = E(rho) = 1 report, at the rates and far beyond them
+    gen = ZOO[name]
+    for lam in rates[name][1:] + (3.0 * rates[name][2],):
+        rep = check_decay_bound(gen, lam, n_states=20, seed=5)
+        ref = decay_report_through_sigma(gen, lam, n_states=20, seed=5)
+        assert (rep["passed"], rep["witness"]) == (ref["passed"], ref["witness"])
+        assert abs(rep["slack"] - ref["slack"]) <= 1e-10 * max(abs(ref["slack"]), 1.0)
+
+
+def test_the_check_through_sigma_is_the_decay_check_on_dephasing():
+    # N is the diagonal: check_decay_bound takes sigma, so the oracle is its own rule
+    gen = ZOO["dephasing_m2"]
+    for lam in (0.0, 2.0, 20.0):
+        assert check_decay_bound(gen, lam, n_states=20, seed=5) == \
+            decay_report_through_sigma(gen, lam, n_states=20, seed=5)
 
 
 def test_report_names_the_first_of_tied_maxima():

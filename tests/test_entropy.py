@@ -1,13 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from conftest import random_degenerate_commutant
+from conftest import make_zoo, random_degenerate_commutant
 from qmsemi.algebra import diagonal_algebra, scalar_algebra
 from qmsemi.entropy import (
+    ILL_DEFINED,
     d_sub,
+    decay_terms,
     default_grid,
+    ergodic_terms,
     fisher,
     fisher_n,
     relative_entropy,
@@ -25,6 +29,7 @@ from qmsemi.matops import (
     semigroup_apply,
 )
 from qmsemi.models import depolarizing_generator, pauli, random_lindblad
+from qmsemi.subordinate import fractional_power
 from qmsemi.tolerances import PSD
 
 
@@ -248,3 +253,51 @@ def test_fisher_n_scalar_example():
     one = make_state(np.eye(2, dtype=complex))
     expected = relative_entropy(rho, one) + relative_entropy(one, rho)
     assert fisher_n(n, rho) == pytest.approx(expected, abs=1e-12)
+
+
+def _ergodic_pairs():
+    """(A, N = C 1) named: the zoo members that fix only the scalars, depolarizing and a
+    random generator at m = 6, and the A^theta of each."""
+    gens = {name: gen for name, gen in make_zoo().items() if gen.fixed_algebra.size == 1}
+    gens["depolarizing_m6"] = depolarizing_generator(6)
+    gens["random_2jump_m6"] = random_lindblad(6, 2, np.random.default_rng(6), scale=0.5)
+    for name, gen in gens.items():
+        yield pytest.param(gen.superop, gen.fixed_algebra, id=name)
+        for th in (0.25, 0.5):
+            yield pytest.param(fractional_power(gen.superop, th), gen.fixed_algebra,
+                               id=f"{name}^{th}")
+
+
+@pytest.mark.parametrize("a, n", list(_ergodic_pairs()))
+def test_ergodic_terms_match_the_terms_through_sigma(a, n):
+    # E(rho) = 1 for N = C 1: the spectrum alone gives D(rho||E rho) and tau((rho - E rho) ln rho)
+    assert n.size == 1
+    rho0 = random_state(a.dim, np.random.default_rng(8), np.array([0.5, 1.0, 1.5]))
+    rho = semigroup_apply(a, default_grid(1.0, n=12), rho0)  # (t, state, m, m)
+    rho = np.concatenate([rho0[None], (rho + rho.conj().swapaxes(-1, -2)) / 2.0])
+    sigma = n.expectation.apply(rho)
+    want = decay_terms(rho, np.linalg.eigh(rho), np.linalg.eigh(sigma), rho - sigma)
+    got = ergodic_terms(np.linalg.eigvalsh(rho), None)
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+
+def test_ergodic_terms_in_a_chart_are_the_spectral_sums():
+    r = np.array([[0.5, 1.5], [1.0, 1.0]])
+    d, i = ergodic_terms(r, np.log(r))
+    assert d[0] == pytest.approx((0.5 * math.log(0.5) + 1.5 * math.log(1.5)) / 2, rel=1e-15)
+    assert i[0] == pytest.approx((-0.5 * math.log(0.5) + 0.5 * math.log(1.5)) / 2, rel=1e-15)
+    assert (d[1], i[1]) == (0.0, 0.0)
+
+
+def test_ergodic_terms_keep_the_support_rules():
+    # rho - 1 weighs -1 on a zero eigenvalue, so I_N is ill-defined there
+    with pytest.raises(ValueError, match=re.escape(ILL_DEFINED)):
+        ergodic_terms(np.array([[0.5, 1.5], [0.0, 2.0]]), None)
+    with pytest.raises(ValueError, match=re.escape(ILL_DEFINED)):
+        ergodic_terms(np.array([0.5 * PSD, 2.0]), None)
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        ergodic_terms(np.array([-1e-6, 2.0]), None)
+    # a spectrum a rounding below trace m: sum w ln w < 0, and D is clipped at 0
+    w = np.array([0.9999999999999996, 0.9999999999999998, 0.9999999999999993])
+    assert (w * np.log(w)).sum() < 0.0 and ergodic_terms(w, None)[0] == 0.0
