@@ -9,6 +9,7 @@ dual Lipschitz norm is bracketed in closed form from the pseudo-inverse of L.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -108,7 +109,7 @@ def _dynamics(gen) -> tuple[Superop, SubAlgebra, Superop]:
     return a, n, n.expectation
 
 
-def _ratio_and_grad(a: Superop, e: Superop, h: np.ndarray, want_grad: bool):
+def _ratio_and_grad(a: Superop, n: SubAlgebra, h: np.ndarray, want_grad: bool):
     """I_A/D_N at rho = m e^H / tr(e^H), plus the H-space gradient.
 
     d(I_A) = tau(beta (A(ln rho) + J_log(A rho))) and
@@ -121,7 +122,10 @@ def _ratio_and_grad(a: Superop, e: Superop, h: np.ndarray, want_grad: bool):
     with no divided difference of log (whose tie rule would misread
     eigenvalues of rho below PSD).  What remains is one Schur product with
     D_exp on U* X U, whose diagonal and tr A(rho) give the trace term t rho,
-    and one rotation back: the eigensolves are those of H and of E(rho).
+    and one rotation back.  For N = C 1, E(rho) = tau(rho) 1 = 1, so D_N =
+    sum r ln r / m and ln E(rho) = 0: the one eigensolve is that of H.  Else
+    E(rho) is diagonalized too.  The gradient is None unless ``want_grad``,
+    and None where D_N <= 0 or the ratio overflows.
     """
     m = h.shape[0]
     w, u, expw, r, rho = _chart(h)
@@ -129,28 +133,37 @@ def _ratio_and_grad(a: Superop, e: Superop, h: np.ndarray, want_grad: bool):
     tr = expw.sum()
     log_r = w + math.log(m) - math.log(tr)
     log_rho = (u * log_r) @ uh
-    e_rho = e.apply(rho)
-    e_rho = (e_rho + e_rho.conj().T) / 2.0
-    w_e, u_e = np.linalg.eigh(e_rho)
-    if w_e.min() <= 0:
-        raise ValueError("E(rho) is singular: its logarithm is undefined")
     # D_N keeps every x ln x term, as its gradient does: rho is full rank, so no zero floor
     # applies (an eigenvalue that underflows to 0 adds 0 ln 0 = 0)
-    log_w_e = np.log(w_e)
-    weights = (u_e.conj() * (rho @ u_e)).sum(axis=0).real
     r_log_r = r * np.log(r, out=np.zeros_like(r), where=r > 0)
-    d_val = float(r_log_r.sum() - (weights * log_w_e).sum()) / m
+    if n.size == 1:
+        d_val = float(r_log_r.sum()) / m
+        log_e_rho = 0.0
+    else:
+        e_rho = n.expectation.apply(rho)
+        e_rho = (e_rho + e_rho.conj().T) / 2.0
+        w_e, u_e = np.linalg.eigh(e_rho)
+        if w_e.min() <= 0:
+            raise ValueError("E(rho) is singular: its logarithm is undefined")
+        log_w_e = np.log(w_e)
+        weights = (u_e.conj() * (rho @ u_e)).sum(axis=0).real
+        d_val = float(r_log_r.sum() - (weights * log_w_e).sum()) / m
+        log_e_rho = (u_e * log_w_e) @ u_e.conj().T
     a_rho = a.apply(rho)
     a_rho = (a_rho + a_rho.conj().T) / 2.0
     i_val = norm_trace(a_rho @ log_rho).real
-    if not want_grad:
+    if not (want_grad and d_val > 0 and math.isfinite(float(i_val) / d_val)):
         return i_val, d_val, rho, None
-    x = (a.apply(log_rho) - i_val / d_val * (log_rho - (u_e * log_w_e) @ u_e.conj().T)) / d_val
+    x = (a.apply(log_rho) - i_val / d_val * (log_rho - log_e_rho)) / d_val
     j_x = (m / tr) * divided_differences(w, expw, math.exp) * (uh @ x @ u)
     t = (np.trace(j_x).real + np.trace(a_rho).real / d_val) / m
     grad_h = u @ j_x @ uh + a_rho / d_val - t * rho
     grad_h = (grad_h + grad_h.conj().T) / 2.0
     return i_val, d_val, rho, grad_h
+
+
+class _StartEnded(Exception):
+    """Ends a start of the FLSI descent at a state with D_N <= 0 or an overflowing ratio."""
 
 
 # States per stacked eigensolve in the validation sweep; bounds its memory.
@@ -205,7 +218,9 @@ def flsi_estimate(
     Each start runs L-BFGS-B, at most ``MAX_ITER`` iterations, on
     rho = m e^H / tr(e^H) with H = sum_k x_k B_k over the traceless orthonormal
     basis and |x_k| <= 40; the analytic gradient is checked against a finite
-    difference at the first start.  ``lambda_upper`` is the lowest ratio at an
+    difference at the first start.  Each evaluation diagonalizes H, and E(rho)
+    too unless N = C 1 (``_ratio_and_grad``); a start ends at a state with D_N <= 0
+    or an overflowing ratio.  ``lambda_upper`` is the lowest ratio at an
     evaluated state with D_N >= D_N_ZERO, the state ``argmin_state`` holds, and
     ``lambda_lower`` is that ratio re-validated against ``n_validate`` random
     states, ``SWEEP_CHUNK`` per stacked eigensolve; ``n_validated`` counts the
@@ -217,7 +232,7 @@ def flsi_estimate(
         raise ValueError("n_validate must be nonnegative")
     from scipy.optimize import minimize
 
-    a, n, e = _dynamics(gen)
+    a, n, _ = _dynamics(gen)
     if a.norm <= TRIVIAL:
         raise ValueError("FLSI undefined: generator has trivial dynamics")
     m = a.dim
@@ -231,31 +246,36 @@ def flsi_estimate(
         rng = np.random.default_rng([seed, start])
         h = random_hermitian(m, rng, scale=0.7 + 0.2 * (start % 3))
         h -= np.trace(h).real / m * np.eye(m)
-        i_val, d_val, rho, g = _ratio_and_grad(a, e, h, True)
+        i_val, d_val, rho, g = _ratio_and_grad(a, n, h, True)
         if d_val < D_N_ZERO:
             continue
         if start == 0:
             # finite-difference sanity on the analytic gradient
             k = random_hermitian(m, rng, scale=1.0)
             s = 1e-6
-            ip, dp, _, _ = _ratio_and_grad(a, e, h + s * k, False)
-            im_, dm_, _, _ = _ratio_and_grad(a, e, h - s * k, False)
+            ip, dp, _, _ = _ratio_and_grad(a, n, h + s * k, False)
+            im_, dm_, _, _ = _ratio_and_grad(a, n, h - s * k, False)
             fd = (ip / dp - im_ / dm_) / (2 * s)
             an = norm_trace(g @ k).real
             grad_check = abs(fd - an) / max(abs(fd), 1.0)
         low = [i_val / d_val, rho]
 
         def objective(x):
-            i_x, d_x, rho_x, g_x = _ratio_and_grad(a, e, (x @ basis).reshape(m, m), True)
+            i_x, d_x, rho_x, g_x = _ratio_and_grad(a, n, (x @ basis).reshape(m, m), True)
+            if g_x is None:
+                # D_N <= 0 or an overflowing ratio: L-BFGS-B gets no such value, and as
+                # D_N < D_N_ZERO there is no state to record, so the start ends here
+                raise _StartEnded
             if d_x >= D_N_ZERO and i_x / d_x < low[0]:
                 low[:] = i_x / d_x, rho_x
             # d/dx_k of the ratio is tau(G B_k) = tr(G B_k) / m
             return i_x / d_x, (dual @ g_x.reshape(-1)).real / m
 
         # the box keeps ||H|| <= 40 sqrt(m^2 - 1) < 709 for m <= 16: e^H stays finite
-        minimize(objective, (dual @ h.reshape(-1)).real, jac=True,
-                 method="L-BFGS-B", bounds=[(-40.0, 40.0)] * len(basis),
-                 options={"maxiter": MAX_ITER})
+        with contextlib.suppress(_StartEnded):
+            minimize(objective, (dual @ h.reshape(-1)).real, jac=True,
+                     method="L-BFGS-B", bounds=[(-40.0, 40.0)] * len(basis),
+                     options={"maxiter": MAX_ITER})
         if low[0] < best:
             best, best_state = low
     if best_state is None:

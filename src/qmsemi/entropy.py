@@ -92,14 +92,29 @@ def decay_terms(rho, rho_eig, sigma_eig, a_rho):
     """D(rho||sigma) and tau(A(rho) ln rho) for sigma = E(rho), as ``spectral_terms``.
 
     The caller gives the eigenpairs of sigma and A(rho), with the shapes
-    ``spectral_terms`` takes.  E is trace preserving, so D >= 0 exactly and a
+    ``spectral_terms`` takes.  For N = C 1 it gives sigma_eig None and rho_eig
+    from ``eigh``: sigma = 1, so D = tau(rho ln rho) is read off the spectrum
+    (``_entropy_to_one``).  E is trace preserving, so D >= 0 exactly and a
     rounding-negative D is clipped to 0.  An ill-defined Fisher value raises,
     as in ``fisher``.
     """
     d, i = spectral_terms(rho, rho_eig, sigma_eig, a_rho)
     if np.isnan(i).any():
         raise ValueError(ILL_DEFINED)
+    if sigma_eig is None:
+        return _entropy_to_one(rho_eig[0]), i
     return np.maximum(d, 0.0), i
+
+
+def _entropy_to_one(w):
+    """D(rho||1) = tau(rho ln rho) from the spectra w (..., m) of states of trace m.
+
+    The support rules are those ``spectral_terms`` applies to D: eigenvalues
+    below -PSD raise, the rest are clipped at 0 and 0 ln 0 = 0, so a singular
+    state has a finite D.  D is clipped at 0, as in ``decay_terms``.
+    """
+    w, _, log_w = _support(w, "rho")
+    return np.maximum((w * log_w).sum(axis=-1) / w.shape[-1], 0.0)
 
 
 def ergodic_terms(w, log_w):
@@ -201,14 +216,20 @@ def simulate_decay(
 
     A must vanish on N (A E = 0, else ValueError), so E(rho_t) = E(rho0) at
     every t: the eigenpairs of sigma = E(rho0) are taken once, and the time
-    grid costs one stacked eigensolve of rho_t.
+    grid costs one stacked eigensolve of rho_t.  For N = C 1, sigma = 1 for
+    the state rho0 of trace m: D_N = tau(rho ln rho) is read off the spectra
+    of rho0 and rho_t, with no sigma (``decay_terms``).
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("time grid must be strictly increasing")
     check_kills_algebra(a, n)
-    sigma_eig = np.linalg.eigh(n.expectation.apply(rho0))
-    d0 = max(float(spectral_terms(rho0, np.linalg.eigh(rho0), sigma_eig)[0]), 0.0)
+    if n.size == 1:
+        sigma_eig = None
+        d0 = float(_entropy_to_one(np.linalg.eigvalsh(rho0)))
+    else:
+        sigma_eig = np.linalg.eigh(n.expectation.apply(rho0))
+        d0 = max(float(spectral_terms(rho0, np.linalg.eigh(rho0), sigma_eig)[0]), 0.0)
     rho_t = semigroup_apply(a, t_grid, rho0)
     rho_t = (rho_t + rho_t.conj().swapaxes(-1, -2)) / 2.0
     rho_eig = np.linalg.eigh(rho_t)

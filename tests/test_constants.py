@@ -64,15 +64,17 @@ def test_flsi_objective_keeps_the_entropy_term_of_an_eigenvalue_under_the_floor(
     gen = dephasing_generator(2)
     plus = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
     r = np.array([2.0 - delta, delta])
-    _, d, _, _ = constants._ratio_and_grad(gen.superop, gen.e_fix, (plus * np.log(r)) @ plus, False)
+    _, d, _, _ = constants._ratio_and_grad(gen.superop, gen.fixed_algebra,
+                                           (plus * np.log(r)) @ plus, False)
     assert d == pytest.approx(float(r @ np.log(r)) / 2, rel=0, abs=1e-14)
 
 
 def _objective_pairs():
-    """(A, E) of the zoo and of the A^0.5 pairs of its random entries."""
+    """(A, N) of the zoo and of the A^0.5 pairs of its random entries."""
     zoo = make_zoo()
-    pairs = {name: (gen.superop, gen.e_fix) for name, gen in zoo.items()}
-    pairs.update({f"{name} A^0.5": (fractional_power(zoo[name].superop, 0.5), zoo[name].e_fix)
+    pairs = {name: (gen.superop, gen.fixed_algebra) for name, gen in zoo.items()}
+    pairs.update({f"{name} A^0.5": (fractional_power(zoo[name].superop, 0.5),
+                                    zoo[name].fixed_algebra)
                   for name in ("random_2jump_m3", "random_2jump_m4")})
     return pairs
 
@@ -80,13 +82,17 @@ def _objective_pairs():
 @pytest.mark.parametrize("spread", [0.3, 1.0])
 def test_flsi_objective_matches_the_two_multiplier_reference(spread):
     # at these spreads no two eigenvalues of rho fall under the tie floor, so the
-    # reference's J_log is right and the cancelled form must reproduce it
-    for name, (a, e) in _objective_pairs().items():
+    # reference's J_log is right and the cancelled form must reproduce it.  The
+    # reference diagonalizes E(rho) for every N, the objective only for dim N > 1:
+    # all pairs but dephasing have N = C 1
+    pairs = _objective_pairs()
+    assert sorted(name for name, (_, n) in pairs.items() if n.size > 1) == ["dephasing_m2"]
+    for name, (a, n) in pairs.items():
         rng = np.random.default_rng(26)
         for _ in range(10):
             h = random_hermitian(a.dim, rng, spread)
-            i_val, d_val, rho, g = constants._ratio_and_grad(a, e, h, True)
-            i_ref, d_ref, rho_ref, g_ref = ratio_and_grad_reference(a, e, h, True)
+            i_val, d_val, rho, g = constants._ratio_and_grad(a, n, h, True)
+            i_ref, d_ref, rho_ref, g_ref = ratio_and_grad_reference(a, n.expectation, h, True)
             assert np.array_equal(rho, rho_ref), name
             assert i_val == pytest.approx(i_ref, rel=1e-12, abs=0), name
             assert d_val == pytest.approx(d_ref, rel=1e-12, abs=0), name
@@ -98,27 +104,29 @@ def test_flsi_gradient_matches_a_central_difference_where_rho_has_tiny_eigenvalu
     # at spread 5 (a state inside the descent's box) several eigenvalues of rho lie
     # below PSD, where the tie rule on the spectrum of rho reads them as tied
     gen = random_lindblad(m, 2, np.random.default_rng(m))
-    a, e = gen.superop, gen.e_fix
+    a, n = gen.superop, gen.fixed_algebra
     rng = np.random.default_rng(260 + m)
     new_err, ref_err = [], []
     for _ in range(20):
         h = random_hermitian(m, rng, 5.0)
         k = random_hermitian(m, rng, 1.0)
         s = 1e-6
-        ip, dp, _, _ = constants._ratio_and_grad(a, e, h + s * k, False)
-        im, dm, _, _ = constants._ratio_and_grad(a, e, h - s * k, False)
+        ip, dp, _, _ = constants._ratio_and_grad(a, n, h + s * k, False)
+        im, dm, _, _ = constants._ratio_and_grad(a, n, h - s * k, False)
         fd = (ip / dp - im / dm) / (2 * s)
-        for fn, err in ((constants._ratio_and_grad, new_err), (ratio_and_grad_reference, ref_err)):
-            g = fn(a, e, h, True)[3]
+        for g, err in ((constants._ratio_and_grad(a, n, h, True)[3], new_err),
+                       (ratio_and_grad_reference(a, n.expectation, h, True)[3], ref_err)):
             err.append(abs(fd - norm_trace(g @ k).real) / max(abs(fd), 1.0))
     assert max(new_err) < 1e-6
     assert max(ref_err) > 1e-2
 
 
-def test_flsi_objective_takes_two_eigensolves_and_one_schur_product(zoo, monkeypatch):
-    # the eigensolves of H and of E(rho), and one divided-difference matrix, that of exp
-    gen = zoo["random_2jump_m3"]
-    calls = {"eigh": 0, "divided_differences": 0, "schur_multiplier": 0}
+def _objective_calls(gen, monkeypatch):
+    """Eigensolves, divided-difference matrices, Schur products and applications of
+    E_N in one evaluation of the descent objective with its gradient."""
+    n = gen.fixed_algebra
+    e = n.expectation
+    calls = {"eigh": 0, "divided_differences": 0, "schur_multiplier": 0, "E": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -126,12 +134,53 @@ def test_flsi_objective_takes_two_eigensolves_and_one_schur_product(zoo, monkeyp
             return fn(*args, **kwargs)
         return wrapper
 
+    def apply(superop, x, _apply=type(e).apply):
+        calls["E"] += superop is e
+        return _apply(superop, x)
+
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
     for name in ("divided_differences", "schur_multiplier"):
         monkeypatch.setattr(constants, name, counted(name, getattr(constants, name)))
-    h = random_hermitian(3, np.random.default_rng(27), 1.0)
-    constants._ratio_and_grad(gen.superop, gen.e_fix, h, True)
-    assert calls == {"eigh": 2, "divided_differences": 1, "schur_multiplier": 0}
+    monkeypatch.setattr(type(e), "apply", apply)
+    h = random_hermitian(gen.dim, np.random.default_rng(27), 1.0)
+    constants._ratio_and_grad(gen.superop, n, h, True)
+    return calls
+
+
+def test_flsi_objective_takes_two_eigensolves_and_one_schur_product(zoo, monkeypatch):
+    # dim N = 2: the eigensolves of H and of E(rho), and one divided-difference
+    # matrix, that of exp
+    calls = _objective_calls(zoo["dephasing_m2"], monkeypatch)
+    assert calls == {"eigh": 2, "divided_differences": 1, "schur_multiplier": 0, "E": 1}
+
+
+@pytest.mark.parametrize("name", ["depolarizing_m2", "depolarizing_m3", "random_2jump_m3",
+                                  "random_2jump_m4"])
+def test_flsi_objective_on_scalar_n_takes_one_eigensolve_and_no_expectation(
+        zoo, name, monkeypatch):
+    # N = C 1: E(rho) = 1, so E is not applied and the one eigensolve is that of H
+    calls = _objective_calls(zoo[name], monkeypatch)
+    assert calls == {"eigh": 1, "divided_differences": 1, "schur_multiplier": 0, "E": 0}
+
+
+def test_flsi_descent_hands_lbfgsb_only_finite_values(monkeypatch):
+    # dephasing_m2 at seed 110 runs into states with D_N = 0, where the ratio is
+    # infinite and its gradient NaN, and D_N < 0: each such state ends its start
+    import scipy.optimize
+
+    values = []
+
+    def checked(fun, x0, _minimize=scipy.optimize.minimize, **kwargs):
+        def recorded(x):
+            f, g = fun(x)
+            values.append((f, np.isfinite(g).all()))
+            return f, g
+        return _minimize(recorded, x0, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", checked)
+    est = flsi_estimate(dephasing_generator(2), n_starts=6, seed=110, n_validate=0)
+    assert values and all(math.isfinite(f) and g for f, g in values)
+    assert math.isfinite(est.lambda_upper)
 
 
 def test_flsi_rejects_trivial_dynamics():

@@ -196,6 +196,33 @@ def test_simulate_decay_monotone_for_random_models():
         assert np.all(np.diff(trace.d_n) <= 1e-9)
 
 
+@pytest.mark.parametrize("name, want", [
+    ("random_2jump_m3", [("eigvalsh", ()), ("eigh", (25,))]),
+    ("dephasing_m2", [("eigh", ()), ("eigh", ()), ("eigh", (25,))]),
+])
+def test_simulate_decay_diagonalizes_sigma_only_when_dim_n_exceeds_one(
+        zoo, name, want, monkeypatch):
+    # N = C 1: sigma = 1, so D_N reads off the eigenvalues of rho0 and of the rho_t stack;
+    # else sigma = E(rho0) and rho0 are diagonalized once each
+    gen = zoo[name]
+    _ = gen.superop.eig  # the cached superoperator eigensolve, taken first
+    rho0 = random_state(gen.dim, np.random.default_rng(11))
+    calls = []
+
+    def counted(solver_name):
+        solver = getattr(np.linalg, solver_name)
+
+        def wrapper(x, *args, **kwargs):
+            calls.append((solver_name, x.shape[:-2]))
+            return solver(x, *args, **kwargs)
+        return wrapper
+
+    for solver_name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, solver_name, counted(solver_name))
+    simulate_decay(gen.superop, gen.fixed_algebra, rho0, default_grid(1.0, n=25), 0.0)
+    assert calls == want
+
+
 @pytest.mark.parametrize("t", [1e-10, 1e-8])
 def test_decay_from_a_pure_state_is_ill_defined_while_its_kernel_is_under_the_floor(t):
     # depolarizing from rho0 = diag(2, 0): rho_t has spectrum 1 +- e^{-t}, so its small
