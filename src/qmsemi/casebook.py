@@ -16,7 +16,7 @@ import numpy as np
 
 from .constants import flsi_estimate
 from .cporder import FormKernel, best_lambda, gamma_e_constant
-from .entropy import decay_terms, fisher, relative_entropy, spectral_terms
+from .entropy import fisher, relative_entropy, spectral_terms
 from .io import MAX_DIM
 from .matops import (
     make_state,
@@ -414,7 +414,7 @@ def case_depolarizing(m: int = 2, seed: int = 0) -> CaseResult:
     rho_eig = np.linalg.eigh(rho)
     e_rho = n_scal.expectation.apply(rho)
     e_eig = np.linalg.eigh(e_rho)
-    d_fwd, lhs = decay_terms(rho, rho_eig, e_eig, rho - e_rho)
+    d_fwd, lhs = spectral_terms(rho, rho_eig, e_eig, rho - e_rho)
     d_back, _ = spectral_terms(e_rho, e_eig, rho_eig)
     worst = float(np.max(np.abs(lhs - (d_fwd + d_back))))
     est = flsi_estimate(gen, n_starts=4, seed=seed, n_validate=2000)
@@ -452,8 +452,9 @@ def case_tensorization(seed: int = 0) -> CaseResult:
     rng = np.random.default_rng([seed, 31])
     m = m1 * m2
     rho = random_state(m, rng, 0.4 + 0.8 * rng.random(200))
-    d_val, i_val = decay_terms(rho, np.linalg.eigh(rho), np.linalg.eigh(e.apply(rho)), a.apply(rho))
-    worst_gap = max(0.0, float(np.max(lam * d_val - i_val)))
+    d_val, i_val = spectral_terms(rho, np.linalg.eigh(rho), np.linalg.eigh(e.apply(rho)),
+                                  a.apply(rho))
+    worst_gap = float(np.max(lam * d_val - i_val, initial=0.0))
     # additivity on product states
     rho1 = random_state(m1, rng)
     rho2 = random_state(m2, rng)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import SubAlgebra
-from .entropy import check_kills_algebra, decay_terms, default_grid, ergodic_terms
+from .entropy import check_kills_algebra, default_grid, expectation_entropy, sub_terms
 from .generator import LindbladGenerator, gradient_form
 from .matops import (
     Superop,
@@ -28,7 +28,7 @@ from .matops import (
     schur_multiplier,
     semigroup_apply,
 )
-from .tolerances import D_N_ZERO, DECAY_SKIP, LP_BASE, PSD, TINY, TRIVIAL, VIOLATION
+from .tolerances import D_N_ZERO, DECAY_SKIP, HELD, LP_BASE, PSD, TINY, TRIVIAL, VIOLATION
 
 __all__ = [
     "FlsiEstimate",
@@ -122,10 +122,14 @@ def _ratio_and_grad(a: Superop, n: SubAlgebra, h: np.ndarray, want_grad: bool):
     with no divided difference of log (whose tie rule would misread
     eigenvalues of rho below PSD).  What remains is one Schur product with
     D_exp on U* X U, whose diagonal and tr A(rho) give the trace term t rho,
-    and one rotation back.  For N = C 1, E(rho) = tau(rho) 1 = 1, so D_N =
-    sum r ln r / m and ln E(rho) = 0: the one eigensolve is that of H.  Else
-    E(rho) is diagonalized too.  The gradient is None unless ``want_grad``,
-    and None where D_N <= 0 or the ratio overflows.
+    and one rotation back.  D_N = tau(rho ln rho) - tau(E rho ln E rho), and
+    ``expectation_entropy`` gives that term and ln E(rho), both 0 for N = C 1,
+    where the one eigensolve is that of H.  The gradient is None unless
+    ``want_grad``, and None where D_N <= 0, the ratio overflows or E(rho) is
+    not positive definite to rounding, so that ln E(rho) is undefined.  rho is
+    None where it has an eigenvalue at or below HELD (relative): its matrix
+    holds that eigenvalue to fewer digits than the ratio takes from its
+    logarithm, so ``fisher`` and ``d_sub`` at the matrix could not check it.
     """
     m = h.shape[0]
     w, u, expw, r, rho = _chart(h)
@@ -136,34 +140,25 @@ def _ratio_and_grad(a: Superop, n: SubAlgebra, h: np.ndarray, want_grad: bool):
     # D_N keeps every x ln x term, as its gradient does: rho is full rank, so no zero floor
     # applies (an eigenvalue that underflows to 0 adds 0 ln 0 = 0)
     r_log_r = r * np.log(r, out=np.zeros_like(r), where=r > 0)
-    if n.size == 1:
-        d_val = float(r_log_r.sum()) / m
-        log_e_rho = 0.0
-    else:
-        e_rho = n.expectation.apply(rho)
-        e_rho = (e_rho + e_rho.conj().T) / 2.0
-        w_e, u_e = np.linalg.eigh(e_rho)
-        if w_e.min() <= 0:
-            raise ValueError("E(rho) is singular: its logarithm is undefined")
-        log_w_e = np.log(w_e)
-        weights = (u_e.conj() * (rho @ u_e)).sum(axis=0).real
-        d_val = float(r_log_r.sum() - (weights * log_w_e).sum()) / m
-        log_e_rho = (u_e * log_w_e) @ u_e.conj().T
+    h_sigma, log_e_rho = expectation_entropy(n, rho, True)
+    d_val = float(r_log_r.sum()) / m - float(h_sigma)
     a_rho = a.apply(rho)
     a_rho = (a_rho + a_rho.conj().T) / 2.0
     i_val = norm_trace(a_rho @ log_rho).real
-    if not (want_grad and d_val > 0 and math.isfinite(float(i_val) / d_val)):
-        return i_val, d_val, rho, None
+    # r ascends, and r[-1] >= 1 as tr rho = m, so HELD r[-1] is rel_floor(r, HELD)
+    state = rho if r[0] > HELD * r[-1] else None
+    if not (want_grad and d_val > 0 and math.isfinite(float(i_val) / d_val)) or log_e_rho is None:
+        return i_val, d_val, state, None
     x = (a.apply(log_rho) - i_val / d_val * (log_rho - log_e_rho)) / d_val
     j_x = (m / tr) * divided_differences(w, expw, math.exp) * (uh @ x @ u)
     t = (np.trace(j_x).real + np.trace(a_rho).real / d_val) / m
     grad_h = u @ j_x @ uh + a_rho / d_val - t * rho
     grad_h = (grad_h + grad_h.conj().T) / 2.0
-    return i_val, d_val, rho, grad_h
+    return i_val, d_val, state, grad_h
 
 
 class _StartEnded(Exception):
-    """Ends a start of the FLSI descent at a state with D_N <= 0 or an overflowing ratio."""
+    """Ends a start of the FLSI descent at a state where the objective has no gradient."""
 
 
 # States per stacked eigensolve in the validation sweep; bounds its memory.
@@ -182,9 +177,8 @@ def _validation_sweep(a: Superop, n: SubAlgebra, rng: np.random.Generator, n_val
     shift = ln m - ln tr e^H, tau(rho ln rho) = sum r (w + shift) / m over the
     eigenvalues w of H, I_A = tau(A(rho) H) + shift tau(A(rho)), and, as E is
     a conditional expectation, tau(rho ln E rho) = tau(E rho ln E rho) takes
-    only the spectrum of E(rho).  For N = C 1, E(rho) = 1 and that term is 0,
-    so E is not applied and E(rho) is not diagonalized.  States with D_N below
-    D_N_ZERO are dropped.
+    only the spectrum of E(rho) (``expectation_entropy``, 0 for N = C 1).
+    States with D_N below D_N_ZERO are dropped.
     """
     m = a.dim
     lowest, kept = math.inf, 0
@@ -193,11 +187,7 @@ def _validation_sweep(a: Superop, n: SubAlgebra, rng: np.random.Generator, n_val
         h = random_hermitian(m, rng, 0.4 + 1.2 * rng.random(k))
         w, _, expw, r, rho = _chart(h)
         shift = math.log(m) - np.log(expw.sum(axis=-1))
-        d = (r * (w + shift[:, None])).sum(axis=-1)
-        if n.size > 1:
-            w_e = np.linalg.eigvalsh(n.expectation.apply(rho))
-            d -= (w_e * np.log(w_e, out=np.zeros_like(w_e), where=w_e > 0)).sum(axis=-1)
-        d /= m
+        d = (r * (w + shift[:, None])).sum(axis=-1) / m - expectation_entropy(n, rho, False)[0]
         a_rho = a.apply(rho)
         i = (np.einsum("kij,kji->k", a_rho, h).real
              + shift * np.trace(a_rho, axis1=-2, axis2=-1).real) / m
@@ -219,9 +209,11 @@ def flsi_estimate(
     rho = m e^H / tr(e^H) with H = sum_k x_k B_k over the traceless orthonormal
     basis and |x_k| <= 40; the analytic gradient is checked against a finite
     difference at the first start.  Each evaluation diagonalizes H, and E(rho)
-    too unless N = C 1 (``_ratio_and_grad``); a start ends at a state with D_N <= 0
-    or an overflowing ratio.  ``lambda_upper`` is the lowest ratio at an
-    evaluated state with D_N >= D_N_ZERO, the state ``argmin_state`` holds, and
+    too unless N = C 1 (``_ratio_and_grad``); a start ends at a state with D_N <= 0,
+    an overflowing ratio or an E(rho) that is not positive definite to rounding,
+    and a start whose first state is one of these is skipped.  ``lambda_upper``
+    is the lowest ratio at an evaluated state with D_N >= D_N_ZERO and no
+    eigenvalue at or below HELD (relative), the state ``argmin_state`` holds, and
     ``lambda_lower`` is that ratio re-validated against ``n_validate`` random
     states, ``SWEEP_CHUNK`` per stacked eigensolve; ``n_validated`` counts the
     states kept.  The gamma-e lambda* of a Lindblad generator bounds from below.
@@ -247,7 +239,7 @@ def flsi_estimate(
         h = random_hermitian(m, rng, scale=0.7 + 0.2 * (start % 3))
         h -= np.trace(h).real / m * np.eye(m)
         i_val, d_val, rho, g = _ratio_and_grad(a, n, h, True)
-        if d_val < D_N_ZERO:
+        if g is None or d_val < D_N_ZERO:
             continue
         if start == 0:
             # finite-difference sanity on the analytic gradient
@@ -258,15 +250,15 @@ def flsi_estimate(
             fd = (ip / dp - im_ / dm_) / (2 * s)
             an = norm_trace(g @ k).real
             grad_check = abs(fd - an) / max(abs(fd), 1.0)
-        low = [i_val / d_val, rho]
+        low = [i_val / d_val if rho is not None else math.inf, rho]
 
         def objective(x):
             i_x, d_x, rho_x, g_x = _ratio_and_grad(a, n, (x @ basis).reshape(m, m), True)
             if g_x is None:
-                # D_N <= 0 or an overflowing ratio: L-BFGS-B gets no such value, and as
-                # D_N < D_N_ZERO there is no state to record, so the start ends here
+                # D_N <= 0, an overflowing ratio or an undefined ln E(rho): L-BFGS-B gets
+                # no such value and the state is not recorded, so the start ends here
                 raise _StartEnded
-            if d_x >= D_N_ZERO and i_x / d_x < low[0]:
+            if rho_x is not None and d_x >= D_N_ZERO and i_x / d_x < low[0]:
                 low[:] = i_x / d_x, rho_x
             # d/dx_k of the ratio is tau(G B_k) = tr(G B_k) / m
             return i_x / d_x, (dual @ g_x.reshape(-1)).real / m
@@ -314,37 +306,27 @@ def check_decay_bound(gen, lam: float, n_states: int = 50, seed: int = 0) -> dic
     and one ``random_hermitian`` call with spreads 0.5 + u, and each start
     state is taken in its chart, rho = m e^H / tr e^H with ln rho = H + ln m -
     ln tr e^H, so no eigenvalue floor applies to it.  A must vanish on N (else
-    ValueError), so E(T_t rho) = E(rho) = sigma and B(T_t rho) = T_t rho - sigma:
-    sigma is diagonalized once per state, and all states and times go through
-    one semigroup evaluation and one stacked eigensolve.  For N = C 1, sigma =
-    1, and D_N = D(rho||1) and I_N = D(rho||1) + D(1||rho) are functions of the
-    spectrum (``ergodic_terms``): there is no sigma, and the stacked eigensolve
-    takes eigenvalues only.  States with D_N below DECAY_SKIP are skipped, and
-    a violation is a slack above VIOLATION.
+    ValueError), so E(T_t rho) = E(rho): E(rho) and the term tau(E rho ln E rho)
+    of D_N are taken once per start state (``expectation_entropy``), and all
+    states and times go through one semigroup evaluation and one stacked
+    eigensolve, of eigenvalues only when N = C 1 (``sub_terms``).  States with
+    D_N below DECAY_SKIP are skipped, and a violation is a slack above VIOLATION.
     """
     if n_states < 1:
         raise ValueError("n_states must be at least 1")
-    a, n, e = _dynamics(gen)
+    a, n, _ = _dynamics(gen)
     check_kills_algebra(a, n)
     m = a.dim
     grid = default_grid(lam)
     rng = np.random.default_rng([seed, 17])
     w, u, expw, r, rho0 = _chart(random_hermitian(m, rng, 0.5 + rng.random(n_states)))
     log_r = w + (math.log(m) - np.log(expw.sum(axis=-1)))[:, None]
-    if n.size == 1:
-        d0, i0 = ergodic_terms(r, log_r)
-    else:
-        sigma = e.apply(rho0)
-        sigma_eig = np.linalg.eigh(sigma)
-        d0, i0 = decay_terms(rho0, (r, u, log_r), sigma_eig, rho0 - sigma)
+    h, _ = expectation_entropy(n, rho0, False)
+    d0, i0 = sub_terms(n, rho0, (r, u, log_r), rho0, h)
     kept = np.flatnonzero(d0 >= DECAY_SKIP)
     rho_t = semigroup_apply(a, grid, rho0[kept]).swapaxes(0, 1)  # (state, t, m, m)
     rho_t = (rho_t + rho_t.conj().swapaxes(-1, -2)) / 2.0
-    if n.size == 1:
-        d_t, i_t = ergodic_terms(np.linalg.eigvalsh(rho_t), None)
-    else:
-        d_t, i_t = decay_terms(rho_t, np.linalg.eigh(rho_t),
-                               (sigma_eig[0][kept], sigma_eig[1][kept]), rho_t - sigma[kept, None])
+    d_t, i_t = sub_terms(n, rho_t, None, rho0[kept, None], h[kept, None])
     val = np.stack([d_t, i_t], axis=-1)  # (state, t, D_N then I_N)
     ref = np.exp(-lam * grid)[:, None] * np.stack([d0, i0], axis=-1)[kept, None]
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -4,6 +4,14 @@ All quantities use the normalized trace tau = tr/m, so states carry matrix
 trace m.  Eigenvalues at or below PSD (relative) are off the support before
 logarithms, and the Fisher information of a singular state is taken on its
 support, which is defined only when A(rho) does not weigh on its kernel.
+
+D_N(rho) = D(rho||E rho) has one rule: as E is a conditional expectation,
+tau(rho ln E rho) = tau(E rho ln E rho), so D_N = tau(rho ln rho) - tau(E rho
+ln E rho) takes the spectra of rho and E(rho) (``expectation_entropy``), and
+I_N = tau((rho - E rho) ln rho) takes rho's spectrum and the diagonal of E(rho)
+in its eigenbasis (``sub_terms``).  Only ``_expectation`` reads N = C 1, where
+E(rho) = 1.  ``relative_entropy``, ``d_sub`` and ``fisher`` keep traces against
+ln sigma, the reference for the oracles.
 """
 
 from __future__ import annotations
@@ -46,95 +54,99 @@ def _diag_in_basis(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (u.conj() * (x @ u)).sum(axis=-2).real
 
 
+def _production(y, on, log_w):
+    """tau(Y ln rho) from the diagonal y of Y in rho's eigenbasis, with rho's support mask
+    and logs; raises where Y leaks more than PSD onto rho's kernel (ill-defined)."""
+    if (np.abs(np.where(on, 0.0, y)).sum(axis=-1) > rel_floor(y, PSD, axis=-1)).any():
+        raise ValueError(ILL_DEFINED)
+    return (y * log_w).sum(axis=-1) / y.shape[-1]
+
+
 def spectral_terms(rho, rho_eig, sigma_eig=None, a_rho=None):
     """D(rho||sigma) and I = tau(A(rho) ln rho) for a stack of states (..., m, m).
 
     ``rho_eig`` is (w, u) from ``eigh``, or (w, u, ln w) for a state given in
     its chart (``matops._chart``), full rank with exact logarithms, to which no
-    support rule applies.  A(rho) has rho's shape; the eigenpairs of sigma may
-    carry only rho's first leading axes, each sigma shared along the rest, and
-    D costs O(m^2) per state.  This is the one home of the entropy rules, all
-    at the one zero floor PSD, relative (``rel_floor``): eigenvalues below -PSD
-    raise and the rest are clipped at 0; those at or below PSD are off the
-    support (0 log 0 = 0); D is +inf when rho weighs more than PSD off the
-    support of sigma; I is NaN (ill-defined) when A(rho) leaks more than PSD
-    onto the kernel of rho.  Returns (d, i), with None for a term whose inputs
-    are missing.
+    support rule applies.  A(rho) and the eigenpairs of sigma carry rho's
+    leading axes; D is a trace against ln sigma, read in sigma's eigenbasis.
+    This is the one home of the support rules, all at the one zero floor PSD,
+    relative (``rel_floor``): eigenvalues below -PSD raise and the rest are
+    clipped at 0; those at or below PSD are off the support (0 log 0 = 0); D
+    is +inf when rho weighs more than PSD off the support of sigma; I is
+    ill-defined, and raises, when A(rho) leaks more than PSD onto the kernel of
+    rho.  Returns (d, i), with None for a term whose inputs are missing.
     """
     if len(rho_eig) == 3:
         w, u, log_w = rho_eig
         on = True
     else:
         (w, on, log_w), u = _support(rho_eig[0], "rho"), rho_eig[1]
-    m = w.shape[-1]
     d = i = None
     if sigma_eig is not None:
         _, on_s, log_s = _support(sigma_eig[0], "sigma")
-        u_s = sigma_eig[1]
-        # transposes X^T = conj(u) f u^T of X = ln sigma and of the projector off its support
-        ops_t = (u_s.conj()[..., None, :, :] * np.stack([log_s, ~on_s], axis=-2)[..., None, :]
-                 @ u_s.swapaxes(-1, -2)[..., None, :, :])
-        # tr(rho X) = vec(rho) . vec(X^T): both traces for every rho sharing sigma at once
-        lead = u_s.shape[:-2]
-        traces = rho.reshape(lead + (-1, m * m)) @ ops_t.reshape(lead + (2, m * m)).swapaxes(-1, -2)
-        traces = traces.real.reshape(rho.shape[:-2] + (2,))
-        d = ((w * log_w).sum(axis=-1) - traces[..., 0]) / m
-        d = np.where(traces[..., 1] > rel_floor(w, PSD, axis=-1), np.inf, d)
+        p = _diag_in_basis(rho, sigma_eig[1])  # the weights of rho on sigma's eigenvectors
+        d = ((w * log_w).sum(axis=-1) - (p * log_s).sum(axis=-1)) / w.shape[-1]
+        d = np.where(np.where(on_s, 0.0, p).sum(axis=-1) > rel_floor(w, PSD, axis=-1), np.inf, d)
     if a_rho is not None:
-        ydiag = _diag_in_basis(a_rho, u)
-        leak = np.abs(np.where(on, 0.0, ydiag)).sum(axis=-1)
-        ill = leak > rel_floor(ydiag, PSD, axis=-1)
-        i = np.where(ill, np.nan, (ydiag * log_w).sum(axis=-1) / m)
+        i = _production(_diag_in_basis(a_rho, u), on, log_w)
     return d, i
 
 
-def decay_terms(rho, rho_eig, sigma_eig, a_rho):
-    """D(rho||sigma) and tau(A(rho) ln rho) for sigma = E(rho), as ``spectral_terms``.
+def _expectation(n: SubAlgebra, rho: np.ndarray):
+    """E(rho) for states rho (..., m, m) of trace m, or None for N = C 1, where E(rho) =
+    tau(rho) 1 = 1 is neither formed nor diagonalized: the one place that reads N = C 1."""
+    return None if n.size == 1 else n.expectation.apply(rho)
 
-    The caller gives the eigenpairs of sigma and A(rho), with the shapes
-    ``spectral_terms`` takes.  For N = C 1 it gives sigma_eig None and rho_eig
-    from ``eigh``: sigma = 1, so D = tau(rho ln rho) is read off the spectrum
-    (``_entropy_to_one``).  E is trace preserving, so D >= 0 exactly and a
-    rounding-negative D is clipped to 0.  An ill-defined Fisher value raises,
-    as in ``fisher``.
+
+def expectation_entropy(n: SubAlgebra, rho: np.ndarray, with_log: bool):
+    """tau(sigma ln sigma) for sigma = E(rho), states rho (..., m, m) of trace m, and
+    ln sigma if ``with_log`` (else None); D_N = tau(rho ln rho) - tau(sigma ln sigma).
+
+    The term takes ``eigvalsh`` of sigma, under the support rules of
+    ``spectral_terms``; ln sigma, for the FLSI gradient, takes ``eigh`` and is
+    None where sigma is singular to rounding (an eigenvalue at or below PSD).
+    For N = C 1 both are 0, with no eigensolve.
     """
-    d, i = spectral_terms(rho, rho_eig, sigma_eig, a_rho)
-    if np.isnan(i).any():
-        raise ValueError(ILL_DEFINED)
-    if sigma_eig is None:
-        return _entropy_to_one(rho_eig[0]), i
-    return np.maximum(d, 0.0), i
+    sigma = _expectation(n, rho)
+    if sigma is None:
+        return np.zeros(rho.shape[:-2]), 0.0
+    sigma = (sigma + sigma.conj().swapaxes(-1, -2)) / 2.0
+    w, u = np.linalg.eigh(sigma) if with_log else (np.linalg.eigvalsh(sigma), None)
+    w, on, log_w = _support(w, "E(rho)")
+    log_sigma = None
+    if with_log and on.all():
+        log_sigma = (u * log_w[..., None, :]) @ u.conj().swapaxes(-1, -2)
+    return (w * log_w).sum(axis=-1) / w.shape[-1], log_sigma
 
 
-def _entropy_to_one(w):
-    """D(rho||1) = tau(rho ln rho) from the spectra w (..., m) of states of trace m.
+def _d_n(w, log_w, h):
+    """D_N = tau(rho ln rho) - h from rho's spectrum, clipped at 0: E is trace
+    preserving, so D_N >= 0 exactly and a negative value is rounding."""
+    return np.maximum((w * log_w).sum(axis=-1) / w.shape[-1] - h, 0.0)
 
-    The support rules are those ``spectral_terms`` applies to D: eigenvalues
-    below -PSD raise, the rest are clipped at 0 and 0 ln 0 = 0, so a singular
-    state has a finite D.  D is clipped at 0, as in ``decay_terms``.
+
+def sub_terms(n: SubAlgebra, rho: np.ndarray, rho_eig, start: np.ndarray, h):
+    """D_N(rho) and I_N(rho) = tau((rho - E rho) ln rho) for states rho (..., m, m) of trace m.
+
+    E(rho) = E(start): ``start`` is rho itself or, for rho evolved under a
+    semigroup with E T_t = E, its start states, on axes that broadcast against
+    rho's, and ``h`` = tau(E rho ln E rho) is ``expectation_entropy`` of them.
+    I_N takes rho's spectrum and the diagonal of E(rho) in its eigenbasis.
+    ``rho_eig`` is (w, u, ln w) of states in their chart (exact logarithms, no
+    support rule), or None: rho is then diagonalized under the support rules,
+    eigenvalues only for N = C 1, where that diagonal is 1.
     """
-    w, _, log_w = _support(w, "rho")
-    return np.maximum((w * log_w).sum(axis=-1) / w.shape[-1], 0.0)
-
-
-def ergodic_terms(w, log_w):
-    """D_N and I_N for N = C 1 from the spectra w (..., m) of states of trace m.
-
-    E(rho) = tau(rho) 1 = 1, so D_N(rho) = D(rho||1) = tau(rho ln rho) and
-    I_N(rho) = tau((rho - 1) ln rho) = D(rho||1) + D(1||rho) read off the
-    spectrum alone: no eigenvectors and no sigma.  ``log_w`` is ln w for a
-    state given in its chart (full rank, exact logarithms, no support rule),
-    or None for eigenvalues from ``eigvalsh``, which take the rules of
-    ``spectral_terms``: below -PSD raises, the rest are clipped at 0 (0 ln 0 =
-    0), and one at or below PSD makes I_N ill-defined, as rho - 1 weighs -1
-    on it.  D is clipped at 0, as in ``decay_terms``.
-    """
-    if log_w is None:
+    sigma = _expectation(n, start)
+    if rho_eig is not None:
+        w, u, log_w = rho_eig
+        on = True
+    elif sigma is None:
+        (w, on, log_w), u = _support(np.linalg.eigvalsh(rho), "rho"), None
+    else:
+        w, u = np.linalg.eigh(rho)
         w, on, log_w = _support(w, "rho")
-        if not on.all():
-            raise ValueError(ILL_DEFINED)
-    m = w.shape[-1]
-    return np.maximum((w * log_w).sum(axis=-1) / m, 0.0), ((w - 1.0) * log_w).sum(axis=-1) / m
+    i = _production(w - (1.0 if sigma is None else _diag_in_basis(sigma, u)), on, log_w)
+    return _d_n(w, log_w, h), i
 
 
 def check_kills_algebra(a: Superop, n: SubAlgebra) -> None:
@@ -169,8 +181,6 @@ def fisher(a: Superop, rho: np.ndarray) -> float:
     the quantity diverges and a ValueError says so.
     """
     _, i = spectral_terms(rho, np.linalg.eigh(rho), a_rho=a.apply(rho))
-    if np.isnan(i):
-        raise ValueError(ILL_DEFINED)
     return float(i)
 
 
@@ -215,21 +225,17 @@ def simulate_decay(
     """Evolve rho through e^{-tA}, recording D_N, I_A and e^{-lam t} D_N(rho0).
 
     A must vanish on N (A E = 0, else ValueError), so E(rho_t) = E(rho0) at
-    every t: the eigenpairs of sigma = E(rho0) are taken once, and the time
-    grid costs one stacked eigensolve of rho_t.  For N = C 1, sigma = 1 for
-    the state rho0 of trace m: D_N = tau(rho ln rho) is read off the spectra
-    of rho0 and rho_t, with no sigma (``decay_terms``).
+    every t: the term tau(E rho ln E rho) of D_N is taken once, from the
+    spectrum of E(rho0) (``expectation_entropy``), D_N(rho0) from that of
+    rho0, and the time grid costs one stacked eigensolve of rho_t.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("time grid must be strictly increasing")
     check_kills_algebra(a, n)
-    if n.size == 1:
-        sigma_eig = None
-        d0 = float(_entropy_to_one(np.linalg.eigvalsh(rho0)))
-    else:
-        sigma_eig = np.linalg.eigh(n.expectation.apply(rho0))
-        d0 = max(float(spectral_terms(rho0, np.linalg.eigh(rho0), sigma_eig)[0]), 0.0)
+    h, _ = expectation_entropy(n, rho0, False)
+    w0, _, log_w0 = _support(np.linalg.eigvalsh(rho0), "rho")
+    d0 = float(_d_n(w0, log_w0, h))
     rho_t = semigroup_apply(a, t_grid, rho0)
     rho_t = (rho_t + rho_t.conj().swapaxes(-1, -2)) / 2.0
     rho_eig = np.linalg.eigh(rho_t)
@@ -237,7 +243,9 @@ def simulate_decay(
     bad = wmin < -CP_VIOLATION
     if bad.any():
         raise ValueError(f"state developed eigenvalue {wmin[bad][0]:.3e} (CP violation)")
-    d_vals, i_vals = decay_terms(rho_t, rho_eig, sigma_eig, a.apply(rho_t))
+    _, i_vals = spectral_terms(rho_t, rho_eig, a_rho=a.apply(rho_t))
+    w, _, log_w = _support(rho_eig[0], "rho")
+    d_vals = _d_n(w, log_w, h)
     bound = math.e ** (-lam * t_grid) * d0 if lam > 0 else np.full_like(t_grid, d0)
     return DecayTrace(
         times=t_grid,

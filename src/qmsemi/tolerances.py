@@ -22,6 +22,7 @@ CP_VIOLATION = 1e-8      # an evolved state's eigenvalue below minus this breaks
 PROBE = 1e-8             # a randomized linearity or bimodularity probe fails above this
 TRIVIAL = 1e-12          # a generator norm at or below this means trivial dynamics
 D_N_ZERO = 1e-6          # D_N below this leaves I_A / D_N fewer than ~10 correct digits
+HELD = 1e-6              # a matrix keeps an eigenvalue below this (relative) to < ~10 digits
 DECAY_SKIP = 1e-12       # a start state with D_N below this is skipped by the decay check
 VIOLATION = 1e-8         # a relative excess above this fails an inequality check
 LP_BASE = 1e-14          # an L_p probe whose centred norm is below this is skipped

@@ -12,7 +12,8 @@ import math
 import numpy as np
 
 from qmsemi.constants import _dynamics, _report, schatten_norm
-from qmsemi.entropy import DecayTrace, d_sub, decay_terms, default_grid, fisher, fisher_n
+from qmsemi.entropy import (DecayTrace, d_sub, default_grid, fisher, fisher_n,
+                            spectral_terms)
 from qmsemi.matops import _chart, random_hermitian, random_state, semigroup_apply
 from qmsemi.tolerances import DECAY_SKIP, TINY
 
@@ -39,11 +40,12 @@ def decay_slacks(gen, lam, n_states=50, seed=0):
 
 
 def decay_report_through_sigma(gen, lam, n_states=50, seed=0):
-    """``check_decay_bound``'s report by the rule for general N, whatever N is.
+    """``check_decay_bound``'s report by the traces rule, whatever N is.
 
-    The same start states, grid and skip rule; D_N and I_N of every state come
-    from its eigenvectors and the eigenpairs of sigma = E(rho), never from the
-    spectrum alone.
+    The same start states, grid and skip rule; D_N of every state is a trace
+    against ln sigma for the eigenpairs of sigma = E(rho), and I_N is tau((rho -
+    sigma) ln rho) from the eigenvectors of rho, never from spectra alone.  D_N
+    is clipped at 0, as in the check.
     """
     a, n, e = _dynamics(gen)
     m = a.dim
@@ -53,12 +55,15 @@ def decay_report_through_sigma(gen, lam, n_states=50, seed=0):
     log_r = w + (math.log(m) - np.log(expw.sum(axis=-1)))[:, None]
     sigma = e.apply(rho0)
     sigma_eig = np.linalg.eigh(sigma)
-    d0, i0 = decay_terms(rho0, (r, u, log_r), sigma_eig, rho0 - sigma)
+    d0, i0 = spectral_terms(rho0, (r, u, log_r), sigma_eig, rho0 - sigma)
+    d0 = np.maximum(d0, 0.0)
     kept = np.flatnonzero(d0 >= DECAY_SKIP)
     rho_t = semigroup_apply(a, grid, rho0[kept]).swapaxes(0, 1)
     rho_t = (rho_t + rho_t.conj().swapaxes(-1, -2)) / 2.0
-    d_t, i_t = decay_terms(rho_t, np.linalg.eigh(rho_t),
-                           (sigma_eig[0][kept], sigma_eig[1][kept]), rho_t - sigma[kept, None])
+    # each sigma stands for every time of its state
+    shared = tuple(np.broadcast_to(x[kept, None], rho_t.shape[:2] + x.shape[1:]) for x in sigma_eig)
+    d_t, i_t = spectral_terms(rho_t, np.linalg.eigh(rho_t), shared, rho_t - sigma[kept, None])
+    d_t = np.maximum(d_t, 0.0)
     val = np.stack([d_t, i_t], axis=-1)
     ref = np.exp(-lam * grid)[:, None] * np.stack([d0, i0], axis=-1)[kept, None]
     with np.errstate(divide="ignore", invalid="ignore"):

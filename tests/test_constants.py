@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_zoo
+from conftest import make_zoo, random_degenerate_commutant
 from dual_norm_oracle import dual_norm_ascent
 from flsi_oracle import ratio_and_grad_reference, sweep_one_by_one
 from qmsemi import constants
@@ -19,9 +19,10 @@ from qmsemi.constants import (
     schatten_norm,
 )
 from qmsemi.cporder import gamma_e_constant
-from qmsemi.entropy import d_sub, default_grid, simulate_decay
+from qmsemi.entropy import d_sub, default_grid, fisher, simulate_decay
 from qmsemi.generator import gradient_form, jump_set, lindblad
-from qmsemi.matops import norm_trace, random_hermitian, random_state, semigroup_apply
+from qmsemi.matops import (make_superop, norm_trace, random_hermitian, random_state,
+                           semigroup_apply)
 from qmsemi.models import dephasing_generator, depolarizing_generator, random_lindblad
 from qmsemi.subordinate import fractional_power
 from qmsemi.tolerances import PSD
@@ -183,6 +184,24 @@ def test_flsi_descent_hands_lbfgsb_only_finite_values(monkeypatch):
     assert math.isfinite(est.lambda_upper)
 
 
+@pytest.mark.parametrize("m, seed", [(3, 1), (3, 3), (4, 0), (4, 1), (4, 2), (4, 3)])
+def test_flsi_on_a_non_abelian_block_algebra_ends_a_start_where_e_rho_is_singular(m, seed):
+    # A = B M B, B = I - E_N, M = G G*: no Markov generator, so the ratio is unbounded below
+    # and the descent runs to the box.  A state whose E(rho) is singular to rounding ends its
+    # start, one whose matrix does not hold its least eigenvalue is not recorded, and the
+    # upper value is the ratio at argmin_state
+    rng = np.random.default_rng(seed)
+    n = random_degenerate_commutant(m, rng)
+    g = rng.standard_normal((m * m, m * m)) + 1j * rng.standard_normal((m * m, m * m))
+    a = n.complement @ make_superop(g @ g.conj().T / m**2, m) @ n.complement
+    basis = n.basis
+    assert np.abs(basis[:, None] @ basis - basis @ basis[:, None]).max() > 0.1  # non-abelian
+    est = flsi_estimate((a, n), n_starts=3, seed=0, n_validate=200)
+    assert math.isfinite(est.lambda_upper)
+    ratio = fisher(a, est.argmin_state) / d_sub(est.argmin_state, n)
+    assert ratio == pytest.approx(est.lambda_upper, rel=1e-9)
+
+
 def test_flsi_rejects_trivial_dynamics():
     gen = lindblad(jump_set([], m=2))
     with pytest.raises(ValueError):
@@ -285,9 +304,10 @@ def test_decay_check_on_scalar_n_takes_the_charts_and_the_state_spectra(zoo, mon
 
 def test_decay_check_takes_one_eigensolve_each_for_the_charts_the_sigmas_and_the_states(
         zoo, monkeypatch):
-    # E(T_t rho) = E(rho): sigma is diagonalized once per start state, never per time
+    # E(T_t rho) = E(rho): the spectrum of sigma is taken once per start state, never
+    # per time, and D_N needs no eigenvectors of sigma
     calls = _decay_check_eigensolves(zoo["dephasing_m2"], monkeypatch)
-    assert len(calls) == 3 and calls[:2] == [("eigh", (5,)), ("eigh", (5,))]
+    assert len(calls) == 3 and calls[:2] == [("eigh", (5,)), ("eigvalsh", (5,))]
     assert calls[2][0] == "eigh" and calls[2][1][1:] == (60,)
 
 

@@ -1,16 +1,20 @@
 """The batched decay checks and decay trace against the per-point oracle, and the
 identity E(T_t rho) = E(rho) they rest on."""
 
+import math
+
 import numpy as np
 import pytest
 
 from conftest import make_zoo, random_degenerate_commutant
 from decay_oracle import (WITNESS_KEYS, decay_report_through_sigma, decay_slacks, lp_slacks,
                           report, simulate_decay_per_time)
+from qmsemi import constants
 from qmsemi.constants import _report, check_decay_bound, check_lp_decay, flsi_estimate
 from qmsemi.cporder import gamma_e_constant
-from qmsemi.entropy import default_grid, simulate_decay
-from qmsemi.matops import make_superop, random_state, semigroup_apply
+from qmsemi.entropy import (d_sub, default_grid, expectation_entropy, fisher_n, simulate_decay,
+                            sub_terms)
+from qmsemi.matops import _chart, make_superop, random_hermitian, random_state, semigroup_apply
 from qmsemi.subordinate import fractional_power
 
 ZOO = make_zoo()
@@ -64,11 +68,14 @@ def test_the_spectrum_only_decay_check_matches_the_check_through_sigma(rates, na
 
 
 def test_the_check_through_sigma_is_the_decay_check_on_dephasing():
-    # N is the diagonal: check_decay_bound takes sigma, so the oracle is its own rule
+    # N is the diagonal: D_N from two spectra and the traces against ln sigma differ by
+    # rounding only, as do I_N from the diagonal of sigma and from that of rho - sigma
     gen = ZOO["dephasing_m2"]
     for lam in (0.0, 2.0, 20.0):
-        assert check_decay_bound(gen, lam, n_states=20, seed=5) == \
-            decay_report_through_sigma(gen, lam, n_states=20, seed=5)
+        rep = check_decay_bound(gen, lam, n_states=20, seed=5)
+        ref = decay_report_through_sigma(gen, lam, n_states=20, seed=5)
+        assert (rep["passed"], rep["witness"]) == (ref["passed"], ref["witness"])
+        assert abs(rep["slack"] - ref["slack"]) <= 1e-10 * max(abs(ref["slack"]), 1.0)
 
 
 def test_report_names_the_first_of_tied_maxima():
@@ -118,3 +125,36 @@ def test_the_semigroup_keeps_the_conditional_expectation(a, n):
     want = e.apply(rho)
     got = e.apply(semigroup_apply(a, default_grid(1.0), rho))
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _markov_pairs():
+    """(A, N) named: the zoo, its A^theta and, on a random block algebra N, the generator
+    I - E_N, whose semigroup e^{-t} + (1 - e^{-t}) E_N keeps states states."""
+    for param in _fixing_pairs():
+        a, n = param.values
+        yield param if not param.id.startswith("block") else pytest.param(
+            n.complement, n, id=param.id)
+
+
+@pytest.mark.parametrize("a, n", list(_markov_pairs()))
+def test_the_two_spectra_rule_is_the_traces_rule(a, n):
+    # D_N = tau(rho ln rho) - tau(E rho ln E rho) against d_sub's traces against ln E(rho),
+    # and I_N from the diagonal of E(rho) against fisher_n, at chart states (the decay
+    # check's and the FLSI objective's) and at the states T_t evolves them to
+    m = a.dim
+    hs = random_hermitian(m, np.random.default_rng(9), np.array([0.5, 1.0, 1.5]))
+    w, u, expw, r, rho0 = _chart(hs)
+    log_r = w + (math.log(m) - np.log(expw.sum(axis=-1)))[:, None]
+    h, _ = expectation_entropy(n, rho0, False)
+    rho_t = semigroup_apply(a, default_grid(1.0, n=12), rho0).swapaxes(0, 1)  # (state, t, m, m)
+    rho_t = (rho_t + rho_t.conj().swapaxes(-1, -2)) / 2.0
+    for (d, i), states in ((sub_terms(n, rho0, (r, u, log_r), rho0, h), rho0),
+                           (sub_terms(n, rho_t, None, rho0[:, None], h[:, None]), rho_t)):
+        for d_k, i_k, rho in zip(d.ravel(), i.ravel(), states.reshape(-1, m, m)):
+            want_d, want_i = d_sub(rho, n), fisher_n(n, rho)
+            assert abs(d_k - want_d) <= 1e-13 * max(1.0, abs(want_d))
+            assert abs(i_k - want_i) <= 1e-13 * max(1.0, abs(want_i))
+    for h_k in hs:
+        _, d_val, rho, _ = constants._ratio_and_grad(a, n, h_k, False)
+        want_d = d_sub(rho, n)
+        assert abs(d_val - want_d) <= 1e-13 * max(1.0, abs(want_d))

@@ -9,13 +9,14 @@ from qmsemi.algebra import diagonal_algebra, scalar_algebra
 from qmsemi.entropy import (
     ILL_DEFINED,
     d_sub,
-    decay_terms,
     default_grid,
-    ergodic_terms,
+    expectation_entropy,
     fisher,
     fisher_n,
     relative_entropy,
     simulate_decay,
+    spectral_terms,
+    sub_terms,
 )
 from qmsemi.generator import JumpSet, derivation, lindblad
 from qmsemi.matops import (
@@ -198,12 +199,13 @@ def test_simulate_decay_monotone_for_random_models():
 
 @pytest.mark.parametrize("name, want", [
     ("random_2jump_m3", [("eigvalsh", ()), ("eigh", (25,))]),
-    ("dephasing_m2", [("eigh", ()), ("eigh", ()), ("eigh", (25,))]),
+    ("dephasing_m2", [("eigvalsh", ()), ("eigvalsh", ()), ("eigh", (25,))]),
 ])
 def test_simulate_decay_diagonalizes_sigma_only_when_dim_n_exceeds_one(
         zoo, name, want, monkeypatch):
-    # N = C 1: sigma = 1, so D_N reads off the eigenvalues of rho0 and of the rho_t stack;
-    # else sigma = E(rho0) and rho0 are diagonalized once each
+    # D_N = tau(rho ln rho) - tau(sigma ln sigma) reads off the eigenvalues of rho0 and of
+    # the rho_t stack, and sigma = E(rho0) is diagonalized once, eigenvalues only, unless
+    # N = C 1, where sigma = 1 and its term is 0
     gen = zoo[name]
     _ = gen.superop.eig  # the cached superoperator eigensolve, taken first
     rho0 = random_state(gen.dim, np.random.default_rng(11))
@@ -303,28 +305,56 @@ def test_ergodic_terms_match_the_terms_through_sigma(a, n):
     rho = semigroup_apply(a, default_grid(1.0, n=12), rho0)  # (t, state, m, m)
     rho = np.concatenate([rho0[None], (rho + rho.conj().swapaxes(-1, -2)) / 2.0])
     sigma = n.expectation.apply(rho)
-    want = decay_terms(rho, np.linalg.eigh(rho), np.linalg.eigh(sigma), rho - sigma)
-    got = ergodic_terms(np.linalg.eigvalsh(rho), None)
+    want = spectral_terms(rho, np.linalg.eigh(rho), np.linalg.eigh(sigma), rho - sigma)
+    got = sub_terms(n, rho, None, rho, expectation_entropy(n, rho, False)[0])
     for g, w in zip(got, want):
         assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
 
+def _diagonal_states(w):
+    """Diagonal states with the spectra w (..., m)."""
+    w = np.asarray(w, dtype=float)
+    return w[..., None] * np.eye(w.shape[-1])
+
+
 def test_ergodic_terms_in_a_chart_are_the_spectral_sums():
     r = np.array([[0.5, 1.5], [1.0, 1.0]])
-    d, i = ergodic_terms(r, np.log(r))
+    rho = _diagonal_states(r)
+    d, i = sub_terms(scalar_algebra(2), rho, (r, np.eye(2), np.log(r)), rho, np.zeros(2))
     assert d[0] == pytest.approx((0.5 * math.log(0.5) + 1.5 * math.log(1.5)) / 2, rel=1e-15)
     assert i[0] == pytest.approx((-0.5 * math.log(0.5) + 0.5 * math.log(1.5)) / 2, rel=1e-15)
     assert (d[1], i[1]) == (0.0, 0.0)
 
 
 def test_ergodic_terms_keep_the_support_rules():
+    def terms(w):
+        rho = _diagonal_states(w)
+        return sub_terms(scalar_algebra(rho.shape[-1]), rho, None, rho, 0.0)
+
     # rho - 1 weighs -1 on a zero eigenvalue, so I_N is ill-defined there
     with pytest.raises(ValueError, match=re.escape(ILL_DEFINED)):
-        ergodic_terms(np.array([[0.5, 1.5], [0.0, 2.0]]), None)
+        terms([[0.5, 1.5], [0.0, 2.0]])
     with pytest.raises(ValueError, match=re.escape(ILL_DEFINED)):
-        ergodic_terms(np.array([0.5 * PSD, 2.0]), None)
+        terms([0.5 * PSD, 2.0])
     with pytest.raises(ValueError, match="negative eigenvalue"):
-        ergodic_terms(np.array([-1e-6, 2.0]), None)
+        terms([-1e-6, 2.0])
     # a spectrum a rounding below trace m: sum w ln w < 0, and D is clipped at 0
     w = np.array([0.9999999999999996, 0.9999999999999998, 0.9999999999999993])
-    assert (w * np.log(w)).sum() < 0.0 and ergodic_terms(w, None)[0] == 0.0
+    assert np.array_equal(np.linalg.eigvalsh(_diagonal_states(w)), np.sort(w))
+    assert (w * np.log(w)).sum() < 0.0 and terms(w)[0] == 0.0
+
+
+def test_the_term_of_scalar_n_is_exactly_zero_with_no_eigensolve(monkeypatch):
+    # N = C 1: E(rho) = 1, so tau(E rho ln E rho) = 0 and ln E(rho) = 0 with E not applied
+    n = scalar_algebra(3)
+    rho = random_state(3, np.random.default_rng(12), np.array([0.5, 1.5]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no eigensolve and no E(rho) for N = C 1")
+
+    for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(type(n.expectation), "apply", refuse)
+    for with_log in (False, True):
+        h, log_sigma = expectation_entropy(n, rho, with_log)
+        assert h.shape == (2,) and np.all(h == 0.0) and log_sigma == 0.0

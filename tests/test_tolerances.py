@@ -156,6 +156,37 @@ def test_option_count_sees_dataclass_field_defaults():
     assert sorted(defaulted_parameters(src)) == [("D", "v"), ("E", "w")]
 
 
+# These modules take the N = C 1 case from ``entropy`` (``entropy._expectation``) and never
+# read dim N themselves.
+SCALAR_N_BLIND = ("constants.py", "casebook.py")
+
+
+def algebra_size_compares(source: str):
+    """(line, text) of every comparison with ``n.size`` or ``<x>.fixed_algebra.size`` in it."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            for side in [node.left, *node.comparators]:
+                if isinstance(side, ast.Attribute) and side.attr == "size" and (
+                        getattr(side.value, "id", None) == "n"
+                        or getattr(side.value, "attr", None) == "fixed_algebra"):
+                    yield node.lineno, ast.unparse(node)
+
+
+def test_only_entropy_reads_scalar_n():
+    found = [f"{name}:{line}: {text}" for name in SCALAR_N_BLIND
+             for line, text in algebra_size_compares((SRC / name).read_text())]
+    assert not found, "take the N = C 1 case from qmsemi.entropy:\n" + "\n".join(found)
+
+
+def test_scalar_n_guard_sees_every_side_of_a_comparison():
+    src = ("if n.size == 1: pass\n"
+           "x = 1 < gen.fixed_algebra.size\n"
+           "y = a <= b < self.fixed_algebra.size\n"
+           "z = n.size\n"
+           "w = ks.size == 2\n")
+    assert [line for line, _ in algebra_size_compares(src)] == [1, 2, 3]
+
+
 def test_rel_floor_scales_by_the_largest_magnitude_but_never_below_rtol():
     assert rel_floor(np.array([0.5, -0.2]), 1e-9) == 1e-9
     assert rel_floor(np.array([3.0, -4.0]), 1e-9) == 1e-9 * 4.0
