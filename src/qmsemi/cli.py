@@ -3,8 +3,8 @@
 Subcommands bind the library operations to files and flags; every command is
 pure given (inputs, flags, seed), so rerunning with the same arguments
 produces byte-identical primary output.  Exit codes: 0 success, 1 input or
-validation error, 2 meaningful negative result (e.g. a zero constant),
-3 internal numerical failure.
+validation error (a malformed command line included), 2 meaningful negative
+result (e.g. a zero constant), 3 internal numerical failure.
 """
 
 from __future__ import annotations
@@ -220,9 +220,13 @@ def cmd_validate(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _add_out(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", default=None, help="write primary output to this path")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="seed recorded in outputs")
-    p.add_argument("--out", default=None, help="write primary output to this path")
+    _add_out(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="convert states between tau and trace-1 conventions")
     p.add_argument("state")
     p.add_argument("--to", choices=["tau", "physics"], required=True)
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=cmd_state_convert)
 
     p = sub.add_parser("validate", help="check generator assumptions")
@@ -295,8 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error (message on stderr)
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args)
     # LinAlgError subclasses ValueError, so it is caught first

@@ -27,7 +27,8 @@ takes ``best_lambda``.
 Matrix-amplified agreement is delegated to a sampling oracle in the tests.
 
 The module also computes the module-basis Choi matrix whose operator norm is
-the L1 -> Linf cb-norm of an N-bimodule map, and the derived return time.
+the L1 -> Linf cb-norm of an N-bimodule map, and the derived return time, the
+first point of the grid RETURN_TIME * k where that norm for T_t - E is <= 1/2.
 When N = C 1 an orthonormal module basis is unitarily equivalent to the
 scaled matrix units, so ||chi_T|| = m ||Choi(T)|| with the m^2 x m^2
 Choi(T) = sum_{bd} |b><d| (x) T(e_bd), the index reshuffle ``matops.reshuffle``.
@@ -489,41 +490,60 @@ def cb_norm_1_to_inf(t: Superop | Callable[[np.ndarray], np.ndarray], basis: Mod
 
 
 def return_time(a: Superop, n: SubAlgebra) -> float:
-    """The return time t0: the smallest t with ||chi_{T_t - E}|| <= 1/2.
+    """The return time t0 = RETURN_TIME min{k : g(k RETURN_TIME) <= 0} on the grid of
+    step RETURN_TIME, with g(t) = ||chi_{T_t - E}|| - 1/2.
 
     The Choi norm of T_t - E is the L1 -> Linf cb distance to equilibrium;
     it does not increase in t, since T_{t+s} - E = T_s (T_t - E) with T_s
-    unital CP, so bisection to a resolution of RETURN_TIME in t is
-    justified.  T_t - E comes from the cached ``a.eig``; chi is m Choi(T_t - E)
-    when N = C 1 and is built over ``module_basis(n)`` otherwise, Hermitian as
-    A preserves Hermiticity (checked), so ``eigvalsh`` gives ||chi||.  Before
-    the bisection, ``_bracket_root`` shrinks a bracket [a, b] of the root
-    with g(a) > PSD and g(b) < -PSD.  As g does not increase, every midpoint
-    at or below a has g > 0 and every one at or above b has g < 0, well clear
-    of rounding, so the bisection takes those signs from the bracket, calls g
-    only inside it, and returns the plain bisection's t0 bit for bit.
-    Returns math.inf when 1/2 is not reached by t = 1e4 / gap, and raises if
-    A breaks Hermiticity or has no spectral gap (no convergence to E).
+    unital CP, so any bracketing search finds the first grid point, and t0
+    depends on g alone.  T_t - E comes from the cached ``a.eig``; chi is
+    m Choi(T_t - E) when N = C 1 and is built over ``module_basis(n)``
+    otherwise, Hermitian as A preserves Hermiticity (checked), so ``eigvalsh``
+    gives ||chi||.  A doubling from 1/gap brackets the root; then each step
+    evaluates g at the grid point nearest an Illinois (modified regula falsi)
+    estimate on f = ln(2 g + 1), nearly linear in t as ||chi_t|| decays like
+    C e^{-gap t}, and after three steps in a row that keep over half of the
+    candidates the next step bisects.  Returns math.inf when 1/2 is not
+    reached by t = 1e4 / gap, and raises if A breaks Hermiticity or has no
+    spectral gap (no convergence to E).
     """
     g, gap = _return_distance(a, n)
+
+    def f(gt: float) -> float:
+        return math.log(max(2.0 * gt + 1.0, TINY))
+
     # g(0) > 0: m^2 - 3/2 if N = C 1, else >= 1/2 as chi_{I-E} has the entry xi_j - E(xi_j) = xi_j
-    t_cap = 1e4 / gap
-    hi = 1.0 / gap
-    seen = [(hi, g(hi))]
-    while seen[-1][1] > 0.0:
+    lo, hi = 0.0, 1.0 / gap
+    g_hi = g(hi)
+    f_lo = f(g_hi) + 1.0  # f(0), unevaluated, on the line of slope -gap through (1/gap, f)
+    while g_hi > 0.0:
+        lo, f_lo = hi, f(g_hi)
         hi *= 2.0
-        if hi > t_cap:
+        if hi > 1e4 / gap:
             return math.inf
-        seen.append((hi, g(hi)))
-    lo = 0.0 if hi <= 2.0 / gap else hi / 2.0
-    left, right = _bracket_root(g, gap, lo, hi, seen[-2:])
-    while hi - lo > RETURN_TIME:
-        mid = 0.5 * (lo + hi)
-        if mid <= left or (mid < right and g(mid) > 0.0):
-            lo = mid
+        g_hi = g(hi)
+    f_hi = f(g_hi)
+    # candidates ka + 1 .. kb on the grid, with g > 0 at ka and g <= 0 at kb
+    ka, kb = math.floor(lo / RETURN_TIME), math.ceil(hi / RETURN_TIME)
+    moved, stale = 0, 0  # the end the last step moved (-1 lower, 1 upper); steps since a halving
+    while kb - ka > 1:
+        span, bisect = kb - ka, stale == 3
+        w = f_lo / (f_lo - f_hi) if f_lo > f_hi else 0.5
+        k = round((lo + w * (hi - lo)) / RETURN_TIME)
+        k = (ka + kb) // 2 if bisect else min(max(k, ka + 1), kb - 1)
+        t = k * RETURN_TIME
+        gt = g(t)
+        # Illinois: the end that a second step in a row keeps has its f halved
+        if gt > 0.0:
+            ka, lo, f_lo = k, t, f(gt)
+            f_hi /= 2.0 if moved == -1 else 1.0
+            moved = -1
         else:
-            hi = mid
-    return hi
+            kb, hi, f_hi = k, t, f(gt)
+            f_lo /= 2.0 if moved == 1 else 1.0
+            moved = 1
+        stale = 0 if bisect or 2 * (kb - ka) <= span else stale + 1
+    return kb * RETURN_TIME
 
 
 def _return_distance(a: Superop, n: SubAlgebra) -> tuple[Callable[[float], float], float]:
@@ -547,52 +567,6 @@ def _return_distance(a: Superop, n: SubAlgebra) -> tuple[Callable[[float], float
         return scale * np.abs(np.linalg.eigvalsh(chi(s))).max() - 0.5
 
     return g, gap
-
-
-def _bracket_root(g: Callable[[float], float], gap: float, lo: float, hi: float,
-                  seen: list[tuple[float, float]]) -> tuple[float, float]:
-    """Ends lo <= a < b <= hi around the root of the non-increasing g.
-
-    An end moves only to a point where |g| > PSD: a where g > PSD, b where
-    g < -PSD.  ``seen`` holds the points (t, g(t)) already evaluated, in
-    increasing t.  ||chi_t|| decays like C e^{-gap t}, so f = ln(2 g + 1),
-    zero at the root, is nearly linear in t: secant steps on f (the first
-    one with slope -gap when only one point is known) home in on the root,
-    a step that leaves (a, b) is replaced by its midpoint, and once a step
-    is shorter than the probe step (RETURN_TIME / 4, or more where g is so
-    flat that |g| <= PSD is wider) one probe on each side of the estimate
-    closes the bracket.
-    """
-    a, b = lo, hi
-    pts = []
-
-    def record(t: float, gt: float) -> float:
-        nonlocal a, b
-        if a < t < b and abs(gt) > PSD:
-            a, b = (t, b) if gt > 0.0 else (a, t)
-        pts.append((t, math.log(max(2.0 * gt + 1.0, TINY))))
-        return gt
-
-    for t, gt in seen:
-        record(t, gt)
-    for _ in range(6):
-        x1, f1 = pts[-1]
-        slope = (f1 - pts[-2][1]) / (x1 - pts[-2][0]) if len(pts) > 1 else -gap
-        if not slope < 0.0:  # flat to rounding: the bisection does the rest
-            return a, b
-        # near the root f ~ 2 g, so |g| <= PSD spans |t - t0| <~ 2 PSD / |slope|: probe twice that
-        step = max(RETURN_TIME / 4.0, 4.0 * PSD / -slope)
-        t = x1 - f1 / slope
-        if abs(t - x1) <= step:
-            break
-        if not a < t < b:
-            t = 0.5 * (a + b)
-        if not abs(record(t, g(t))) > PSD:
-            break
-    for s in (t - step, t + step):
-        if a < s < b:
-            record(s, g(s))
-    return a, b
 
 
 def l2_to_linf_cb_sq(s: Superop) -> float:

@@ -51,5 +51,4 @@ def depolarizing_generator(m: int) -> LindbladGenerator:
 def random_lindblad(
     m: int, n_jumps: int, rng: np.random.Generator, scale: float = 1.0
 ) -> LindbladGenerator:
-    jumps = np.array([random_hermitian(m, rng, scale) for _ in range(n_jumps)])
-    return lindblad(JumpSet(dim=m, jumps=jumps))
+    return lindblad(JumpSet(dim=m, jumps=random_hermitian(m, rng, np.full(n_jumps, scale))))

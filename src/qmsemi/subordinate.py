@@ -83,7 +83,6 @@ class WeightProfile:
     eps: float | None = None
     sigma: float | None = None
     points: np.ndarray | None = None
-    norm_const: float | None = None
     conditions: dict = field(default_factory=dict)
 
     # -- constructors ------------------------------------------------------
@@ -91,8 +90,7 @@ class WeightProfile:
     def power_law(alpha: float) -> "WeightProfile":
         if not 0.0 < alpha < 1.0:
             raise ValueError("power-law exponent must lie in (0, 1)")
-        # int (1 - e^-s) s^{-alpha} ds/s = Gamma(1 - alpha) / alpha
-        prof = WeightProfile(kind="power", alpha=alpha, norm_const=alpha / math.gamma(1.0 - alpha))
+        prof = WeightProfile(kind="power", alpha=alpha)
         return prof.with_checked_conditions()
 
     @staticmethod
@@ -118,6 +116,11 @@ class WeightProfile:
         return prof.with_checked_conditions()
 
     # -- evaluation --------------------------------------------------------
+    @property
+    def norm_const(self) -> float:
+        """c = alpha / Gamma(1 - alpha) of a power law: int (1 - e^-s) s^{-alpha} ds/s = 1 / c."""
+        return self.alpha / math.gamma(1.0 - self.alpha)
+
     @property
     def breaks(self) -> tuple:
         """The t where F may jump or kink besides t = 1: eps, or every table point."""

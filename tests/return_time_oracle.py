@@ -1,11 +1,12 @@
 """Reference return times, kept to check the solve in ``cporder.return_time``.
 
-``return_time_by_module_basis`` builds, at every bisection step, the
-(k m) x (k m) Choi matrix of T_t - E over a module basis of N and takes its
-spectral norm by a full SVD (``cb_norm_1_to_inf``), whatever N is.
-``return_time_by_bisection`` runs the plain doubling and bisection over the
-same distance function as ``cporder.return_time``, evaluating g at every
-midpoint, so the two must return the same float.
+Both follow the definition t0 = RETURN_TIME min{k : g(k RETURN_TIME) <= 0}
+by the plain route, ``grid_return_time``: doubling from 1/gap, then integer
+bisection on k.  ``return_time_by_bisection`` runs it over the same distance
+function as ``cporder.return_time``, so the two must return the same float.
+``return_time_by_module_basis`` runs it over a g that builds, at every step,
+the (k m) x (k m) Choi matrix of T_t - E over a module basis of N and takes
+its spectral norm by a full SVD (``cb_norm_1_to_inf``), whatever N is.
 """
 
 import math
@@ -17,8 +18,27 @@ from qmsemi.matops import semigroup_apply
 from qmsemi.tolerances import RETURN_TIME
 
 
+def grid_return_time(g, gap: float) -> float:
+    """RETURN_TIME min{k : g(k RETURN_TIME) <= 0} for a non-increasing g with g(0) > 0,
+    or math.inf when g stays above 0 up to 1e4 / gap."""
+    t_cap = 1e4 / gap
+    lo, hi = 0.0, 1.0 / gap
+    while g(hi) > 0.0:
+        lo, hi = hi, 2.0 * hi
+        if hi > t_cap:
+            return math.inf
+    ka, kb = math.floor(lo / RETURN_TIME), math.ceil(hi / RETURN_TIME)
+    while kb - ka > 1:
+        mid = (ka + kb) // 2
+        if g(mid * RETURN_TIME) > 0.0:
+            ka = mid
+        else:
+            kb = mid
+    return kb * RETURN_TIME
+
+
 def return_time_by_module_basis(a, n) -> float:
-    """The smallest t with ||chi_{T_t - E}|| <= 1/2, bisected to RETURN_TIME."""
+    """The grid return time with ||chi_{T_t - E}|| from an SVD over a module basis."""
     gap = spectral_gap(a)
     if gap <= 0.0:
         raise ValueError("generator has no spectral gap; no convergence to E")
@@ -33,36 +53,9 @@ def return_time_by_module_basis(a, n) -> float:
 
     if g(0.0) <= 0.0:
         return 0.0
-    t_cap = 1e4 / gap
-    hi = 1.0 / gap
-    while g(hi) > 0.0:
-        hi *= 2.0
-        if hi > t_cap:
-            return math.inf
-    lo = 0.0 if hi <= 2.0 / gap else hi / 2.0
-    while hi - lo > RETURN_TIME:
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return grid_return_time(g, gap)
 
 
 def return_time_by_bisection(a, n) -> float:
-    """The smallest t with g(t) <= 0 by doubling, then bisection to RETURN_TIME."""
-    g, gap = _return_distance(a, n)
-    t_cap = 1e4 / gap
-    hi = 1.0 / gap
-    while g(hi) > 0.0:
-        hi *= 2.0
-        if hi > t_cap:
-            return math.inf
-    lo = 0.0 if hi <= 2.0 / gap else hi / 2.0
-    while hi - lo > RETURN_TIME:
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    """The grid return time over ``cporder._return_distance``, by integer bisection."""
+    return grid_return_time(*_return_distance(a, n))

@@ -35,12 +35,35 @@ def test_gamma_e_positive_constant(jumps_file, tmp_path, capsys):
 
 @pytest.mark.parametrize("flag", [["--tol", "psd=1e-6"], ["--format", "json"]])
 def test_removed_flags_are_rejected_and_config_holds_only_the_seed(jumps_file, tmp_path, flag):
-    with pytest.raises(SystemExit) as exc:
-        main(["gamma-e", jumps_file] + flag)
-    assert exc.value.code == 2
+    assert main(["gamma-e", jumps_file] + flag) == 1
     out = tmp_path / "cert.json"
     assert main(["gamma-e", jumps_file, "--out", str(out)]) == 0
     assert json.loads(out.read_text())["config"] == {"seed": 0}
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma-e", "x.json", "--bogus"],
+    ["flsi", "x.json", "--starts", "x"],
+    ["subordinate", "x.json", "--theta", "half"],
+    ["decay", "x.json", "--bogus"],
+    ["casebook", "run", "--n", "x"],
+    ["casebook"],
+    ["state-convert", "x.json"],
+    ["validate", "x.json", "--seed", "x"],
+    ["bogus"],
+    [],
+])
+def test_a_malformed_command_line_exits_1_with_the_usage_message(argv, capsys):
+    # exit 2 is reserved for a meaningful negative result
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "usage: qmsemi" in err and "error: " in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["gamma-e", "--help"], ["casebook", "run", "-h"]])
+def test_help_exits_0(argv, capsys):
+    assert main(argv) == 0
+    assert "usage: qmsemi" in capsys.readouterr().out
 
 
 def test_gamma_e_without_out_writes_the_same_bytes_to_stdout(jumps_file, tmp_path, capsys):
@@ -244,6 +267,15 @@ def test_state_convert_roundtrip(tmp_path):
     assert main(["state-convert", str(f), "--to", "physics", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert np.trace(np.asarray(doc["re"])) == pytest.approx(1.0)
+
+
+def test_state_convert_takes_no_seed(tmp_path, capsys):
+    f = tmp_path / "state.json"
+    f.write_text(dump_json(operator_to_obj(np.eye(2, dtype=complex))))
+    argv = ["state-convert", str(f), "--to", "tau", "--out", str(tmp_path / "tau.json")]
+    assert main(argv) == 0
+    assert main(argv + ["--seed", "1"]) == 1
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_state_convert_round_trip_through_tau(tmp_path):

@@ -6,7 +6,11 @@ import pytest
 from conftest import make_zoo
 from kernel_oracle import kernel_from_jumps_by_einsum, kernel_from_superop_by_einsum
 from pencil_oracle import bisect_lambda
-from return_time_oracle import return_time_by_bisection, return_time_by_module_basis
+from return_time_oracle import (
+    grid_return_time,
+    return_time_by_bisection,
+    return_time_by_module_basis,
+)
 from qmsemi import algebra, cporder
 from qmsemi.algebra import diagonal_algebra, module_basis, scalar_algebra
 from qmsemi.cporder import (
@@ -21,6 +25,7 @@ from qmsemi.cporder import (
     kernel_ie,
     l2_to_linf_cb_sq,
     return_time,
+    _return_distance,
 )
 from qmsemi.generator import gradient_form, jump_set, lindblad
 from qmsemi.matops import (
@@ -442,7 +447,8 @@ RETURN_TIME_CASES = _return_time_cases()
 def test_return_time_matches_module_basis_oracle(name):
     gen = RETURN_TIME_CASES[name]
     t0 = return_time(gen.superop, gen.fixed_algebra)
-    assert abs(t0 - return_time_by_module_basis(gen.superop, gen.fixed_algebra)) <= RETURN_TIME
+    # both take the first grid point where their g is not positive: the same float
+    assert t0 == return_time_by_module_basis(gen.superop, gen.fixed_algebra)
 
 
 def _random_return_time_cases():
@@ -457,10 +463,59 @@ BISECTION_CASES = {**RETURN_TIME_CASES, **_random_return_time_cases()}
 
 
 @pytest.mark.parametrize("name", sorted(BISECTION_CASES))
-def test_return_time_is_the_plain_bisection_bit_for_bit(name):
+def test_return_time_is_the_grid_bisection_bit_for_bit(name):
     gen = BISECTION_CASES[name]
     t0 = return_time(gen.superop, gen.fixed_algebra)
     assert t0 == return_time_by_bisection(gen.superop, gen.fixed_algebra)
+
+
+@pytest.mark.parametrize("name", sorted(BISECTION_CASES))
+def test_return_time_is_the_first_grid_point_where_g_is_not_positive(name):
+    gen = BISECTION_CASES[name]
+    t0 = return_time(gen.superop, gen.fixed_algebra)
+    g, _ = _return_distance(gen.superop, gen.fixed_algebra)
+    k = round(t0 / RETURN_TIME)
+    assert t0 == k * RETURN_TIME
+    assert g(t0) <= 0.0 < g((k - 1) * RETURN_TIME)
+
+
+def _patched_distance(monkeypatch, g, gap):
+    """Route ``return_time`` to g and gap; returns the list of times g is called at."""
+    ts = []
+
+    def counted(t):
+        ts.append(t)
+        return g(t)
+
+    monkeypatch.setattr(cporder, "_return_distance", lambda a, n: (counted, gap))
+    return ts
+
+
+@pytest.mark.parametrize("gap", [0.5, 1.0, 3.0])
+def test_return_time_is_infinite_when_g_stays_positive_up_to_the_cap(monkeypatch, gap):
+    ts = _patched_distance(monkeypatch, lambda t: 0.5 * math.exp(-gap * t / 1e5), gap)
+    assert return_time(None, None) == math.inf
+    assert max(ts) <= 1e4 / gap
+
+
+STALLING_DISTANCES = {
+    # flat, then steep: f = ln(2 g + 1) = ln 2 - (t/3)^40 keeps regula falsi at one end
+    "flat_then_steep": lambda t: 0.5 * (2.0 * math.exp(-(t / 3.0) ** 40) - 1.0),
+    # a step from just above 0 to -1/2: regula falsi creeps up one candidate a step
+    # until Illinois halvings bring f at the upper end down to the 2e-12 of the lower
+    "step": lambda t: 1e-12 if t < 2.9726381234 else -0.5,
+}
+
+
+@pytest.mark.parametrize("name", sorted(STALLING_DISTANCES))
+def test_return_time_bisects_where_the_secant_stalls(monkeypatch, name):
+    g = STALLING_DISTANCES[name]
+    ts = _patched_distance(monkeypatch, g, 1.0)
+    t0 = return_time(None, None)
+    assert ts[:3] == [1.0, 2.0, 4.0] and g(2.0) > 0.0 >= g(4.0)
+    assert t0 == grid_return_time(g, 1.0)
+    span = round(4.0 / RETURN_TIME) - round(2.0 / RETURN_TIME)
+    assert len(ts) - 3 <= 4 * math.ceil(math.log2(span))
 
 
 def _eigvalsh_calls(monkeypatch, fn, gen) -> int:
