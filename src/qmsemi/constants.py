@@ -110,51 +110,53 @@ def _dynamics(gen) -> tuple[Superop, SubAlgebra, Superop]:
 
 
 def _ratio_and_grad(a: Superop, n: SubAlgebra, h: np.ndarray, want_grad: bool):
-    """I_A/D_N at rho = m e^H / tr(e^H), plus the H-space gradient.
+    """I_A/D_N at rho = m e^H / tr(e^H), plus the H-gradient G.
 
-    d(I_A) = tau(beta (A(ln rho) + J_log(A rho))) and
-    d(D_N) = tau(beta (ln rho - ln E rho)), so the rho-gradient of the ratio
-    is G = X + J_log(A rho) / D_N with X = (A(ln rho) - (I_A/D_N)(ln rho -
-    ln E rho)) / D_N.  The chart rho = s e^H, s = m / tr(e^H), maps G to the
-    H-gradient s J_exp(G) - s^2 tau(G e^H) e^H.  In the eigenbasis (w, U) of
-    H, rho has spectrum r = s e^w, so D_exp(w_k, w_l) D_log(r_k, r_l) = 1/s
-    for every pair: s J_exp J_log is the identity, and the term is A(rho) / D_N
-    with no divided difference of log (whose tie rule would misread
-    eigenvalues of rho below PSD).  What remains is one Schur product with
-    D_exp on U* X U, whose diagonal and tr A(rho) give the trace term t rho,
-    and one rotation back.  D_N = tau(rho ln rho) - tau(E rho ln E rho), and
+    On the chart ln rho = H + (ln m - ln tr e^H) 1 exactly, so I_A = Re<ln rho,
+    A(rho)>/m is one ``vdot``; D_N = tau(rho ln rho) - tau(E rho ln E rho), and
     ``expectation_entropy`` gives that term and ln E(rho), both 0 for N = C 1,
-    where the one eigensolve is that of H.  The gradient is None unless
-    ``want_grad``, and None where D_N <= 0, the ratio overflows or E(rho) is
-    not positive definite to rounding, so that ln E(rho) is undefined.  rho is
-    None where it has an eigenvalue at or below HELD (relative): its matrix
-    holds that eigenvalue to fewer digits than the ratio takes from its
-    logarithm, so ``fisher`` and ``d_sub`` at the matrix could not check it.
+    where the one eigensolve is that of H.  d(I_A) = tau(beta (A(ln rho) +
+    J_log(A rho))) and d(D_N) = tau(beta (ln rho - ln E rho)); the chart maps a
+    rho-gradient G' to s J_exp(G') - s^2 tau(G' e^H) e^H, s = m / tr(e^H), and
+    rho has spectrum r = s e^w over the eigenpairs (w, U) of H, so s D_exp(w_k,
+    w_l) D_log(r_k, r_l) = 1 and J_log(A rho) enters as A(rho) / D_N.  What
+    remains is one Schur product with D_exp on (U* (A(ln rho) + c ln E rho) U -
+    c diag(ln r)) / D_N, c = I_A/D_N, then the trace term U diag(t r) U* and one
+    rotation back.  G is not made Hermitian: only Re tau(G K) for Hermitian K is
+    read.  G is None unless ``want_grad``, and None where D_N <= 0, the ratio
+    overflows or E(rho) is not positive definite to rounding (ln E(rho) is
+    undefined).  rho is None where it has an eigenvalue at or below HELD
+    (relative): its matrix holds that eigenvalue to fewer digits than the ratio
+    takes from its logarithm, so ``fisher`` and ``d_sub`` could not check it.
     """
     m = h.shape[0]
     w, u, expw, r, rho = _chart(h)
-    uh = u.conj().T
     tr = expw.sum()
-    log_r = w + math.log(m) - math.log(tr)
-    log_rho = (u * log_r) @ uh
+    shift = math.log(m) - math.log(tr)
+    log_r = w + shift
+    log_rho = h.copy()
+    log_rho.flat[::m + 1] += shift
     # D_N keeps every x ln x term, as its gradient does: rho is full rank, so no zero floor
     # applies (an eigenvalue that underflows to 0 adds 0 ln 0 = 0)
     r_log_r = r * np.log(r, out=np.zeros_like(r), where=r > 0)
     h_sigma, log_e_rho = expectation_entropy(n, rho, True)
     d_val = float(r_log_r.sum()) / m - float(h_sigma)
-    a_rho = a.apply(rho)
-    a_rho = (a_rho + a_rho.conj().T) / 2.0
-    i_val = norm_trace(a_rho @ log_rho).real
+    a_rho = a.matrix.dot(rho.ravel()).reshape(m, m)
+    i_val = np.vdot(log_rho, a_rho).real / m
     # r ascends, and r[-1] >= 1 as tr rho = m, so HELD r[-1] is rel_floor(r, HELD)
     state = rho if r[0] > HELD * r[-1] else None
-    if not (want_grad and d_val > 0 and math.isfinite(float(i_val) / d_val)) or log_e_rho is None:
+    if not (want_grad and d_val > 0 and math.isfinite(i_val / d_val)) or log_e_rho is None:
         return i_val, d_val, state, None
-    x = (a.apply(log_rho) - i_val / d_val * (log_rho - log_e_rho)) / d_val
-    j_x = (m / tr) * divided_differences(w, expw, math.exp) * (uh @ x @ u)
-    t = (np.trace(j_x).real + np.trace(a_rho).real / d_val) / m
-    grad_h = u @ j_x @ uh + a_rho / d_val - t * rho
-    grad_h = (grad_h + grad_h.conj().T) / 2.0
-    return i_val, d_val, state, grad_h
+    # D_exp is e^w on the diagonal, where c diag(ln r) and t diag(r) come off
+    uh = u.conj().T
+    c = i_val / d_val
+    s = m / (tr * d_val)
+    y = a.matrix.dot(log_rho.ravel()).reshape(m, m) + c * log_e_rho
+    j_x = s * divided_differences(w, expw, np.exp) * uh.dot(y).dot(u)
+    j_x.flat[::m + 1] -= (s * c) * expw * log_r
+    t = (j_x.trace().real + a_rho.trace().real / d_val) / m
+    j_x.flat[::m + 1] -= t * r
+    return i_val, d_val, state, u.dot(j_x).dot(uh) + a_rho / d_val
 
 
 class _StartEnded(Exception):
@@ -228,17 +230,17 @@ def flsi_estimate(
     if a.norm <= TRIVIAL:
         raise ValueError("FLSI undefined: generator has trivial dynamics")
     m = a.dim
-    # rows are the flattened B_k: H = x @ basis, and tr(G B_k) = (conj(basis) @ vec G)_k
-    # as each B_k is Hermitian
-    basis = hermitian_basis(m)[1:].reshape(m * m - 1, m * m)
-    dual = basis.conj()
+    # rows are the flattened B_k, each entry as its (re, im) pair: H = x @ basis read as
+    # complex, and Re tr(G B_k) = Re sum_ij G_ij conj(B_k)_ij = (basis @ vec G as pairs)_k
+    basis = hermitian_basis(m)[1:].reshape(m * m - 1, m * m).view(float)
     best, best_state = math.inf, None
     grad_check = math.nan
     for start in range(n_starts):
         rng = np.random.default_rng([seed, start])
         h = random_hermitian(m, rng, scale=0.7 + 0.2 * (start % 3))
-        h -= np.trace(h).real / m * np.eye(m)
-        i_val, d_val, rho, g = _ratio_and_grad(a, n, h, True)
+        x0 = basis @ h.reshape(-1).view(float)
+        h = (x0 @ basis).view(complex).reshape(m, m)  # the traceless part, at x0 exactly
+        i_val, d_val, rho, g = evaluated = _ratio_and_grad(a, n, h, True)
         if g is None or d_val < D_N_ZERO:
             continue
         if start == 0:
@@ -251,23 +253,25 @@ def flsi_estimate(
             an = norm_trace(g @ k).real
             grad_check = abs(fd - an) / max(abs(fd), 1.0)
         low = [i_val / d_val if rho is not None else math.inf, rho]
+        # L-BFGS-B's first call asks for x0 again: it gets this evaluation
+        first = {x0.tobytes(): evaluated}
 
         def objective(x):
-            i_x, d_x, rho_x, g_x = _ratio_and_grad(a, n, (x @ basis).reshape(m, m), True)
+            i_x, d_x, rho_x, g_x = first.pop(x.tobytes(), None) or _ratio_and_grad(
+                a, n, x.dot(basis).view(complex).reshape(m, m), True)
             if g_x is None:
                 # D_N <= 0, an overflowing ratio or an undefined ln E(rho): L-BFGS-B gets
                 # no such value and the state is not recorded, so the start ends here
                 raise _StartEnded
             if rho_x is not None and d_x >= D_N_ZERO and i_x / d_x < low[0]:
                 low[:] = i_x / d_x, rho_x
-            # d/dx_k of the ratio is tau(G B_k) = tr(G B_k) / m
-            return i_x / d_x, (dual @ g_x.reshape(-1)).real / m
+            # d/dx_k of the ratio is Re tau(G B_k)
+            return i_x / d_x, basis.dot(g_x.ravel().view(float)) / m
 
         # the box keeps ||H|| <= 40 sqrt(m^2 - 1) < 709 for m <= 16: e^H stays finite
         with contextlib.suppress(_StartEnded):
-            minimize(objective, (dual @ h.reshape(-1)).real, jac=True,
-                     method="L-BFGS-B", bounds=[(-40.0, 40.0)] * len(basis),
-                     options={"maxiter": MAX_ITER})
+            minimize(objective, x0, jac=True, method="L-BFGS-B",
+                     bounds=[(-40.0, 40.0)] * len(basis), options={"maxiter": MAX_ITER})
         if low[0] < best:
             best, best_state = low
     if best_state is None:

@@ -186,7 +186,8 @@ class GammaECertificate:
     ``method`` names the solve: "pencil-direct" (``best_lambda``, or the
     closed-form zero verdict of ``gamma_e_constant``) or
     "congruence-cholesky" (``gamma_e``), which also sets ``lambda_cert``, a
-    lower bound on lambda* proved by a Cholesky factorization.
+    lower bound on lambda* proved by a Cholesky factorization; the JSON always
+    carries ``lambda_cert``, null where no proof ran.
     """
 
     lambda_star: float
@@ -199,17 +200,15 @@ class GammaECertificate:
     method: str = "pencil-direct"
 
     def to_json(self) -> dict:
-        doc = {
+        return {
             "lambda_star": float(self.lambda_star),
             "status": self.status,
             "leak": None if self.leak is None else float(self.leak),
             "margin": float(self.margin),
             "method": self.method,
             "tolerance": float(self.tolerance),
+            "lambda_cert": None if self.lambda_cert is None else float(self.lambda_cert),
         }
-        if self.lambda_cert is not None:
-            doc["lambda_cert"] = float(self.lambda_cert)
-        return doc
 
 
 def best_lambda(q_small: FormKernel, q_big: FormKernel) -> GammaECertificate:

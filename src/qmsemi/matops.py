@@ -111,7 +111,7 @@ def divided_difference_multiplier(
 
         J_f(y) = sum_{k,l} Df(r_k, r_l) e_k y e_l,
 
-    with Df as in ``divided_differences``; f and fprime are called on scalars.
+    with Df as in ``divided_differences``; f and fprime take arrays.
     Raises if f is undefined (non-finite) at an eigenvalue of rho.
     """
     if not is_hermitian(rho):
@@ -120,7 +120,7 @@ def divided_difference_multiplier(
         raise ValueError("dimension mismatch")
     w, u = np.linalg.eigh(rho)
     with np.errstate(divide="ignore", invalid="ignore"):
-        fw = np.array([f(t) for t in w], dtype=float)
+        fw = np.asarray(f(w), dtype=float)
     if not np.all(np.isfinite(fw)):
         raise ValueError("function undefined on part of the spectrum")
     return schur_multiplier(w, u, fw, fprime, y)
@@ -137,16 +137,16 @@ def schur_multiplier(w: np.ndarray, u: np.ndarray, fw: np.ndarray, fprime: Calla
 def divided_differences(w: np.ndarray, fw: np.ndarray, fprime: Callable) -> np.ndarray:
     """The matrix Df(w_k, w_l) of first divided differences of f, fw = f(w).
 
-    Df(s, t) = (f(s) - f(t)) / (s - t) away from the diagonal and f'((s+t)/2),
-    with fprime called on scalars, when |s - t| <= PSD * max(|s|, |t|, 1); the
-    midpoint rule removes the 0/0 singularity with O(gap) error.
+    Df(s, t) = (f(s) - f(t)) / (s - t), or f'((s+t)/2) from one call of fprime
+    on the tied midpoints when |f(s) - f(t)| <= PSD * max(|f(s)|, |f(t)|): exp
+    ties at a gap of about PSD at any height, log never ties s and t a factor
+    apart, and the midpoint rule removes the 0/0 singularity with O(gap) error.
     """
-    gap = np.subtract.outer(w, w)
-    scale = np.maximum(np.abs(w), 1.0)
-    tie = np.abs(gap) <= PSD * np.maximum.outer(scale, scale)
-    d = np.subtract.outer(fw, fw) / np.where(tie, 1.0, gap)
-    for k, l in zip(*tie.nonzero()):
-        d[k, l] = fprime(0.5 * (w[k] + w[l]))
+    df = fw[:, None] - fw
+    scale = PSD * np.abs(fw)
+    tie = np.abs(df) <= np.maximum(scale[:, None], scale)
+    d = df / np.where(tie, 1.0, w[:, None] - w)
+    d[tie] = fprime(0.5 * (w[:, None] + w)[tie])
     return d
 
 
@@ -164,11 +164,7 @@ def unvec(v: np.ndarray, m: int) -> np.ndarray:
 
 def matrix_units(m: int) -> np.ndarray:
     """All |i><j| in lexicographic (row-major) order, shape (m*m, m, m)."""
-    out = np.zeros((m * m, m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            out[i * m + j, i, j] = 1.0
-    return out
+    return np.eye(m * m, dtype=complex).reshape(m * m, m, m)
 
 
 def tau_orthonormal_basis(m: int) -> np.ndarray:

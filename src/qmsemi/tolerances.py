@@ -8,7 +8,7 @@ decision they make, and no caller sets one.  Relative floors scale by
 kernel of ``generator.spectral_gap``, of the functional calculus
 ``subordinate._spectral_map`` and of ``constants.gamma_dual_norm``) and
 ``matops.nullspace_basis`` (PSD * s_max) scale by the top value alone, and
-``matops.divided_differences`` ties eigenvalues at PSD * max(|s|, |t|, 1) per pair.
+``matops.divided_differences`` ties a pair whose values agree to PSD * max(|f(s)|, |f(t)|).
 """
 
 from __future__ import annotations

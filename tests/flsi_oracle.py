@@ -9,7 +9,9 @@ with D_N below 1e-6 before the Fisher information is taken.
 
 ``ratio_and_grad_reference`` checks the descent objective: it builds the
 gradient from two divided-difference Schur multipliers, J_log at the
-spectrum of rho and J_exp at that of H, where the objective cancels J_log.
+spectrum of rho and J_exp at that of H, where the objective cancels J_log,
+and it takes ln rho by rotating ln r, A(rho) through its Hermitian part and
+I_A through a matrix product, where the objective reads ln rho off H.
 """
 
 import math
@@ -42,8 +44,10 @@ def ratio_and_grad_reference(a, e, h, want_grad: bool):
     The rho-gradient G = (D_N (A(ln rho) + J_log(A rho)) - I_A (ln rho - ln E rho)) / D_N^2
     takes J_log from the divided differences of log at the eigenvalues of rho, and
     the chain through the chart gives (m / tr e^H) J_exp(G) - (m / tr e^H)^2 tau(G e^H) e^H.
-    The J_log tie rule reads eigenvalues of rho below PSD as tied, so this
-    gradient is wrong where two of them are that small.
+    Where rho has eigenvalues near 1e-13, J_log's entries (about 1e13) magnify the
+    rounding of A(rho) in the eigenbasis, and across a pair of eigenvalues of H
+    within a few PSD the two multipliers' quotients of nearly equal values leave
+    O(eps / gap) in their product, so this gradient is off there.
     """
     m = h.shape[0]
     w, u, expw, r, rho = _chart(h)
@@ -69,7 +73,7 @@ def ratio_and_grad_reference(a, e, h, want_grad: bool):
     grad_i = (grad_i + grad_i.conj().T) / 2.0
     grad_d = log_rho - log_e_rho
     g_rho = (d_val * grad_i - i_val * grad_d) / d_val**2
-    j_g = schur_multiplier(w, u, expw, math.exp, g_rho)
+    j_g = schur_multiplier(w, u, expw, np.exp, g_rho)
     exph = (u * expw) @ uh
     coef = (m / tr) ** 2 * norm_trace(g_rho @ exph).real
     grad_h = (m / tr) * j_g - coef * exph

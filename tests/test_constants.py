@@ -103,7 +103,8 @@ def test_flsi_objective_matches_the_two_multiplier_reference(spread):
 @pytest.mark.parametrize("m", [4, 6])
 def test_flsi_gradient_matches_a_central_difference_where_rho_has_tiny_eigenvalues(m):
     # at spread 5 (a state inside the descent's box) several eigenvalues of rho lie
-    # below PSD, where the tie rule on the spectrum of rho reads them as tied
+    # below PSD, where the reference's divided differences of log at the spectrum of
+    # rho (about 1e13 there) magnify rounding that the cancelled form never meets
     gen = random_lindblad(m, 2, np.random.default_rng(m))
     a, n = gen.superop, gen.fixed_algebra
     rng = np.random.default_rng(260 + m)
@@ -119,7 +120,39 @@ def test_flsi_gradient_matches_a_central_difference_where_rho_has_tiny_eigenvalu
                        (ratio_and_grad_reference(a, n.expectation, h, True)[3], ref_err)):
             err.append(abs(fd - norm_trace(g @ k).real) / max(abs(fd), 1.0))
     assert max(new_err) < 1e-6
-    assert max(ref_err) > 1e-2
+    assert max(ref_err) > 1e-4
+
+
+@pytest.mark.parametrize("gap", [0.5 * PSD, 2.0 * PSD])
+@pytest.mark.parametrize("m", [3, 4])
+def test_flsi_gradient_matches_a_central_difference_at_a_near_tied_h(m, gap):
+    # the divided differences of exp tie a pair of eigenvalues of H 0.5 PSD apart
+    # (midpoint rule) and not one 2 PSD apart (a quotient of nearly equal values), on
+    # N = C 1 and on the diagonal algebra of dephasing.  The pair sits at -3, so ln r
+    # is about -2.5 and the reference's divided differences of log tie it too: at 0.5
+    # PSD both of its multipliers take the midpoint and it agrees to rounding, while
+    # at 2 PSD the quotient of exponentials, off by O(eps / gap), meets their product,
+    # which the objective cancels
+    rng = np.random.default_rng(300 + m)
+    for gen in (random_lindblad(m, 2, rng), dephasing_generator(m)):
+        a, n = gen.superop, gen.fixed_algebra
+        for _ in range(5):
+            q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+            w = rng.uniform(-0.5, 1.0, m)
+            w[:2] = -3.0, -3.0 + gap
+            h = (q * w) @ q.conj().T
+            h = (h + h.conj().T) / 2.0
+            assert np.diff(np.linalg.eigvalsh(h)).min() == pytest.approx(gap, rel=1e-3)
+            k = random_hermitian(m, rng, 1.0)
+            s = 1e-6
+            ip, dp, _, _ = constants._ratio_and_grad(a, n, h + s * k, False)
+            im, dm, _, _ = constants._ratio_and_grad(a, n, h - s * k, False)
+            fd = (ip / dp - im / dm) / (2 * s)
+            g = constants._ratio_and_grad(a, n, h, True)[3]
+            g_ref = ratio_and_grad_reference(a, n.expectation, h, True)[3]
+            assert abs(fd - norm_trace(g @ k).real) / max(abs(fd), 1.0) < 1e-6
+            bound = 1e-10 if gap < PSD else 1e-6
+            assert np.abs(g - g_ref).max() <= bound * np.abs(g_ref).max()
 
 
 def _objective_calls(gen, monkeypatch):
@@ -182,6 +215,36 @@ def test_flsi_descent_hands_lbfgsb_only_finite_values(monkeypatch):
     est = flsi_estimate(dephasing_generator(2), n_starts=6, seed=110, n_validate=0)
     assert values and all(math.isfinite(f) and g for f, g in values)
     assert math.isfinite(est.lambda_upper)
+
+
+@pytest.mark.parametrize("name", ["depolarizing_m2", "random_2jump_m4"])
+def test_flsi_descent_evaluates_each_first_state_once(zoo, name, monkeypatch):
+    # the check before a start runs hands its evaluation to L-BFGS-B's first call, so
+    # the objective runs once per L-BFGS-B evaluation, twice more for the finite
+    # difference of start 0 and once for each start that is skipped
+    import scipy.optimize
+
+    objective_calls, nfev = [0], []
+
+    def counted(*args, _ratio_and_grad=constants._ratio_and_grad):
+        objective_calls[0] += 1
+        return _ratio_and_grad(*args)
+
+    def recorded(fun, x0, _minimize=scipy.optimize.minimize, **kwargs):
+        def fun_counted(x):
+            nfev[-1] += 1
+            return fun(x)
+        nfev.append(0)
+        res = _minimize(fun_counted, x0, **kwargs)
+        assert res.nfev == nfev[-1]
+        return res
+
+    monkeypatch.setattr(constants, "_ratio_and_grad", counted)
+    monkeypatch.setattr(scipy.optimize, "minimize", recorded)
+    n_starts = 4
+    est = flsi_estimate(zoo[name], n_starts=n_starts, seed=0, n_validate=0)
+    assert math.isfinite(est.grad_check)  # start 0 ran its finite difference
+    assert objective_calls[0] == sum(nfev) + 2 + (n_starts - len(nfev))
 
 
 @pytest.mark.parametrize("m, seed", [(3, 1), (3, 3), (4, 0), (4, 1), (4, 2), (4, 3)])

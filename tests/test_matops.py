@@ -113,27 +113,42 @@ def test_divided_difference_trace_derivative_law():
 
 @pytest.mark.parametrize("gap", [0.0, 1e-11])
 def test_divided_difference_midpoint_rule_on_near_ties(gap):
-    w = np.array([1.0, 1.0 + gap, 2.5])
-    rho = np.diag(w).astype(complex)
+    # a pair ties when ln s and ln t agree to PSD of their size: ln vanishes at 1, so
+    # 1 and 1 + gap tie only at gap 0, while 3 and 3 + 1e-11 tie
     y = random_hermitian(3, np.random.default_rng(10))
-    # the true derivative, then a marker that tells the midpoint from either end
-    for fprime in (lambda s: 1.0 / s, lambda s: 1e12 * (s - 1.0)):
-        out = divided_difference_multiplier(rho, np.log, y, fprime=fprime)
-        d = np.empty((3, 3))
-        for k in range(3):
-            for l in range(3):
-                if abs(w[k] - w[l]) <= 1e-9 * max(abs(w[k]), abs(w[l]), 1.0):
-                    d[k, l] = fprime(0.5 * (w[k] + w[l]))
-                else:
-                    d[k, l] = (np.log(w[k]) - np.log(w[l])) / (w[k] - w[l])
-        assert np.allclose(out, d * y, rtol=1e-12, atol=1e-12)
-    assert abs(out[0, 1] / y[0, 1] - 1e12 * gap / 2) < 1e-3
+    for base in (1.0, 3.0):
+        w = np.array([base, base + gap, 2.5])
+        rho = np.diag(w).astype(complex)
+        # the true derivative, then a marker that tells the midpoint from either end
+        for fprime in (lambda s: 1.0 / s, lambda s: 1e12 * (s - base)):
+            out = divided_difference_multiplier(rho, np.log, y, fprime=fprime)
+            d = np.empty((3, 3))
+            for k in range(3):
+                for l in range(3):
+                    fk, fl = np.log(w[k]), np.log(w[l])
+                    if abs(fk - fl) <= 1e-9 * max(abs(fk), abs(fl)):
+                        d[k, l] = fprime(0.5 * (w[k] + w[l]))
+                    else:
+                        d[k, l] = (fk - fl) / (w[k] - w[l])
+            assert np.allclose(out, d * y, rtol=1e-12, atol=1e-12)
+        tied = gap == 0.0 or base == 3.0
+        want = 1e12 * gap / 2 if tied else math.log1p(gap) / gap
+        assert abs(out[0, 1] / y[0, 1] - want) < 1e-3
+
+
+def test_divided_difference_of_log_does_not_tie_eigenvalues_a_factor_apart():
+    # 1e-12 and 1e-10 are 1e-10 apart, under PSD, but their logarithms differ by ln 100
+    rho = np.diag([1e-12, 1e-10, 3.0 - 1e-10 - 1e-12]).astype(complex)
+    out = divided_difference_multiplier(rho, np.log, np.ones((3, 3), dtype=complex),
+                                        fprime=np.reciprocal)
+    want = (math.log(1e-12) - math.log(1e-10)) / (1e-12 - 1e-10)
+    assert out[0, 1].real == pytest.approx(want, rel=1e-12)
 
 
 def _chart_divided_differences(w):
     """D_exp at w, D_log at the chart spectrum r = m e^w / sum e^w, r, and tr e^H / m."""
     r = w.size * np.exp(w) / np.exp(w).sum()
-    return (divided_differences(w, np.exp(w), math.exp),
+    return (divided_differences(w, np.exp(w), np.exp),
             divided_differences(r, np.log(r), np.reciprocal), r, np.exp(w).sum() / w.size)
 
 
@@ -150,23 +165,25 @@ def test_divided_differences_of_exp_and_log_over_the_chart_cancel():
 
 @pytest.mark.parametrize("gap", [0.5 * PSD, 2.0 * PSD])
 def test_divided_differences_cancel_across_the_tie_floor(gap):
-    # a pair 0.5 PSD apart is tied in both spectra (midpoint rule), one 2 PSD apart in
-    # neither (a quotient of nearly equal values); each keeps the product to O(eps / gap)
+    # e^w ties a pair 0.5 PSD apart (midpoint rule) and not one 2 PSD apart (a quotient
+    # of nearly equal values); ln r ties neither, as its two values, below 0.2 in size,
+    # differ by the gap itself.  Each keeps the product to O(eps / gap)
     for base in (-0.2, 0.0, 0.4):
         w = np.array([base, base + gap, 0.3, -0.4])
         d_exp, d_log, r, want = _chart_divided_differences(w)
         assert np.abs(d_exp * d_log / want - 1.0).max() <= 1e-6
         assert (d_exp[0, 1] == math.exp(0.5 * (w[0] + w[1]))) == (gap < PSD)
-        assert (d_log[0, 1] == 1.0 / (0.5 * (r[0] + r[1]))) == (gap < PSD)
+        log_r = np.log(r)
+        assert d_log[0, 1] == (log_r[0] - log_r[1]) / (r[0] - r[1])
 
 
 def _masked_schur_multiplier(w, u, fw, fprime, y):
     """The divided-difference Schur multiplier filled through boolean masks."""
-    gap = w[:, None] - w[None, :]
-    tie = np.abs(gap) <= PSD * np.maximum(np.maximum.outer(np.abs(w), np.abs(w)), 1.0)
-    d = np.empty(gap.shape)
-    d[~tie] = (fw[:, None] - fw[None, :])[~tie] / gap[~tie]
-    d[tie] = [fprime(s) for s in (0.5 * (w[:, None] + w[None, :]))[tie]]
+    df = fw[:, None] - fw[None, :]
+    tie = np.abs(df) <= PSD * np.maximum(np.abs(fw)[:, None], np.abs(fw)[None, :])
+    d = np.empty(df.shape)
+    d[~tie] = df[~tie] / (w[:, None] - w[None, :])[~tie]
+    d[tie] = fprime((0.5 * (w[:, None] + w[None, :]))[tie])
     uh = u.conj().T
     return u @ (d * (uh @ y @ u)) @ uh
 
@@ -176,10 +193,10 @@ def test_schur_multiplier_keeps_the_bits_of_the_masked_form():
     for k in range(300):
         m = 1 + k % 6
         w, u = np.linalg.eigh(random_hermitian(m, rng, 2.0))
-        if m > 2:  # plant a pair at, under or over the tie floor
+        if m > 2:  # plant a pair at, under or over a gap of about PSD
             w[1] = w[0] + PSD * (0.0, 0.5, 1.0, 2.0)[k % 4] * max(abs(w[0]), 1.0)
         y = random_hermitian(m, rng)
-        for f, fprime, at in ((np.exp, math.exp, w), (np.log, np.reciprocal, np.abs(w) + 0.1)):
+        for f, fprime, at in ((np.exp, np.exp, w), (np.log, np.reciprocal, np.abs(w) + 0.1)):
             assert np.array_equal(schur_multiplier(at, u, f(at), fprime, y),
                                   _masked_schur_multiplier(at, u, f(at), fprime, y))
 
