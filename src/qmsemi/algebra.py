@@ -82,13 +82,16 @@ def commutant(gens: list[np.ndarray], m: int) -> SubAlgebra:
     if not all(is_hermitian(g) for g in gens):
         raise ValueError("commutant requires Hermitian generators")
     eye = np.eye(m, dtype=complex)
-    stacked = np.vstack([np.kron(g, eye) - np.kron(eye, g.T) for g in gens])
-    ns = nullspace_basis(stacked)
-    # rotate the basis so the identity direction comes first
-    c0 = vec(eye) / np.sqrt(m)
-    cols = [c0]
-    for i in range(ns.shape[1]):
-        v = ns[:, i]
+    g = np.array(gens)[:, :, None, :, None]
+    # row block k is kron(g_k, 1) - kron(1, g_k^T), entry by entry as np.kron forms it
+    stacked = g * eye[:, None, :] - eye[:, None, :, None] * g.transpose(0, 4, 3, 2, 1)
+    return identity_first_algebra(nullspace_basis(stacked.reshape(-1, m * m)), m)
+
+
+def identity_first_algebra(ns: np.ndarray, m: int) -> SubAlgebra:
+    """The algebra spanned by the orthonormal columns ns, its basis rotated to start at 1."""
+    cols = [vec(np.eye(m, dtype=complex)) / np.sqrt(m)]  # Gram-Schmidt of ns after this
+    for v in ns.T:
         for c in cols:
             v = v - c * (c.conj() @ v)
         nrm = np.linalg.norm(v)

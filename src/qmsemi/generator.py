@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SubAlgebra, commutant
-from .matops import Superop, is_hermitian, make_superop, reshuffle
-from .tolerances import PSD, rel_floor
+from .algebra import SubAlgebra, commutant, identity_first_algebra
+from .matops import Superop, _adjoint, make_superop, reshuffle
+from .tolerances import HERMITIAN, PSD, rel_floor
 
 __all__ = [
     "JumpSet",
@@ -37,15 +37,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class JumpSet:
-    """Hermitian jump operators a_1..a_r on M_m."""
+    """Hermitian jump operators a_1..a_r on M_m, each to HERMITIAN of its own largest entry."""
 
     dim: int
     jumps: np.ndarray  # (r, m, m)
 
     def __post_init__(self):
-        for k, a in enumerate(self.jumps):
-            if not is_hermitian(a):
-                raise ValueError(f"jump operator {k} is not Hermitian")
+        off = np.abs(self.jumps - _adjoint(self.jumps)).max(axis=(-2, -1), initial=0.0)
+        if (bad := ~(off <= rel_floor(self.jumps, HERMITIAN, axis=(-2, -1)))).any():
+            raise ValueError(f"jump operator {int(bad.argmax())} is not Hermitian")
 
     @property
     def size(self) -> int:
@@ -84,6 +84,9 @@ def lindblad(jumps: JumpSet) -> LindbladGenerator:
     Over row-major vec, x -> b x c has matrix b (x) c^T, so the generator is
     sq (x) 1 + 1 (x) sq^T - 2 sum_k a_k (x) a_k^T with sq = sum_k a_k^2.
     Raises ValueError when that matrix is not finite (jumps too large).
+    With one null mode (``Superop.null_modes``) N = C 1 comes off the cached
+    spectrum: eigh's rounding keeps the commutator stack's sigma_2 far above the
+    SVD cutoff of ``algebra.commutant``, which decides N when more modes are null.
     """
     m = jumps.dim
     a = jumps.jumps
@@ -94,7 +97,10 @@ def lindblad(jumps: JumpSet) -> LindbladGenerator:
         matrix = np.kron(sq, eye) + np.kron(eye, sq.T) - 2.0 * sandwich
     if not np.isfinite(matrix).all():
         raise ValueError("jumps too large: sum_k a_k^2 or the generator is not finite")
-    return LindbladGenerator(jumps, make_superop(matrix, m), commutant(list(a), m))
+    sup = make_superop(matrix, m)
+    if sup.hs_selfadjoint and sup.null_modes.sum() == 1:  # eigh sorts that mode first
+        return LindbladGenerator(jumps, sup, identity_first_algebra(sup.eig[1][:, :1], m))
+    return LindbladGenerator(jumps, sup, commutant(list(a), m))
 
 
 def derivation(jumps: JumpSet, x: np.ndarray) -> np.ndarray:

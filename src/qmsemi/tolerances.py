@@ -6,8 +6,9 @@ and eigenvalue gap that counts as zero; the other constants are named after the
 decision they make, and no caller sets one.  Relative floors scale by
 ``rel_floor``, except that ``matops.Superop.null_modes`` (PSD * max|w|, the
 kernel of ``generator.spectral_gap``, of the functional calculus
-``subordinate._spectral_map`` and of ``constants.gamma_dual_norm``) and
-``matops.nullspace_basis`` (PSD * s_max) scale by the top value alone, and
+``subordinate._spectral_map`` and of ``constants.gamma_dual_norm``; a generator
+with one null mode has N = C 1) and ``matops.nullspace_basis`` (PSD * s_max,
+which otherwise decides N) scale by the top value alone, and
 ``matops.divided_differences`` ties a pair whose values agree to PSD * max(|f(s)|, |f(t)|).
 """
 
@@ -44,4 +45,4 @@ def rel_floor(x, rtol: float, axis=None):
     x = np.asarray(x)
     if axis is None:
         return rtol * max(np.abs(x).max(), 1.0) if x.size else rtol
-    return rtol * np.maximum(np.abs(x).max(axis=axis), 1.0)
+    return rtol * np.maximum(np.abs(x).max(axis=axis, initial=0.0), 1.0)

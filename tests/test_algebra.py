@@ -7,10 +7,19 @@ from qmsemi.algebra import (
     conditional_expectation,
     diagonal_algebra,
     full_algebra,
+    identity_first_algebra,
     module_basis,
     scalar_algebra,
 )
-from qmsemi.matops import hs_inner, hs_norm, norm_trace, random_hermitian, vec
+from qmsemi.matops import (
+    hermitian_basis,
+    hs_inner,
+    hs_norm,
+    norm_trace,
+    nullspace_basis,
+    random_hermitian,
+    vec,
+)
 from qmsemi.models import pauli
 
 
@@ -27,6 +36,20 @@ def test_commutant_of_nothing_is_everything():
 def test_commutant_rejects_a_generator_that_is_not_hermitian():
     with pytest.raises(ValueError, match="Hermitian generators"):
         commutant([pauli("x"), np.array([[0, 1], [0, 0]], dtype=complex)], 2)
+
+
+def test_commutant_keeps_the_bits_of_the_kron_stack():
+    """The broadcast commutator stack is np.kron's, so the basis keeps its bits."""
+    rng = np.random.default_rng(3203)
+    gen_sets = [random_hermitian(m, rng, np.ones(k)) for m in (2, 4, 6, 8) for k in (1, 2, 3)]
+    gen_sets += [hermitian_basis(m) / np.sqrt(2.0 * m) for m in (2, 4, 6)]
+    gen_sets += [np.array([np.diag([1.0, 1.0, 2.0]).astype(complex)])]
+    for gens in gen_sets:
+        m, eye = gens.shape[-1], np.eye(gens.shape[-1], dtype=complex)
+        stacked = np.vstack([np.kron(g, eye) - np.kron(eye, g.T) for g in gens])
+        ref = identity_first_algebra(nullspace_basis(stacked), m).basis
+        got = commutant(list(gens), m).basis
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 def test_commutant_of_nondegenerate_diagonal():

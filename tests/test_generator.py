@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from superop_oracle import superop_from_action
-from qmsemi.algebra import scalar_algebra
+from qmsemi.algebra import commutant, scalar_algebra
 from qmsemi.generator import (
     JumpSet,
     derivation,
@@ -16,6 +16,7 @@ from qmsemi.generator import (
 )
 from qmsemi.matops import (
     identity_superop,
+    is_hermitian,
     make_superop,
     norm_trace,
     nullspace_basis,
@@ -44,6 +45,80 @@ def test_lindblad_trivial_jump_sets():
 def test_jump_set_rejects_non_hermitian():
     with pytest.raises(ValueError):
         JumpSet(dim=2, jumps=np.array([[[0, 1], [0, 0]]], dtype=complex))
+
+
+def test_jump_set_names_the_first_bad_jump_against_its_own_floor():
+    # jump 1 is off by 1e-10 < HERMITIAN * 1e3 but > HERMITIAN * 1: bad against its own floor
+    jumps = np.array([1e3 * pauli("x"), pauli("z"), pauli("z"), np.diag([1.0, 1e3])])
+    jumps[1, 0, 1] += 1e-10
+    jumps[2, 0, 1] += 1e-10
+    with pytest.raises(ValueError, match="^jump operator 1 is not Hermitian$"):
+        JumpSet(dim=2, jumps=jumps)
+    jumps[3, 0, 1] += 1e-10  # below jump 3's own floor, so only 1 and 2 are bad
+    jumps[1, 0, 1] = jumps[2, 0, 1] = 0.0
+    assert JumpSet(dim=2, jumps=jumps).size == 4
+
+
+def test_jump_set_check_matches_the_per_jump_loop():
+    """The stacked check accepts and rejects as is_hermitian does jump by jump."""
+    rng = np.random.default_rng(3202)
+    for _ in range(400):
+        m, r = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        jumps = random_hermitian(m, rng, 10.0 ** rng.uniform(-3, 3, size=r))
+        for k in np.flatnonzero(rng.random(r) < 0.5):
+            i, j = rng.integers(0, m, size=2)
+            jumps[k, i, j] += 10.0 ** rng.uniform(-15, -8) * rng.choice([1, 1j])
+        if rng.random() < 0.05:
+            jumps[rng.integers(0, r), 0, 0] = np.nan
+        bad = [k for k, a in enumerate(jumps) if not is_hermitian(a)]
+        if bad:
+            with pytest.raises(ValueError, match=f"^jump operator {bad[0]} is not Hermitian$"):
+                JumpSet(dim=m, jumps=jumps)
+        else:
+            assert JumpSet(dim=m, jumps=jumps).size == r
+
+
+def _shortcut_cases(zoo):
+    rng = np.random.default_rng(3201)
+    cases = {f"zoo/{name}": gen.jumps for name, gen in zoo.items()}
+    for m in (2, 3, 4, 5, 6, 7, 8, 15):
+        for k in (2, 3):
+            cases[f"random/m{m}/{k}"] = jump_set(random_hermitian(m, rng, np.ones(k)))
+    for m in range(2, 7):
+        cases[f"depolarizing/m{m}"] = depolarizing_generator(m).jumps
+    return cases
+
+
+def test_fixed_algebra_keeps_the_bits_of_the_commutant(zoo):
+    """N = C 1 read off the generator's spectrum is the commutant's basis, bit for bit."""
+    for name, jumps in _shortcut_cases(zoo).items():
+        got = lindblad(jumps).fixed_algebra.basis
+        ref = commutant(list(jumps.jumps), jumps.dim).basis
+        assert got.shape == ref.shape and got.dtype == ref.dtype, name
+        assert got.tobytes() == ref.tobytes(), name
+
+
+@pytest.mark.parametrize("eps, size", [(1e-6, 1), (1e-8, 1), (1e-10, 2)])
+def test_fixed_algebra_where_null_modes_and_the_svd_disagree(eps, size):
+    # the generator's eigenvalue 4 eps^2 counts as null at each eps here, while the
+    # commutator stack's singular value ~eps clears the SVD cutoff down to eps ~ 1e-9
+    jumps = jump_set([np.diag([1.0, 2.0]).astype(complex), eps * pauli("x")])
+    got = lindblad(jumps).fixed_algebra.basis
+    ref = commutant(list(jumps.jumps), 2).basis
+    assert got.shape[0] == size
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_ergodic_generator_takes_no_svd(zoo, monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("an ergodic generator ran an SVD")
+
+    cases = {k: v for k, v in _shortcut_cases(zoo).items() if "dephasing" not in k}
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for name, jumps in cases.items():
+        assert lindblad(jumps).fixed_algebra.size == 1, name
+    with pytest.raises(AssertionError, match="ran an SVD"):  # dim N = 2 still takes it
+        lindblad(dephasing_generator(2).jumps)
 
 
 def test_derivation_values_and_leibniz():
