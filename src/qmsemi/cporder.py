@@ -14,12 +14,12 @@ always over the matrix units e_ij = sqrt(m) |i><j|.  The gradient condition
 solved directly (see ``best_lambda``).  For a Lindblad generator with K jumps
 Q_A = C* C with the (K m) x m^3 commutator factor
 C[(k,i),(b,u)] = ([a_k, e_b])_{iu}, so rank Q_A <= K m and ker Q_A has
-dimension >= m^3 - K m.  When K < m^2, ``gamma_e_constant`` works on C alone
-and never forms Q_A: if the index element of N is scalar, a zero verdict and
-the exact leak of Q_{I-E} out of ker Q_A follow in closed form from a thin
-SVD of C and one m x m eigenproblem, and every other verdict comes from the
-split of Q_A into range and kernel given by a full SVD of C.  With K >= m^2
-the dense Q_A is split by an eigendecomposition.  A superoperator pencil
+dimension >= m^3 - K m.  When K m is below rank Q_{I-E} = m (m^2/dim N - 1)
+(the rank when the index element of N is scalar), ``gamma_e_constant``
+works on C alone and never forms Q_A: a zero verdict and the exact leak of
+Q_{I-E} out of ker Q_A follow in closed form from a thin SVD of C and one
+m x m eigenproblem.  Every other jump pencil splits the dense Q_A by an
+eigendecomposition (``best_lambda``).  A superoperator pencil
 (``gamma_e``) with N = C 1 first drops the 1 (x) C^m directions, which both
 kernels kill, by a congruence; its "positive" status is then proved by a
 Cholesky factorization with Rump's rounding margin, and any other outcome
@@ -150,19 +150,6 @@ def cp_order_holds(q_small: FormKernel, q_big: FormKernel, lam: float) -> bool:
     return bool(w.min() >= -rel_floor(w, PSD))
 
 
-def _factor_eigh(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and eigenvectors of C* C from a full SVD of C.
-
-    For C = U S V*, the eigenvalues are S^2 padded with exact zeros and the
-    eigenvectors are the columns of V, both in reverse order.
-    """
-    n = c.shape[1]
-    _, s, vh = np.linalg.svd(c, full_matrices=True)
-    w = np.zeros(n)
-    w[n - s.size:] = s[::-1] ** 2
-    return w, vh[::-1].conj().T
-
-
 def _top_eigpair(h: np.ndarray) -> tuple[float, np.ndarray]:
     """Largest eigenvalue of a Hermitian matrix and a unit eigenvector."""
     import scipy.linalg
@@ -214,27 +201,19 @@ class GammaECertificate:
 def best_lambda(q_small: FormKernel, q_big: FormKernel) -> GammaECertificate:
     """Largest lambda with lambda * Q_small <= Q_big, by a direct pencil solve.
 
-    Q_small is PSD.  Q_big is split by one eigendecomposition (``_split_pencil``).
+    Q_small is PSD.  One eigendecomposition splits Q_big at the PSD floor into
+    range R (eigenvalues S) and kernel K: lambda* = 0 if Q_big has a direction
+    below -floor or if the leak ||K* Q_small K|| exceeds the PSD floor of
+    Q_small (ker Q_big is not inside ker Q_small), and otherwise
+    lambda* = 1 / lambda_max(S^-1/2 R* Q_small R S^-1/2).
     Raises ValueError when the kernels differ in shape or Q_small vanishes.
     """
     _check_same_shape(q_small, q_big)
     norm_small = np.linalg.norm(q_small.q)  # Frobenius: bounds ||Q_small||, no eigensolve
     if norm_small <= PSD:
         raise ValueError("Q_small vanishes; no pencil to solve")
+    floor_small = rel_floor(norm_small, PSD)
     wb, vb = np.linalg.eigh(q_big.q)
-    return _split_pencil(q_small, rel_floor(norm_small, PSD), wb, vb)
-
-
-def _split_pencil(
-    q_small: FormKernel, floor_small: float, wb: np.ndarray, vb: np.ndarray
-) -> GammaECertificate:
-    """lambda* from the ascending eigenpairs (wb, vb) of Q_big.
-
-    Q_big, split at the PSD floor into range R (eigenvalues S) and kernel K,
-    gives lambda* = 0 if it has a direction below -floor or if the leak
-    ||K* Q_small K|| exceeds ``floor_small`` (ker Q_big is not inside
-    ker Q_small), and otherwise lambda* = 1 / lambda_max(S^-1/2 R* Q_small R S^-1/2).
-    """
     floor = rel_floor(wb, PSD)
     if wb[0] < -floor:
         return GammaECertificate(0.0, "zero", None, -wb[0] - floor, floor, vb[:, 0])
@@ -266,15 +245,15 @@ def _index_leak(
 
         Q_small = B* B / 2 + (c/2)(1 - P_0),  B[i, (b, u)] = (e_b - E e_b)_{iu},
 
-    with B of size m x m^3.  ker Q_small lies in ker C, so when rank C (rows
-    R of the thin SVD with s^2 above the PSD floor) is below
-    rank Q_small = m (m^2/c - 1), ker C holds directions outside ker Q_small
-    and lambda* = 0.  With P_K = 1 - R* R the leak is then
+    with B of size m x m^3.  ker Q_small lies in ker C, and the caller
+    passes only C with fewer rows than rank Q_small = m (m^2/c - 1), so ker C
+    holds directions outside ker Q_small and lambda* = 0.  With R the rows of
+    C's thin SVD with s^2 above the PSD floor and P_K = 1 - R* R, the leak is
     c/2 + lambda_max(B P_K B*)/2, reached at w = P_K B* y for the top
     eigenvector y of the m x m matrix B B* - (B R*)(B R*)*; ``leak`` is
     w* Q_small w, the exact norm to rounding, and w in ker C is the witness.
-    None (use the dense split) when z is not scalar, rank C is not below the
-    count, or that top eigenvalue is at or under the PSD floor.
+    None (use ``best_lambda``) when z is not scalar or that top eigenvalue is
+    at or under the PSD floor.
     """
     m, dim_n = n.dim, n.size
     e = tau_orthonormal_basis(m)
@@ -286,8 +265,6 @@ def _index_leak(
     w = s ** 2
     floor = rel_floor(w, PSD)
     rh = rh[w > floor]
-    if rh.shape[0] >= m * (m * m / dim_n - 1):
-        return None
     b = (e - ee).transpose(1, 0, 2).reshape(m, -1)
     br = b @ rh.conj().T
     h = b @ b.conj().T - br @ br.conj().T
@@ -307,22 +284,22 @@ def gamma_e_constant(gen: LindbladGenerator) -> GammaECertificate:
     Compares the kernel of Gamma_{I-E_fix} against the kernel of the jump
     gradient form.  A generator with trivial dynamics (fixed algebra all of
     M_m, so Gamma_{I-E} vanishes) gets a zero certificate without a solve.
-    With K >= m^2 jumps the dense Q_A takes ``best_lambda``; with K < m^2 the
-    factor C alone decides (``_index_leak``, else the split from C's full SVD).
+    With K jumps rank Q_A <= K m; when that is below m (m^2/dim N - 1), the
+    rank of Q_{I-E} for a scalar index element, the factor C decides a zero
+    verdict in closed form (``_index_leak``).  Every other pencil, and a
+    closed form that does not apply, takes ``best_lambda`` on the dense Q_A.
     """
     n = gen.fixed_algebra
     q_small = kernel_ie(n)
     norm_small = np.linalg.norm(q_small.q)
     if norm_small <= PSD:
         return GammaECertificate(0.0, "zero", 0.0, PSD - norm_small, PSD)
-    # Keep this fork: at K = m^2 (depolarizing) the dense solve beats the factor path,
-    # 2.5 vs 4.2 ms at m = 4 and 36 vs 58 ms at m = 6 (one BLAS thread, Xeon vCPU).
-    if gen.jumps.size >= gen.jumps.dim ** 2:
-        return best_lambda(q_small, kernel_from_jumps(gen.jumps.jumps))
-    floor_small = rel_floor(norm_small, PSD)
-    c = _jump_factor(gen.jumps.jumps)
-    cert = _index_leak(q_small, c, n, floor_small)
-    return cert if cert is not None else _split_pencil(q_small, floor_small, *_factor_eigh(c))
+    m, jumps = gen.dim, gen.jumps.jumps
+    if gen.jumps.size * m < m * (m * m / n.size - 1):
+        cert = _index_leak(q_small, _jump_factor(jumps), n, rel_floor(norm_small, PSD))
+        if cert is not None:
+            return cert
+    return best_lambda(q_small, kernel_from_jumps(jumps))
 
 
 def _cholesky_shift(h: np.ndarray, spread: float) -> float:

@@ -2,12 +2,12 @@
 
 ``bisect_lambda`` bisects on the smallest eigenvalue of Q_big - lambda Q_small,
 shifted by the same PSD floor that ``cp_order_holds`` allows, so it finds the
-largest lambda the floor accepts, up to ``tol``.  ``dense_split_lambda`` is
-the factored split written out on its own: it takes the factor C of
-Q_big = C* C explicitly (no kernel carries one), a full SVD of C, the
-(n - r) x (n - r) block K* Q_small K over the whole kernel basis and a dense
-top eigenpair of it.  It is the reference for the closed-form leak and the
-factored split that ``gamma_e_constant`` uses for a jump pencil.
+largest lambda the floor accepts, up to ``tol``.  ``dense_split_lambda``
+splits the pencil through the factor C of Q_big = C* C, taken explicitly (no
+kernel carries one): a full SVD of C, the (n - r) x (n - r) block
+K* Q_small K over the whole kernel basis and a dense top eigenpair of it.
+It is the reference for the closed-form leak that ``gamma_e_constant`` takes
+for a jump pencil and for the dense split of ``best_lambda``.
 """
 
 import numpy as np

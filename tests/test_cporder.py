@@ -141,13 +141,11 @@ def test_best_lambda_rejects_mismatched_kernels():
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
-def test_factored_split_agrees_with_the_eigendecomposition(name):
+def test_gamma_e_constant_agrees_with_the_dense_split_and_bisection(name):
     gen = KERNEL_CASES[name]
     q_small = kernel_ie(gen.fixed_algebra)
     q_big = kernel_from_jumps(gen.jumps.jumps)
-    floor_small = rel_floor(np.linalg.norm(q_small.q), PSD)
-    c = cporder._jump_factor(gen.jumps.jumps)
-    cert = cporder._split_pencil(q_small, floor_small, *cporder._factor_eigh(c))
+    cert = gamma_e_constant(gen)
     ref = best_lambda(q_small, q_big)
     assert cert.status == ref.status
     for field in ("lambda_star", "margin"):
@@ -187,7 +185,7 @@ def _without_identity(m):
 @pytest.mark.parametrize("gen", [
     pytest.param(random_lindblad(m, k, np.random.default_rng(90 + 10 * m + k), scale=0.6),
                  id=f"random-m{m}-k{k}") for m, k in ((2, 2), (3, 2), (4, 3), (6, 3), (8, 3))
-] + [pytest.param(_without_identity(m), id=f"depolarizing-without-identity-m{m}") for m in (2, 3)])
+])
 def test_gamma_e_constant_never_forms_q_a_for_fewer_than_m2_jumps(gen, monkeypatch):
     m = gen.dim
     assert gen.jumps.size < m * m and gen.fixed_algebra.size == 1
@@ -200,6 +198,29 @@ def test_gamma_e_constant_never_forms_q_a_for_fewer_than_m2_jumps(gen, monkeypat
     cert = gamma_e_constant(gen)
     assert cert.status == ref.status
     assert cert.lambda_star == pytest.approx(ref.lambda_star, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("gen", [
+    pytest.param(depolarizing_generator(m), id=f"depolarizing-m{m}") for m in (2, 3, 4)
+] + [pytest.param(_without_identity(m), id=f"depolarizing-without-identity-m{m}") for m in (2, 3)])
+def test_gamma_e_constant_takes_one_dense_split_at_the_rank_count(gen, monkeypatch):
+    # K m >= m (m^2 - 1) = rank Q_{I-E} for N = C 1: the closed form cannot apply
+    m = gen.dim
+    assert gen.jumps.size >= m * m - 1 and gen.fixed_algebra.size == 1
+    q_small, q_big = kernel_ie(gen.fixed_algebra), kernel_from_jumps(gen.jumps.jumps)
+    splits = []
+    split = cporder.best_lambda
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an SVD was taken")
+
+    monkeypatch.setattr(cporder, "best_lambda", lambda *a: splits.append(a) or split(*a))
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    cert = gamma_e_constant(gen)
+    assert len(splits) == 1
+    assert cert.status == "positive"
+    lam = cert.lambda_star
+    assert abs(bisect_lambda(q_small, q_big) - lam) <= 1e-6 * max(1.0, lam)
 
 
 def test_cp_order_basics():

@@ -1,13 +1,12 @@
 """Property tests of the cp-order pencil on a factored Q_big = C* C, and of the
-index-element identities its closed-form leak rests on."""
+index-element identities the closed-form leak of a jump pencil rests on."""
 
 import numpy as np
 import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_degenerate_commutant
-from qmsemi import cporder
-from qmsemi.cporder import FormKernel, cp_order_holds, kernel_from_jumps, kernel_ie
+from qmsemi.cporder import FormKernel, best_lambda, cp_order_holds, kernel_from_jumps, kernel_ie
 from qmsemi.generator import jump_set, lindblad
 from qmsemi.matops import tau_orthonormal_basis
 from qmsemi.tolerances import PSD, rel_floor
@@ -58,7 +57,7 @@ def test_factored_pencil_is_tight_and_its_status_follows_the_leak(pencil):
     q_small, c = pencil
     q_big = _kernel(q_small.dim, q_small.basis_size, c.conj().T @ c)
     floor_small = rel_floor(np.linalg.norm(q_small.q), PSD)
-    cert = cporder._split_pencil(q_small, floor_small, *cporder._factor_eigh(c))
+    cert = best_lambda(q_small, q_big)
     lam = cert.lambda_star
     assert cp_order_holds(q_small, q_big, lam)
     if cert.status == "positive":
