@@ -59,6 +59,7 @@ from .generator import (
     gradient_form_weak,
     jump_set,
     lindblad,
+    markov_pair,
     spectral_gap,
     validate_generator,
 )

@@ -175,7 +175,7 @@ def cmd_decay(args) -> int:
             raise ValueError(f"--state is {len(rho0)}x{len(rho0)} but the jumps are "
                              f"{gen.dim}x{gen.dim}")
         rho0 = make_state(rho0)
-    trace = simulate_decay(gen.superop, gen.fixed_algebra, rho0, grid, lam)
+    trace = simulate_decay(gen, rho0, grid, lam)
     _emit(trace.to_csv(), args.out)
     return EXIT_OK
 

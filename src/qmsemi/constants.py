@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import SubAlgebra
-from .entropy import check_kills_algebra, default_grid, expectation_entropy, sub_terms
-from .generator import LindbladGenerator, gradient_form
+from .entropy import default_grid, expectation_entropy, sub_terms
+from .generator import LindbladGenerator, gradient_form, markov_pair
 from .matops import (
     Superop,
     _chart,
@@ -102,11 +102,6 @@ class FlsiEstimate:
             "grad_check": float(self.grad_check),
             "n_validated": int(self.n_validated),
         }
-
-
-def _dynamics(gen) -> tuple[Superop, SubAlgebra, Superop]:
-    a, n = (gen.superop, gen.fixed_algebra) if isinstance(gen, LindbladGenerator) else gen
-    return a, n, n.expectation
 
 
 def _ratio_and_grad(a: Superop, n: SubAlgebra, h: np.ndarray, want_grad: bool):
@@ -207,18 +202,19 @@ def flsi_estimate(
 ) -> FlsiEstimate:
     """Two upper bounds on the constant: I_A(rho)/D_N(rho) minimized over states.
 
-    Each start runs L-BFGS-B, at most ``MAX_ITER`` iterations, on
-    rho = m e^H / tr(e^H) with H = sum_k x_k B_k over the traceless orthonormal
-    basis and |x_k| <= 40; the analytic gradient is checked against a finite
-    difference at the first start.  Each evaluation diagonalizes H, and E(rho)
-    too unless N = C 1 (``_ratio_and_grad``); a start ends at a state with D_N <= 0,
-    an overflowing ratio or an E(rho) that is not positive definite to rounding,
-    and a start whose first state is one of these is skipped.  ``lambda_upper``
-    is the lowest ratio at an evaluated state with D_N >= D_N_ZERO and no
-    eigenvalue at or below HELD (relative), the state ``argmin_state`` holds, and
-    ``lambda_lower`` is that ratio re-validated against ``n_validate`` random
-    states, ``SWEEP_CHUNK`` per stacked eigensolve; ``n_validated`` counts the
-    states kept.  The gamma-e lambda* of a Lindblad generator bounds from below.
+    ``gen`` passes ``generator.markov_pair`` (else ValueError).  Each start runs
+    L-BFGS-B, at most ``MAX_ITER`` iterations, on rho = m e^H / tr(e^H) with H =
+    sum_k x_k B_k over the traceless orthonormal basis and |x_k| <= 40; the
+    analytic gradient is checked against a finite difference at the first start.
+    Each evaluation diagonalizes H, and E(rho) too unless N = C 1
+    (``_ratio_and_grad``); a start ends at a state with D_N <= 0, an overflowing
+    ratio or an E(rho) that is not positive definite to rounding, and a start
+    whose first state is one of these is skipped.  ``lambda_upper`` is the lowest
+    ratio at an evaluated state with D_N >= D_N_ZERO and no eigenvalue at or below
+    HELD (relative), the state ``argmin_state`` holds, and ``lambda_lower`` is that
+    ratio re-validated against ``n_validate`` random states, ``SWEEP_CHUNK`` per
+    stacked eigensolve; ``n_validated`` counts the states kept.  The gamma-e
+    lambda* of a Lindblad generator bounds from below.
     """
     if n_starts < 1:
         raise ValueError("need at least one start")
@@ -226,7 +222,7 @@ def flsi_estimate(
         raise ValueError("n_validate must be nonnegative")
     from scipy.optimize import minimize
 
-    a, n, _ = _dynamics(gen)
+    a, n = markov_pair(gen)
     if a.norm <= TRIVIAL:
         raise ValueError("FLSI undefined: generator has trivial dynamics")
     m = a.dim
@@ -309,17 +305,17 @@ def check_decay_bound(gen, lam: float, n_states: int = 50, seed: int = 0) -> dic
     violation is found.  The exponents H come from one ``rng.random(n_states)``
     and one ``random_hermitian`` call with spreads 0.5 + u, and each start
     state is taken in its chart, rho = m e^H / tr e^H with ln rho = H + ln m -
-    ln tr e^H, so no eigenvalue floor applies to it.  A must vanish on N (else
-    ValueError), so E(T_t rho) = E(rho): E(rho) and the term tau(E rho ln E rho)
-    of D_N are taken once per start state (``expectation_entropy``), and all
-    states and times go through one semigroup evaluation and one stacked
-    eigensolve, of eigenvalues only when N = C 1 (``sub_terms``).  States with
-    D_N below DECAY_SKIP are skipped, and a violation is a slack above VIOLATION.
+    ln tr e^H, so no eigenvalue floor applies to it.  ``gen`` passes
+    ``generator.markov_pair`` (else ValueError), so E(T_t rho) = E(rho): E(rho) and
+    the term tau(E rho ln E rho) of D_N are taken once per start state
+    (``expectation_entropy``), and all states and times go through one semigroup
+    evaluation and one stacked eigensolve, of eigenvalues only when N = C 1
+    (``sub_terms``).  States with D_N below DECAY_SKIP are skipped, and a
+    violation is a slack above VIOLATION.
     """
     if n_states < 1:
         raise ValueError("n_states must be at least 1")
-    a, n, _ = _dynamics(gen)
-    check_kills_algebra(a, n)
+    a, n = markov_pair(gen)
     m = a.dim
     grid = default_grid(lam)
     rng = np.random.default_rng([seed, 17])
@@ -345,7 +341,7 @@ LP_EXPONENTS = (1.0, 2.0, 4.0, math.inf)
 def check_lp_decay(gen, lam: float, n_x: int = 50, seed: int = 0) -> dict:
     """Verify ||T_t(x) - E(x)||_p <= e^{-lam t} ||x - E(x)||_p, p in LP_EXPONENTS, on random x.
 
-    A must vanish on N (else ValueError), so T_t(x) - E(x) = T_t(x - E(x)).
+    ``gen`` passes ``generator.markov_pair`` (else ValueError): T_t(x) - E(x) = T_t(x - E(x)).
     The probes take two draws: every Hermitian part in one ``random_hermitian``
     call, then the anti-Hermitian parts of the odd-indexed probes in one more.
     All probes and times go through one semigroup evaluation and one stacked
@@ -354,14 +350,13 @@ def check_lp_decay(gen, lam: float, n_x: int = 50, seed: int = 0) -> dict:
     """
     if n_x < 1:
         raise ValueError("n_x must be at least 1")
-    a, n, e = _dynamics(gen)
-    check_kills_algebra(a, n)
+    a, n = markov_pair(gen)
     m = a.dim
     grid = default_grid(lam, n=20)
     rng = np.random.default_rng([seed, 23])
     x = random_hermitian(m, rng, np.ones(n_x))
     x[1::2] += 1j * random_hermitian(m, rng, np.ones(n_x // 2))
-    x0 = x - e.apply(x)
+    x0 = x - n.expectation.apply(x)
     x_t = np.concatenate([x0[None], semigroup_apply(a, grid, x0)])
     s = np.linalg.svd(x_t, compute_uv=False)
     slack = np.full((n_x, len(LP_EXPONENTS), grid.size), -np.inf)

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import SubAlgebra
+from .generator import markov_pair
 from .matops import Superop, semigroup_apply
-from .tolerances import CP_VIOLATION, PSD, SUPEROP_FLAG, rel_floor
+from .tolerances import PSD, rel_floor
 
 __all__ = [
     "relative_entropy",
@@ -149,16 +150,6 @@ def sub_terms(n: SubAlgebra, rho: np.ndarray, rho_eig, start: np.ndarray, h):
     return _d_n(w, log_w, h), i
 
 
-def check_kills_algebra(a: Superop, n: SubAlgebra) -> None:
-    """Raise unless A vanishes on N: ||A E|| <= SUPEROP_FLAG, relative, entrywise.
-
-    Then T_t fixes N, and as A and E are self-adjoint (``semigroup_apply``
-    needs A to be) E A = (A E)* = 0 too, so E(T_t rho) = E(rho) at every t.
-    """
-    if np.abs(a.matrix @ n.expectation.matrix).max() > rel_floor(a.matrix, SUPEROP_FLAG):
-        raise ValueError("the generator must vanish on the algebra N (A E = 0)")
-
-
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     """D(rho||sigma) = tau(rho ln rho) - tau(rho ln sigma), +inf off-support.
 
@@ -215,41 +206,26 @@ def default_grid(lam: float, n: int = 60) -> np.ndarray:
     return np.geomspace(1e-3 / lam, 6.0 / lam, n)
 
 
-def simulate_decay(
-    a: Superop,
-    n: SubAlgebra,
-    rho0: np.ndarray,
-    t_grid: np.ndarray,
-    lam: float,
-) -> DecayTrace:
+def simulate_decay(gen, rho0: np.ndarray, t_grid: np.ndarray, lam: float) -> DecayTrace:
     """Evolve rho through e^{-tA}, recording D_N, I_A and e^{-lam t} D_N(rho0).
 
-    A must vanish on N (A E = 0, else ValueError), so E(rho_t) = E(rho0) at
-    every t: the term tau(E rho ln E rho) of D_N is taken once, from the
-    spectrum of E(rho0) (``expectation_entropy``), D_N(rho0) from that of
-    rho0, and the time grid costs one stacked eigensolve of rho_t.
+    ``gen`` passes ``generator.markov_pair`` (else ValueError), so E(rho_t) =
+    E(rho0) at every t: the term tau(E rho ln E rho) of D_N is taken once, from
+    the spectrum of E(rho0) (``expectation_entropy``), D_N(rho0) from that of
+    rho0, and the time grid costs one stacked eigensolve of rho_t, whose one
+    support pass gives both D_N and I_A.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("time grid must be strictly increasing")
-    check_kills_algebra(a, n)
+    a, n = markov_pair(gen)
     h, _ = expectation_entropy(n, rho0, False)
     w0, _, log_w0 = _support(np.linalg.eigvalsh(rho0), "rho")
     d0 = float(_d_n(w0, log_w0, h))
     rho_t = semigroup_apply(a, t_grid, rho0)
     rho_t = (rho_t + rho_t.conj().swapaxes(-1, -2)) / 2.0
-    rho_eig = np.linalg.eigh(rho_t)
-    wmin = rho_eig[0].min(axis=-1)
-    bad = wmin < -CP_VIOLATION
-    if bad.any():
-        raise ValueError(f"state developed eigenvalue {wmin[bad][0]:.3e} (CP violation)")
-    _, i_vals = spectral_terms(rho_t, rho_eig, a_rho=a.apply(rho_t))
-    w, _, log_w = _support(rho_eig[0], "rho")
-    d_vals = _d_n(w, log_w, h)
+    w, u = np.linalg.eigh(rho_t)
+    w, on, log_w = _support(w, "rho")
+    i_a = _production(_diag_in_basis(a.apply(rho_t), u), on, log_w)
     bound = math.e ** (-lam * t_grid) * d0 if lam > 0 else np.full_like(t_grid, d0)
-    return DecayTrace(
-        times=t_grid,
-        d_n=d_vals,
-        i_a=i_vals,
-        bound=np.asarray(bound),
-    )
+    return DecayTrace(times=t_grid, d_n=_d_n(w, log_w, h), i_a=i_a, bound=np.asarray(bound))

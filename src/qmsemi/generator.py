@@ -31,6 +31,7 @@ __all__ = [
     "gradient_form_ie",
     "gradient_form_weak",
     "validate_generator",
+    "markov_pair",
     "spectral_gap",
 ]
 
@@ -134,6 +135,10 @@ def gradient_form_weak(a: Superop, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return 0.5 * (a.apply(x).conj().T @ y + xs @ a.apply(y) - a.apply(xs @ y))
 
 
+# the conditions of validate_generator that make e^{-tA} a quantum Markov semigroup
+MARKOV_CHECKS = ("hs_selfadjoint", "kills_identity", "psd", "cp_semigroup")
+
+
 def validate_generator(a: Superop) -> dict:
     """Check the standing generator assumptions and report per-check results.
 
@@ -159,10 +164,26 @@ def validate_generator(a: Superop) -> dict:
         kos = f.conj() @ choi @ f.T
         kw = np.linalg.eigvalsh((kos + kos.conj().T) / 2.0)
         report["cp_semigroup"] = bool(kw.min(initial=0.0) >= -rel_floor(kos, PSD))
-    report["all_passed"] = all(
-        report[k] for k in ("hs_selfadjoint", "kills_identity", "psd", "cp_semigroup")
-    )
+    report["all_passed"] = all(report[k] for k in MARKOV_CHECKS)
     return report
+
+
+def markov_pair(gen) -> tuple[Superop, SubAlgebra]:
+    """(A, N) of a generator, or of a raw pair once checked to be a quantum Markov pair.
+
+    A ``LindbladGenerator`` is one by construction: Hermitian jumps, N the kernel of A.
+    A raw pair must pass ``validate_generator`` and vanish on N, ||A E|| <= SUPEROP_FLAG
+    (relative); then E A = (A E)* = 0 too, so E(T_t rho) = E(rho).  Else ValueError.
+    """
+    if isinstance(gen, LindbladGenerator):
+        return gen.superop, gen.fixed_algebra
+    a, n = gen
+    report = validate_generator(a)
+    if failed := [k for k in MARKOV_CHECKS if not report[k]]:
+        raise ValueError(f"not a quantum Markov generator: {failed[0]} fails")
+    if np.abs(a.matrix @ n.expectation.matrix).max() > rel_floor(a.matrix, SUPEROP_FLAG):
+        raise ValueError("the generator must vanish on the algebra N (A E = 0)")
+    return a, n
 
 
 def spectral_gap(a: Superop) -> float:

@@ -10,6 +10,8 @@ kernel of ``generator.spectral_gap``, of the functional calculus
 with one null mode has N = C 1) and ``matops.nullspace_basis`` (PSD * s_max,
 which otherwise decides N) scale by the top value alone, and
 ``matops.divided_differences`` ties a pair whose values agree to PSD * max(|f(s)|, |f(t)|).
+A pair (A, N) is evolved once ``generator.markov_pair`` passes it, at SUPEROP_FLAG and
+PSD; no evolved state is tested for positivity.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import numpy as np
 HERMITIAN = 1e-12        # x - x* above this (relative) means x is not Hermitian
 SUPEROP_FLAG = 1e-10     # a map matrix is self-adjoint / kills 1 / fixes 1 below this (relative)
 PSD = 1e-9               # the zero floor: at or below this (relative) is 0, below minus it < 0
-CP_VIOLATION = 1e-8      # an evolved state's eigenvalue below minus this breaks CP
 PROBE = 1e-8             # a randomized linearity or bimodularity probe fails above this
 TRIVIAL = 1e-12          # a generator norm at or below this means trivial dynamics
 D_N_ZERO = 1e-6          # D_N below this leaves I_A / D_N fewer than ~10 correct digits

@@ -11,16 +11,17 @@ import math
 
 import numpy as np
 
-from qmsemi.constants import _dynamics, _report, schatten_norm
+from qmsemi.constants import _report, schatten_norm
 from qmsemi.entropy import (DecayTrace, d_sub, default_grid, fisher, fisher_n,
                             spectral_terms)
+from qmsemi.generator import markov_pair
 from qmsemi.matops import _chart, random_hermitian, random_state, semigroup_apply
 from qmsemi.tolerances import DECAY_SKIP, TINY
 
 
 def decay_slacks(gen, lam, n_states=50, seed=0):
     """Yield ((state_index, t, which), slack) for D_N and I_N decay."""
-    a, n, _ = _dynamics(gen)
+    a, n = markov_pair(gen)
     grid = default_grid(lam if lam > 0 else 1.0)
     rng = np.random.default_rng([seed, 17])
     for idx, rho0 in enumerate(random_state(a.dim, rng, 0.5 + rng.random(n_states))):
@@ -47,7 +48,8 @@ def decay_report_through_sigma(gen, lam, n_states=50, seed=0):
     sigma) ln rho) from the eigenvectors of rho, never from spectra alone.  D_N
     is clipped at 0, as in the check.
     """
-    a, n, e = _dynamics(gen)
+    a, n = markov_pair(gen)
+    e = n.expectation
     m = a.dim
     grid = default_grid(lam)
     rng = np.random.default_rng([seed, 17])
@@ -74,7 +76,8 @@ def decay_report_through_sigma(gen, lam, n_states=50, seed=0):
 
 def lp_slacks(gen, lam, p_list=(1.0, 2.0, 4.0, math.inf), n_x=50, seed=0):
     """Yield ((x_index, p, t), slack) for L_p contraction towards E."""
-    a, _, e = _dynamics(gen)
+    a, n = markov_pair(gen)
+    e = n.expectation
     grid = default_grid(lam if lam > 0 else 1.0, n=20)
     rng = np.random.default_rng([seed, 23])
     # odd indices are non-Hermitian probes

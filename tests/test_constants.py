@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_zoo, random_degenerate_commutant
+from conftest import make_zoo
 from dual_norm_oracle import dual_norm_ascent
 from flsi_oracle import ratio_and_grad_reference, sweep_one_by_one
 from qmsemi import constants
@@ -20,12 +20,11 @@ from qmsemi.constants import (
 )
 from qmsemi.cporder import gamma_e_constant
 from qmsemi.entropy import d_sub, default_grid, fisher, simulate_decay
-from qmsemi.generator import gradient_form, jump_set, lindblad
-from qmsemi.matops import (make_superop, norm_trace, random_hermitian, random_state,
-                           semigroup_apply)
-from qmsemi.models import dephasing_generator, depolarizing_generator, random_lindblad
+from qmsemi.generator import gradient_form, jump_set, lindblad, markov_pair
+from qmsemi.matops import _chart, norm_trace, random_hermitian, random_state, semigroup_apply
+from qmsemi.models import dephasing_generator, depolarizing_generator, pauli, random_lindblad
 from qmsemi.subordinate import fractional_power
-from qmsemi.tolerances import PSD
+from qmsemi.tolerances import D_N_ZERO, PSD
 
 
 def test_schatten_norms():
@@ -247,22 +246,25 @@ def test_flsi_descent_evaluates_each_first_state_once(zoo, name, monkeypatch):
     assert objective_calls[0] == sum(nfev) + 2 + (n_starts - len(nfev))
 
 
-@pytest.mark.parametrize("m, seed", [(3, 1), (3, 3), (4, 0), (4, 1), (4, 2), (4, 3)])
-def test_flsi_on_a_non_abelian_block_algebra_ends_a_start_where_e_rho_is_singular(m, seed):
-    # A = B M B, B = I - E_N, M = G G*: no Markov generator, so the ratio is unbounded below
-    # and the descent runs to the box.  A state whose E(rho) is singular to rounding ends its
-    # start, one whose matrix does not hold its least eigenvalue is not recorded, and the
-    # upper value is the ratio at argmin_state
-    rng = np.random.default_rng(seed)
-    n = random_degenerate_commutant(m, rng)
-    g = rng.standard_normal((m * m, m * m)) + 1j * rng.standard_normal((m * m, m * m))
-    a = n.complement @ make_superop(g @ g.conj().T / m**2, m) @ n.complement
-    basis = n.basis
-    assert np.abs(basis[:, None] @ basis - basis @ basis[:, None]).max() > 0.1  # non-abelian
-    est = flsi_estimate((a, n), n_starts=3, seed=0, n_validate=200)
-    assert math.isfinite(est.lambda_upper)
-    ratio = fisher(a, est.argmin_state) / d_sub(est.argmin_state, n)
-    assert ratio == pytest.approx(est.lambda_upper, rel=1e-9)
+@pytest.mark.parametrize("low", [-50.0, -3.0])
+def test_flsi_objective_has_no_gradient_where_e_rho_is_singular(low):
+    # jumps 1 (x) sigma_x and 1 (x) sigma_z on M_4: N = M_2 (x) 1, non-abelian, and E is
+    # the normalized partial trace.  At H = diag(0, -1, low, low - 1) the ratio is finite
+    # with D_N > 0, but for low = -50 E(rho) has eigenvalues under PSD, so ln E(rho) is
+    # undefined and there is no gradient: a descent that reaches it ends its start
+    one = np.eye(2)
+    gen = lindblad(jump_set([np.kron(one, pauli("x")), np.kron(one, pauli("z"))]))
+    a, n = markov_pair((gen.superop, gen.fixed_algebra))
+    assert n.size == 4
+    assert np.abs(n.basis[:, None] @ n.basis - n.basis @ n.basis[:, None]).max() > 0.1
+    h = np.diag([0.0, -1.0, low, low - 1.0]).astype(complex)
+    h -= np.trace(h) / 4.0 * np.eye(4)
+    i_val, d_val, _, g = constants._ratio_and_grad(a, n, h, True)
+    assert d_val >= D_N_ZERO and math.isfinite(i_val / d_val)
+    e_rho = n.expectation.apply(_chart(h)[4])
+    singular = bool(np.linalg.eigvalsh(e_rho)[0] <= PSD)
+    assert singular is (low == -50.0)
+    assert (g is None) is singular
 
 
 def test_flsi_rejects_trivial_dynamics():
@@ -381,18 +383,22 @@ def test_decay_check_at_m16_takes_its_start_states_in_their_chart():
     assert rep["passed"], rep
 
 
-@pytest.mark.parametrize("check", ["simulate_decay", "check_decay_bound", "check_lp_decay"])
+@pytest.mark.parametrize(
+    "check", ["simulate_decay", "check_decay_bound", "check_lp_decay", "flsi_estimate"])
 def test_decay_refuses_a_generator_that_moves_the_algebra(check):
     # a random generator fixes only the scalars, so it does not vanish on the diagonal
     m = 3
     a, n = random_lindblad(m, 2, np.random.default_rng(5)).superop, diagonal_algebra(m)
     with pytest.raises(ValueError, match="vanish on the algebra"):
         if check == "simulate_decay":
-            simulate_decay(a, n, random_state(m, np.random.default_rng(6)), default_grid(1.0), 0.0)
+            simulate_decay((a, n), random_state(m, np.random.default_rng(6)), default_grid(1.0),
+                           0.0)
         elif check == "check_decay_bound":
             check_decay_bound((a, n), 0.0, n_states=3)
-        else:
+        elif check == "check_lp_decay":
             check_lp_decay((a, n), 0.0, n_x=5)
+        else:
+            flsi_estimate((a, n), n_starts=1, seed=0, n_validate=0)
 
 
 @pytest.mark.parametrize(

@@ -95,7 +95,7 @@ def test_simulate_decay_matches_per_time_oracle(name):
     gen = ZOO[name]
     rho0 = random_state(gen.dim, np.random.default_rng(5))
     grid = default_grid(0.7)
-    new = simulate_decay(gen.superop, gen.fixed_algebra, rho0, grid, 0.7)
+    new = simulate_decay(gen, rho0, grid, 0.7)
     old = simulate_decay_per_time(gen.superop, gen.fixed_algebra, rho0, grid, 0.7)
     for got, want in ((new.d_n, old.d_n), (new.i_a, old.i_a), (new.bound, old.bound)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -136,12 +136,13 @@ def test_fisher_identity_on_near_pure_states():
 
 
 def test_simulate_decay_flags_positivity_violation():
-    # e^{t(I-E)} is not completely positive: states leave the cone
+    # e^{t(I-E)} is not completely positive: states leave the cone, and A = -(I - E) is
+    # refused by the Markov-pair guard before any state is evolved
     n = scalar_algebra(2)
     a = -1.0 * (identity_superop(2) - n.expectation)
     rho0 = make_state(np.diag([1.9, 0.1]).astype(complex))
-    with pytest.raises(ValueError):
-        simulate_decay(a, n, rho0, np.array([0.5, 2.0, 6.0]), 0.0)
+    with pytest.raises(ValueError, match="not a quantum Markov generator: psd fails"):
+        simulate_decay((a, n), rho0, np.array([0.5, 2.0, 6.0]), 0.0)
 
 
 def test_fisher_via_divided_difference_route():
@@ -167,7 +168,7 @@ def test_simulate_decay_zero_generator():
     a = make_superop(np.zeros((4, 4)), 2)
     rng = np.random.default_rng(6)
     rho = random_state(2, rng)
-    trace = simulate_decay(a, n, rho, np.array([0.1, 1.0, 2.0]), 0.0)
+    trace = simulate_decay((a, n), rho, np.array([0.1, 1.0, 2.0]), 0.0)
     assert np.ptp(trace.d_n) < 1e-12
 
 
@@ -177,7 +178,7 @@ def test_simulate_decay_depolarizing_closed_form():
     rng = np.random.default_rng(7)
     rho0 = random_state(m, rng)
     grid = default_grid(1.0, n=20)
-    trace = simulate_decay(gen.superop, gen.fixed_algebra, rho0, grid, lam=1.0)
+    trace = simulate_decay(gen, rho0, grid, lam=1.0)
     for t, d in zip(trace.times, trace.d_n):
         rho_t = math.exp(-t) * rho0 + (1 - math.exp(-t)) * np.eye(m)
         assert d == pytest.approx(d_sub(rho_t, gen.fixed_algebra), abs=1e-10)
@@ -189,9 +190,7 @@ def test_simulate_decay_monotone_for_random_models():
     for _ in range(5):
         gen = random_lindblad(3, 2, rng, scale=0.7)
         rho0 = random_state(3, rng)
-        trace = simulate_decay(
-            gen.superop, gen.fixed_algebra, rho0, default_grid(1.0, n=25), 0.0
-        )
+        trace = simulate_decay(gen, rho0, default_grid(1.0, n=25), 0.0)
         assert np.all(trace.d_n >= -1e-10)
         assert np.all(trace.i_a >= -1e-9)
         assert np.all(np.diff(trace.d_n) <= 1e-9)
@@ -221,7 +220,7 @@ def test_simulate_decay_diagonalizes_sigma_only_when_dim_n_exceeds_one(
 
     for solver_name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, solver_name, counted(solver_name))
-    simulate_decay(gen.superop, gen.fixed_algebra, rho0, default_grid(1.0, n=25), 0.0)
+    simulate_decay(gen, rho0, default_grid(1.0, n=25), 0.0)
     assert calls == want
 
 
@@ -234,9 +233,9 @@ def test_decay_from_a_pure_state_is_ill_defined_while_its_kernel_is_under_the_fl
     rho0 = make_state(np.diag([1.0, 0.0]).astype(complex))
     if t <= PSD:
         with pytest.raises(ValueError, match="ill-defined Fisher information"):
-            simulate_decay(gen.superop, gen.fixed_algebra, rho0, np.array([t]), 0.0)
+            simulate_decay(gen, rho0, np.array([t]), 0.0)
         return
-    trace = simulate_decay(gen.superop, gen.fixed_algebra, rho0, np.array([t]), 0.0)
+    trace = simulate_decay(gen, rho0, np.array([t]), 0.0)
     q = math.exp(-t)
     assert trace.i_a[0] == pytest.approx(0.5 * q * math.log((1 + q) / (1 - q)), rel=1e-6)
 
@@ -245,17 +244,13 @@ def test_simulate_decay_rejects_bad_grid():
     gen = depolarizing_generator(2)
     rng = np.random.default_rng(9)
     with pytest.raises(ValueError):
-        simulate_decay(
-            gen.superop, gen.fixed_algebra, random_state(2, rng), np.array([1.0, 0.5]), 0.0
-        )
+        simulate_decay(gen, random_state(2, rng), np.array([1.0, 0.5]), 0.0)
 
 
 def test_decay_trace_csv_format():
     gen = depolarizing_generator(2)
     rng = np.random.default_rng(10)
-    trace = simulate_decay(
-        gen.superop, gen.fixed_algebra, random_state(2, rng), np.array([0.5]), lam=1.0
-    )
+    trace = simulate_decay(gen, random_state(2, rng), np.array([0.5]), lam=1.0)
     lines = trace.to_csv().strip().split("\n")
     assert lines[0] == "t,D_N,I_A,bound"
     assert len(lines) == 2

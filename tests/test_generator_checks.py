@@ -5,8 +5,7 @@ import pytest
 import scipy.linalg
 
 from superop_oracle import superop_from_action
-from qmsemi.constants import _dynamics
-from qmsemi.generator import validate_generator
+from qmsemi.generator import markov_pair, validate_generator
 from qmsemi.matops import identity_superop, make_superop, reshuffle
 from qmsemi.models import random_lindblad
 from qmsemi.subordinate import density_approximation, fractional_power
@@ -15,8 +14,8 @@ from qmsemi.subordinate import density_approximation, fractional_power
 def test_e_fix_is_the_fixed_algebras_expectation(zoo):
     for gen in zoo.values():
         assert gen.e_fix is gen.fixed_algebra.expectation
-        assert _dynamics(gen)[2] is gen.e_fix
-        assert _dynamics((gen.superop, gen.fixed_algebra))[2] is gen.e_fix
+        assert markov_pair(gen)[1].expectation is gen.e_fix
+        assert markov_pair((gen.superop, gen.fixed_algebra))[1].expectation is gen.e_fix
 
 
 def test_validate_generator_flags_a_semigroup_that_is_not_cp():
