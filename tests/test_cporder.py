@@ -5,7 +5,7 @@ import pytest
 
 from conftest import make_zoo
 from kernel_oracle import kernel_from_jumps_by_einsum, kernel_from_superop_by_einsum
-from pencil_oracle import bisect_lambda
+from pencil_oracle import _top_eigpair as evr_top_eigpair, bisect_lambda
 from return_time_oracle import (
     grid_return_time,
     return_time_by_bisection,
@@ -129,6 +129,35 @@ def test_gathered_superop_kernel_matches_the_einsum_oracle(m):
         assert k.basis_size == m * m, name
         _assert_kernel_close(k.q, kernel_from_superop_by_einsum(a).q, rtol=1e-13)
         assert np.array_equal(k.q, k.q.conj().T), name
+
+
+def _top_pair_inputs(n):
+    """A random Hermitian matrix, a PSD one of rank n // 2 and one whose top
+    eigenvalue is 3-fold (every eigenvalue, for n < 3)."""
+    rng = np.random.default_rng(n)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    f = g[:, : n // 2]
+    u, _ = np.linalg.qr(g)
+    w = np.sort(rng.standard_normal(n))
+    w[-3:] = w[-1] + 1.0
+    return {"hermitian": (g + g.conj().T) / 2, "rank-deficient": f @ f.conj().T,
+            "degenerate": (u * w) @ u.conj().T}
+
+
+@pytest.mark.parametrize("n", [1, 8, 64, 65, 128])  # numpy's full eigh up to 64, evr above
+def test_the_top_eigenpair_agrees_with_scipy_evr_on_both_sides_of_the_cut(n):
+    for name, h in _top_pair_inputs(n).items():
+        lam, v = cporder._top_eigpair(h)
+        ref, _ = evr_top_eigpair(h)
+        norm = np.linalg.norm(h, 2)
+        assert abs(lam - ref) <= 1e-12 * max(norm, 1.0), name
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-12, name
+        assert np.linalg.norm(h @ v - lam * v) <= 1e-12 * norm, name
+    for bad in (np.nan, np.inf):
+        h = _top_pair_inputs(n)["hermitian"]
+        h[-1, 0] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            cporder._top_eigpair(h)
 
 
 def test_best_lambda_rejects_mismatched_kernels():

@@ -58,10 +58,10 @@ def _count_dense_splits(monkeypatch):
     return splits
 
 
-def _assert_matches_oracle(q_small, c, cert):
+def _assert_matches_oracle(q_small, c, cert, ulps=0):
     ref = dense_split_lambda(q_small, c)
     assert cert.status == ref.status
-    assert cert.lambda_star == ref.lambda_star
+    assert abs(cert.lambda_star - ref.lambda_star) <= ulps * np.spacing(ref.lambda_star)
     if cert.status == "zero":
         assert abs(cert.leak - ref.leak) <= 1e-9 * ref.leak
     else:
@@ -156,7 +156,8 @@ def test_a_factored_positive_pencil_certifies_through_the_dense_split():
     q_small = FormKernel(dim=3, basis_size=9, q=g.conj().T @ g)
     cert = best_lambda(q_small, kernel_from_jumps(gen.jumps.jumps))
     assert cert.status == "positive" and cert.lambda_star > 0
-    _assert_matches_oracle(q_small, c, cert)
+    # the oracle splits Q_A by an SVD of C, best_lambda by eigh of Q_A: the last bits may differ
+    _assert_matches_oracle(q_small, c, cert, ulps=4)
 
 
 def test_the_closed_form_leak_is_byte_identical_on_rerun(tmp_path):

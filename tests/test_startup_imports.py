@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from qmsemi.io import dump_json, jumps_to_obj, operator_to_obj
-from qmsemi.models import random_lindblad
+from qmsemi.models import depolarizing_generator, random_lindblad
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # prints the scipy subpackages (not private or plain modules) loaded once `run` ran
@@ -41,9 +41,13 @@ def files(tmp_path_factory):
     jumps = d / "jumps.json"
     gen = random_lindblad(3, 2, np.random.default_rng(5), scale=0.6)
     jumps.write_text(dump_json(jumps_to_obj(gen.jumps)))
+    # nine jumps at m = 3: gamma-e takes best_lambda's dense split of Q_A, status positive
+    depol = d / "depol.json"
+    depol.write_text(dump_json(jumps_to_obj(depolarizing_generator(3).jumps)))
     state = d / "state.json"
     state.write_text(json.dumps(operator_to_obj(np.diag([1.5, 1.0, 0.5]))))
-    return {"jumps": str(jumps), "state": str(state), "out": str(d / "out")}
+    return {"jumps": str(jumps), "depol": str(depol), "state": str(state),
+            "out": str(d / "out")}
 
 
 def run_cli(argv: list[str], files: dict) -> set[str]:
@@ -55,18 +59,28 @@ def test_importing_the_package_loads_no_scipy():
     assert scipy_loaded("import qmsemi, qmsemi.cli") == set()
 
 
-def test_gamma_e_loads_scipy_linalg_only(files):
-    assert run_cli(["gamma-e", "{jumps}"], files) == {"linalg"}
-
-
 @pytest.mark.parametrize("argv", [
     ["decay", "{jumps}", "--lambda", "0.5"],
     ["validate", "{jumps}"],
     ["state-convert", "{state}", "--to", "tau"],
     ["subordinate", "{jumps}", "--theta", "0.5"],
+    ["gamma-e", "{jumps}"],
+    ["gamma-e", "{depol}"],
+    ["decay", "{jumps}", "--lambda", "auto"],
 ])
 def test_commands_without_a_scipy_call_load_no_scipy(argv, files):
     assert run_cli(argv, files) == set()
+
+
+def test_a_superop_pencil_loads_scipy_linalg_only():
+    # gamma_e proves a positive superop certificate by scipy.linalg's Cholesky
+    assert scipy_loaded(
+        "from qmsemi import fractional_power, gamma_e, random_lindblad\n"
+        "import numpy as np\n"
+        "gen = random_lindblad(3, 2, np.random.default_rng(5), scale=0.6)\n"
+        "cert = gamma_e(fractional_power(gen.superop, 0.5), gen.fixed_algebra)\n"
+        "assert cert.method == 'congruence-cholesky'"
+    ) == {"linalg"}
 
 
 def test_the_eps_sigma_calculus_loads_no_optimizer_or_quadrature(files):
