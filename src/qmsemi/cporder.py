@@ -150,23 +150,12 @@ def cp_order_holds(q_small: FormKernel, q_big: FormKernel, lam: float) -> bool:
     return bool(w.min() >= -rel_floor(w, PSD))
 
 
-# numpy's full eigh up to 64 = m^3 at m = 4, sparing the ~180 ms scipy.linalg import;
-# above it scipy's one-pair evr is 2.5-4x faster (n = 448: 30 vs 129 ms)
-_FULL_EIGH_MAX = 64
-
-
 def _top_eigpair(h: np.ndarray) -> tuple[float, np.ndarray]:
     """Largest eigenvalue of a Hermitian matrix and a unit eigenvector."""
-    n = h.shape[0]
-    if n <= _FULL_EIGH_MAX:
-        if not np.isfinite(h).all():
-            raise ValueError("array must not contain infs or NaNs")
-        w, v = np.linalg.eigh(h)
-        return float(w[-1]), v[:, -1]
-    import scipy.linalg
-
-    w, v = scipy.linalg.eigh(h, subset_by_index=[n - 1, n - 1], driver="evr")
-    return float(w[0]), v[:, 0]
+    if not np.isfinite(h).all():
+        raise ValueError("array must not contain infs or NaNs")
+    w, v = np.linalg.eigh(h)
+    return float(w[-1]), v[:, -1]
 
 
 @dataclass(frozen=True)

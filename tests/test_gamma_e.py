@@ -112,7 +112,7 @@ def test_a_pencil_with_dim_n_above_one_goes_straight_to_best_lambda(m, monkeypat
             return solver(*args, **kwargs)
         return wrapper
 
-    # top pairs up to 64 x 64 are numpy's, so both libraries are counted
+    # gamma_e's superop solves are scipy's and best_lambda's are numpy's: count both
     for lib in (scipy.linalg, np.linalg):
         for name in ("eigh", "qr"):
             monkeypatch.setattr(lib, name, counted(lib, name))

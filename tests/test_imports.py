@@ -1,10 +1,8 @@
 """No module of ``qmsemi`` imports a name it neither uses nor re-exports, every
-``__all__`` entry exists, the package re-exports only listed names, and scipy
-is imported only inside the functions that call it, one subpackage at a time."""
+``__all__`` entry exists, and the package re-exports only listed names."""
 
 import ast
 import importlib
-import importlib.util
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qmsemi"
@@ -65,54 +63,3 @@ def test_package_imports_only_names_its_modules_list():
     unlisted = [f"{node.module}: {alias.name}" for node in froms for alias in node.names
                 if alias.name not in importlib.import_module(f"qmsemi.{node.module}").__all__]
     assert not unlisted, "\n".join(unlisted)
-
-
-def is_scipy_subpackage(name: str) -> bool:
-    parts = name.split(".")
-    if len(parts) != 2 or parts[0] != "scipy" or parts[1].startswith("_"):
-        return False
-    spec = importlib.util.find_spec(name)
-    return spec is not None and spec.submodule_search_locations is not None
-
-
-def startup_import_faults(source: str) -> list[str]:
-    """Imports that break the start-up rule: scipy at module level, or an import
-    inside a function of anything but a scipy subpackage named in full."""
-    tree = ast.parse(source)
-    local = {id(node) for fn in ast.walk(tree)
-             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-             for node in ast.walk(fn)}
-    faults = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            names = ["." * node.level + (node.module or "")]
-        else:
-            continue
-        for name in names:
-            ok = is_scipy_subpackage(name) if id(node) in local else name.split(".")[0] != "scipy"
-            if not ok:
-                faults.append(f"{node.lineno}: {name}")
-    return faults
-
-
-def test_scipy_is_imported_only_inside_the_functions_that_call_it():
-    files = sorted(SRC.glob("*.py"))
-    assert len(files) >= 11
-    found = [f"{p.name}:{hit}" for p in files for hit in startup_import_faults(p.read_text())]
-    assert not found, "imports against the start-up rule:\n" + "\n".join(found)
-
-
-def test_startup_guard_sees_module_level_and_non_subpackage_imports():
-    src = (
-        "import numpy as np\nimport scipy.linalg\nfrom scipy.special import zeta\n"
-        "def f():\n    import scipy.linalg\n    from scipy.optimize import minimize\n"
-        "    def g():\n        from scipy.integrate import quad\n"
-        "def h():\n    import json\n    from scipy import linalg\n"
-        "    import scipy._lib\n    from .matops import vec\n    import scipy.nothing\n"
-    )
-    assert startup_import_faults(src) == [
-        "2: scipy.linalg", "3: scipy.special", "10: json", "11: scipy",
-        "12: scipy._lib", "13: .matops", "14: scipy.nothing",
-    ]
