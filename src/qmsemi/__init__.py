@@ -92,7 +92,6 @@ from .subordinate import (
     phi_of_lambda,
     psi_r_map,
     subordinated_generator,
-    theta_family_report,
 )
 
 __version__ = "0.1.0"

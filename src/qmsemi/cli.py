@@ -129,7 +129,7 @@ def cmd_subordinate(args) -> int:
         raise ValueError("--sigma applies only with --eps")
     report: dict = {"config": {"seed": args.seed}}
     if args.theta is not None:
-        sub = fractional_power(gen.superop, args.theta)
+        sub = fractional_power(gen, args.theta)
         report["mode"] = {"theta": args.theta}
     elif args.eps is not None:
         # NaN fails both comparisons
@@ -144,7 +144,7 @@ def cmd_subordinate(args) -> int:
             sigma = _flag_number(args.sigma, "--sigma", lambda x: 0.0 < x < math.inf,
                                  "'auto' or a finite number > 0")
             report["mode"] = {"eps": args.eps, "sigma": sigma}
-        sub = eps_sigma_generator(gen.superop, log_eps, sigma)
+        sub = eps_sigma_generator(gen, log_eps, sigma)
         norm_l = gen.superop.norm
         bound = (2.0 / sigma + norm_l**2) / (2.0 * abs(log_eps))
         report["distance"] = (gen.superop - sub).norm
@@ -152,7 +152,7 @@ def cmd_subordinate(args) -> int:
         report["bound_satisfied"] = bool(report["distance"] <= bound * (1 + BOUND_SLACK))
     else:
         prof = profile_from_obj(_load_json(args.profile))
-        sub = subordinated_generator(gen.superop, prof)
+        sub = subordinated_generator(gen, prof)
         report["mode"] = {"profile": prof.kind}
     doc = {"superop": superop_to_obj(sub), "report": report}
     _emit(dump_json(doc), args.out)

@@ -272,7 +272,7 @@ def flsi_estimate(
             best, best_state = low
     if best_state is None:
         raise ValueError("FLSI undefined: no state with positive D_N found")
-    # validation sweep: the certified lower value never exceeds a sampled ratio
+    # validation sweep: min(descent, sweep) is a ratio at a state, so an upper bound too
     rng = np.random.default_rng([seed, 999_983])
     sampled, n_validated = _validation_sweep(a, n, rng, n_validate)
     return FlsiEstimate(
@@ -382,15 +382,15 @@ def gamma_dual_norm(gen: LindbladGenerator, rho: np.ndarray) -> tuple[float, flo
     function f1 = L^+ rho0 is feasible once divided by sqrt(||Gamma(f1,f1)||), so
     lower = q / sqrt(||Gamma(f1,f1)||) <= upper; the two meet when Gamma(f1,f1)
     is a multiple of 1.  L^+ comes from the cached eigendecomposition of L,
-    with the kernel cut at L's null modes, as in spectral_gap.
+    with its dim N lowest modes (the kernel, as in spectral_gap) dropped.
     """
     if abs(norm_trace(rho).real) > PSD:
         raise ValueError("dual norm expects a trace-zero perturbation")
     rho0 = rho - gen.e_fix.apply(rho)
     rho0 = (rho0 + rho0.conj().T) / 2.0
     w, v = gen.superop.eig
-    keep = ~gen.superop.null_modes
-    v, w = v[:, keep], w[keep]
+    off = gen.fixed_algebra.size
+    v, w = v[:, off:], w[off:]
     c = v.conj().T @ rho0.reshape(-1)
     q = float(np.sum(np.abs(c) ** 2 / w)) / gen.dim
     if q <= 0.0:

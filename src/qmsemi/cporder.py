@@ -43,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import ModuleBasis, SubAlgebra, module_basis
-from .generator import LindbladGenerator, spectral_gap
+from .generator import LindbladGenerator, MarkovPair, markov_pair, spectral_gap
 from .matops import Superop, make_superop, reshuffle, tau_orthonormal_basis
 from .tolerances import (
     CERT_HEADROOM,
@@ -52,7 +52,6 @@ from .tolerances import (
     PROBE,
     PSD,
     RETURN_TIME,
-    SUPEROP_FLAG,
     TINY,
     UNDERFLOW,
     rel_floor,
@@ -464,25 +463,26 @@ def cb_norm_1_to_inf(t: Superop | Callable[[np.ndarray], np.ndarray], basis: Mod
     return float(np.linalg.norm(choi_matrix(t, basis, check=False), 2))
 
 
-def return_time(a: Superop, n: SubAlgebra) -> float:
+def return_time(gen) -> float:
     """The return time t0 = RETURN_TIME min{k : g(k RETURN_TIME) <= 0} on the grid of
     step RETURN_TIME, with g(t) = ||chi_{T_t - E}|| - 1/2.
 
     The Choi norm of T_t - E is the L1 -> Linf cb distance to equilibrium;
     it does not increase in t, since T_{t+s} - E = T_s (T_t - E) with T_s
     unital CP, so any bracketing search finds the first grid point, and t0
-    depends on g alone.  T_t - E comes from the cached ``a.eig``; chi is
-    m Choi(T_t - E) when N = C 1 and is built over ``module_basis(n)``
-    otherwise, Hermitian as A preserves Hermiticity (checked), so ``eigvalsh``
-    gives ||chi||.  A doubling from 1/gap brackets the root; then each step
-    evaluates g at the grid point nearest an Illinois (modified regula falsi)
-    estimate on f = ln(2 g + 1), nearly linear in t as ||chi_t|| decays like
-    C e^{-gap t}, and after three steps in a row that keep over half of the
-    candidates the next step bisects.  Returns math.inf when 1/2 is not
-    reached by t = 1e4 / gap, and raises if A breaks Hermiticity or has no
-    spectral gap (no convergence to E).
+    depends on g alone.  ``gen`` passes ``generator.markov_pair`` (else
+    ValueError).  T_t - E comes from the cached eigendecomposition of A; chi
+    is m Choi(T_t - E) when N = C 1 and is built over ``module_basis(N)``
+    otherwise, Hermitian as A preserves Hermiticity (a Markov condition), so
+    ``eigvalsh`` gives ||chi||.  A doubling from 1/gap brackets the root; then
+    each step evaluates g at the grid point nearest an Illinois (modified
+    regula falsi) estimate on f = ln(2 g + 1), nearly linear in t as ||chi_t||
+    decays like C e^{-gap t}, and after three steps in a row that keep over
+    half of the candidates the next step bisects.  Returns math.inf when 1/2
+    is not reached by t = 1e4 / gap, and raises "no spectral gap" when the gap
+    w[dim N] (``spectral_gap``) is at or below PSD ||A||.
     """
-    g, gap = _return_distance(a, n)
+    g, gap = _return_distance(markov_pair(gen))
 
     def f(gt: float) -> float:
         return math.log(max(2.0 * gt + 1.0, TINY))
@@ -521,14 +521,12 @@ def return_time(a: Superop, n: SubAlgebra) -> float:
     return kb * RETURN_TIME
 
 
-def _return_distance(a: Superop, n: SubAlgebra) -> tuple[Callable[[float], float], float]:
+def _return_distance(pair: MarkovPair) -> tuple[Callable[[float], float], float]:
     """g(t) = ||chi_{T_t - E}|| - 1/2 and the spectral gap of A, checked as in ``return_time``."""
+    a, n = pair
     m = a.dim
-    choi_a = reshuffle(a.matrix, m)
-    if np.abs(choi_a - choi_a.conj().T).max() > rel_floor(choi_a, SUPEROP_FLAG):
-        raise ValueError("generator does not preserve Hermiticity")
-    gap = spectral_gap(a)
-    if gap <= 0.0:
+    gap = spectral_gap(pair)
+    if gap <= PSD * a.norm:
         raise ValueError("generator has no spectral gap; no convergence to E")
     w, v = a.eig
     if n.size == 1:

@@ -14,6 +14,7 @@ conditional expectation against which all entropy decay is measured.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +32,7 @@ __all__ = [
     "gradient_form_ie",
     "gradient_form_weak",
     "validate_generator",
+    "MarkovPair",
     "markov_pair",
     "spectral_gap",
 ]
@@ -85,9 +87,10 @@ def lindblad(jumps: JumpSet) -> LindbladGenerator:
     Over row-major vec, x -> b x c has matrix b (x) c^T, so the generator is
     sq (x) 1 + 1 (x) sq^T - 2 sum_k a_k (x) a_k^T with sq = sum_k a_k^2.
     Raises ValueError when that matrix is not finite (jumps too large).
-    With one null mode (``Superop.null_modes``) N = C 1 comes off the cached
-    spectrum: eigh's rounding keeps the commutator stack's sigma_2 far above the
-    SVD cutoff of ``algebra.commutant``, which decides N when more modes are null.
+    When only the mode of 1, which eigh sorts first, is at or below PSD ||A||,
+    N = C 1 comes off the cached spectrum: eigh's rounding keeps the commutator
+    stack's sigma_2 far above the SVD cutoff of ``algebra.commutant``, which
+    decides N otherwise.
     """
     m = jumps.dim
     a = jumps.jumps
@@ -99,7 +102,7 @@ def lindblad(jumps: JumpSet) -> LindbladGenerator:
     if not np.isfinite(matrix).all():
         raise ValueError("jumps too large: sum_k a_k^2 or the generator is not finite")
     sup = make_superop(matrix, m)
-    if sup.hs_selfadjoint and sup.null_modes.sum() == 1:  # eigh sorts that mode first
+    if sup.hs_selfadjoint and not (sup.eig[0][1:2] <= PSD * sup.norm).any():  # w[1], if m > 1
         return LindbladGenerator(jumps, sup, identity_first_algebra(sup.eig[1][:, :1], m))
     return LindbladGenerator(jumps, sup, commutant(list(a), m))
 
@@ -168,26 +171,37 @@ def validate_generator(a: Superop) -> dict:
     return report
 
 
-def markov_pair(gen) -> tuple[Superop, SubAlgebra]:
+class MarkovPair(NamedTuple):
+    """(A, N) known to be a quantum Markov pair; ``markov_pair`` hands it back unchecked."""
+
+    superop: Superop
+    algebra: SubAlgebra
+
+
+def markov_pair(gen) -> MarkovPair:
     """(A, N) of a generator, or of a raw pair once checked to be a quantum Markov pair.
 
-    A ``LindbladGenerator`` is one by construction: Hermitian jumps, N the kernel of A.
+    A ``LindbladGenerator`` is one by construction: Hermitian jumps, N the kernel of A;
+    so is a ``MarkovPair``, which a function that has checked its pair passes on.
     A raw pair must pass ``validate_generator`` and vanish on N, ||A E|| <= SUPEROP_FLAG
     (relative); then E A = (A E)* = 0 too, so E(T_t rho) = E(rho).  Else ValueError.
     """
+    if isinstance(gen, MarkovPair):
+        return gen
     if isinstance(gen, LindbladGenerator):
-        return gen.superop, gen.fixed_algebra
+        return MarkovPair(gen.superop, gen.fixed_algebra)
     a, n = gen
     report = validate_generator(a)
     if failed := [k for k in MARKOV_CHECKS if not report[k]]:
         raise ValueError(f"not a quantum Markov generator: {failed[0]} fails")
     if np.abs(a.matrix @ n.expectation.matrix).max() > rel_floor(a.matrix, SUPEROP_FLAG):
         raise ValueError("the generator must vanish on the algebra N (A E = 0)")
-    return a, n
+    return MarkovPair(a, n)
 
 
-def spectral_gap(a: Superop) -> float:
-    """Smallest eigenvalue of A off its null modes (``Superop.null_modes``); 0 if A = 0."""
-    w, _ = a.eig
-    pos = w[~a.null_modes]
-    return float(pos.min()) if pos.size else 0.0
+def spectral_gap(gen) -> float:
+    """w[dim N], the least eigenvalue of A off the dim N null modes (the modes E_N keeps);
+    0.0 when A has no mode off N.  ``gen`` passes ``markov_pair`` (else ValueError)."""
+    a, n = markov_pair(gen)
+    off = a.eig[0][n.size:]
+    return float(off[0]) if off.size else 0.0

@@ -234,12 +234,6 @@ class Superop:
         w, _ = self.eig
         return float(np.abs(w).max()) if w.size else 0.0
 
-    @cached_property
-    def null_modes(self) -> np.ndarray:
-        """Mask of the eigenvalues of ``eig`` that count as 0: those at or below PSD * norm."""
-        w, _ = self.eig
-        return w <= PSD * self.norm
-
     def __add__(self, other: "Superop") -> "Superop":
         return make_superop(self.matrix + other.matrix, self.dim)
 

@@ -25,7 +25,7 @@ import numpy as np
 # best_lambda stays importable from this module: perfbench/test_perfbench.py
 # checks that the benchmark's tracer wraps the pencil here as in cporder
 from .cporder import best_lambda, gamma_e, return_time
-from .generator import LindbladGenerator
+from .generator import markov_pair
 from .matops import Superop, make_superop
 from .tolerances import CF_STOP, QUAD_ABS, QUAD_ERR, QUAD_REL, TINY, rel_floor
 
@@ -38,7 +38,6 @@ __all__ = [
     "eps_sigma_generator",
     "density_approximation",
     "psi_r_map",
-    "theta_family_report",
     "best_lambda",
 ]
 
@@ -171,32 +170,34 @@ def phi_of_lambda(profile: WeightProfile, lam: float) -> float:
     return _quad_dt_over_t(lambda t: -math.expm1(-lam * t) * profile.f(t), profile.breaks)[0]
 
 
-def _spectral_map(a: Superop, fn) -> Superop:
-    """f(A) from the cached eigendecomposition; fn maps the array of eigenvalues
-    (the null modes set to 0, as in ``spectral_gap``) to the array of values."""
+def _spectral_map(gen, fn) -> Superop:
+    """f(A) of the pair (A, N) of ``gen`` (``generator.markov_pair``) from the cached
+    eigendecomposition; fn maps the array of eigenvalues, the dim N lowest (the
+    modes E_N keeps) set to 0, to the array of values."""
+    a, n = markov_pair(gen)
     w, v = a.eig
-    w = np.where(a.null_modes, 0.0, w)
+    w = np.concatenate((np.zeros(n.size), w[n.size:]))
     fw = np.asarray(fn(w), dtype=float)
     mat = (v * fw) @ v.conj().T
     return make_superop(mat, a.dim)
 
 
-def subordinated_generator(a: Superop, profile: WeightProfile) -> Superop:
+def subordinated_generator(gen, profile: WeightProfile) -> Superop:
     """Phi_F(A) applied spectrally; keeps self-adjointness, PSD, nullspace."""
     if not profile.conditions.get("I", {}).get("ok", True):
         raise ValueError("profile fails the integrability condition")
     if profile.kind == "power":
-        return fractional_power(a, profile.alpha)
+        return fractional_power(gen, profile.alpha)
     if profile.kind == "epssigma":
-        return eps_sigma_generator(a, math.log(profile.eps), profile.sigma)
-    return _spectral_map(a, lambda w: [phi_of_lambda(profile, lam) for lam in w])
+        return eps_sigma_generator(gen, math.log(profile.eps), profile.sigma)
+    return _spectral_map(gen, lambda w: [phi_of_lambda(profile, lam) for lam in w])
 
 
-def fractional_power(a: Superop, theta: float) -> Superop:
+def fractional_power(gen, theta: float) -> Superop:
     """A^theta by eigenvalue-wise power, theta in (0, 1]."""
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must lie in (0, 1]")
-    return _spectral_map(a, lambda w: [lam ** theta if lam > 0 else 0.0 for lam in w])
+    return _spectral_map(gen, lambda w: [lam ** theta if lam > 0 else 0.0 for lam in w])
 
 
 @cache
@@ -325,27 +326,27 @@ def eps_sigma_scalar(log_eps: float, sigma: float, lam: float) -> tuple[float, f
     return float(phi[0]), float(psi[0]), float(psit[0])
 
 
-def eps_sigma_generator(l: Superop, log_eps: float, sigma: float) -> Superop:
+def eps_sigma_generator(gen, log_eps: float, sigma: float) -> Superop:
     """phi_{eps,sigma}(L) with eps = e^log_eps, spectrally: a norm-controlled surrogate of L."""
     _check_eps_sigma(log_eps, sigma)
-    return _spectral_map(l, lambda w: _eps_sigma_values(w, sigma, log_eps)[0])
+    return _spectral_map(gen, lambda w: _eps_sigma_values(w, sigma, log_eps)[0])
 
 
-def _log_return_time(gen: LindbladGenerator) -> tuple[float, float]:
+def _log_return_time(gen) -> tuple[float, float]:
     """The return time t0 and ln t0 clamped at 1 (the construction assumes t0 >= e)."""
-    t0 = return_time(gen.superop, gen.fixed_algebra)
+    t0 = return_time(gen)
     if not math.isfinite(t0):
         raise ValueError("no convergence to the conditional expectation")
     return t0, max(math.log(t0), 1.0)
 
 
-def auto_sigma(gen: LindbladGenerator) -> dict:
+def auto_sigma(gen) -> dict:
     """sigma = 1/ln(t0) from the measured return time, clamped to 1 for t0 <= e."""
     t0, lt = _log_return_time(gen)
     return {"t0": t0, "sigma": 1.0 / lt}
 
 
-def density_approximation(gen: LindbladGenerator, eps: float) -> tuple[Superop, dict]:
+def density_approximation(gen, eps: float) -> tuple[Superop, dict]:
     """Generator B_eps from functional calculus of L with a certified floor.
 
     Chooses sigma = 1/ln(t0) from the return time (clamped to 1 when
@@ -353,20 +354,22 @@ def density_approximation(gen: LindbladGenerator, eps: float) -> tuple[Superop, 
     scalar calculus bound come out at exactly eps.  The report carries the
     measured L2 distance, the certified gradient-condition constant of
     B_eps, and the predicted floor eps * alpha(L) with
-    alpha(L) = 1 / (2e ln(t0) (ln(t0) + ||L||^2)).
+    alpha(L) = 1 / (2e ln(t0) (ln(t0) + ||L||^2)).  ``gen`` passes
+    ``generator.markov_pair`` (else ValueError), once.
     """
-    l = gen.superop
-    norm_l = l.norm
     if not 0.0 < eps:
         raise ValueError("eps must be positive")
-    t0, lt = _log_return_time(gen)
+    pair = markov_pair(gen)
+    l, n = pair
+    norm_l = l.norm
+    t0, lt = _log_return_time(pair)
     sigma = 1.0 / lt
     ln_eps0 = (lt + norm_l**2 / 2.0) / eps
     eps0 = math.exp(-ln_eps0) if ln_eps0 < 700.0 else 0.0  # may underflow; log form used
-    b = eps_sigma_generator(l, -ln_eps0, sigma)
+    b = eps_sigma_generator(pair, -ln_eps0, sigma)
     dist = (l - b).norm
     alpha_l = 1.0 / (2.0 * math.e * lt * (lt + norm_l**2))
-    cert = gamma_e(b, gen.fixed_algebra)
+    cert = gamma_e(b, n)
     report = {
         "eps": eps,
         "t0": t0,
@@ -385,7 +388,7 @@ def density_approximation(gen: LindbladGenerator, eps: float) -> tuple[Superop, 
     return b, report
 
 
-def psi_r_map(a: Superop, profile: WeightProfile, r: float) -> tuple[Superop, float]:
+def psi_r_map(gen, profile: WeightProfile, r: float) -> tuple[Superop, float]:
     """Unital CP map Psi_F(r) = g(r)^{-1} int e^{-r/t} T_t F(t) dt/t and g(r).
 
     Acts spectrally: each eigenvalue lam of A is sent to the scalar
@@ -403,29 +406,5 @@ def psi_r_map(a: Superop, profile: WeightProfile, r: float) -> tuple[Superop, fl
         )[0]
         return val / g_r
 
-    return _spectral_map(a, lambda w: [fn(lam) for lam in w]), g_r
+    return _spectral_map(gen, lambda w: [fn(lam) for lam in w]), g_r
 
-
-THETAS = (0.25, 0.5, 0.75)
-
-
-def theta_family_report(gen: LindbladGenerator) -> dict:
-    """Measured gradient-condition constants of A^theta, theta in THETAS, and a fitted prefactor.
-
-    The family is fitted against lam(theta) = c0 * t0^-theta theta^2 (1-theta)
-    by least squares in c0; the universal constant itself is not claimed.
-    """
-    t0 = return_time(gen.superop, gen.fixed_algebra)
-    measured = {}
-    shape_vals = []
-    lam_vals = []
-    for th in THETAS:
-        a_th = fractional_power(gen.superop, th)
-        cert = gamma_e(a_th, gen.fixed_algebra)
-        measured[th] = cert.lambda_star
-        shape_vals.append(t0 ** (-th) * th**2 * (1.0 - th))
-        lam_vals.append(cert.lambda_star)
-    shape = np.array(shape_vals)
-    lam = np.array(lam_vals)
-    c0 = float(shape @ lam / (shape @ shape)) if shape.any() else math.nan
-    return {"t0": t0, "lambda_theta": measured, "fitted_c0": c0}

@@ -4,12 +4,15 @@ as zero, negative, tied, Hermitian, converged or violating.
 One zero floor, PSD, decides every eigenvalue, singular value, weight, residual
 and eigenvalue gap that counts as zero; the other constants are named after the
 decision they make, and no caller sets one.  Relative floors scale by
-``rel_floor``, except that ``matops.Superop.null_modes`` (PSD * max|w|, the
-kernel of ``generator.spectral_gap``, of the functional calculus
-``subordinate._spectral_map`` and of ``constants.gamma_dual_norm``; a generator
-with one null mode has N = C 1) and ``matops.nullspace_basis`` (PSD * s_max,
-which otherwise decides N) scale by the top value alone, and
-``matops.divided_differences`` ties a pair whose values agree to PSD * max(|f(s)|, |f(t)|).
+``rel_floor``, except three that scale by the top value alone:
+``matops.nullspace_basis`` (PSD * s_max, the SVD cutoff that decides N),
+``matops.divided_differences``, which ties a pair whose values agree to
+PSD * max(|f(s)|, |f(t)|), and PSD * ||A||, which A's spectrum meets in two
+places only: ``generator.lindblad`` reads N = C 1 off the spectrum when
+w[1] > PSD ||A||, and ``cporder.return_time`` finds no spectral gap when
+w[dim N] <= PSD ||A||.  No floor decides which modes of A are null: they are
+exactly the dim N lowest, the modes E_N keeps, for the spectral gap, the
+functional calculus and the dual norm.
 A pair (A, N) is evolved once ``generator.markov_pair`` passes it, at SUPEROP_FLAG and
 PSD; no evolved state is tested for positivity.
 """

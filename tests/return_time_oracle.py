@@ -6,16 +6,17 @@ bisection on k.  ``return_time_by_bisection`` runs it over the same distance
 function as ``cporder.return_time``, so the two must return the same float.
 ``return_time_by_module_basis`` runs it over a g that builds, at every step,
 the (k m) x (k m) Choi matrix of T_t - E over a module basis of N and takes
-its spectral norm by a full SVD (``cb_norm_1_to_inf``), whatever N is.
+its spectral norm by a full SVD (``cb_norm_1_to_inf``), whatever N is.  Both
+take a generator or a pair (A, N), as ``cporder.return_time`` does.
 """
 
 import math
 
 from qmsemi.algebra import module_basis
 from qmsemi.cporder import _return_distance, cb_norm_1_to_inf
-from qmsemi.generator import spectral_gap
+from qmsemi.generator import markov_pair, spectral_gap
 from qmsemi.matops import semigroup_apply
-from qmsemi.tolerances import RETURN_TIME
+from qmsemi.tolerances import PSD, RETURN_TIME
 
 
 def grid_return_time(g, gap: float) -> float:
@@ -37,10 +38,11 @@ def grid_return_time(g, gap: float) -> float:
     return kb * RETURN_TIME
 
 
-def return_time_by_module_basis(a, n) -> float:
+def return_time_by_module_basis(gen) -> float:
     """The grid return time with ||chi_{T_t - E}|| from an SVD over a module basis."""
-    gap = spectral_gap(a)
-    if gap <= 0.0:
+    a, n = pair = markov_pair(gen)
+    gap = spectral_gap(pair)
+    if gap <= PSD * a.norm:
         raise ValueError("generator has no spectral gap; no convergence to E")
     basis = module_basis(n)
     e = n.expectation
@@ -56,6 +58,6 @@ def return_time_by_module_basis(a, n) -> float:
     return grid_return_time(g, gap)
 
 
-def return_time_by_bisection(a, n) -> float:
+def return_time_by_bisection(gen) -> float:
     """The grid return time over ``cporder._return_distance``, by integer bisection."""
-    return grid_return_time(*_return_distance(a, n))
+    return grid_return_time(*_return_distance(markov_pair(gen)))

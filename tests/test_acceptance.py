@@ -69,7 +69,7 @@ def _subordinated_rates():
         gen = ZOO[name]
         q_small = kernel_ie(gen.fixed_algebra)
         for th in (0.25, 0.5):
-            a_th = fractional_power(gen.superop, th)
+            a_th = fractional_power(gen, th)
             lam = best_lambda(q_small, kernel_from_superop(a_th)).lambda_star
             out[name, th] = (a_th, gen.fixed_algebra, lam)
     return out
@@ -172,12 +172,12 @@ def test_c06_truncated_calculus_bound():
     for i in range(20):
         m = int(rng.integers(2, 5))
         gen = random_lindblad(m, 2, rng, scale=0.55)
-        t0 = return_time(gen.superop, gen.fixed_algebra)
+        t0 = return_time(gen)
         sigmas = [0.5, 1.0 / max(math.log(t0), 1.0)]
         norm_l = gen.superop.norm
         for eps in (1e-2, 1e-4):
             for sigma in sigmas:
-                b = eps_sigma_generator(gen.superop, math.log(eps), sigma)
+                b = eps_sigma_generator(gen, math.log(eps), sigma)
                 bound = (2.0 / sigma + norm_l**2) / (2.0 * abs(math.log(eps)))
                 ratio = (gen.superop - b).norm / bound
                 worst_ratio = max(worst_ratio, ratio)
@@ -323,7 +323,7 @@ def test_c12_subordination_structure():
     for gen in (ZOO["dephasing_m2"], ZOO["random_2jump_m3"]):
         ns = nullspace_basis(gen.superop.matrix)
         for th in (0.25, 0.5, 0.75):
-            ns_th = nullspace_basis(fractional_power(gen.superop, th).matrix)
+            ns_th = nullspace_basis(fractional_power(gen, th).matrix)
             worst_gap = max(worst_gap, subspace_gap(ns, ns_th))
     ok &= worst_gap <= 1e-8
     # gradient domination of the normalized approximants, and the floor at t0
@@ -332,12 +332,12 @@ def test_c12_subordination_structure():
     worst_floor = 0.0
     for gen in (ZOO["dephasing_m2"], ZOO["random_2jump_m3"]):
         m = gen.dim
-        k_phi = kernel_from_superop(subordinated_generator(gen.superop, prof))
+        k_phi = kernel_from_superop(subordinated_generator(gen, prof))
         for r in (1.0, 0.1, 0.01):
-            psi, g_r = psi_r_map(gen.superop, prof, r)
+            psi, g_r = psi_r_map(gen, prof, r)
             k_psi = kernel_from_superop(g_r * (identity_superop(m) - psi))
             worst_ccc = min(worst_ccc, np.linalg.eigvalsh(k_phi.q - k_psi.q).min())
-        t0 = return_time(gen.superop, gen.fixed_algebra)
+        t0 = return_time(gen)
         t_alpha, c_alpha = 1e-6, 1.0  # the power law's exact doubling constants
         r0 = max(t0, t_alpha)
         floor = prof.f(r0) / (2.0 * 0.5 * c_alpha)

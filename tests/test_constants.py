@@ -73,7 +73,7 @@ def _objective_pairs():
     """(A, N) of the zoo and of the A^0.5 pairs of its random entries."""
     zoo = make_zoo()
     pairs = {name: (gen.superop, gen.fixed_algebra) for name, gen in zoo.items()}
-    pairs.update({f"{name} A^0.5": (fractional_power(zoo[name].superop, 0.5),
+    pairs.update({f"{name} A^0.5": (fractional_power(zoo[name], 0.5),
                                     zoo[name].fixed_algebra)
                   for name in ("random_2jump_m3", "random_2jump_m4")})
     return pairs

@@ -27,7 +27,7 @@ from qmsemi.cporder import (
     return_time,
     _return_distance,
 )
-from qmsemi.generator import gradient_form, jump_set, lindblad
+from qmsemi.generator import gradient_form, jump_set, lindblad, markov_pair, validate_generator
 from qmsemi.matops import (
     identity_superop,
     make_superop,
@@ -116,7 +116,7 @@ def _superop_cases(m):
     return {
         "L": gen.superop,
         "I-E": gen.fixed_algebra.complement,
-        "A^1/2": fractional_power(gen.superop, 0.5),
+        "A^1/2": fractional_power(gen, 0.5),
         "B_eps": b_eps,
         "I-E diagonal": diagonal_algebra(m).complement,
     }
@@ -293,7 +293,7 @@ def test_gamma_e_dephasing_value_and_gap_consistency():
 
     gen = dephasing_generator(2)
     cert = gamma_e_constant(gen)
-    assert 0 < cert.lambda_star <= 2 * spectral_gap(gen.superop) + 1e-9
+    assert 0 < cert.lambda_star <= 2 * spectral_gap(gen) + 1e-9
     assert cert.lambda_star == pytest.approx(4.0, abs=1e-6)
 
 
@@ -346,7 +346,7 @@ def _pencil(gen, kind):
     if kind == "B_eps":
         b, _ = density_approximation(gen, 0.1)
         return q_small, kernel_from_superop(b)
-    return q_small, kernel_from_superop(fractional_power(gen.superop, kind))
+    return q_small, kernel_from_superop(fractional_power(gen, kind))
 
 
 @pytest.mark.parametrize("kind", ["jumps", 0.25, 0.5, "B_eps"])
@@ -464,21 +464,21 @@ def test_choi_norm_independent_of_module_basis_order():
 
 def test_return_time_depolarizing_closed_form():
     gen = depolarizing_generator(2)
-    t0 = return_time(gen.superop, gen.fixed_algebra)
+    t0 = return_time(gen)
     assert t0 == pytest.approx(math.log(6.0), abs=1e-5)
 
 
 def test_return_time_scaling():
     gen = depolarizing_generator(2)
-    t0 = return_time(gen.superop, gen.fixed_algebra)
-    t0_scaled = return_time(2.0 * gen.superop, gen.fixed_algebra)
+    t0 = return_time(gen)
+    t0_scaled = return_time((2.0 * gen.superop, gen.fixed_algebra))
     assert t0_scaled == pytest.approx(t0 / 2.0, abs=1e-5)
 
 
 def test_return_time_requires_gap():
     gen = lindblad(jump_set([], m=2))
     with pytest.raises(ValueError):
-        return_time(gen.superop, gen.fixed_algebra)
+        return_time(gen)
 
 
 def _return_time_cases():
@@ -496,9 +496,9 @@ RETURN_TIME_CASES = _return_time_cases()
 @pytest.mark.parametrize("name", sorted(RETURN_TIME_CASES))
 def test_return_time_matches_module_basis_oracle(name):
     gen = RETURN_TIME_CASES[name]
-    t0 = return_time(gen.superop, gen.fixed_algebra)
+    t0 = return_time(gen)
     # both take the first grid point where their g is not positive: the same float
-    assert t0 == return_time_by_module_basis(gen.superop, gen.fixed_algebra)
+    assert t0 == return_time_by_module_basis(gen)
 
 
 def _random_return_time_cases():
@@ -515,15 +515,15 @@ BISECTION_CASES = {**RETURN_TIME_CASES, **_random_return_time_cases()}
 @pytest.mark.parametrize("name", sorted(BISECTION_CASES))
 def test_return_time_is_the_grid_bisection_bit_for_bit(name):
     gen = BISECTION_CASES[name]
-    t0 = return_time(gen.superop, gen.fixed_algebra)
-    assert t0 == return_time_by_bisection(gen.superop, gen.fixed_algebra)
+    t0 = return_time(gen)
+    assert t0 == return_time_by_bisection(gen)
 
 
 @pytest.mark.parametrize("name", sorted(BISECTION_CASES))
 def test_return_time_is_the_first_grid_point_where_g_is_not_positive(name):
     gen = BISECTION_CASES[name]
-    t0 = return_time(gen.superop, gen.fixed_algebra)
-    g, _ = _return_distance(gen.superop, gen.fixed_algebra)
+    t0 = return_time(gen)
+    g, _ = _return_distance(markov_pair(gen))
     k = round(t0 / RETURN_TIME)
     assert t0 == k * RETURN_TIME
     assert g(t0) <= 0.0 < g((k - 1) * RETURN_TIME)
@@ -537,14 +537,15 @@ def _patched_distance(monkeypatch, g, gap):
         ts.append(t)
         return g(t)
 
-    monkeypatch.setattr(cporder, "_return_distance", lambda a, n: (counted, gap))
+    monkeypatch.setattr(cporder, "markov_pair", lambda gen: gen)
+    monkeypatch.setattr(cporder, "_return_distance", lambda pair: (counted, gap))
     return ts
 
 
 @pytest.mark.parametrize("gap", [0.5, 1.0, 3.0])
 def test_return_time_is_infinite_when_g_stays_positive_up_to_the_cap(monkeypatch, gap):
     ts = _patched_distance(monkeypatch, lambda t: 0.5 * math.exp(-gap * t / 1e5), gap)
-    assert return_time(None, None) == math.inf
+    assert return_time(None) == math.inf
     assert max(ts) <= 1e4 / gap
 
 
@@ -561,7 +562,7 @@ STALLING_DISTANCES = {
 def test_return_time_bisects_where_the_secant_stalls(monkeypatch, name):
     g = STALLING_DISTANCES[name]
     ts = _patched_distance(monkeypatch, g, 1.0)
-    t0 = return_time(None, None)
+    t0 = return_time(None)
     assert ts[:3] == [1.0, 2.0, 4.0] and g(2.0) > 0.0 >= g(4.0)
     assert t0 == grid_return_time(g, 1.0)
     span = round(4.0 / RETURN_TIME) - round(2.0 / RETURN_TIME)
@@ -578,7 +579,7 @@ def _eigvalsh_calls(monkeypatch, fn, gen) -> int:
 
     with monkeypatch.context() as patch:
         patch.setattr(np.linalg, "eigvalsh", counted)
-        fn(gen.superop, gen.fixed_algebra)
+        fn(gen)
     return len(calls)
 
 
@@ -620,9 +621,9 @@ def test_return_time_rejects_a_map_that_breaks_hermiticity():
     a = make_superop(np.eye(4) - np.outer(e12, e12.conj()), 2)
     n = scalar_algebra(2)
     assert a.hs_selfadjoint
-    assert return_time_by_module_basis(a, n) == math.inf  # chi is not Hermitian here
-    with pytest.raises(ValueError, match="Hermiticity"):
-        return_time(a, n)
+    assert not validate_generator(a)["cp_semigroup"]  # Choi(-A) is not Hermitian
+    with pytest.raises(ValueError, match="not a quantum Markov generator"):
+        return_time((a, n))
 
 
 def test_ergodic_return_time_builds_no_module_basis_and_takes_no_svd(monkeypatch):
@@ -649,12 +650,12 @@ def test_ergodic_return_time_builds_no_module_basis_and_takes_no_svd(monkeypatch
     monkeypatch.setattr(cporder, "module_basis", counted("module_basis", cporder.module_basis))
     monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
     monkeypatch.setattr(np.linalg, "norm", counted_norm)
-    assert return_time(gen.superop, gen.fixed_algebra) > 0.0
+    assert return_time(gen) > 0.0
     assert calls == []
     # the counters do see the module-basis path and the oracle's SVD norm
-    return_time(deph.superop, deph.fixed_algebra)
+    return_time(deph)
     assert calls == ["module_basis"]
-    return_time_by_module_basis(deph.superop, deph.fixed_algebra)
+    return_time_by_module_basis(deph)
     assert "norm" in calls
 
 

@@ -107,7 +107,7 @@ def _fixing_pairs():
     for name, gen in ZOO.items():
         yield pytest.param(gen.superop, gen.fixed_algebra, id=name)
         for th in (0.25, 0.5):
-            yield pytest.param(fractional_power(gen.superop, th), gen.fixed_algebra,
+            yield pytest.param(fractional_power(gen, th), gen.fixed_algebra,
                                id=f"{name}^{th}")
     rng = np.random.default_rng(25)
     for m in (3, 4):

@@ -288,7 +288,7 @@ def _ergodic_pairs():
     for name, gen in gens.items():
         yield pytest.param(gen.superop, gen.fixed_algebra, id=name)
         for th in (0.25, 0.5):
-            yield pytest.param(fractional_power(gen.superop, th), gen.fixed_algebra,
+            yield pytest.param(fractional_power(gen, th), gen.fixed_algebra,
                                id=f"{name}^{th}")
 
 

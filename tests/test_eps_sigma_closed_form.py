@@ -63,7 +63,7 @@ def test_generator_applies_the_scalar_calculus_to_every_eigenvalue():
     for eps, sigma in ((1e-4, 0.4), (1e-2, 1.0), (0.5, 2.5)):
         fw = [eps_sigma_scalar(math.log(eps), sigma, lam)[0] if lam > 1e-9 else 0.0 for lam in w]
         ref = (v * np.array(fw)) @ v.conj().T
-        got = eps_sigma_generator(l, math.log(eps), sigma).matrix
+        got = eps_sigma_generator(gen, math.log(eps), sigma).matrix
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 

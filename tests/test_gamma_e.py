@@ -46,7 +46,7 @@ def _agree(a, n):
 
 
 def _operators(gen):
-    yield from ((th, fractional_power(gen.superop, th)) for th in (0.25, 0.5, 0.75))
+    yield from ((th, fractional_power(gen, th)) for th in (0.25, 0.5, 0.75))
     yield "B_eps", density_approximation(gen, 0.1)[0]
 
 
@@ -76,14 +76,14 @@ def test_gamma_e_agrees_with_best_lambda_on_b_eps_up_to_m6(m):
        seed=st.integers(0, 2**32 - 1))
 def test_gamma_e_agrees_with_best_lambda_on_random_powers(m, n_jumps, theta, seed):
     gen = random_lindblad(m, n_jumps, np.random.default_rng(seed), scale=0.6)
-    _agree(fractional_power(gen.superop, theta), gen.fixed_algebra)
+    _agree(fractional_power(gen, theta), gen.fixed_algebra)
 
 
 def test_fallback_for_a_superop_that_does_not_kill_one(zoo):
     # A = L^(1/2) + 0.3 I: the swapped-in 1 (x) C^m rows of Q_A do not vanish,
     # though the kernel without them is positive definite
     gen = zoo["random_2jump_m3"]
-    a = fractional_power(gen.superop, 0.5) + 0.3 * identity_superop(3)
+    a = fractional_power(gen, 0.5) + 0.3 * identity_superop(3)
     got, ref = _agree(a, gen.fixed_algebra)
     assert got.method == "pencil-direct" and got.status == "positive"
     assert got.lambda_star == ref.lambda_star
@@ -101,7 +101,7 @@ def test_fallback_for_a_singular_compressed_kernel():
 def test_a_pencil_with_dim_n_above_one_goes_straight_to_best_lambda(m, monkeypatch):
     # dephasing: N is the diagonal, and its module directions make Q_big' singular
     gen = dephasing_generator(m)
-    a = fractional_power(gen.superop, 0.5)
+    a = fractional_power(gen, 0.5)
     calls = []
 
     def counted(lib, name):
@@ -129,7 +129,7 @@ def test_a_pencil_with_dim_n_above_one_goes_straight_to_best_lambda(m, monkeypat
 
 def test_a_positive_status_needs_the_certifying_cholesky(zoo, monkeypatch):
     gen = zoo["random_2jump_m3"]
-    a = fractional_power(gen.superop, 0.5)
+    a = fractional_power(gen, 0.5)
     assert gamma_e(a, gen.fixed_algebra).method == "congruence-cholesky"
 
     def fail(*args, **kwargs):

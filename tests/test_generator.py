@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from superop_oracle import superop_from_action
 from qmsemi.algebra import commutant, scalar_algebra
+from qmsemi.cporder import return_time
 from qmsemi.generator import (
     JumpSet,
     derivation,
@@ -25,6 +28,7 @@ from qmsemi.matops import (
     subspace_gap,
 )
 from qmsemi.models import dephasing_generator, depolarizing_generator, pauli, random_lindblad
+from qmsemi.subordinate import fractional_power
 
 
 def test_lindblad_dephasing_action():
@@ -100,7 +104,7 @@ def test_fixed_algebra_keeps_the_bits_of_the_commutant(zoo):
 
 @pytest.mark.parametrize("eps, size", [(1e-6, 1), (1e-8, 1), (1e-10, 2)])
 def test_fixed_algebra_where_null_modes_and_the_svd_disagree(eps, size):
-    # the generator's eigenvalue 4 eps^2 counts as null at each eps here, while the
+    # the generator's eigenvalue 4 eps^2 is at most PSD ||A|| at each eps here, while the
     # commutator stack's singular value ~eps clears the SVD cutoff down to eps ~ 1e-9
     jumps = jump_set([np.diag([1.0, 2.0]).astype(complex), eps * pauli("x")])
     got = lindblad(jumps).fixed_algebra.basis
@@ -202,9 +206,41 @@ def test_validate_generator_reports():
 
 
 def test_spectral_gap_values():
-    assert spectral_gap(identity_superop(2) - scalar_algebra(2).expectation) == pytest.approx(1.0)
-    assert spectral_gap(dephasing_generator(2).superop) == pytest.approx(4.0)
-    assert spectral_gap(make_superop(np.zeros((4, 4)), 2)) == 0.0
+    n = scalar_algebra(2)
+    assert spectral_gap((identity_superop(2) - n.expectation, n)) == pytest.approx(1.0)
+    assert spectral_gap(dephasing_generator(2)) == pytest.approx(4.0)
+    assert spectral_gap((make_superop(np.zeros((4, 4)), 2), n)) == 0.0
+    assert spectral_gap(lindblad(jump_set([], m=2))) == 0.0  # no mode off N = M_2
+
+
+# the zoo's spectral gaps as float.hex: reading them at index dim N moves no bit
+ZOO_GAPS = {
+    "dephasing_m2": "0x1.0000000000000p+2",
+    "depolarizing_m2": "0x1.ffffffffffffcp-1",
+    "depolarizing_m3": "0x1.0000000000002p+0",
+    "random_2jump_m3": "0x1.8631f3f10d174p-1",
+    "random_2jump_m4": "0x1.6e22525c229d2p-5",
+}
+
+
+def test_the_zoo_gaps_are_unchanged_to_the_bit(zoo):
+    assert {name: spectral_gap(gen).hex() for name, gen in zoo.items()} == ZOO_GAPS
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+def test_the_dim_n_lowest_modes_are_null_and_no_other(eps):
+    # {diag(1, 2), eps sigma_x}: N = C 1, and w[1] = 4 eps^2 falls from above PSD ||A||
+    # (eps = 1e-4) to rounding (eps = 1e-8); only N decides that w[1] is not null
+    gen = lindblad(jump_set([np.diag([1.0, 2.0]).astype(complex), eps * pauli("x")]))
+    w, _ = gen.superop.eig
+    assert gen.fixed_algebra.size == 1
+    assert spectral_gap(gen) == w[1] > 0.0
+    assert nullspace_basis(fractional_power(gen, 0.5).matrix).shape[1] == 1
+    if eps == 1e-4:
+        assert math.isfinite(return_time(gen))
+    else:
+        with pytest.raises(ValueError, match="no spectral gap"):
+            return_time(gen)
 
 
 def test_dirichlet_identity():

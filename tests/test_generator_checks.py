@@ -51,7 +51,7 @@ def test_validate_generator_reads_cp_from_the_kossakowski_matrix(m, seed, s):
 def test_validate_generator_passes_subordinated_generators_and_i_minus_e(zoo):
     for name, gen in zoo.items():
         b_eps, _ = density_approximation(gen, 0.1)
-        for a in (fractional_power(gen.superop, 0.5), b_eps, gen.fixed_algebra.complement):
+        for a in (fractional_power(gen, 0.5), b_eps, gen.fixed_algebra.complement):
             assert validate_generator(a)["cp_semigroup"], name
 
 

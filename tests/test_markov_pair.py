@@ -1,5 +1,6 @@
-"""One Markov-pair guard: ``generator.markov_pair`` decides, for all four dynamics
-entry points, whether a pair (A, N) may be evolved."""
+"""One Markov-pair guard: ``generator.markov_pair`` decides, for every entry point that
+takes a pair (the dynamics, the return time, the gap and the functional calculus),
+whether a pair (A, N) may be used."""
 
 import numpy as np
 import pytest
@@ -8,27 +9,45 @@ from conftest import make_zoo, random_degenerate_commutant
 from superop_oracle import superop_from_action
 from qmsemi.algebra import scalar_algebra
 from qmsemi.constants import check_decay_bound, check_lp_decay, flsi_estimate
+from qmsemi.cporder import return_time
 from qmsemi.entropy import default_grid, simulate_decay
-from qmsemi.generator import markov_pair
+from qmsemi import generator
+from qmsemi.generator import LindbladGenerator, markov_pair, spectral_gap
 from qmsemi.io import dump_json
 from qmsemi.matops import (hermitian_basis, identity_superop, make_superop, random_state,
                            reshuffle, semigroup_apply)
 from qmsemi.models import random_lindblad
-from qmsemi.subordinate import density_approximation, fractional_power
+from qmsemi.subordinate import (WeightProfile, density_approximation, eps_sigma_generator,
+                                fractional_power, psi_r_map, subordinated_generator)
 
 ZOO = make_zoo()
-ENTRY_POINTS = ("flsi_estimate", "check_decay_bound", "check_lp_decay", "simulate_decay")
+ENTRY_POINTS = ("flsi_estimate", "check_decay_bound", "check_lp_decay", "simulate_decay",
+                "return_time", "spectral_gap", "density_approximation", "fractional_power",
+                "eps_sigma_generator", "subordinated_generator", "psi_r_map")
 
 
 def call(entry, pair):
-    m = pair[0].dim
     if entry == "flsi_estimate":
         return flsi_estimate(pair, n_starts=1, seed=0, n_validate=0)
     if entry == "check_decay_bound":
         return check_decay_bound(pair, 0.5, n_states=3)
     if entry == "check_lp_decay":
         return check_lp_decay(pair, 0.5, n_x=3)
-    return simulate_decay(pair, random_state(m, np.random.default_rng(1)), default_grid(0.5), 0.5)
+    if entry == "simulate_decay":
+        m = pair.dim if isinstance(pair, LindbladGenerator) else pair[0].dim
+        return simulate_decay(pair, random_state(m, np.random.default_rng(1)),
+                              default_grid(0.5), 0.5)
+    if entry == "density_approximation":
+        return density_approximation(pair, 0.1)
+    if entry == "fractional_power":
+        return fractional_power(pair, 0.5)
+    if entry == "eps_sigma_generator":
+        return eps_sigma_generator(pair, -5.0, 0.5)
+    if entry == "subordinated_generator":
+        return subordinated_generator(pair, WeightProfile.power_law(0.5))
+    if entry == "psi_r_map":
+        return psi_r_map(pair, WeightProfile.power_law(0.5), 1.0)
+    return {"return_time": return_time, "spectral_gap": spectral_gap}[entry](pair)
 
 
 def kossakowski_spread(a):
@@ -97,7 +116,7 @@ def _markov_pairs():
         n = gen.fixed_algebra
         yield pytest.param(gen.superop, n, id=name)
         for th in (0.25, 0.5, 0.75):
-            yield pytest.param(fractional_power(gen.superop, th), n, id=f"{name}^{th}")
+            yield pytest.param(fractional_power(gen, th), n, id=f"{name}^{th}")
         yield pytest.param(density_approximation(gen, 0.1)[0], n, id=f"{name}-B_0.1")
         yield pytest.param(n.complement, n, id=f"{name}-I-E")
     rng = np.random.default_rng(25)
@@ -122,6 +141,19 @@ def test_a_generator_and_its_pair_give_the_same_bytes():
         grid = default_grid(0.3, n=15)
         assert (simulate_decay(gen, rho0, grid, 0.3).to_csv()
                 == simulate_decay(pair, rho0, grid, 0.3).to_csv()), name
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_a_raw_pair_is_validated_once_per_call_and_a_generator_never(monkeypatch, entry):
+    gen = ZOO["random_2jump_m3"]
+    checked = []
+    validate = generator.validate_generator
+    monkeypatch.setattr(generator, "validate_generator",
+                        lambda a: checked.append(a) or validate(a))
+    call(entry, gen)
+    assert checked == []
+    call(entry, (gen.superop, gen.fixed_algebra))
+    assert checked == [gen.superop]
 
 
 def test_a_lindblad_generator_is_trusted_without_an_eigensolve(monkeypatch):

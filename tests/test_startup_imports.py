@@ -78,7 +78,7 @@ def test_a_superop_pencil_loads_scipy_linalg_only():
         "from qmsemi import fractional_power, gamma_e, random_lindblad\n"
         "import numpy as np\n"
         "gen = random_lindblad(3, 2, np.random.default_rng(5), scale=0.6)\n"
-        "cert = gamma_e(fractional_power(gen.superop, 0.5), gen.fixed_algebra)\n"
+        "cert = gamma_e(fractional_power(gen, 0.5), gen.fixed_algebra)\n"
         "assert cert.method == 'congruence-cholesky'"
     ) == {"linalg"}
 

@@ -8,7 +8,7 @@ from scipy.special import gamma as gammafn
 
 from qmsemi import subordinate
 from qmsemi.cporder import gamma_e, kernel_from_superop, kernel_ie, return_time
-from qmsemi.generator import JumpSet, lindblad
+from qmsemi.generator import JumpSet, jump_set, lindblad
 from qmsemi.matops import (
     identity_superop,
     make_superop,
@@ -26,7 +26,6 @@ from qmsemi.subordinate import (
     phi_of_lambda,
     psi_r_map,
     subordinated_generator,
-    theta_family_report,
 )
 
 
@@ -85,16 +84,16 @@ def test_subordinated_matches_fractional_power():
     rng = np.random.default_rng(0)
     gen = random_lindblad(3, 2, rng)
     for th in (0.3, 0.5):
-        a1 = subordinated_generator(gen.superop, WeightProfile.power_law(th))
-        a2 = fractional_power(gen.superop, th)
+        a1 = subordinated_generator(gen, WeightProfile.power_law(th))
+        a2 = fractional_power(gen, th)
         np.testing.assert_array_equal(a1.matrix, a2.matrix)
-    b1 = subordinated_generator(gen.superop, WeightProfile.eps_sigma(1e-3, 0.7))
-    b2 = eps_sigma_generator(gen.superop, math.log(1e-3), 0.7)
+    b1 = subordinated_generator(gen, WeightProfile.eps_sigma(1e-3, 0.7))
+    b2 = eps_sigma_generator(gen, math.log(1e-3), 0.7)
     np.testing.assert_array_equal(b1.matrix, b2.matrix)
 
 
 def test_closed_form_profiles_take_no_quadrature(monkeypatch):
-    a = random_lindblad(3, 2, np.random.default_rng(10)).superop
+    a = random_lindblad(3, 2, np.random.default_rng(10))
     profiles = [WeightProfile.power_law(0.5), WeightProfile.eps_sigma(1e-3, 0.7)]
     table = WeightProfile.table([[0.1, 1.0], [10.0, 0.1]])
 
@@ -137,7 +136,7 @@ def test_c_f_lies_within_its_reported_quadrature_error(prof, c_f):
 def test_fractional_power_does_not_depend_on_the_scale(s):
     # A scales as s^2, so A^(1/2) and its gamma-e constant scale as s
     gen = lindblad(JumpSet(dim=2, jumps=s * np.array([pauli("x"), pauli("z")])))
-    lam = gamma_e(fractional_power(gen.superop, 0.5), gen.fixed_algebra).lambda_star
+    lam = gamma_e(fractional_power(gen, 0.5), gen.fixed_algebra).lambda_star
     assert lam == pytest.approx(1.1715728752538 * s, rel=1e-9)
 
 
@@ -153,18 +152,18 @@ def test_profile_guards():
     with pytest.raises(ValueError, match="fails the integrability condition"):
         phi_of_lambda(bad, 1.0)
     with pytest.raises(ValueError, match="fails the integrability condition"):
-        subordinated_generator(dephasing_generator(2).superop, bad)
+        subordinated_generator(dephasing_generator(2), bad)
     gen = depolarizing_generator(2)
     for eps in (0.0, -0.1):
         with pytest.raises(ValueError, match="eps must be positive"):
             density_approximation(gen, eps)
     for r in (0.0, -1.0):
         with pytest.raises(ValueError, match="r must be positive"):
-            psi_r_map(gen.superop, prof, r)
+            psi_r_map(gen, prof, r)
 
 
 def test_subordinated_zero_generator():
-    a = make_superop(np.zeros((4, 4)), 2)
+    a = lindblad(jump_set([], m=2))
     out = subordinated_generator(a, WeightProfile.power_law(0.5))
     assert np.abs(out.matrix).max() == 0.0
 
@@ -174,7 +173,7 @@ def test_subordination_preserves_nullspace():
     gen = random_lindblad(3, 2, rng)
     ns_a = nullspace_basis(gen.superop.matrix)
     for th in (0.25, 0.5, 0.75):
-        a_th = fractional_power(gen.superop, th)
+        a_th = fractional_power(gen, th)
         assert a_th.hs_selfadjoint and a_th.kills_identity
         ns_th = nullspace_basis(a_th.matrix)
         assert subspace_gap(ns_a, ns_th) < 1e-8
@@ -183,16 +182,16 @@ def test_subordination_preserves_nullspace():
 def test_fractional_power_identities():
     rng = np.random.default_rng(2)
     gen = random_lindblad(3, 2, rng)
-    assert np.abs(fractional_power(gen.superop, 1.0).matrix - gen.superop.matrix).max() < 1e-12
-    half = fractional_power(gen.superop, 0.5)
+    assert np.abs(fractional_power(gen, 1.0).matrix - gen.superop.matrix).max() < 1e-12
+    half = fractional_power(gen, 0.5)
     assert np.abs((half @ half).matrix - gen.superop.matrix).max() < 1e-10
     dep = depolarizing_generator(2)
     for th in (0.2, 0.8):
-        assert np.abs(fractional_power(dep.superop, th).matrix - dep.superop.matrix).max() < 1e-10
+        assert np.abs(fractional_power(dep, th).matrix - dep.superop.matrix).max() < 1e-10
     with pytest.raises(ValueError):
-        fractional_power(gen.superop, 1.2)
+        fractional_power(gen, 1.2)
     with pytest.raises(ValueError):
-        fractional_power(gen.superop, 0.0)
+        fractional_power(gen, 0.0)
 
 
 def test_eps_sigma_scalar_zero_and_brackets():
@@ -212,13 +211,13 @@ def test_eps_sigma_operator_bound():
     l = gen.superop
     for eps in (1e-2, 1e-4):
         for sigma in (0.5, 1.0):
-            b = eps_sigma_generator(l, math.log(eps), sigma)
+            b = eps_sigma_generator(gen, math.log(eps), sigma)
             bound = (2.0 / sigma + l.norm**2) / (2.0 * abs(math.log(eps)))
             assert (l - b).norm <= bound * (1 + 1e-10)
 
 
 def test_eps_sigma_rejects_bad_parameters():
-    a = depolarizing_generator(2).superop
+    a = depolarizing_generator(2)
     with pytest.raises(ValueError):
         eps_sigma_generator(a, math.log(1.5), 0.5)
     for sigma in (-1.0, math.nan, math.inf):
@@ -249,13 +248,13 @@ def test_psi_r_unital_and_monotone_normalization():
     prof = WeightProfile.power_law(0.5)
     g_prev = None
     for r in (1.0, 0.5, 0.1):
-        psi, g_r = psi_r_map(gen.superop, prof, r)
+        psi, g_r = psi_r_map(gen, prof, r)
         assert np.abs(psi.apply(np.eye(2)) - np.eye(2)).max() < 1e-10
         if g_prev is not None:
             assert g_r >= g_prev - 1e-12  # g decreases in r
         g_prev = g_r
     # closed form for the power law: g(r) = c(a) Gamma(a) r^-a
-    _, g1 = psi_r_map(gen.superop, prof, 1.0)
+    _, g1 = psi_r_map(gen, prof, 1.0)
     assert g1 == pytest.approx(prof.norm_const * gammafn(0.5), abs=1e-10)
 
 
@@ -263,10 +262,10 @@ def test_psi_r_approximates_subordinated_generator():
     rng = np.random.default_rng(7)
     gen = random_lindblad(2, 2, rng, scale=0.7)
     prof = WeightProfile.power_law(0.5)
-    phi_a = subordinated_generator(gen.superop, prof)
+    phi_a = subordinated_generator(gen, prof)
     resids = []
     for r in (1.0, 0.1, 0.01, 0.001):
-        psi, g_r = psi_r_map(gen.superop, prof, r)
+        psi, g_r = psi_r_map(gen, prof, r)
         resids.append((g_r * (identity_superop(2) - psi) - phi_a).norm)
     assert all(b < a for a, b in zip(resids, resids[1:]))
 
@@ -302,9 +301,9 @@ def test_gradient_domination_of_approximants():
     rng = np.random.default_rng(8)
     gen = random_lindblad(2, 2, rng, scale=0.7)
     prof = WeightProfile.power_law(0.5)
-    k_phi = kernel_from_superop(subordinated_generator(gen.superop, prof))
+    k_phi = kernel_from_superop(subordinated_generator(gen, prof))
     for r in (1.0, 0.1, 0.01):
-        psi, g_r = psi_r_map(gen.superop, prof, r)
+        psi, g_r = psi_r_map(gen, prof, r)
         k_psi = kernel_from_superop(g_r * (identity_superop(2) - psi))
         wmin = np.linalg.eigvalsh(k_phi.q - k_psi.q).min()
         assert wmin >= -1e-7
@@ -316,11 +315,11 @@ def test_subordinated_floor_at_return_time():
     for gen in (dephasing_generator(2), random_lindblad(2, 2, rng, scale=0.7)):
         al = 0.5
         prof = WeightProfile.power_law(al)
-        t0 = return_time(gen.superop, gen.fixed_algebra)
+        t0 = return_time(gen)
         t_alpha, c_alpha = 1e-6, 1.0  # the power law's exact doubling constants
         r = max(t0, t_alpha)
         floor = prof.f(r) / (2.0 * al * c_alpha)
-        k_phi = kernel_from_superop(subordinated_generator(gen.superop, prof))
+        k_phi = kernel_from_superop(subordinated_generator(gen, prof))
         k_e = kernel_ie(gen.fixed_algebra)
         wmin = np.linalg.eigvalsh(k_phi.q - floor * k_e.q).min()
         assert wmin >= -1e-7
@@ -330,15 +329,6 @@ def test_auto_sigma_clamps():
     gen = depolarizing_generator(2)  # t0 = ln 6 < e
     out = auto_sigma(gen)
     assert out["sigma"] == pytest.approx(1.0)
-
-
-def test_theta_family_report_shape():
-    gen = dephasing_generator(2)
-    rep = theta_family_report(gen)
-    assert set(rep) == {"t0", "lambda_theta", "fitted_c0"}
-    assert tuple(rep["lambda_theta"]) == (0.25, 0.5, 0.75)
-    assert all(v > 0 for v in rep["lambda_theta"].values())
-    assert rep["fitted_c0"] > 0
 
 
 def test_table_profile_evaluation_and_conditions():

@@ -4,17 +4,18 @@ The option ratchet: the number of defaulted parameters in ``qmsemi`` does not gr
 import ast
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from qmsemi.algebra import diagonal_algebra, module_basis, scalar_algebra
-from qmsemi.constants import gamma_dual_norm
+from qmsemi.algebra import diagonal_algebra, module_basis
+from qmsemi.cporder import return_time
 from qmsemi.entropy import relative_entropy
-from qmsemi.generator import LindbladGenerator, jump_set, spectral_gap
-from qmsemi.matops import make_state, make_superop
+from qmsemi.generator import jump_set, lindblad
+from qmsemi.matops import make_state
 from qmsemi.models import pauli
-from qmsemi.subordinate import fractional_power
+from qmsemi.subordinate import density_approximation
 from qmsemi.tolerances import PSD, rel_floor
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qmsemi"
@@ -202,21 +203,37 @@ def _off_support(x):
     return math.isinf(relative_entropy(np.eye(2), np.diag([1.0, x])))
 
 
-def _zeroed_by_fractional_power(x):
-    a = make_superop(np.diag([0.0, x, 0.5, 1.0]), 2)
-    return fractional_power(a, 0.5).matrix[1, 1] == 0.0
+def _small_gap_jumps(x):
+    """{diag(1, 2), eps sigma_x} with w[1] = 4 eps^2 = x and ||A|| = 1, up to rounding.
+    N = C 1 on both sides of PSD (the SVD cutoff clears eps ~ 1e-9), so A^theta and the
+    dual norm keep w[1]; the probes below see the floors that still compare it with PSD."""
+    return jump_set([np.diag([1.0, 2.0]).astype(complex), math.sqrt(x) / 2.0 * pauli("x")])
+
+
+def _left_to_the_commutant(x):
+    # lindblad reads N = C 1 off the spectrum only when w[1] > PSD ||A||
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        gen = lindblad(_small_gap_jumps(x))
+    assert gen.fixed_algebra.size == 1
+    return svd.called
 
 
 def _below_spectral_gap(x):
-    return spectral_gap(make_superop(np.diag([0.0, x, 0.5, 1.0]), 2)) == 0.5
+    # return_time finds no spectral gap when w[dim N] <= PSD ||A||
+    try:
+        return_time(lindblad(_small_gap_jumps(x)))
+    except ValueError as exc:
+        return "no spectral gap" in str(exc)
+    return False
 
 
-def _dropped_by_the_dual_norm(x):
-    # rho0 = E_12 + E_21 meets L's eigenvalue x on E_12 and 0.5 on E_21; q = <rho0, L^+ rho0>
-    # is 1 when x is in the kernel of L, and about 1/(2x) when it is not
-    a = make_superop(np.diag([0.0, x, 0.5, 1.0]), 2)
-    gen = LindbladGenerator(jump_set(pauli("z")), a, scalar_algebra(2))
-    return gamma_dual_norm(gen, np.array([[0.0, 1.0], [1.0, 0.0]]))[1] < 2.0
+def _no_density_approximant(x):
+    # B_eps is built from the return time, so the density construction refuses as it does
+    try:
+        density_approximation(lindblad(_small_gap_jumps(x)), 0.1)
+    except ValueError as exc:
+        return "no spectral gap" in str(exc)
+    return False
 
 
 def _clipped_in_a_state(x):
@@ -235,8 +252,8 @@ def _in_module_kernel(x):
 
 
 @pytest.mark.parametrize("factor", [0.5, 2.0])
-@pytest.mark.parametrize("probe", [_off_support, _zeroed_by_fractional_power, _below_spectral_gap,
-                                   _dropped_by_the_dual_norm, _clipped_in_a_state,
+@pytest.mark.parametrize("probe", [_off_support, _left_to_the_commutant, _below_spectral_gap,
+                                   _no_density_approximant, _clipped_in_a_state,
                                    _in_module_kernel])
 def test_one_zero_floor_decides_every_kind_of_zero(probe, factor):
     assert probe(factor * PSD) == (factor < 1.0)
