@@ -24,7 +24,6 @@ from .constants import (
     flsi_estimate,
     gamma_dual_norm,
     geometric_talagrand_check,
-    rho_multiplier,
     schatten_norm,
 )
 from .cporder import (
@@ -55,8 +54,6 @@ from .generator import (
     LindbladGenerator,
     derivation,
     gradient_form,
-    gradient_form_ie,
-    gradient_form_weak,
     jump_set,
     lindblad,
     markov_pair,

@@ -10,6 +10,7 @@ result (e.g. a zero constant), 3 internal numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -229,7 +230,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     _add_out(p)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one: ``main``
+    parses each command line against it, as parse_args leaves it unchanged, so a
+    caller must not modify it."""
     ap = argparse.ArgumentParser(
         prog="qmsemi",
         description="quantum Markov semigroup toolkit: decay certificates, "

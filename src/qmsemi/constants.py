@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import SubAlgebra
 from .entropy import default_grid, expectation_entropy, sub_terms
-from .generator import LindbladGenerator, gradient_form, markov_pair
+from .generator import LindbladGenerator, gradient_form, markov_pair, require_gap
 from .matops import (
     Superop,
     _chart,
@@ -25,7 +25,6 @@ from .matops import (
     hermitian_basis,
     norm_trace,
     random_hermitian,
-    schur_multiplier,
     semigroup_apply,
 )
 from .tolerances import D_N_ZERO, DECAY_SKIP, HELD, LP_BASE, PSD, TINY, TRIVIAL, VIOLATION
@@ -37,31 +36,8 @@ __all__ = [
     "check_lp_decay",
     "gamma_dual_norm",
     "geometric_talagrand_check",
-    "rho_multiplier",
     "schatten_norm",
 ]
-
-
-# ---------------------------------------------------------------------------
-# entropy multipliers
-# ---------------------------------------------------------------------------
-
-def rho_multiplier(rho: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The two-sided multiplier [rho](y) = int_0^1 rho^s y rho^{1-s} ds.
-
-    In the eigenbasis of rho this is the Schur multiplier with entries
-    (r_k - r_l)/(ln r_k - ln r_l), the divided difference of exp at
-    (ln r_k, ln r_l); requires rho > 0.
-    """
-    w, u = _positive_eigh(rho)
-    return schur_multiplier(np.log(w), u, w, np.exp, y)
-
-
-def _positive_eigh(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    w, u = np.linalg.eigh(rho)
-    if w.min() <= 0:
-        raise ValueError("rho must be positive definite")
-    return w, u
 
 
 def schatten_norm(x: np.ndarray, p: float) -> float | np.ndarray:
@@ -382,10 +358,14 @@ def gamma_dual_norm(gen: LindbladGenerator, rho: np.ndarray) -> tuple[float, flo
     function f1 = L^+ rho0 is feasible once divided by sqrt(||Gamma(f1,f1)||), so
     lower = q / sqrt(||Gamma(f1,f1)||) <= upper; the two meet when Gamma(f1,f1)
     is a multiple of 1.  L^+ comes from the cached eigendecomposition of L,
-    with its dim N lowest modes (the kernel, as in spectral_gap) dropped.
+    with its dim N lowest modes (the kernel, as in spectral_gap) dropped.  Each
+    end carries eigh's rounding of 1/w, about u ||L|| / w[dim N] relative (u the
+    unit roundoff), so a gap at or below PSD ||L|| raises "no spectral gap"
+    (``require_gap``).
     """
     if abs(norm_trace(rho).real) > PSD:
         raise ValueError("dual norm expects a trace-zero perturbation")
+    require_gap(gen)
     rho0 = rho - gen.e_fix.apply(rho)
     rho0 = (rho0 + rho0.conj().T) / 2.0
     w, v = gen.superop.eig

@@ -43,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import ModuleBasis, SubAlgebra, module_basis
-from .generator import LindbladGenerator, MarkovPair, markov_pair, spectral_gap
+from .generator import LindbladGenerator, MarkovPair, markov_pair, require_gap
 from .matops import Superop, make_superop, reshuffle, tau_orthonormal_basis
 from .tolerances import (
     CERT_HEADROOM,
@@ -70,7 +70,6 @@ __all__ = [
     "choi_matrix",
     "cb_norm_1_to_inf",
     "return_time",
-    "l2_to_linf_cb_sq",
 ]
 
 @dataclass(frozen=True)
@@ -480,7 +479,7 @@ def return_time(gen) -> float:
     decays like C e^{-gap t}, and after three steps in a row that keep over
     half of the candidates the next step bisects.  Returns math.inf when 1/2
     is not reached by t = 1e4 / gap, and raises "no spectral gap" when the gap
-    w[dim N] (``spectral_gap``) is at or below PSD ||A||.
+    w[dim N] is at or below PSD ||A|| (``generator.require_gap``).
     """
     g, gap = _return_distance(markov_pair(gen))
 
@@ -525,9 +524,7 @@ def _return_distance(pair: MarkovPair) -> tuple[Callable[[float], float], float]
     """g(t) = ||chi_{T_t - E}|| - 1/2 and the spectral gap of A, checked as in ``return_time``."""
     a, n = pair
     m = a.dim
-    gap = spectral_gap(pair)
-    if gap <= PSD * a.norm:
-        raise ValueError("generator has no spectral gap; no convergence to E")
+    gap = require_gap(pair)
     w, v = a.eig
     if n.size == 1:
         scale, chi = m, lambda s: reshuffle(s, m)
@@ -540,19 +537,3 @@ def _return_distance(pair: MarkovPair) -> tuple[Callable[[float], float], float]
         return scale * np.abs(np.linalg.eigvalsh(chi(s))).max() - 0.5
 
     return g, gap
-
-
-def l2_to_linf_cb_sq(s: Superop) -> float:
-    """Squared cb-norm of a map L2(tau) -> M for the self-dual structure:
-
-        ||S||^2 = || sum_i S(e_i) (x) conj(S(e_i)) ||
-
-    over any tau-orthonormal basis {e_i}.  For S = T_t - E of an ergodic
-    self-adjoint semigroup this equals ||chi_{T_{2t} - E}|| exactly, which is
-    the splitting identity relating the distance to equilibrium at time 2t
-    to the squared L2 -> Linf norm at time t.
-    """
-    m = s.dim
-    se = s.apply(tau_orthonormal_basis(m))
-    acc = np.einsum("eij,ekl->ikjl", se, se.conj()).reshape(m * m, m * m)
-    return float(np.linalg.norm(acc, 2))

@@ -29,12 +29,11 @@ __all__ = [
     "lindblad",
     "derivation",
     "gradient_form",
-    "gradient_form_ie",
-    "gradient_form_weak",
     "validate_generator",
     "MarkovPair",
     "markov_pair",
     "spectral_gap",
+    "require_gap",
 ]
 
 
@@ -122,22 +121,6 @@ def gradient_form(jumps: JumpSet, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("kij,kil->jl", dx.conj(), dy)
 
 
-def gradient_form_ie(n: SubAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradient form of I - E_N: (x*y - E(x)*y - x*E(y) + E(x*y)) / 2."""
-    return gradient_form_weak(n.complement, x, y)
-
-
-def gradient_form_weak(a: Superop, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradient form of an arbitrary self-adjoint generator A:
-
-        Gamma_A(x, y) = (A(x)* y + x* A(y) - A(x* y)) / 2.
-    """
-    if x.shape != y.shape or x.shape[0] != a.dim:
-        raise ValueError("dimension mismatch")
-    xs = x.conj().T
-    return 0.5 * (a.apply(x).conj().T @ y + xs @ a.apply(y) - a.apply(xs @ y))
-
-
 # the conditions of validate_generator that make e^{-tA} a quantum Markov semigroup
 MARKOV_CHECKS = ("hs_selfadjoint", "kills_identity", "psd", "cp_semigroup")
 
@@ -205,3 +188,13 @@ def spectral_gap(gen) -> float:
     a, n = markov_pair(gen)
     off = a.eig[0][n.size:]
     return float(off[0]) if off.size else 0.0
+
+
+def require_gap(gen) -> float:
+    """``spectral_gap``, or ValueError "no spectral gap" when it is at or below PSD ||A||,
+    where w[dim N] is no more than eigh's rounding of A's null modes."""
+    pair = markov_pair(gen)
+    gap = spectral_gap(pair)
+    if gap <= PSD * pair.superop.norm:
+        raise ValueError("generator has no spectral gap; no convergence to E")
+    return gap

@@ -9,10 +9,11 @@ decision they make, and no caller sets one.  Relative floors scale by
 ``matops.divided_differences``, which ties a pair whose values agree to
 PSD * max(|f(s)|, |f(t)|), and PSD * ||A||, which A's spectrum meets in two
 places only: ``generator.lindblad`` reads N = C 1 off the spectrum when
-w[1] > PSD ||A||, and ``cporder.return_time`` finds no spectral gap when
-w[dim N] <= PSD ||A||.  No floor decides which modes of A are null: they are
-exactly the dim N lowest, the modes E_N keeps, for the spectral gap, the
-functional calculus and the dual norm.
+w[1] > PSD ||A||, and ``generator.require_gap`` finds no spectral gap when
+w[dim N] <= PSD ||A|| (for ``return_time`` and ``gamma_dual_norm``).  No floor
+decides which modes of A are null: they are exactly the dim N lowest, the
+modes E_N keeps, for the spectral gap, the functional calculus and the dual
+norm.
 A pair (A, N) is evolved once ``generator.markov_pair`` passes it, at SUPEROP_FLAG and
 PSD; no evolved state is tested for positivity.
 """

@@ -12,6 +12,8 @@ gradient from two divided-difference Schur multipliers, J_log at the
 spectrum of rho and J_exp at that of H, where the objective cancels J_log,
 and it takes ln rho by rotating ln r, A(rho) through its Hermitian part and
 I_A through a matrix product, where the objective reads ln rho off H.
+
+``rho_multiplier`` is the two-sided multiplier [rho] that J_log inverts.
 """
 
 import math
@@ -79,3 +81,21 @@ def ratio_and_grad_reference(a, e, h, want_grad: bool):
     grad_h = (m / tr) * j_g - coef * exph
     grad_h = (grad_h + grad_h.conj().T) / 2.0
     return i_val, d_val, rho, grad_h
+
+
+def rho_multiplier(rho: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The two-sided multiplier [rho](y) = int_0^1 rho^s y rho^{1-s} ds.
+
+    In the eigenbasis of rho this is the Schur multiplier with entries
+    (r_k - r_l)/(ln r_k - ln r_l), the divided difference of exp at
+    (ln r_k, ln r_l); requires rho > 0.
+    """
+    w, u = _positive_eigh(rho)
+    return schur_multiplier(np.log(w), u, w, np.exp, y)
+
+
+def _positive_eigh(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    w, u = np.linalg.eigh(rho)
+    if w.min() <= 0:
+        raise ValueError("rho must be positive definite")
+    return w, u

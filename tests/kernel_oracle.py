@@ -4,11 +4,14 @@ The jump kernel contracts the commutator tensor [a_k, e_b] with itself by one
 4-index einsum, and the superoperator kernel assembles Gamma_A(e_a, e_b)
 from three einsums and k^2 matrix-vector applications of A.  A weighted
 graph's gradient form is evaluated pointwise on diagonal matrices and its
-kernel filled one basis pair at a time.
+kernel filled one basis pair at a time.  ``gradient_form_weak`` evaluates the
+weak form Gamma_A(x, y) of any self-adjoint A pointwise, and
+``gradient_form_ie`` that of I - E_N.
 """
 
 import numpy as np
 
+from qmsemi.algebra import SubAlgebra
 from qmsemi.cporder import FormKernel, _symmetrize
 from qmsemi.matops import Superop, tau_orthonormal_basis
 
@@ -63,3 +66,19 @@ def kernel_from_form(form, m: int, basis: np.ndarray) -> FormKernel:
         for b in range(k):
             q[a, :, b, :] = form(basis[a], basis[b])
     return FormKernel(dim=m, basis_size=k, q=_symmetrize(q.reshape(k * m, k * m)))
+
+
+def gradient_form_ie(n: SubAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gradient form of I - E_N: (x*y - E(x)*y - x*E(y) + E(x*y)) / 2."""
+    return gradient_form_weak(n.complement, x, y)
+
+
+def gradient_form_weak(a: Superop, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gradient form of an arbitrary self-adjoint generator A:
+
+        Gamma_A(x, y) = (A(x)* y + x* A(y) - A(x* y)) / 2.
+    """
+    if x.shape != y.shape or x.shape[0] != a.dim:
+        raise ValueError("dimension mismatch")
+    xs = x.conj().T
+    return 0.5 * (a.apply(x).conj().T @ y + xs @ a.apply(y) - a.apply(xs @ y))

@@ -8,14 +8,18 @@ function as ``cporder.return_time``, so the two must return the same float.
 the (k m) x (k m) Choi matrix of T_t - E over a module basis of N and takes
 its spectral norm by a full SVD (``cb_norm_1_to_inf``), whatever N is.  Both
 take a generator or a pair (A, N), as ``cporder.return_time`` does.
+``l2_to_linf_cb_sq`` gives the squared L2 -> Linf cb-norm of T_t - E, which
+the splitting identity equates with the Choi norm of T_{2t} - E.
 """
 
 import math
 
+import numpy as np
+
 from qmsemi.algebra import module_basis
 from qmsemi.cporder import _return_distance, cb_norm_1_to_inf
 from qmsemi.generator import markov_pair, spectral_gap
-from qmsemi.matops import semigroup_apply
+from qmsemi.matops import Superop, semigroup_apply, tau_orthonormal_basis
 from qmsemi.tolerances import PSD, RETURN_TIME
 
 
@@ -61,3 +65,19 @@ def return_time_by_module_basis(gen) -> float:
 def return_time_by_bisection(gen) -> float:
     """The grid return time over ``cporder._return_distance``, by integer bisection."""
     return grid_return_time(*_return_distance(markov_pair(gen)))
+
+
+def l2_to_linf_cb_sq(s: Superop) -> float:
+    """Squared cb-norm of a map L2(tau) -> M for the self-dual structure:
+
+        ||S||^2 = || sum_i S(e_i) (x) conj(S(e_i)) ||
+
+    over any tau-orthonormal basis {e_i}.  For S = T_t - E of an ergodic
+    self-adjoint semigroup this equals ||chi_{T_{2t} - E}|| exactly, which is
+    the splitting identity relating the distance to equilibrium at time 2t
+    to the squared L2 -> Linf norm at time t.
+    """
+    m = s.dim
+    se = s.apply(tau_orthonormal_basis(m))
+    acc = np.einsum("eij,ekl->ikjl", se, se.conj()).reshape(m * m, m * m)
+    return float(np.linalg.norm(acc, 2))

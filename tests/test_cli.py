@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qmsemi.cli import main
+from qmsemi.cli import build_parser, main
 from qmsemi.generator import JumpSet
 from qmsemi.io import dump_json, jumps_to_obj, operator_to_obj
 from qmsemi.models import depolarizing_generator, pauli, random_lindblad
@@ -64,6 +68,31 @@ def test_a_malformed_command_line_exits_1_with_the_usage_message(argv, capsys):
 def test_help_exits_0(argv, capsys):
     assert main(argv) == 0
     assert "usage: qmsemi" in capsys.readouterr().out
+
+
+def test_the_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_main_reuses_one_parser_across_calls(jumps_file, tmp_path, capsys):
+    # a usage error and --help leave the cached parser as a fresh one would be
+    before = build_parser.cache_info()
+    assert main(["flsi", jumps_file, "--starts", "x"]) == 1
+    assert main(["--help"]) == 0
+    docs = []
+    for k in range(2):
+        out = tmp_path / f"cert{k}.json"
+        assert main(["gamma-e", jumps_file, "--out", str(out)]) == 0
+        docs.append(out.read_bytes())
+    after = build_parser.cache_info()
+    assert after.hits + after.misses - before.hits - before.misses == 4
+    assert after.misses <= 1 and after.currsize == 1
+    fresh = tmp_path / "fresh.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "qmsemi.cli", "gamma-e", jumps_file,
+                           "--out", str(fresh)], env=env, capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert docs[0] == docs[1] == fresh.read_bytes()
 
 
 def test_gamma_e_without_out_writes_the_same_bytes_to_stdout(jumps_file, tmp_path, capsys):

@@ -20,7 +20,7 @@ from qmsemi.constants import (
 )
 from qmsemi.cporder import gamma_e_constant
 from qmsemi.entropy import d_sub, default_grid, fisher, simulate_decay
-from qmsemi.generator import gradient_form, jump_set, lindblad, markov_pair
+from qmsemi.generator import gradient_form, jump_set, lindblad, markov_pair, spectral_gap
 from qmsemi.matops import _chart, norm_trace, random_hermitian, random_state, semigroup_apply
 from qmsemi.models import dephasing_generator, depolarizing_generator, pauli, random_lindblad
 from qmsemi.subordinate import fractional_power
@@ -155,11 +155,13 @@ def test_flsi_gradient_matches_a_central_difference_at_a_near_tied_h(m, gap):
 
 
 def _objective_calls(gen, monkeypatch):
-    """Eigensolves, divided-difference matrices, Schur products and applications of
-    E_N in one evaluation of the descent objective with its gradient."""
+    """Eigensolves, divided-difference matrices and applications of E_N in one
+    evaluation of the descent objective with its gradient."""
     n = gen.fixed_algebra
     e = n.expectation
-    calls = {"eigh": 0, "divided_differences": 0, "schur_multiplier": 0, "E": 0}
+    # constants imports no schur_multiplier, so the objective makes no such product
+    assert not hasattr(constants, "schur_multiplier")
+    calls = {"eigh": 0, "divided_differences": 0, "E": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -172,8 +174,8 @@ def _objective_calls(gen, monkeypatch):
         return _apply(superop, x)
 
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
-    for name in ("divided_differences", "schur_multiplier"):
-        monkeypatch.setattr(constants, name, counted(name, getattr(constants, name)))
+    monkeypatch.setattr(constants, "divided_differences",
+                        counted("divided_differences", constants.divided_differences))
     monkeypatch.setattr(type(e), "apply", apply)
     h = random_hermitian(gen.dim, np.random.default_rng(27), 1.0)
     constants._ratio_and_grad(gen.superop, n, h, True)
@@ -184,7 +186,7 @@ def test_flsi_objective_takes_two_eigensolves_and_one_schur_product(zoo, monkeyp
     # dim N = 2: the eigensolves of H and of E(rho), and one divided-difference
     # matrix, that of exp
     calls = _objective_calls(zoo["dephasing_m2"], monkeypatch)
-    assert calls == {"eigh": 2, "divided_differences": 1, "schur_multiplier": 0, "E": 1}
+    assert calls == {"eigh": 2, "divided_differences": 1, "E": 1}
 
 
 @pytest.mark.parametrize("name", ["depolarizing_m2", "depolarizing_m3", "random_2jump_m3",
@@ -193,7 +195,7 @@ def test_flsi_objective_on_scalar_n_takes_one_eigensolve_and_no_expectation(
         zoo, name, monkeypatch):
     # N = C 1: E(rho) = 1, so E is not applied and the one eigensolve is that of H
     calls = _objective_calls(zoo[name], monkeypatch)
-    assert calls == {"eigh": 1, "divided_differences": 1, "schur_multiplier": 0, "E": 0}
+    assert calls == {"eigh": 1, "divided_differences": 1, "E": 0}
 
 
 def test_flsi_descent_hands_lbfgsb_only_finite_values(monkeypatch):
@@ -566,6 +568,25 @@ def test_gamma_dual_norm_is_exact_when_gamma_is_scalar():
         lower, upper = gamma_dual_norm(gen, rho - gen.e_fix.apply(rho))
         assert lower == pytest.approx(upper, rel=1e-12)
         assert lower > 0.1
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+def test_gamma_dual_norm_refuses_a_gap_at_rounding(eps):
+    # {diag(1, 2), eps sigma_x} and rho = sigma_z: L sigma_z = 4 eps^2 sigma_z and
+    # Gamma(f1, f1) is scalar, so both ends are 1/(2 eps), each to the rounding of
+    # 1/w[1]; once w[1] <= PSD ||L|| (eps <= 1e-5) that rounding inverted the bracket
+    gen = lindblad(jump_set([np.diag([1.0, 2.0]).astype(complex), eps * pauli("x")]))
+    if spectral_gap(gen) <= PSD * gen.superop.norm:
+        assert eps <= 1e-5
+        with pytest.raises(ValueError, match="no spectral gap"):
+            gamma_dual_norm(gen, pauli("z"))
+        return
+    assert eps >= 1e-4
+    rounding = 4.0 * np.finfo(float).eps * gen.superop.norm / spectral_gap(gen)
+    lower, upper = gamma_dual_norm(gen, pauli("z"))
+    assert lower <= upper * (1.0 + rounding)
+    assert lower == pytest.approx(0.5 / eps, rel=rounding)
+    assert upper == pytest.approx(0.5 / eps, rel=rounding)
 
 
 def test_geometric_talagrand_trivial_and_two_point():

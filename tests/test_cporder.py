@@ -8,6 +8,7 @@ from kernel_oracle import kernel_from_jumps_by_einsum, kernel_from_superop_by_ei
 from pencil_oracle import _top_eigpair as evr_top_eigpair, bisect_lambda
 from return_time_oracle import (
     grid_return_time,
+    l2_to_linf_cb_sq,
     return_time_by_bisection,
     return_time_by_module_basis,
 )
@@ -23,7 +24,6 @@ from qmsemi.cporder import (
     kernel_from_jumps,
     kernel_from_superop,
     kernel_ie,
-    l2_to_linf_cb_sq,
     return_time,
     _return_distance,
 )

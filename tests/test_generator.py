@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kernel_oracle import gradient_form_ie, gradient_form_weak
 from superop_oracle import superop_from_action
 from qmsemi.algebra import commutant, scalar_algebra
 from qmsemi.cporder import return_time
@@ -10,8 +11,6 @@ from qmsemi.generator import (
     JumpSet,
     derivation,
     gradient_form,
-    gradient_form_ie,
-    gradient_form_weak,
     jump_set,
     lindblad,
     spectral_gap,

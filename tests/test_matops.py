@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from flsi_oracle import rho_multiplier
 from superop_oracle import superop_from_action
-from qmsemi.constants import SWEEP_CHUNK, rho_multiplier
+from qmsemi.constants import SWEEP_CHUNK
 from qmsemi.matops import (
     Superop,
     _chart,

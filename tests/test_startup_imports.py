@@ -59,6 +59,12 @@ def test_importing_the_package_loads_no_scipy():
     assert scipy_loaded("import qmsemi, qmsemi.cli") == set()
 
 
+def test_importing_the_cli_builds_no_parser():
+    # the parser is built on the first main call, not at import
+    assert scipy_loaded("from qmsemi.cli import build_parser\n"
+                        "assert build_parser.cache_info().currsize == 0") == set()
+
+
 @pytest.mark.parametrize("argv", [
     ["decay", "{jumps}", "--lambda", "0.5"],
     ["validate", "{jumps}"],
