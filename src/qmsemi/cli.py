@@ -108,8 +108,6 @@ def cmd_gamma_e(args) -> int:
 
 
 def cmd_flsi(args) -> int:
-    if args.starts < 1:
-        raise ValueError("--starts must be at least 1")
     if args.validate < 0:
         raise ValueError(f"--validate must be nonnegative, got {args.validate}")
     gen = _load_generator(args.jumps)
@@ -211,8 +209,7 @@ def cmd_state_convert(args) -> int:
 def cmd_validate(args) -> int:
     gen = _load_generator(args.jumps)
     report = validate_generator(gen.superop)
-    doc = {"report": report, "generator": generator_to_obj(gen),
-           "config": {"seed": args.seed}}
+    doc = {"report": report, "generator": generator_to_obj(gen)}
     _emit(dump_json(doc), args.out)
     return EXIT_OK if report["all_passed"] else EXIT_NEGATIVE
 
@@ -297,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check generator assumptions")
     p.add_argument("jumps")
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=cmd_validate)
 
     return ap

@@ -193,9 +193,9 @@ def flsi_estimate(
     lambda* of a Lindblad generator bounds from below.
     """
     if n_starts < 1:
-        raise ValueError("need at least one start")
+        raise ValueError(f"n_starts must be at least 1, got {n_starts}")
     if n_validate < 0:
-        raise ValueError("n_validate must be nonnegative")
+        raise ValueError(f"n_validate must be nonnegative, got {n_validate}")
     from scipy.optimize import minimize
 
     a, n = markov_pair(gen)
@@ -377,9 +377,13 @@ def gamma_dual_norm(gen: LindbladGenerator, rho: np.ndarray) -> tuple[float, flo
         return 0.0, 0.0
     f1 = (v @ (c / w)).reshape(rho0.shape)
     f1 = (f1 + f1.conj().T) / 2.0
-    g = gradient_form(gen.jumps, f1, f1)
-    lip = np.linalg.eigvalsh((g + g.conj().T) / 2.0)[-1]  # ||Gamma(f1, f1)||
-    return q / math.sqrt(lip), math.sqrt(q)
+    return q / math.sqrt(_gamma_norm(gen, f1)), math.sqrt(q)
+
+
+def _gamma_norm(gen: LindbladGenerator, f: np.ndarray) -> float:
+    """||Gamma(f, f)||, the top eigenvalue of the PSD matrix Gamma(f, f)."""
+    g = gradient_form(gen.jumps, f, f)
+    return np.linalg.eigvalsh((g + g.conj().T) / 2.0)[-1]
 
 
 def geometric_talagrand_check(
@@ -391,10 +395,13 @@ def geometric_talagrand_check(
 ) -> dict:
     """Concentration check tau(e1) tau(e2) <= exp(-lam h^2 / 64).
 
-    h is the separation of the projection means of the Lipschitz test
-    function f (caller guarantees ||Gamma(f,f)|| <= 1); the constant 64 is
-    used verbatim.
+    h is the separation of the projection means of the test function f, which
+    must be Lipschitz for the jumps of ``gen``: ValueError when the top
+    eigenvalue of Gamma(f, f) exceeds 1 by more than VIOLATION.  The constant
+    64 is used verbatim.
     """
+    if _gamma_norm(gen, f) > 1.0 + VIOLATION:
+        raise ValueError("f is not Lipschitz: ||Gamma(f, f)|| exceeds 1")
     t1 = norm_trace(e1).real
     t2 = norm_trace(e2).real
     if t1 <= 0 or t2 <= 0:

@@ -85,7 +85,7 @@ def lindblad(jumps: JumpSet) -> LindbladGenerator:
 
     Over row-major vec, x -> b x c has matrix b (x) c^T, so the generator is
     sq (x) 1 + 1 (x) sq^T - 2 sum_k a_k (x) a_k^T with sq = sum_k a_k^2.
-    Raises ValueError when that matrix is not finite (jumps too large).
+    Jumps so large that this matrix overflows raise ValueError in ``make_superop``.
     When only the mode of 1, which eigh sorts first, is at or below PSD ||A||,
     N = C 1 comes off the cached spectrum: eigh's rounding keeps the commutator
     stack's sigma_2 far above the SVD cutoff of ``algebra.commutant``, which
@@ -94,12 +94,10 @@ def lindblad(jumps: JumpSet) -> LindbladGenerator:
     m = jumps.dim
     a = jumps.jumps
     eye = np.eye(m)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+    with np.errstate(over="ignore", invalid="ignore"):  # make_superop refuses an overflow
         sq = np.einsum("kij,kjl->il", a, a)
         sandwich = np.einsum("kij,kqp->ipjq", a, a).reshape(m * m, m * m)
         matrix = np.kron(sq, eye) + np.kron(eye, sq.T) - 2.0 * sandwich
-    if not np.isfinite(matrix).all():
-        raise ValueError("jumps too large: sum_k a_k^2 or the generator is not finite")
     sup = make_superop(matrix, m)
     if sup.hs_selfadjoint and not (sup.eig[0][1:2] <= PSD * sup.norm).any():  # w[1], if m > 1
         return LindbladGenerator(jumps, sup, identity_first_algebra(sup.eig[1][:, :1], m))

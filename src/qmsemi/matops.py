@@ -248,9 +248,13 @@ class Superop:
 
 
 def make_superop(matrix: np.ndarray, dim: int) -> Superop:
+    """The map of an m^2 x m^2 matrix with its flags; ValueError unless the matrix is
+    finite, so an overflowing generator or calculus result stops here."""
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape != (dim * dim, dim * dim):
         raise ValueError("superoperator matrix must be m^2 x m^2")
+    if not np.isfinite(matrix).all():
+        raise ValueError("superoperator matrix is not finite")
     floor = rel_floor(matrix, SUPEROP_FLAG)
     sa = np.abs(matrix - matrix.conj().T).max() <= floor
     kills = np.linalg.norm(matrix @ vec(np.eye(dim))) / np.sqrt(dim) <= floor

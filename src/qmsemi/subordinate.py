@@ -10,14 +10,13 @@ is needed.  Each profile kind has one phi: a power law gives the fractional
 power A^alpha, and the truncated eps-sigma profile gives the norm-controlled
 approximants of the density construction in closed form (exponential
 integrals), for all eigenvalues at once.  Scalar quadrature runs only for
-table profiles, for the integrability check and for Psi_F(r).
+table profiles and for Psi_F(r).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -27,7 +26,7 @@ import numpy as np
 from .cporder import best_lambda, gamma_e, return_time
 from .generator import markov_pair
 from .matops import Superop, make_superop
-from .tolerances import CF_STOP, QUAD_ABS, QUAD_ERR, QUAD_REL, TINY, rel_floor
+from .tolerances import CF_STOP, QUAD_ABS, QUAD_REL, TINY
 
 __all__ = [
     "WeightProfile",
@@ -65,16 +64,19 @@ def _quad_dt_over_t(f, breaks):
 
 @dataclass(frozen=True)
 class WeightProfile:
-    """Subordination weight F(t) with its integrability condition checked.
+    """Subordination weight F(t).
 
     kind is one of "power" (F(t) = c t^-alpha, c = alpha / Gamma(1 - alpha), so
     that phi(lam) = lam^alpha), "epssigma" ((t^-1 on [eps,1), t^-sigma on
     [1,inf)) / |ln eps|, whose phi is ``eps_sigma_scalar``), or "table"
     (log-log interpolation of sampled points).
 
-    conditions["I"] holds the integrability constant C_F and whether the
-    quadrature found it finite; phi and the calculus refuse a profile whose
-    "ok" is False.
+    Every profile the constructors accept meets the one condition the calculus
+    needs, (I): C_F = int min(1, t) F(t) dt/t < inf.  A power law with alpha in
+    (0, 1) has C_F = c (1/(1 - alpha) + 1/alpha), an eps-sigma profile
+    C_F = 1 + 1/(sigma |ln eps|), and a table is bounded and zero outside
+    [t_1, t_n] with t_1 > 0.  A result that overflows float64 is refused by
+    ``make_superop``.
     """
 
     kind: str
@@ -82,24 +84,21 @@ class WeightProfile:
     eps: float | None = None
     sigma: float | None = None
     points: np.ndarray | None = None
-    conditions: dict = field(default_factory=dict)
 
     # -- constructors ------------------------------------------------------
     @staticmethod
     def power_law(alpha: float) -> "WeightProfile":
         if not 0.0 < alpha < 1.0:
             raise ValueError("power-law exponent must lie in (0, 1)")
-        prof = WeightProfile(kind="power", alpha=alpha)
-        return prof.with_checked_conditions()
+        return WeightProfile(kind="power", alpha=alpha)
 
     @staticmethod
     def eps_sigma(eps: float, sigma: float) -> "WeightProfile":
-        # NaN fails both comparisons, so it stops here, before any quadrature
+        # NaN fails both comparisons
         if not 0.0 < eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {eps}")
         _check_eps_sigma(math.log(eps), sigma)
-        prof = WeightProfile(kind="epssigma", eps=eps, sigma=sigma)
-        return prof.with_checked_conditions()
+        return WeightProfile(kind="epssigma", eps=eps, sigma=sigma)
 
     @staticmethod
     def table(points) -> "WeightProfile":
@@ -110,9 +109,7 @@ class WeightProfile:
             raise ValueError("table points must be finite")
         if np.any(pts[:, 0] <= 0) or np.any(pts[:, 1] < 0):
             raise ValueError("table points must have t > 0 and F >= 0")
-        pts = pts[np.argsort(pts[:, 0])]
-        prof = WeightProfile(kind="table", points=pts)
-        return prof.with_checked_conditions()
+        return WeightProfile(kind="table", points=pts[np.argsort(pts[:, 0])])
 
     # -- evaluation --------------------------------------------------------
     @property
@@ -146,13 +143,6 @@ class WeightProfile:
         vals = np.where(pts[:, 1] > 0, pts[:, 1], TINY)
         return float(np.exp(np.interp(math.log(t), logt, np.log(vals))))
 
-    # -- conditions --------------------------------------------------------
-    def with_checked_conditions(self) -> "WeightProfile":
-        """Verify integrability (I): C_F = int min(1, t) F(t) dt/t is finite, by quadrature."""
-        c_f, err = _quad_dt_over_t(lambda t: min(1.0, t) * self.f(t), self.breaks)
-        ok = bool(np.isfinite(c_f) and err <= rel_floor(c_f, QUAD_ERR))
-        return dataclasses.replace(self, conditions={"I": {"C_F": c_f, "ok": ok}})
-
 
 def phi_of_lambda(profile: WeightProfile, lam: float) -> float:
     """phi_F(lam) = int (1 - e^{-t lam}) F(t) dt/t; 0 at lam = 0.  Raises
@@ -161,8 +151,6 @@ def phi_of_lambda(profile: WeightProfile, lam: float) -> float:
         raise ValueError(f"lambda must be nonnegative and finite, got {lam}")
     if lam == 0.0:
         return 0.0
-    if not profile.conditions.get("I", {}).get("ok", True):
-        raise ValueError("profile fails the integrability condition")
     if profile.kind == "power":
         return lam ** profile.alpha
     if profile.kind == "epssigma":
@@ -178,14 +166,13 @@ def _spectral_map(gen, fn) -> Superop:
     w, v = a.eig
     w = np.concatenate((np.zeros(n.size), w[n.size:]))
     fw = np.asarray(fn(w), dtype=float)
-    mat = (v * fw) @ v.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):  # make_superop refuses an overflow
+        mat = (v * fw) @ v.conj().T
     return make_superop(mat, a.dim)
 
 
 def subordinated_generator(gen, profile: WeightProfile) -> Superop:
     """Phi_F(A) applied spectrally; keeps self-adjointness, PSD, nullspace."""
-    if not profile.conditions.get("I", {}).get("ok", True):
-        raise ValueError("profile fails the integrability condition")
     if profile.kind == "power":
         return fractional_power(gen, profile.alpha)
     if profile.kind == "epssigma":

@@ -36,7 +36,6 @@ BOUND_SLACK = 1e-10      # a measured distance may exceed its bound by this (rel
 TINY = 1e-300            # positive stand-in for 0 in a logarithm or a ratio
 QUAD_ABS = 1e-12         # absolute error target of every scalar quadrature
 QUAD_REL = 1e-11         # relative error target of every scalar quadrature
-QUAD_ERR = 1e-10         # a quadrature error estimate above this fails integrability
 RETURN_TIME = 1e-6       # return-time grid: t0 = RETURN_TIME min{k : g(k RETURN_TIME) <= 0}
 CF_STOP = 1e-15          # a continued fraction stops once its last factor is this close to 1
 CERT_SHIFT = 1e-6        # a superoperator pencil's Cholesky proves lambda_hat (1 - d), d >= this,

@@ -7,6 +7,7 @@ import pytest
 from conftest import random_connected_weights
 from kernel_oracle import graph_form, kernel_from_form
 from qmsemi.algebra import diagonal_algebra
+from qmsemi import casebook
 from qmsemi.casebook import (
     case_depolarizing,
     case_graph_criterion,
@@ -161,3 +162,8 @@ def test_graph_kernels_match_the_pointwise_form():
                 assert np.abs(got.q - ref.q).max() <= 1e-12 * max(np.abs(ref.q).max(), 1.0)
             lam = best_lambda(*refs).lambda_star
             assert graph_lambda_star(w) == pytest.approx(lam, rel=1e-12)
+
+
+def test_an_unknown_relation_is_refused():
+    with pytest.raises(ValueError, match="unknown relation ne"):
+        casebook._evaluate("x", {"v": 1.0}, {"v": {"value": 1.0, "relation": "ne"}})

@@ -325,6 +325,8 @@ def test_validate_command(jumps_file, tmp_path):
     out = tmp_path / "val.json"
     assert main(["validate", jumps_file, "--out", str(out)]) == 0
     assert json.loads(out.read_text())["report"]["all_passed"]
+    # validate draws nothing, so it takes no --seed and records no config
+    assert main(["validate", jumps_file, "--seed", "0", "--out", str(out)]) == 1
 
 
 def test_documents_hold_only_computed_keys(jumps_file, tmp_path):
@@ -342,6 +344,7 @@ def test_documents_hold_only_computed_keys(jumps_file, tmp_path):
                                  "config"}
     superop = {"dim", "re", "im", "acts_on_dim", "hs_selfadjoint", "kills_identity"}
     assert set(docs["theta"]["superop"]) == superop
+    assert set(docs["validate"]) == {"report", "generator"}
     assert set(docs["validate"]["generator"]) == {"jumps", "superop", "fixed_algebra"}
     assert set(docs["validate"]["generator"]["superop"]) == superop
     assert set(docs["validate"]["generator"]["fixed_algebra"]) == {"dim", "matrices"}

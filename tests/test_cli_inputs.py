@@ -270,6 +270,19 @@ def test_overflowing_jumps_exit_1_before_any_eigensolve(tmp_path, capsys):
     assert "not finite" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_an_overflowing_profile_exits_1_with_no_document(jumps_file, tmp_path, capsys):
+    # C_F = 1e308 (1 - 1e-3 + ln 1e3) is finite in exact arithmetic but not in float64;
+    # phi's quadrature overflows to NaN off the kernel, and make_superop refuses the result
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({"kind": "table", "points": [[1e-3, 1e308], [1e3, 1e308]]}))
+    out = tmp_path / "sub.json"
+    assert main(["subordinate", jumps_file, "--profile", str(path), "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not finite" in err
+
+
 def test_a_failed_eigensolve_exits_3(jumps_file, tmp_path, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -275,6 +275,11 @@ def test_flsi_rejects_trivial_dynamics():
         flsi_estimate(gen, n_starts=1, seed=0, n_validate=10)
 
 
+def test_flsi_rejects_zero_starts():
+    with pytest.raises(ValueError, match="n_starts must be at least 1, got 0"):
+        flsi_estimate(dephasing_generator(2), n_starts=0, seed=0, n_validate=10)
+
+
 def test_flsi_rejects_negative_validation_count():
     with pytest.raises(ValueError):
         flsi_estimate(dephasing_generator(2), n_starts=1, seed=0, n_validate=-1)
@@ -603,6 +608,26 @@ def test_geometric_talagrand_trivial_and_two_point():
     e2 = np.diag([0.0, 1.0]).astype(complex)
     rep = geometric_talagrand_check(gen, lam, e1, e2, f)
     assert rep["h"] > 0 and rep["passed"]
+    # twice f has ||Gamma(2f, 2f)|| = 4: not Lipschitz, so the inequality does not apply
+    with pytest.raises(ValueError, match="not Lipschitz"):
+        geometric_talagrand_check(gen, lam, e1, e2, 2.0 * f)
+
+
+def test_geometric_talagrand_passes_lipschitz_normalized_draws():
+    # draws as in acceptance C13, each f centred and scaled to ||Gamma(f, f)|| = 1, the edge
+    gen = depolarizing_generator(2)
+    lam = gamma_e_constant(gen).lambda_star
+    rng = np.random.default_rng(130)
+    e1 = np.diag([1.0, 0.0]).astype(complex)
+    for _ in range(50):
+        f = random_hermitian(2, rng)
+        f = f - gen.e_fix.apply(f)
+        f = (f + f.conj().T) / 2
+        g = gradient_form(gen.jumps, f, f)
+        f = f / math.sqrt(np.linalg.eigvalsh((g + g.conj().T) / 2).max())
+        v, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        e2 = v @ e1 @ v.conj().T
+        assert geometric_talagrand_check(gen, lam, e1, e2, f)["passed"]
 
 
 def test_geometric_talagrand_rejects_zero_projection():

@@ -294,6 +294,17 @@ def test_lindblad_superop_is_psd():
         assert w.min() >= -1e-10 * max(1.0, np.abs(w).max())
 
 
+def test_derivation_refuses_a_shape_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        derivation(jump_set([pauli("x")]), np.eye(3, dtype=complex))
+
+
+def test_an_empty_jump_set_needs_its_dimension():
+    with pytest.raises(ValueError, match="dimension required"):
+        jump_set([])
+    assert jump_set([], 3).jumps.shape == (0, 3, 3)
+
+
 def test_lindblad_closed_form_matches_defining_action():
     rng = np.random.default_rng(10)
     gens = [random_lindblad(m, 2, rng) for m in (2, 3, 4, 6)]

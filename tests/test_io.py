@@ -42,6 +42,12 @@ def test_operator_list_roundtrip():
         assert np.abs(a - b).max() < 1e-15
 
 
+def test_an_empty_operator_list_is_refused():
+    # with no matrix there is no dimension to write
+    with pytest.raises(ValueError, match="explicit dimension"):
+        operators_to_obj([])
+
+
 def test_operator_dimension_validation():
     with pytest.raises(ValueError):
         obj_to_operator({"dim": 3, "re": [[1.0]], "im": [[0.0]]})

@@ -355,6 +355,31 @@ def test_make_state_clamps_and_normalizes():
         make_state(np.diag([1.0, -0.5]).astype(complex))
 
 
+def test_make_state_refuses_a_non_hermitian_or_zero_trace_matrix():
+    with pytest.raises(ValueError, match="must be Hermitian"):
+        make_state(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
+    with pytest.raises(ValueError, match="zero trace"):
+        make_state(np.zeros((2, 2), dtype=complex))
+
+
+def test_divided_difference_multiplier_refuses_a_non_hermitian_rho_or_a_shape_mismatch():
+    y = random_hermitian(2, np.random.default_rng(13))
+    with pytest.raises(ValueError, match="Hermitian rho"):
+        divided_difference_multiplier(np.array([[1.0, 1.0], [0.0, 2.0]], dtype=complex),
+                                      np.exp, y, fprime=np.exp)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        divided_difference_multiplier(np.eye(3, dtype=complex), np.exp, y, fprime=np.exp)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+def test_make_superop_refuses_a_matrix_that_is_not_finite(bad):
+    # refused before any flag is computed, so no RuntimeWarning (an error in this suite)
+    matrix = np.eye(4, dtype=complex)
+    matrix[1, 2] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        make_superop(matrix, 2)
+
+
 def test_norm_of_a_map_that_is_not_self_adjoint_raises():
     s = make_superop(np.triu(np.ones((4, 4))), 2)
     assert not s.hs_selfadjoint

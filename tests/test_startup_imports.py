@@ -46,8 +46,12 @@ def files(tmp_path_factory):
     depol.write_text(dump_json(jumps_to_obj(depolarizing_generator(3).jumps)))
     state = d / "state.json"
     state.write_text(json.dumps(operator_to_obj(np.diag([1.5, 1.0, 0.5]))))
+    power = d / "power.json"
+    power.write_text(json.dumps({"kind": "power", "alpha": 0.5}))
+    epssigma = d / "epssigma.json"
+    epssigma.write_text(json.dumps({"kind": "epssigma", "eps": 1e-3, "sigma": 0.7}))
     return {"jumps": str(jumps), "depol": str(depol), "state": str(state),
-            "out": str(d / "out")}
+            "power": str(power), "epssigma": str(epssigma), "out": str(d / "out")}
 
 
 def run_cli(argv: list[str], files: dict) -> set[str]:
@@ -70,6 +74,7 @@ def test_importing_the_cli_builds_no_parser():
     ["validate", "{jumps}"],
     ["state-convert", "{state}", "--to", "tau"],
     ["subordinate", "{jumps}", "--theta", "0.5"],
+    ["subordinate", "{jumps}", "--profile", "{power}"],
     ["gamma-e", "{jumps}"],
     ["gamma-e", "{depol}"],
     ["decay", "{jumps}", "--lambda", "auto"],
@@ -92,3 +97,8 @@ def test_a_superop_pencil_loads_scipy_linalg_only():
 def test_the_eps_sigma_calculus_loads_no_optimizer_or_quadrature(files):
     loaded = run_cli(["subordinate", "{jumps}", "--eps", "0.5"], files)
     assert "special" in loaded and not loaded & {"optimize", "integrate"}
+
+
+def test_an_eps_sigma_profile_loads_scipy_special_only(files):
+    # a profile is built with no quadrature: its closed-form phi needs special alone
+    assert run_cli(["subordinate", "{jumps}", "--profile", "{epssigma}"], files) == {"special"}

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -27,6 +26,11 @@ from qmsemi.subordinate import (
     psi_r_map,
     subordinated_generator,
 )
+
+
+def c_f_by_quadrature(prof: WeightProfile) -> tuple[float, float]:
+    """C_F = int min(1, t) F(t) dt/t of condition (I) and its error estimate."""
+    return subordinate._quad_dt_over_t(lambda t: min(1.0, t) * prof.f(t), prof.breaks)
 
 
 def test_phi_at_zero():
@@ -66,7 +70,8 @@ def test_power_law_rejects_bad_exponent():
 def test_phi_linear_bound():
     # phi_F(lam) <= C_F (1 + lam) with C_F = int min(1,t) F dt/t
     prof = WeightProfile.power_law(0.4)
-    c_f = prof.conditions["I"]["C_F"]
+    c_f = c_f_by_quadrature(prof)[0]
+    assert c_f == pytest.approx(prof.norm_const * (1.0 / 0.6 + 1.0 / 0.4), rel=1e-8)
     for lam in (0.1, 1.0, 30.0):
         assert phi_of_lambda(prof, lam) <= c_f * (1 + lam) + 1e-10
 
@@ -108,14 +113,26 @@ def test_closed_form_profiles_take_no_quadrature(monkeypatch):
         subordinated_generator(a, table)
 
 
+def test_constructing_a_profile_runs_no_quadrature(monkeypatch):
+    # (I) holds for every accepted profile by construction, so no constructor integrates
+    def fail(*args, **kwargs):
+        raise AssertionError("quadrature called")
+
+    monkeypatch.setattr(subordinate, "_quad_dt_over_t", fail)
+    assert WeightProfile.power_law(0.5).kind == "power"
+    assert WeightProfile.eps_sigma(1e-3, 0.7).kind == "epssigma"
+    table = WeightProfile.table([[10.0, 0.1], [0.1, 1.0]])
+    np.testing.assert_array_equal(table.points, [[0.1, 1.0], [10.0, 0.1]])
+
+
 @pytest.mark.parametrize("eps", [0.5, 0.1, 1e-2, 1e-3, 1e-4, 1e-8, 1e-30, 1e-300])
 def test_eps_sigma_profile_is_integrable_with_its_closed_form_c_f(eps):
     # F = (t^-1 on [eps, 1), t^-sigma on [1, inf)) / |ln eps|: C_F = 1 + 1/(sigma |ln eps|)
     for sigma in (0.3, 0.7, 1.0, 2.5):
-        cond = WeightProfile.eps_sigma(eps, sigma).conditions
-        assert cond["I"]["ok"]
+        value, err = c_f_by_quadrature(WeightProfile.eps_sigma(eps, sigma))
         c_f = 1.0 + 1.0 / (sigma * abs(math.log(eps)))
-        assert cond["I"]["C_F"] == pytest.approx(c_f, rel=1e-8)
+        assert value == pytest.approx(c_f, rel=1e-8)
+        assert err <= 1e-10 * max(value, 1.0)
 
 
 @pytest.mark.parametrize("prof, c_f", [
@@ -127,8 +144,7 @@ def test_eps_sigma_profile_is_integrable_with_its_closed_form_c_f(eps):
 def test_c_f_lies_within_its_reported_quadrature_error(prof, c_f):
     # F jumps at eps or at the table's ends: the quadrature splits there, so its error
     # estimate covers the distance to the closed form
-    value, err = subordinate._quad_dt_over_t(lambda t: min(1.0, t) * prof.f(t), prof.breaks)
-    assert value == prof.conditions["I"]["C_F"]
+    value, err = c_f_by_quadrature(prof)
     assert abs(value - c_f) <= err
 
 
@@ -148,11 +164,6 @@ def test_profile_guards():
     prof = WeightProfile.power_law(0.5)
     with pytest.raises(ValueError, match="lambda must be nonnegative"):
         phi_of_lambda(prof, -1.0)
-    bad = dataclasses.replace(prof, conditions={"I": {"C_F": math.inf, "ok": False}})
-    with pytest.raises(ValueError, match="fails the integrability condition"):
-        phi_of_lambda(bad, 1.0)
-    with pytest.raises(ValueError, match="fails the integrability condition"):
-        subordinated_generator(dephasing_generator(2), bad)
     gen = depolarizing_generator(2)
     for eps in (0.0, -0.1):
         with pytest.raises(ValueError, match="eps must be positive"):
@@ -336,10 +347,11 @@ def test_table_profile_evaluation_and_conditions():
     prof = WeightProfile.table(pts)
     assert prof.f(1.0) == pytest.approx(0.3, rel=1e-6)
     assert prof.f(1e-6) == 0.0  # outside the sampled range
-    assert prof.conditions["I"]["ok"]
+    value, err = c_f_by_quadrature(prof)
+    assert math.isfinite(value) and err <= 1e-10 * max(value, 1.0)
     # F = 100 on [0.01, 100]: C_F = 100 (0.99 + ln 100) = 559.5, its error read on that scale
-    cond = WeightProfile.table([[0.01, 100.0], [100.0, 100.0]]).conditions["I"]
-    assert cond["ok"]
-    assert cond["C_F"] == pytest.approx(100.0 * (0.99 + math.log(100.0)), rel=1e-8)
+    value, err = c_f_by_quadrature(WeightProfile.table([[0.01, 100.0], [100.0, 100.0]]))
+    assert err <= 1e-10 * value
+    assert value == pytest.approx(100.0 * (0.99 + math.log(100.0)), rel=1e-8)
     with pytest.raises(ValueError):
         WeightProfile.table([(1.0, 1.0)])
