@@ -1,10 +1,12 @@
 """Decay-constant estimation, inequality checks and the dual Lipschitz norm.
 
-The FLSI constant is bounded from above only: the optimizer's best ratio
-I_A(rho)/D_N(rho) and that ratio re-validated against random states are ratios
-at real states (nonconvex minimization cannot certify a global minimum); for a
-Lindblad generator the gamma-e lambda* is the certified lower end.  The
-dual Lipschitz norm is bracketed in closed form from the pseudo-inverse of L.
+The FLSI constant is bounded from above only: the best ratio I_A(rho)/D_N(rho)
+of a bounded L-BFGS descent (``_descend``, L-BFGS-B's iteration with its
+Moré-Thuente line search, on numpy alone) and that ratio re-validated against
+random states are ratios at real states (nonconvex minimization cannot certify
+a global minimum); for a Lindblad generator the gamma-e lambda* is the certified
+lower end.  The dual Lipschitz norm is bracketed in closed form from the
+pseudo-inverse of L.
 """
 
 from __future__ import annotations
@@ -27,7 +29,22 @@ from .matops import (
     random_hermitian,
     semigroup_apply,
 )
-from .tolerances import D_N_ZERO, DECAY_SKIP, HELD, LP_BASE, PSD, TINY, TRIVIAL, VIOLATION
+from .tolerances import (
+    D_N_ZERO,
+    DECAY_SKIP,
+    DESCENT_CURVATURE,
+    DESCENT_DROP,
+    DESCENT_GRAD,
+    HELD,
+    LP_BASE,
+    PSD,
+    TINY,
+    TRIVIAL,
+    VIOLATION,
+    WOLFE_CURVATURE,
+    WOLFE_DECREASE,
+    WOLFE_XTOL,
+)
 
 __all__ = [
     "FlsiEstimate",
@@ -57,7 +74,7 @@ def _schatten(s: np.ndarray, p: float, m: int) -> float | np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# FLSI upper bounds by multi-start L-BFGS-B over the exponential chart
+# FLSI upper bounds by a multi-start bounded L-BFGS over the exponential chart
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -136,8 +153,191 @@ class _StartEnded(Exception):
 
 # States per stacked eigensolve in the validation sweep; bounds its memory.
 SWEEP_CHUNK = 1000
-# L-BFGS-B iterations per start of the FLSI descent.
-MAX_ITER = 200
+# Iterations per start of the FLSI descent, pairs (s, y) it keeps, evaluations per line search.
+MAX_ITER, MEMORY, SEARCH_EVALS = 200, 10, 20
+# The box |x_k| <= BOX keeps ||H|| <= 40 sqrt(m^2 - 1) < 709 for m <= 16: e^H stays finite.
+# A line search past the first iteration may step at most BIG_STEP.
+BOX, BIG_STEP = 40.0, 1e10
+
+
+def _descend(fun, x: np.ndarray, f: float, g: np.ndarray):
+    """Bounded L-BFGS over |x_k| <= BOX from x, where ``fun`` has value f and gradient g.
+
+    It is L-BFGS-B's iteration wherever the box is inactive.  The direction is
+    d = P(x - H g) - x, with P the clip to the box and H g the two-loop product of the
+    last MEMORY pairs (s, y), H_0 = s'y / y'y, or g itself with no pair.  A Moré-Thuente
+    search (``_line_search``) steps along d, capped at step 1 in the first iteration
+    and at the step to the box after it.  A pair whose s'y is at most
+    DESCENT_CURVATURE (-g'd) step is not kept.  A failed search ends the descent when
+    no pair is kept, and otherwise drops every pair and searches again.  The descent
+    stops after MAX_ITER iterations, or once the projected gradient is at most
+    DESCENT_GRAD or a step lowers f by at most DESCENT_DROP max(|f|, |f_new|, 1).
+    Returns the last x and f.
+    """
+    f = float(f)
+    if _projected_gradient(x, g) <= DESCENT_GRAD:
+        return x, f
+    pairs: list = []
+    for it in range(MAX_ITER):
+        while True:
+            z = _clip(x - _two_loop(g, pairs))
+            d = z - x
+            gd = float(g.dot(d))
+            found = _line_search(fun, x, z, d, f, gd, 1.0 if it == 0 else _step_to_box(x, d))
+            if found or not pairs:
+                break
+            pairs.clear()
+        if not found:
+            return x, f
+        x_new, f_new, g_new, gd_new, step = found
+        if (_projected_gradient(x_new, g_new) <= DESCENT_GRAD
+                or f - f_new <= DESCENT_DROP * max(abs(f), abs(f_new), 1.0)):
+            return x_new, f_new
+        y = g_new - g
+        sy = (gd_new - gd) * step
+        if sy > DESCENT_CURVATURE * (-gd * step):
+            pairs = [*pairs[1 - MEMORY:], (step * d, y, sy)]
+        x, f, g = x_new, f_new, g_new
+    return x, f
+
+
+def _clip(v: np.ndarray) -> np.ndarray:
+    """v clipped to the box, in place."""
+    return np.minimum(np.maximum(v, -BOX, out=v), BOX, out=v)
+
+
+def _projected_gradient(x: np.ndarray, g: np.ndarray) -> float:
+    """max_k |P(x - g) - x|_k, taken as L-BFGS-B's ``projgr`` takes it: g clipped to the
+    room x - BOX <= g_k <= x + BOX."""
+    v = np.minimum(np.maximum(g, x - BOX), x + BOX)
+    return float(np.abs(v, out=v).max())
+
+
+def _two_loop(g: np.ndarray, pairs: list) -> np.ndarray:
+    """H g for the L-BFGS inverse Hessian of ``pairs`` (s, y, s'y); g with none."""
+    if not pairs:
+        return g
+    q, alphas = g.copy(), []
+    for s, y, sy in reversed(pairs):
+        alphas.append(s.dot(q) / sy)
+        q -= alphas[-1] * y
+    s, y, sy = pairs[-1]
+    q *= sy / y.dot(y)
+    for (s, y, sy), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - y.dot(q) / sy) * s
+    return q
+
+
+def _step_to_box(x: np.ndarray, d: np.ndarray) -> float:
+    """The largest step t <= BIG_STEP with x + t d in the box."""
+    moving = d != 0
+    d = d[moving]
+    return float(((np.copysign(BOX, d) - x[moving]) / d).min(initial=BIG_STEP))
+
+
+def _line_search(fun, x, z, d, f0: float, gd0: float, step_max: float):
+    """MINPACK-2's ``dcsrch`` along d on [0, step_max], as L-BFGS-B runs it.
+
+    It starts at step min(1, step_max).  Step 1 evaluates z = P(x - H g), and any other
+    step the clip of x + step d.  Returns (x, f, g, g'd, step) at the first trial point
+    that meets the strong Wolfe conditions (WOLFE_DECREASE, WOLFE_CURVATURE) or ends
+    ``dcsrch`` otherwise: rounding, a bracket narrower than WOLFE_XTOL, or a step at 0
+    or step_max.  Returns None on an ascent direction or after SEARCH_EVALS evaluations.
+    """
+    if gd0 >= 0.0:
+        return None
+    stp = min(1.0, step_max)
+    gtest = WOLFE_DECREASE * gd0
+    bracketed, stage1 = False, True
+    width, width1 = step_max, step_max / 0.5
+    stx, fx, gx = sty, fy, gy = 0.0, f0, gd0
+    stmin, stmax = 0.0, stp + 4.0 * stp
+    for _ in range(SEARCH_EVALS):
+        xt = z if stp == 1.0 else _clip(x + stp * d)
+        ft, gt = fun(xt)
+        ft, gdt = float(ft), float(gt.dot(d))
+        ftest = f0 + stp * gtest
+        stage1 = stage1 and not (ft <= ftest and gdt >= 0.0)
+        if (ft <= ftest and abs(gdt) <= WOLFE_CURVATURE * -gd0
+                or bracketed and (stp <= stmin or stp >= stmax
+                                  or stmax - stmin <= WOLFE_XTOL * stmax)
+                or stp == step_max and ft <= ftest and gdt <= gtest
+                or stp == 0.0 and (ft > ftest or gdt >= gtest)):
+            return xt, ft, gt, gdt, stp
+        # on the first stage, a higher value above the decrease line steps on f - gtest t
+        shift = gtest if stage1 and fx >= ft > ftest else 0.0
+        (stx, fx, gx), (sty, fy, gy), stp, bracketed = _dcstep(
+            (stx, fx - stx * shift, gx - shift), (sty, fy - sty * shift, gy - shift),
+            (stp, ft - stp * shift, gdt - shift), bracketed, stmin, stmax)
+        fx, fy, gx, gy = fx + stx * shift, fy + sty * shift, gx + shift, gy + shift
+        if bracketed:
+            if abs(sty - stx) >= 0.66 * width1:
+                stp = stx + 0.5 * (sty - stx)
+            width1, width = width, abs(sty - stx)
+            stmin, stmax = min(stx, sty), max(stx, sty)
+        else:
+            stmin, stmax = stp + 1.1 * (stp - stx), stp + 4.0 * (stp - stx)
+        stp = min(max(stp, 0.0), step_max)
+        if bracketed and (stp <= stmin or stp >= stmax or stmax - stmin <= WOLFE_XTOL * stmax):
+            stp = stx
+    return None
+
+
+def _cubic_gamma(theta: float, a: float, b: float) -> float:
+    """sqrt(theta^2 - a b), scaled as ``dcstep`` scales it (0 where it is imaginary)."""
+    s = max(abs(theta), abs(a), abs(b))
+    return s * math.sqrt(max(0.0, (theta / s) * (theta / s) - (a / s) * (b / s)))
+
+
+def _dcstep(lo, hi, trial, bracketed: bool, stpmin: float, stpmax: float):
+    """MINPACK-2's ``dcstep``: the safeguarded next step of a Moré-Thuente search.
+
+    lo = (stx, fx, dx) is the best step so far, hi = (sty, fy, dy) the other end of the
+    interval and trial = (stp, fp, dp) the step just evaluated, each with its value and
+    slope.  Returns the updated lo and hi, the next step and whether a minimizer is
+    bracketed.
+    """
+    (stx, fx, dx), (sty, fy, dy), (stp, fp, dp) = lo, hi, trial
+    opposite = dx != 0.0 and dp * math.copysign(1.0, dx) < 0.0
+    if fp > fx:  # a higher value: the minimum is bracketed
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        gamma = _cubic_gamma(theta, dx, dp) * (-1.0 if stp < stx else 1.0)
+        stpc = stx + ((gamma - dx) + theta) / (((gamma - dx) + gamma) + dp) * (stp - stx)
+        stpq = stx + ((dx / ((fx - fp) / (stp - stx) + dx)) / 2.0) * (stp - stx)
+        stpf = stpc if abs(stpc - stx) < abs(stpq - stx) else stpc + (stpq - stpc) / 2.0
+        bracketed = True
+    elif opposite:  # slopes of opposite sign: the minimum is bracketed
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        gamma = _cubic_gamma(theta, dx, dp) * (-1.0 if stp > stx else 1.0)
+        stpc = stp + ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dx) * (stx - stp)
+        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+        stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+        bracketed = True
+    elif abs(dp) < abs(dx):  # a lower value and a smaller slope of the same sign
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        gamma = _cubic_gamma(theta, dx, dp) * (-1.0 if stp > stx else 1.0)
+        r = ((gamma - dp) + theta) / ((gamma + (dx - dp)) + gamma)
+        if r < 0.0 and gamma != 0.0:
+            stpc = stp + r * (stx - stp)
+        else:
+            stpc = stpmax if stp > stx else stpmin
+        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+        if bracketed:
+            stpf = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
+            cap = stp + 0.66 * (sty - stp)
+            stpf = min(cap, stpf) if stp > stx else max(cap, stpf)
+        else:
+            stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+            stpf = max(stpmin, min(stpmax, stpf))
+    elif bracketed:  # a lower value and a slope no smaller: step to the cubic's minimizer
+        theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
+        gamma = _cubic_gamma(theta, dy, dp) * (-1.0 if stp > sty else 1.0)
+        stpf = stp + ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dy) * (sty - stp)
+    else:
+        stpf = stpmax if stp > stx else stpmin
+    if fp > fx:
+        return lo, trial, stpf, bracketed
+    return trial, (lo if opposite else hi), stpf, bracketed
 
 
 def _validation_sweep(a: Superop, n: SubAlgebra, rng: np.random.Generator, n_validate: int):
@@ -179,9 +379,10 @@ def flsi_estimate(
     """Two upper bounds on the constant: I_A(rho)/D_N(rho) minimized over states.
 
     ``gen`` passes ``generator.markov_pair`` (else ValueError).  Each start runs
-    L-BFGS-B, at most ``MAX_ITER`` iterations, on rho = m e^H / tr(e^H) with H =
-    sum_k x_k B_k over the traceless orthonormal basis and |x_k| <= 40; the
-    analytic gradient is checked against a finite difference at the first start.
+    the bounded L-BFGS ``_descend``, at most ``MAX_ITER`` iterations, on rho =
+    m e^H / tr(e^H) with H = sum_k x_k B_k over the traceless orthonormal basis
+    and |x_k| <= BOX, from the start's first evaluation; the analytic gradient
+    is checked against a finite difference at the first start.
     Each evaluation diagonalizes H, and E(rho) too unless N = C 1
     (``_ratio_and_grad``); a start ends at a state with D_N <= 0, an overflowing
     ratio or an E(rho) that is not positive definite to rounding, and a start
@@ -196,8 +397,6 @@ def flsi_estimate(
         raise ValueError(f"n_starts must be at least 1, got {n_starts}")
     if n_validate < 0:
         raise ValueError(f"n_validate must be nonnegative, got {n_validate}")
-    from scipy.optimize import minimize
-
     a, n = markov_pair(gen)
     if a.norm <= TRIVIAL:
         raise ValueError("FLSI undefined: generator has trivial dynamics")
@@ -212,7 +411,7 @@ def flsi_estimate(
         h = random_hermitian(m, rng, scale=0.7 + 0.2 * (start % 3))
         x0 = basis @ h.reshape(-1).view(float)
         h = (x0 @ basis).view(complex).reshape(m, m)  # the traceless part, at x0 exactly
-        i_val, d_val, rho, g = evaluated = _ratio_and_grad(a, n, h, True)
+        i_val, d_val, rho, g = _ratio_and_grad(a, n, h, True)
         if g is None or d_val < D_N_ZERO:
             continue
         if start == 0:
@@ -225,14 +424,12 @@ def flsi_estimate(
             an = norm_trace(g @ k).real
             grad_check = abs(fd - an) / max(abs(fd), 1.0)
         low = [i_val / d_val if rho is not None else math.inf, rho]
-        # L-BFGS-B's first call asks for x0 again: it gets this evaluation
-        first = {x0.tobytes(): evaluated}
 
         def objective(x):
-            i_x, d_x, rho_x, g_x = first.pop(x.tobytes(), None) or _ratio_and_grad(
+            i_x, d_x, rho_x, g_x = _ratio_and_grad(
                 a, n, x.dot(basis).view(complex).reshape(m, m), True)
             if g_x is None:
-                # D_N <= 0, an overflowing ratio or an undefined ln E(rho): L-BFGS-B gets
+                # D_N <= 0, an overflowing ratio or an undefined ln E(rho): the descent gets
                 # no such value and the state is not recorded, so the start ends here
                 raise _StartEnded
             if rho_x is not None and d_x >= D_N_ZERO and i_x / d_x < low[0]:
@@ -240,10 +437,8 @@ def flsi_estimate(
             # d/dx_k of the ratio is Re tau(G B_k)
             return i_x / d_x, basis.dot(g_x.ravel().view(float)) / m
 
-        # the box keeps ||H|| <= 40 sqrt(m^2 - 1) < 709 for m <= 16: e^H stays finite
         with contextlib.suppress(_StartEnded):
-            minimize(objective, x0, jac=True, method="L-BFGS-B",
-                     bounds=[(-40.0, 40.0)] * len(basis), options={"maxiter": MAX_ITER})
+            _descend(objective, x0, i_val / d_val, basis.dot(g.ravel().view(float)) / m)
         if low[0] < best:
             best, best_state = low
     if best_state is None:

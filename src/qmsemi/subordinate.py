@@ -146,7 +146,8 @@ class WeightProfile:
 
 def phi_of_lambda(profile: WeightProfile, lam: float) -> float:
     """phi_F(lam) = int (1 - e^{-t lam}) F(t) dt/t; 0 at lam = 0.  Raises
-    unless lam is finite and >= 0, for every profile kind."""
+    unless lam is finite and >= 0, for every profile kind, and where a table's
+    quadrature is not finite (its integral overflows)."""
     if not 0.0 <= lam < math.inf:
         raise ValueError(f"lambda must be nonnegative and finite, got {lam}")
     if lam == 0.0:
@@ -155,7 +156,10 @@ def phi_of_lambda(profile: WeightProfile, lam: float) -> float:
         return lam ** profile.alpha
     if profile.kind == "epssigma":
         return eps_sigma_scalar(math.log(profile.eps), profile.sigma, lam)[0]
-    return _quad_dt_over_t(lambda t: -math.expm1(-lam * t) * profile.f(t), profile.breaks)[0]
+    phi = _quad_dt_over_t(lambda t: -math.expm1(-lam * t) * profile.f(t), profile.breaks)[0]
+    if not math.isfinite(phi):
+        raise ValueError(f"phi of the table profile is not finite at lambda = {lam}")
+    return phi
 
 
 def _spectral_map(gen, fn) -> Superop:

@@ -42,6 +42,12 @@ CERT_SHIFT = 1e-6        # a superoperator pencil's Cholesky proves lambda_hat (
 CERT_HEADROOM = 4.0      # and d puts its estimated least eigenvalue at this many rounding margins
 CHOLESKY_UNIT = 2.0 ** -51   # rounding unit (4u) budgeted per complex operation in that proof
 UNDERFLOW = 2.0 ** -1074     # smallest subnormal, the underflow term of that proof
+DESCENT_GRAD = 1e-5      # an FLSI descent has converged once its projected gradient is at most this
+DESCENT_DROP = 1e7 * 2.0 ** -52  # or once a step lowers the ratio by at most this (relative)
+DESCENT_CURVATURE = 2.0 ** -52   # a step whose s'y is at most this times -g's keeps no L-BFGS pair
+WOLFE_DECREASE = 1e-3    # a line-search step lowers f by at least this share of its linear model
+WOLFE_CURVATURE = 0.9    # and brings |f'| to at most this share of its start value
+WOLFE_XTOL = 0.1         # a line search stops once its bracket is this narrow (relative)
 
 
 def rel_floor(x, rtol: float, axis=None):

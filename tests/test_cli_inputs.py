@@ -273,7 +273,7 @@ def test_overflowing_jumps_exit_1_before_any_eigensolve(tmp_path, capsys):
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_an_overflowing_profile_exits_1_with_no_document(jumps_file, tmp_path, capsys):
     # C_F = 1e308 (1 - 1e-3 + ln 1e3) is finite in exact arithmetic but not in float64;
-    # phi's quadrature overflows to NaN off the kernel, and make_superop refuses the result
+    # phi's quadrature overflows to NaN off the kernel, and phi_of_lambda refuses it
     path = tmp_path / "profile.json"
     path.write_text(json.dumps({"kind": "table", "points": [[1e-3, 1e308], [1e3, 1e308]]}))
     out = tmp_path / "sub.json"

@@ -201,18 +201,18 @@ def test_flsi_objective_on_scalar_n_takes_one_eigensolve_and_no_expectation(
 def test_flsi_descent_hands_lbfgsb_only_finite_values(monkeypatch):
     # dephasing_m2 at seed 110 runs into states with D_N = 0, where the ratio is
     # infinite and its gradient NaN, and D_N < 0: each such state ends its start
-    import scipy.optimize
-
     values = []
 
-    def checked(fun, x0, _minimize=scipy.optimize.minimize, **kwargs):
+    def checked(fun, x, f, g, _descend=constants._descend):
+        values.append((f, np.isfinite(g).all()))
+
         def recorded(x):
             f, g = fun(x)
             values.append((f, np.isfinite(g).all()))
             return f, g
-        return _minimize(recorded, x0, **kwargs)
+        return _descend(recorded, x, f, g)
 
-    monkeypatch.setattr(scipy.optimize, "minimize", checked)
+    monkeypatch.setattr(constants, "_descend", checked)
     est = flsi_estimate(dephasing_generator(2), n_starts=6, seed=110, n_validate=0)
     assert values and all(math.isfinite(f) and g for f, g in values)
     assert math.isfinite(est.lambda_upper)
@@ -220,32 +220,163 @@ def test_flsi_descent_hands_lbfgsb_only_finite_values(monkeypatch):
 
 @pytest.mark.parametrize("name", ["depolarizing_m2", "random_2jump_m4"])
 def test_flsi_descent_evaluates_each_first_state_once(zoo, name, monkeypatch):
-    # the check before a start runs hands its evaluation to L-BFGS-B's first call, so
-    # the objective runs once per L-BFGS-B evaluation, twice more for the finite
-    # difference of start 0 and once for each start that is skipped
-    import scipy.optimize
-
+    # the check before a start runs hands its evaluation to the descent, so the
+    # objective runs once per descent evaluation (the handed one included), twice
+    # more for the finite difference of start 0 and once for each start that is skipped
     objective_calls, nfev = [0], []
 
     def counted(*args, _ratio_and_grad=constants._ratio_and_grad):
         objective_calls[0] += 1
         return _ratio_and_grad(*args)
 
-    def recorded(fun, x0, _minimize=scipy.optimize.minimize, **kwargs):
+    def recorded(fun, x, f, g, _descend=constants._descend):
         def fun_counted(x):
             nfev[-1] += 1
             return fun(x)
-        nfev.append(0)
-        res = _minimize(fun_counted, x0, **kwargs)
-        assert res.nfev == nfev[-1]
-        return res
+        nfev.append(1)
+        return _descend(fun_counted, x, f, g)
 
     monkeypatch.setattr(constants, "_ratio_and_grad", counted)
-    monkeypatch.setattr(scipy.optimize, "minimize", recorded)
+    monkeypatch.setattr(constants, "_descend", recorded)
     n_starts = 4
     est = flsi_estimate(zoo[name], n_starts=n_starts, seed=0, n_validate=0)
     assert math.isfinite(est.grad_check)  # start 0 ran its finite difference
     assert objective_calls[0] == sum(nfev) + 2 + (n_starts - len(nfev))
+
+
+def _quadratic(hess, centre):
+    """f = (x - c)' A (x - c) / 2 with its gradient, and every x it is evaluated at."""
+    seen = []
+
+    def fun(x):
+        seen.append(x.copy())
+        r = hess @ (x - centre)
+        return 0.5 * (x - centre) @ r, r
+    return fun, seen
+
+
+def test_descent_finds_the_interior_minimiser_of_a_convex_quadratic():
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal((6, 6))
+    hess, centre = b @ b.T + 0.5 * np.eye(6), rng.uniform(-5.0, 5.0, 6)
+    fun, _ = _quadratic(hess, centre)
+    x0 = np.zeros(6)
+    x, f = constants._descend(fun, x0, *fun(x0))
+    assert np.abs(x - centre).max() < 1e-5
+    assert f < 1e-10
+
+
+def test_descent_lands_on_the_face_of_the_box():
+    # the minimiser (50, -60, 3) lies outside |x_k| <= 40; the box's nearest point is
+    # the constrained minimiser of a diagonal quadratic
+    fun, seen = _quadratic(np.diag([1.0, 4.0, 0.5]), np.array([50.0, -60.0, 3.0]))
+    x0 = np.array([1.0, 2.0, -3.0])
+    x, _ = constants._descend(fun, x0, *fun(x0))
+    assert x[0] == constants.BOX and x[1] == -constants.BOX
+    assert x[2] == pytest.approx(3.0, abs=1e-5)
+    assert max(np.abs(v).max() for v in seen) <= constants.BOX
+
+
+def test_descent_evaluates_no_point_outside_the_box():
+    # a linear f falls towards the box, so the line search steps to the box edge:
+    # for seed 184, x + t d with t the step to the box rounds to 40.00000000000001,
+    # and the clip keeps it at 40
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        c, x0 = rng.random(3) + 0.1, rng.uniform(-5.0, 5.0, 3)
+        seen = []
+
+        def fun(x):
+            seen.append(np.abs(x).max())
+            return -c @ x, -c
+        constants._descend(fun, x0, -c @ x0, -c)
+        assert max(seen) <= constants.BOX, seed
+
+
+def test_descent_ends_on_a_failed_search_with_no_pair():
+    # the gradient points the wrong way: f rises along every step of the first search
+    seen = []
+
+    def fun(x):
+        seen.append(x.copy())
+        return x @ x, -2.0 * x
+    x0 = np.array([1.0, 2.0])
+    x, f = constants._descend(fun, x0, *fun(x0))
+    assert len(seen) == 1 + constants.SEARCH_EVALS
+    assert x is x0 and f == 5.0
+
+
+def test_descent_restarts_from_steepest_descent_on_a_failed_search_with_pairs():
+    # an honest quadratic for the first search (one step, one pair kept); after it f
+    # rises away from that step's point x1 in every direction, so the next search fails,
+    # the pairs go, and the search from steepest descent (first trial x1 - g) fails
+    # too, which ends the descent
+    scale = np.array([0.5, 1.5])
+    seen = []
+
+    def fun(x):
+        seen.append(x.copy())
+        g = scale * x
+        f = 0.5 * x @ g
+        return (f, g) if len(seen) <= 2 else (0.5 * seen[1] @ (scale * seen[1])
+                                              + (x - seen[1]) @ (x - seen[1]), g)
+    x0 = np.array([1.0, 1.0])
+    x, _ = constants._descend(fun, x0, *fun(x0))
+    x1 = seen[1]
+    assert np.array_equal(x1, x0 - scale * x0)  # the first step: x - g, step 1
+    assert len(seen) == 2 + 2 * constants.SEARCH_EVALS
+    assert np.array_equal(seen[2 + constants.SEARCH_EVALS], x1 - scale * x1)
+    assert np.array_equal(x, x1)
+
+
+def _rosenbrock(x):
+    f = np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2)
+    g = np.zeros_like(x)
+    g[:-1] = -400.0 * x[:-1] * (x[1:] - x[:-1] ** 2) - 2.0 * (1.0 - x[:-1])
+    g[1:] += 200.0 * (x[1:] - x[:-1] ** 2)
+    return f, g
+
+
+QUARTIC_HESS, QUARTIC_B = np.diag(np.linspace(0.2, 3.0, 8)) + 0.1, np.linspace(-1.0, 2.0, 8)
+
+
+def _quartic(x):
+    r = QUARTIC_HESS @ x - QUARTIC_B
+    return 0.5 * x @ (r - QUARTIC_B) + 0.05 * np.sum(x**4), r + 0.2 * x**3
+
+
+@pytest.mark.parametrize("fun, x0", [(_rosenbrock, np.array([-1.2, 1.0])),
+                                     (_rosenbrock, np.linspace(-1.2, 1.0, 5)),
+                                     (_quartic, np.linspace(1.0, -1.0, 8)),
+                                     (lambda x: (0.01 * x @ x, 0.02 * x), np.ones(3))],
+                         ids=["rosenbrock-2", "rosenbrock-5", "quartic-8", "shallow"])
+def test_descent_retraces_lbfgsb_where_the_box_is_inactive(fun, x0):
+    # the same iterates, line-search trials included, as scipy's L-BFGS-B on the same box;
+    # on the shallow quadratic the first search stops at its cap, step 1
+    from scipy.optimize import minimize
+
+    ours, theirs = [], []
+
+    def record(seen):
+        return lambda x: (seen.append(x.copy()), fun(x))[1]
+    minimize(record(theirs), x0, jac=True, method="L-BFGS-B",
+             bounds=[(-constants.BOX, constants.BOX)] * x0.size,
+             options={"maxiter": constants.MAX_ITER})
+    ours.append(x0)
+    constants._descend(record(ours), x0.copy(), *fun(x0))
+    assert len(ours) == len(theirs)
+    np.testing.assert_allclose(ours, theirs, rtol=0, atol=1e-8)
+
+
+def test_descent_is_deterministic(zoo):
+    fun, _ = _quadratic(np.diag([1.0, 3.0, 9.0]), np.array([0.5, -2.0, 60.0]))
+    x0 = np.array([1.0, 1.0, 1.0])
+    runs = [constants._descend(fun, x0, *fun(x0)) for _ in range(2)]
+    assert runs[0][0].tobytes() == runs[1][0].tobytes() and runs[0][1] == runs[1][1]
+    ests = [flsi_estimate(zoo["random_2jump_m3"], n_starts=2, seed=5, n_validate=0)
+            for _ in range(2)]
+    assert ests[0].argmin_state.tobytes() == ests[1].argmin_state.tobytes()
+    assert ests[0].to_json() == ests[1].to_json()
 
 
 @pytest.mark.parametrize("low", [-50.0, -3.0])
@@ -418,9 +549,7 @@ def test_decay_refuses_a_generator_that_moves_the_algebra(check):
 )
 def test_validation_sweep_lowers_short_descent_bracket(zoo, name, lower, upper, monkeypatch):
     # with no descent steps the sweep, not the optimizer, sets the lower end
-    import scipy.optimize
-
-    monkeypatch.setattr(scipy.optimize, "minimize", lambda *args, **kwargs: None)
+    monkeypatch.setattr(constants, "_descend", lambda *args: None)
     est = flsi_estimate(zoo[name], n_starts=1, seed=4, n_validate=2000)
     assert est.lambda_lower < est.lambda_upper
     assert est.lambda_lower == pytest.approx(lower, rel=1e-9)
@@ -432,9 +561,7 @@ def test_validation_sweep_lowers_short_descent_bracket(zoo, name, lower, upper, 
 def test_validation_sweep_handles_states_with_eigenvalues_below_the_floor(monkeypatch):
     # at m = 12 some sweep states have eigenvalues below PSD * max: evaluated
     # through the support floors, A(rho) weighed on that "kernel" and the sweep raised
-    import scipy.optimize
-
-    monkeypatch.setattr(scipy.optimize, "minimize", lambda *args, **kwargs: None)
+    monkeypatch.setattr(constants, "_descend", lambda *args: None)
     gen = random_lindblad(12, 2, np.random.default_rng(12))
     est = flsi_estimate(gen, n_starts=1, seed=4, n_validate=2000)
     assert math.isfinite(est.lambda_lower) and math.isfinite(est.lambda_upper)

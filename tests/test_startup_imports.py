@@ -78,9 +78,15 @@ def test_importing_the_cli_builds_no_parser():
     ["gamma-e", "{jumps}"],
     ["gamma-e", "{depol}"],
     ["decay", "{jumps}", "--lambda", "auto"],
+    ["flsi", "{jumps}", "--starts", "1", "--validate", "200"],
 ])
 def test_commands_without_a_scipy_call_load_no_scipy(argv, files):
     assert run_cli(argv, files) == set()
+
+
+def test_the_casebook_loads_no_optimizer(files):
+    # its FLSI case runs the descent of ``constants``, not scipy.optimize
+    assert "optimize" not in run_cli(["casebook", "run", "--all"], files)
 
 
 def test_a_superop_pencil_loads_scipy_linalg_only():

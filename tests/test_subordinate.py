@@ -53,6 +53,17 @@ def test_phi_of_lambda_takes_only_a_finite_nonnegative_lambda(kind, lam):
         phi_of_lambda(PROFILE_KINDS[kind](), lam)
 
 
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_phi_of_an_overflowing_table_raises():
+    # C_F = 1e308 (1 - 1e-3 + ln 1e3) overflows float64, so the quadrature is not finite
+    # at any lambda > 0; phi refuses it where it once returned NaN
+    table = WeightProfile.table([[1e-3, 1e308], [1e3, 1e308]])
+    assert phi_of_lambda(table, 0.0) == 0.0
+    for lam in (0.5, 2.0, 7.0):
+        with pytest.raises(ValueError, match="not finite"):
+            phi_of_lambda(table, lam)
+
+
 def test_power_law_normalization_against_gamma_function():
     # independent oracle: int (1-e^-s) s^{-a-1} ds = Gamma(1-a)/a
     for al in (0.25, 0.5, 0.75):
