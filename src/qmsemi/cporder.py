@@ -16,14 +16,14 @@ Q_A = C* C with the (K m) x m^3 commutator factor
 C[(k,i),(b,u)] = ([a_k, e_b])_{iu}, so rank Q_A <= K m and ker Q_A has
 dimension >= m^3 - K m.  When K m is below rank Q_{I-E} = m (m^2/dim N - 1)
 (the rank when the index element of N is scalar), ``gamma_e_constant``
-works on C alone and never forms Q_A: a zero verdict and the exact leak of
-Q_{I-E} out of ker Q_A follow in closed form from a thin SVD of C and one
-m x m eigenproblem.  Every other jump pencil splits the dense Q_A by an
-eigendecomposition (``best_lambda``).  A superoperator pencil
-(``gamma_e``) with N = C 1 first drops the 1 (x) C^m directions, which both
-kernels kill, by a congruence; its "positive" status is then proved by a
-Cholesky factorization with Rump's rounding margin, and any other outcome
-takes ``best_lambda``.
+forms neither Q_A nor Q_{I-E}: a zero verdict, the exact leak of Q_{I-E} out
+of ker Q_A and its floor follow in closed form from a thin SVD of C, the
+m x m^3 matrix B = (e_b - E e_b)_{iu} and one m x m eigenproblem.  Every other
+jump pencil splits the dense Q_A by an eigendecomposition (``best_lambda``).
+A superoperator pencil (``gamma_e``) with N = C 1 first drops the 1 (x) C^m
+directions, which both kernels kill, by a congruence; its "positive" status
+is then proved by a Cholesky factorization with Rump's rounding margin, and
+any other outcome takes ``best_lambda``.
 Matrix-amplified agreement is delegated to a sampling oracle in the tests.
 
 The module also computes the module-basis Choi matrix whose operator norm is
@@ -90,12 +90,14 @@ def _symmetrize(q: np.ndarray) -> np.ndarray:
 
 
 def _jump_factor(jumps_arr: np.ndarray) -> np.ndarray:
-    """The (K m) x m^3 commutator factor C[(k,i),(b,u)] = ([a_k, e_b])_{iu}."""
-    a = np.asarray(jumps_arr, dtype=complex)
-    m = a.shape[-1]
-    basis = tau_orthonormal_basis(m)
-    c = np.einsum("kij,bjl->kbil", a, basis) - np.einsum("bij,kjl->kbil", basis, a)
-    return c.transpose(0, 2, 1, 3).reshape(-1, m ** 3)
+    """The (K m) x m^3 commutator factor C[(k,i),(b,u)] = ([a_k, e_b])_{iu}; over e_b = e_pq =
+    sqrt(m) |p><q| it is sqrt(m) (a_{ip} delta_{qu} - delta_{ip} a_{qu}), two slice assignments."""
+    k, m = np.shape(jumps_arr)[0], np.shape(jumps_arr)[-1]
+    a, diag = np.sqrt(m) * np.asarray(jumps_arr, dtype=complex), np.arange(m)
+    c = np.zeros((k, m, m, m, m), dtype=complex)  # (k, i, p, q, u)
+    c[:, :, :, diag, diag] = a[:, :, :, None]
+    c[:, diag, diag, :, :] -= a[:, None, :, :]
+    return c.reshape(k * m, m ** 3)
 
 
 def kernel_from_jumps(jumps_arr: np.ndarray) -> FormKernel:
@@ -230,9 +232,7 @@ def best_lambda(q_small: FormKernel, q_big: FormKernel) -> GammaECertificate:
     return GammaECertificate(1.0 / top, "positive", leak, floor_small - leak, floor, wit)
 
 
-def _index_leak(
-    q_small: FormKernel, c: np.ndarray, n: SubAlgebra, floor_small: float
-) -> GammaECertificate | None:
+def _index_leak(c: np.ndarray, n: SubAlgebra) -> GammaECertificate | None:
     """Zero certificate of a jump pencil Q_big = C* C in closed form, or None.
 
     Over the matrix units e_a, z = sum_a e_a E(e_a*) is the index element of
@@ -247,10 +247,11 @@ def _index_leak(
     holds directions outside ker Q_small and lambda* = 0.  With R the rows of
     C's thin SVD with s^2 above the PSD floor and P_K = 1 - R* R, the leak is
     c/2 + lambda_max(B P_K B*)/2, reached at w = P_K B* y for the top
-    eigenvector y of the m x m matrix B B* - (B R*)(B R*)*; ``leak`` is
-    w* Q_small w, the exact norm to rounding, and w in ker C is the witness.
-    None (use ``best_lambda``) when z is not scalar or that top eigenvalue is
-    at or under the PSD floor.
+    eigenvector y of the m x m matrix B B* - (B R*)(B R*)*; w in ker C is the
+    witness, orthogonal to ker Q_small (in ker C and ker B), so ``leak`` =
+    w* Q_small w = (c + ||B w||^2)/2, the exact norm to rounding; the floor
+    comes from ``_ie_norm``.  None (use ``best_lambda``) when z is not scalar
+    or that top eigenvalue is at or under the PSD floor.
     """
     m, dim_n = n.dim, n.size
     e = tau_orthonormal_basis(m)
@@ -259,20 +260,26 @@ def _index_leak(
     if np.abs(z - dim_n * np.eye(m)).max() > rel_floor(z, PSD):
         return None
     _, s, rh = np.linalg.svd(c, full_matrices=False)
-    w = s ** 2
-    floor = rel_floor(w, PSD)
-    rh = rh[w > floor]
+    floor = rel_floor(s ** 2, PSD)
+    rh = rh[s ** 2 > floor]
     b = (e - ee).transpose(1, 0, 2).reshape(m, -1)
-    br = b @ rh.conj().T
-    h = b @ b.conj().T - br @ br.conj().T
+    bb, br = b @ b.conj().T, b @ rh.conj().T
+    h = bb - br @ br.conj().T
     top, y = _top_eigpair(h)
     if not top > rel_floor(h, PSD):
         return None
     wit = b.conj().T @ y
     wit -= rh.conj().T @ (rh @ wit)
     wit /= np.linalg.norm(wit)
-    leak = float((wit.conj() @ q_small.q @ wit).real)
+    leak = (dim_n + np.linalg.norm(b @ wit) ** 2) / 2.0
+    floor_small = rel_floor(_ie_norm(bb, dim_n), PSD)
     return GammaECertificate(0.0, "zero", leak, leak - floor_small, floor, wit)
+
+
+def _ie_norm(bb: np.ndarray, c: int) -> float:
+    """||Q_{I-E}||_F from B B* when z = c 1: ||B* B/2 + (c/2)(1 - P_0)||_F with B P_0 = 0."""
+    m = bb.shape[0]
+    return math.sqrt(np.vdot(bb, bb).real + c * (2.0 * np.trace(bb).real + m * (m * m - c))) / 2.0
 
 
 def gamma_e_constant(gen: LindbladGenerator) -> GammaECertificate:
@@ -283,20 +290,17 @@ def gamma_e_constant(gen: LindbladGenerator) -> GammaECertificate:
     M_m, so Gamma_{I-E} vanishes) gets a zero certificate without a solve.
     With K jumps rank Q_A <= K m; when that is below m (m^2/dim N - 1), the
     rank of Q_{I-E} for a scalar index element, the factor C decides a zero
-    verdict in closed form (``_index_leak``).  Every other pencil, and a
-    closed form that does not apply, takes ``best_lambda`` on the dense Q_A.
+    verdict in closed form with no kernel built (``_index_leak``).  Every other
+    pencil, and a closed form that does not apply, takes ``best_lambda``.
     """
-    n = gen.fixed_algebra
-    q_small = kernel_ie(n)
-    norm_small = np.linalg.norm(q_small.q)
-    if norm_small <= PSD:
-        return GammaECertificate(0.0, "zero", 0.0, PSD - norm_small, PSD)
-    m, jumps = gen.dim, gen.jumps.jumps
+    n, m, jumps = gen.fixed_algebra, gen.dim, gen.jumps.jumps
+    if n.size == m * m:
+        return GammaECertificate(0.0, "zero", 0.0, PSD, PSD)
     if gen.jumps.size * m < m * (m * m / n.size - 1):
-        cert = _index_leak(q_small, _jump_factor(jumps), n, rel_floor(norm_small, PSD))
+        cert = _index_leak(_jump_factor(jumps), n)
         if cert is not None:
             return cert
-    return best_lambda(q_small, kernel_from_jumps(jumps))
+    return best_lambda(kernel_ie(n), kernel_from_jumps(jumps))
 
 
 def _cholesky_shift(h: np.ndarray, spread: float) -> float:

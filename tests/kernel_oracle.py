@@ -1,12 +1,12 @@
 """Einsum and pointwise form kernels, kept to check the kernels in ``cporder``.
 
-The jump kernel contracts the commutator tensor [a_k, e_b] with itself by one
-4-index einsum, and the superoperator kernel assembles Gamma_A(e_a, e_b)
-from three einsums and k^2 matrix-vector applications of A.  A weighted
-graph's gradient form is evaluated pointwise on diagonal matrices and its
-kernel filled one basis pair at a time.  ``gradient_form_weak`` evaluates the
-weak form Gamma_A(x, y) of any self-adjoint A pointwise, and
-``gradient_form_ie`` that of I - E_N.
+The jump factor is the commutator tensor [a_k, e_b] of two einsums, and the
+jump kernel contracts that tensor with itself by one 4-index einsum.  The
+superoperator kernel assembles Gamma_A(e_a, e_b) from three einsums and k^2
+matrix-vector applications of A.  A weighted graph's gradient form is
+evaluated pointwise on diagonal matrices and its kernel filled one basis pair
+at a time.  ``gradient_form_weak`` evaluates the weak form Gamma_A(x, y) of
+any self-adjoint A pointwise, and ``gradient_form_ie`` that of I - E_N.
 """
 
 import numpy as np
@@ -16,16 +16,25 @@ from qmsemi.cporder import FormKernel, _symmetrize
 from qmsemi.matops import Superop, tau_orthonormal_basis
 
 
+def _commutators(jumps_arr: np.ndarray) -> np.ndarray:
+    """c[k, b, i, u] = ([a_k, e_b])_{iu} for all jumps and basis elements, by two einsums."""
+    a = np.asarray(jumps_arr, dtype=complex)
+    basis = tau_orthonormal_basis(a.shape[-1])
+    return np.einsum("kij,bjl->kbil", a, basis) - np.einsum("bij,kjl->kbil", basis, a)
+
+
+def jump_factor_by_einsum(jumps_arr: np.ndarray) -> np.ndarray:
+    """The (K m) x m^3 commutator factor C[(k,i),(b,u)] = ([a_k, e_b])_{iu}."""
+    m = np.shape(jumps_arr)[-1]
+    return _commutators(jumps_arr).transpose(0, 2, 1, 3).reshape(-1, m ** 3)
+
+
 def kernel_from_jumps_by_einsum(jumps_arr: np.ndarray) -> FormKernel:
     """Kernel of Gamma(x,y) = sum_k [a_k,x]*[a_k,y] (vectorized)."""
-    a = np.asarray(jumps_arr, dtype=complex)
-    m = a.shape[-1]
-    basis = tau_orthonormal_basis(m)
-    # commutators [a_k, e_b] for all jumps and basis elements
-    c = np.einsum("kij,bjl->kbil", a, basis) - np.einsum("bij,kjl->kbil", basis, a)
+    m = np.shape(jumps_arr)[-1]
+    c = _commutators(jumps_arr)
     q = np.einsum("kaiu,kbiv->aubv", c.conj(), c)
-    k = basis.shape[0]
-    return FormKernel(dim=m, basis_size=k, q=_symmetrize(q.reshape(k * m, k * m)))
+    return FormKernel(dim=m, basis_size=m * m, q=_symmetrize(q.reshape(m ** 3, m ** 3)))
 
 
 def kernel_from_superop_by_einsum(a: Superop) -> FormKernel:

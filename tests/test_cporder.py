@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import make_zoo
-from kernel_oracle import kernel_from_jumps_by_einsum, kernel_from_superop_by_einsum
+from kernel_oracle import (
+    jump_factor_by_einsum,
+    kernel_from_jumps_by_einsum,
+    kernel_from_superop_by_einsum,
+)
 from pencil_oracle import _top_eigpair as evr_top_eigpair, bisect_lambda
 from return_time_oracle import (
     grid_return_time,
@@ -93,6 +97,17 @@ KERNEL_CASES = _kernel_cases()
 def _assert_kernel_close(q, ref, rtol=1e-12):
     assert q.shape == ref.shape
     assert np.abs(q - ref).max() <= rtol * max(np.abs(ref).max(), 1.0)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_the_jump_factor_equals_the_einsum_construction_bit_for_bit(m):
+    rng = np.random.default_rng(400 + m)
+    for k in range(5):
+        g = rng.standard_normal((k, m, m)) + 1j * rng.standard_normal((k, m, m))
+        jumps = (g + g.conj().swapaxes(1, 2)) / 2
+        c = cporder._jump_factor(jumps)
+        assert c.shape == (k * m, m ** 3)
+        assert c.tobytes() == jump_factor_by_einsum(jumps).tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
@@ -297,10 +312,14 @@ def test_gamma_e_dephasing_value_and_gap_consistency():
     assert cert.lambda_star == pytest.approx(4.0, abs=1e-6)
 
 
-def test_gamma_e_trivial_dynamics_is_zero():
+def test_gamma_e_trivial_dynamics_is_zero(monkeypatch):
+    # an empty jump set fixes all of M_m: zero by n.size == m^2, with no kernel built
     gen = lindblad(jump_set([], m=2))
+    for name in ("kernel_ie", "kernel_from_superop", "kernel_from_jumps", "best_lambda"):
+        monkeypatch.setattr(cporder, name, None)
     cert = gamma_e_constant(gen)
     assert cert.lambda_star == 0.0 and cert.status == "zero"
+    assert cert.margin == PSD and cert.witness is None
 
 
 def _above(lam):

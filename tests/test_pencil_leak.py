@@ -5,7 +5,10 @@ N whose index element z = sum_a e_a E(e_a*) is scalar, ``gamma_e_constant``
 decides a zero verdict from a thin SVD of the jump factor C and one m x m
 eigenproblem, and reports the exact leak ||P_ker Q_A Q_{I-E} P_ker Q_A||;
 every other pencil takes the dense split of Q_A's eigendecomposition in
-``best_lambda``.  ``pencil_oracle.dense_split_lambda`` is the reference.
+``best_lambda``.  ``pencil_oracle.dense_split_lambda`` is the reference.  The
+zero verdict builds neither Q_A nor Q_{I-E}: its leak (c + ||B w||^2)/2 and
+the Frobenius norm of Q_{I-E} come from B and B B*, and are checked here
+against the dense kernel of ``kernel_ie``.
 """
 
 import json
@@ -20,7 +23,8 @@ from qmsemi.cli import main
 from qmsemi.cporder import FormKernel, best_lambda, gamma_e_constant, kernel_from_jumps, kernel_ie
 from qmsemi.generator import jump_set, lindblad
 from qmsemi.io import dump_json, jumps_to_obj
-from qmsemi.models import dephasing_generator, random_lindblad
+from qmsemi.matops import tau_orthonormal_basis
+from qmsemi.models import dephasing_generator, depolarizing_generator, random_lindblad
 from qmsemi.tolerances import PSD, rel_floor
 
 
@@ -44,11 +48,12 @@ def _pencil(gen):
     return kernel_ie(gen.fixed_algebra), cporder._jump_factor(gen.jumps.jumps)
 
 
-def _no_dense_split(monkeypatch):
+def _no_dense_kernel(monkeypatch):
     def refuse(*args):
-        raise AssertionError("the dense split was taken")
+        raise AssertionError("a dense kernel was built")
 
-    monkeypatch.setattr(cporder, "best_lambda", refuse)
+    for name in ("kernel_ie", "kernel_from_superop", "kernel_from_jumps", "best_lambda"):
+        monkeypatch.setattr(cporder, name, refuse)
 
 
 def _count_dense_splits(monkeypatch):
@@ -77,11 +82,11 @@ def _assert_zero_witness(q_small, c, cert):
 
 
 def _assert_closed_form(gen, monkeypatch):
-    """gamma_e_constant decides zero without the dense split, as the oracle does."""
+    """gamma_e_constant decides zero without a dense kernel, as the oracle does."""
     q_small, c = _pencil(gen)
     assert c.shape[0] < c.shape[1]
     with monkeypatch.context() as mp:
-        _no_dense_split(mp)
+        _no_dense_kernel(mp)
         cert = gamma_e_constant(gen)
     assert cert.status == "zero" and cert.method == "pencil-direct"
     _assert_matches_oracle(q_small, c, cert)
@@ -171,3 +176,77 @@ def test_the_closed_form_leak_is_byte_identical_on_rerun(tmp_path):
             assert main(["gamma-e", str(path), "--out", str(out)]) == 2  # exit 2: lambda* = 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
         assert json.loads(outs[0].read_text())["leak"] == gamma_e_constant(gen).leak
+
+
+SCALAR_INDEX = {
+    **{name: gen for name, gen in make_zoo().items() if gen.fixed_algebra.size == 1},
+    **{f"dephasing_m{m}": dephasing_generator(m) for m in range(2, 7)},
+    "two_by_h_m4": _two_by_h(4, 1),
+    "two_by_h_m6": _two_by_h(6, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_INDEX))
+def test_the_closed_forms_match_the_dense_kernel_of_q_ie(name):
+    # z = c 1: ||Q_{I-E}||_F from B B*, and the leak (c + ||B w||^2)/2 = w* Q_{I-E} w
+    gen = SCALAR_INDEX[name]
+    n, m = gen.fixed_algebra, gen.dim
+    q = kernel_ie(n).q
+    e = tau_orthonormal_basis(m)
+    b = (e - n.expectation.apply(e)).transpose(1, 0, 2).reshape(m, -1)
+    ref = np.linalg.norm(q)
+    assert abs(cporder._ie_norm(b @ b.conj().T, n.size) - ref) <= 1e-13 * ref
+    if gen.jumps.size * m >= m * (m * m / n.size - 1):
+        return  # the rank count sends this pencil to the dense split
+    cert = cporder._index_leak(cporder._jump_factor(gen.jumps.jumps), n)
+    w = cert.witness
+    dense = (w.conj() @ q @ w).real
+    assert abs((n.size + np.linalg.norm(b @ w) ** 2) / 2 - dense) <= 1e-13 * dense
+    assert abs(cert.leak - dense) <= 1e-13 * dense
+
+
+def _gue_jumps(m, n_jumps, rng):
+    """Hermitian GUE-type jumps, drawn as the benchmark's certify inputs are."""
+    g = rng.standard_normal((n_jumps, m, m)) + 1j * rng.standard_normal((n_jumps, m, m))
+    return (g + g.conj().swapaxes(1, 2)) / 2.0
+
+
+def _gamma_e_cli(gen, tmp_path):
+    """The gamma-e command's exit code and JSON on the jumps of ``gen``."""
+    path, out = tmp_path / "jumps.json", tmp_path / "cert.json"
+    path.write_text(dump_json(jumps_to_obj(gen.jumps)))
+    return main(["gamma-e", str(path), "--out", str(out)]), json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("n_jumps", [2, 3])
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_a_zero_verdict_builds_no_dense_kernel(m, n_jumps, monkeypatch, tmp_path):
+    gen = lindblad(jump_set(_gue_jumps(m, n_jumps, np.random.default_rng(400 + 10 * m + n_jumps))))
+    with monkeypatch.context() as mp:
+        _no_dense_kernel(mp)
+        cert = gamma_e_constant(gen)
+        code, doc = _gamma_e_cli(gen, tmp_path)
+    assert cert.status == "zero" and code == 2
+    assert doc["leak"] == cert.leak and doc["margin"] == cert.margin
+    _assert_zero_witness(*_pencil(gen), cert)
+
+
+def test_depolarizing_still_takes_one_dense_split(monkeypatch):
+    splits = _count_dense_splits(monkeypatch)
+    cert = gamma_e_constant(depolarizing_generator(3))
+    assert len(splits) == 1
+    assert cert.status == "positive"
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_trivial_dynamics_is_zero_by_the_exact_rule(m, monkeypatch, tmp_path):
+    # jumps that are multiples of 1 fix all of M_m: zero with no kernel and margin PSD
+    gen = lindblad(jump_set([2.5 * np.eye(m), -0.75 * np.eye(m)]))
+    assert gen.fixed_algebra.size == m * m
+    with monkeypatch.context() as mp:
+        _no_dense_kernel(mp)
+        cert = gamma_e_constant(gen)
+        code, doc = _gamma_e_cli(gen, tmp_path)
+    assert cert.status == "zero" and cert.lambda_star == 0.0 and cert.margin == PSD
+    assert code == 2 and doc["status"] == "zero" and doc["margin"] == PSD
+

@@ -108,7 +108,7 @@ MAX_OPTIONS = 40
 # Lines of src/qmsemi/*.py, as ``cat src/qmsemi/*.py | wc -l`` counts them.  The
 # same behaviour from less code lowers this number; a change that adds lines
 # raises it in the same edit.
-MAX_SRC_LINES = 3797
+MAX_SRC_LINES = 3801
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
